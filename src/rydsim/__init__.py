@@ -35,7 +35,6 @@ from .gates import (
     GateSpec,
     cnot_n,
     controlled_flip,
-    controlled_zflip,
     faulty_gate,
     flip_probability,
     hadamard,

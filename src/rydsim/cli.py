@@ -270,6 +270,10 @@ def _resolve_values(command: str, file_values: dict, flag_values: dict) -> dict:
                 f"field {name!r} must be one of {list(p.choices)}, got {value!r}"
             )
         values[name] = value
+    if (command == "toric-cool" and values["engine"] == "lindblad"
+            and (values["lx"], values["ly"]) != (2, 2)):
+        raise ConfigError("engine 'lindblad' simulates the single-plaquette 2x2 "
+                          f"reference system; got lx={values['lx']}, ly={values['ly']}")
     return values
 
 
@@ -278,10 +282,17 @@ def _resolve_values(command: str, file_values: dict, flag_values: dict) -> dict:
 # ---------------------------------------------------------------------
 
 def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    """Worker count from RYDSIM_WORKERS; default: machine parallelism."""
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _run_toric_cool(cfg: ExperimentConfig):
@@ -564,6 +575,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(
             args.command, _resolve_values(args.command, file_values, flags)
         )
+        _workers()  # a bad worker count is a usage error, caught before any work
     except (ConfigError, OSError) as exc:
         print(f"rydsim: error: {exc}", file=sys.stderr)
         return 2

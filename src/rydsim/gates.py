@@ -22,7 +22,6 @@ from .statevec import StateVector
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,38 +62,23 @@ def _local_matrix(op: OperatorSum, qubits: tuple[int, ...]) -> np.ndarray:
     """Dense matrix of an operator restricted to the listed qubits.
 
     ``qubits[0]`` becomes the most-significant bit of the local index,
-    matching :meth:`StateVector.apply_operator`.
+    matching :meth:`StateVector.apply_operator`: the j-th listed qubit is
+    relabelled to local qubit k-1-j.  An operator given on k qubits is
+    read as already ordered like ``qubits``.
     """
     k = len(qubits)
-    if op.n_qubits == k:
-        local = op
-    else:
-        pos = {q: j for j, q in enumerate(qubits)}
-        terms = []
-        for c, s in op.normalized():
-            x = z = 0
-            for q in range(op.n_qubits):
-                xb = (s.x_mask >> q) & 1
-                zb = (s.z_mask >> q) & 1
-                if not (xb or zb):
-                    continue
-                if q not in pos:
-                    raise ValueError(
-                        f"operator has support on qubit {q} outside the targets"
-                    )
-                x |= xb << pos[q]
-                z |= zb << pos[q]
-            terms.append((c * s.phase, PauliString(k, x, z)))
-        local = OperatorSum(terms, k)
-    mat = local.to_matrix()
-    # local qubit j sits on bit j; flip to qubits[0] = most significant
-    perm = np.zeros(1 << k, dtype=np.int64)
-    for i in range(1 << k):
-        rev = 0
-        for j in range(k):
-            rev |= ((i >> j) & 1) << (k - 1 - j)
-        perm[i] = rev
-    return mat[np.ix_(perm, perm)]
+    order = range(k) if op.n_qubits == k else qubits
+    local_bit = {q: k - 1 - j for j, q in enumerate(order)}
+    terms = []
+    for c, s in op.normalized():
+        x = z = 0
+        for q in s.support():
+            if q not in local_bit:
+                raise ValueError(f"operator has support on qubit {q} outside the targets")
+            x |= ((s.x_mask >> q) & 1) << local_bit[q]
+            z |= ((s.z_mask >> q) & 1) << local_bit[q]
+        terms.append((c, PauliString(k, x, z)))
+    return OperatorSum(terms, k).to_matrix()
 
 
 def cnot_n(state: StateVector, control: int, targets) -> StateVector:
@@ -105,12 +89,8 @@ def cnot_n(state: StateVector, control: int, targets) -> StateVector:
     for q in (control, *targets):
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range")
-    tmask = 0
-    for q in targets:
-        tmask |= 1 << q
-    idx = np.arange(1 << n, dtype=np.int64)
-    perm = idx ^ (tmask * ((idx >> control) & 1))
-    state.amps = state.amps[perm]
+    x_targets = PauliString(n, sum(1 << q for q in targets), 0)
+    state.amps = x_targets.act(state.amps, control)
     return state
 
 
@@ -145,7 +125,11 @@ def rot_z(state: StateVector, qubit: int, phi: float) -> StateVector:
 
 
 def hadamard(state: StateVector, qubit: int) -> StateVector:
-    return state.apply_operator(_HADAMARD, (qubit,))
+    """(X_q + Z_q)/sqrt2."""
+    x = PauliString.single(state.n_qubits, qubit, "X")
+    z = PauliString.single(state.n_qubits, qubit, "Z")
+    state.amps = (x.act(state.amps) + z.act(state.amps)) * math.sqrt(0.5)
+    return state
 
 
 def plaquette_step(state: StateVector, plaquette, phi: float) -> StateVector:
@@ -177,9 +161,18 @@ def star_step(state: StateVector, star, phi: float) -> StateVector:
     return state
 
 
-def _controlled_1q(state, control, target, u_on_one):
-    gate = np.kron(_P0, np.eye(2, dtype=complex)) + np.kron(_P1, u_on_one)
-    return state.apply_operator(gate, (control, target))
+def _controlled_exp(state: StateVector, control: int, p: PauliString,
+                    phi: float) -> StateVector:
+    """exp(i phi P) on the |1> branch of the control, for a Hermitian P:
+    cos(phi) psi + i sin(phi) P psi on that half, psi on the other."""
+    image = p.act(state.amps, control)
+    half = (-1, 2, 1 << control)  # [:, 1] is the control-1 half
+    amps = state.amps.copy()
+    one = amps.reshape(half)[:, 1]
+    one *= math.cos(phi)
+    one += (1j * math.sin(phi)) * image.reshape(half)[:, 1]
+    state.amps = amps
+    return state
 
 
 def heisenberg_xx_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
@@ -192,10 +185,7 @@ def heisenberg_xx_step(state: StateVector, i: int, j: int, theta: float) -> Stat
         raise ValueError("Heisenberg step needs two distinct qubits")
     rot_y(state, i, math.pi / 4.0)
     # |0><0| (x) 1 + |1><1| (x) exp(-i theta X_j): full flip at theta = pi
-    flip = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * np.array(
-        [[0.0, 1.0], [1.0, 0.0]]
-    )
-    _controlled_1q(state, i, j, flip.astype(complex))
+    _controlled_exp(state, i, PauliString.single(state.n_qubits, j, "X"), -theta)
     rot_x(state, j, theta / 2.0)
     rot_y(state, i, -math.pi / 4.0)
     return state
@@ -251,19 +241,13 @@ def hopping_step(
 def controlled_string(state: StateVector, control: int, p: PauliString) -> StateVector:
     """|0><0|_c (x) 1 + |1><1|_c (x) P for a Hermitian string P.
 
-    A pure-X string is exactly the mesoscopic gate and takes the fast
-    permutation path; anything else goes through a dense controlled block.
+    A pure-X string is exactly the mesoscopic gate; every string takes the
+    same gather through the Pauli-action kernel.
     """
     if not p.is_hermitian():
         raise ValueError("controlled string must be Hermitian")
-    support = p.support()
-    if control in support:
-        raise ValueError("control overlaps the string support")
-    if p.z_mask == 0 and p.phase_exp == 0:
-        return cnot_n(state, control, support)
-    local = _local_matrix(OperatorSum.from_string(p), tuple(support))
-    gate = np.kron(_P0, np.eye(1 << len(support), dtype=complex)) + np.kron(_P1, local)
-    return state.apply_operator(gate, (control, *support))
+    state.amps = p.act(state.amps, control)
+    return state
 
 
 def syndrome_map(state: StateVector, control: int, stabilizer: PauliString) -> StateVector:
@@ -293,19 +277,10 @@ def controlled_flip(
     """exp(i theta sigma^axis_target / 2) on the |1> branch of the control."""
     if control == target:
         raise ValueError("control and target must differ")
-    if axis == "z":
-        u1 = np.diag([np.exp(0.5j * theta), np.exp(-0.5j * theta)])
-    elif axis == "x":
-        u1 = math.cos(theta / 2.0) * np.eye(2) + 1j * math.sin(theta / 2.0) * np.array(
-            [[0.0, 1.0], [1.0, 0.0]]
-        )
-    else:
+    if axis not in ("z", "x"):
         raise ValueError("axis must be 'z' or 'x'")
-    return _controlled_1q(state, control, target, u1.astype(complex))
-
-
-def controlled_zflip(state: StateVector, control: int, target: int, theta: float) -> StateVector:
-    return controlled_flip(state, control, target, theta, axis="z")
+    sigma = PauliString.single(state.n_qubits, target, axis.upper())
+    return _controlled_exp(state, control, sigma, theta / 2.0)
 
 
 def flip_probability(theta: float) -> float:

@@ -303,6 +303,15 @@ def _hop_image(a: int, b: int, n: int) -> OperatorSum:
     )
 
 
+def _onsite(spec: HubbardSpec, up: int, down: int, n: int) -> OperatorSum:
+    return spec.u * (jw_number(up + 1, n) @ jw_number(down + 1, n))
+
+
+def _sum_pieces(pieces, n: int) -> OperatorSum:
+    """Sum of normalized pieces, normalized once (linear in the term count)."""
+    return OperatorSum([t for piece in pieces for t in piece], n).normalized()
+
+
 def build_hubbard_jw(spec: HubbardSpec) -> OperatorSum:
     """Direct Jordan-Wigner image of the Hubbard Hamiltonian.
 
@@ -311,12 +320,9 @@ def build_hubbard_jw(spec: HubbardSpec) -> OperatorSum:
     """
     n = spec.n_modes
     hops, pairs = hubbard_bonds(spec)
-    h = OperatorSum.zero(n)
-    for a, b, _ in hops:
-        h = h + (-spec.t_hop) * _hop_image(a, b, n)
-    for up, down in pairs:
-        h = h + spec.u * (jw_number(up + 1, n) @ jw_number(down + 1, n))
-    return h.normalized()
+    pieces = [(-spec.t_hop) * _hop_image(a, b, n) for a, b, _ in hops]
+    pieces += [_onsite(spec, up, down, n) for up, down in pairs]
+    return _sum_pieces(pieces, n)
 
 
 # -- auxiliary-fermion local form --------------------------------------
@@ -393,15 +399,15 @@ def build_aux_hamiltonian(spec: HubbardSpec) -> OperatorSum:
     """
     _check_vc_geometry(spec)
     n = vc_n_qubits(spec)
-    h = OperatorSum.zero(n)
+    pieces = []
     for spin in spec.spins:
         arrows = _vc_arrows(spec, spin)
         for x in range(0, spec.lx - 1, 2):
             for y in range(spec.ly - 1):
                 pa = _arrow_operator(spec, *arrows[(x, y)])
                 pb = _arrow_operator(spec, *arrows[(x + 1, y)])
-                h = h + (-spec.v_aux) * (pa @ pb)
-    return h.normalized()
+                pieces.append((-spec.v_aux) * (pa @ pb))
+    return _sum_pieces(pieces, n)
 
 
 def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
@@ -415,7 +421,7 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
     """
     _check_vc_geometry(spec)
     n = vc_n_qubits(spec)
-    h = OperatorSum.zero(n)
+    pieces = []
     for spin in spec.spins:
         arrows = _vc_arrows(spec, spin)
         for y in range(spec.ly):
@@ -423,19 +429,20 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
                 if x + 1 < spec.lx:
                     a = _vc_mode(spec, x, y, "s", spin)
                     b = _vc_mode(spec, x + 1, y, "s", spin)
-                    h = h + (-spec.t_hop) * _hop_image(a, b, n)
+                    pieces.append((-spec.t_hop) * _hop_image(a, b, n))
                 if y + 1 < spec.ly:
                     a = _vc_mode(spec, x, y, "s", spin)
                     b = _vc_mode(spec, x, y + 1, "s", spin)
                     p_arrow = _arrow_operator(spec, *arrows[(x, y)])
-                    h = h + (-spec.t_hop) * (_hop_image(a, b, n) @ p_arrow)
+                    pieces.append((-spec.t_hop) * (_hop_image(a, b, n) @ p_arrow))
     if spec.spinful:
         for y in range(spec.ly):
             for x in range(spec.lx):
                 up = _vc_mode(spec, x, y, "s", "up")
                 down = _vc_mode(spec, x, y, "s", "down")
-                h = h + spec.u * (jw_number(up + 1, n) @ jw_number(down + 1, n))
-    return (h + build_aux_hamiltonian(spec)).normalized()
+                pieces.append(_onsite(spec, up, down, n))
+    pieces.append(build_aux_hamiltonian(spec))
+    return _sum_pieces(pieces, n)
 
 
 def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:

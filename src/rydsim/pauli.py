@@ -14,11 +14,16 @@ Conventions used throughout the package:
 * string labels such as ``"IXYZ"`` read left to right as qubit 0, 1, 2, ...
 * dense matrices are ``kron(P_{n-1}, ..., P_1, P_0)``, which makes the two
   conventions consistent.
+
+:func:`pauli_action` is the single place that turns the bitmask form into
+an action on basis amplitudes; state-vector operations, the gates and the
+dense realization all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,13 +33,6 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_LABELS = ("+", "+i", "-", "-i")
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 #: dense realizations are capped at this many qubits (4096-dimensional)
 MATRIX_QUBIT_CAP = 12
@@ -157,19 +155,54 @@ class PauliString:
             raise ValueError("cannot shrink a Pauli string")
         return PauliString(n_qubits, self.x_mask, self.z_mask, self.phase_exp)
 
+    def act(self, amps: np.ndarray, control: int | None = None) -> np.ndarray:
+        """P|psi> as a fresh array, over the last axis of ``amps``.
+
+        The register size is read from ``amps`` (identity on any qubit past
+        the string's own).  With a control qubit: P on its |1> half, the
+        identity on its |0> half.
+        """
+        n = amps.shape[-1].bit_length() - 1
+        idx, factor = pauli_action(n, self.x_mask, self.z_mask, self.phase_exp, control)
+        return factor * amps.take(idx, axis=-1)
+
     def to_matrix(self) -> np.ndarray:
-        if self.n_qubits > MATRIX_QUBIT_CAP:
-            raise CapExceededError(
-                f"dense matrix for {self.n_qubits} qubits exceeds the "
-                f"{MATRIX_QUBIT_CAP}-qubit cap"
-            )
-        mat = np.array([[self.phase]], dtype=complex)
-        for k in range(self.n_qubits - 1, -1, -1):
-            mat = np.kron(mat, _PAULI_MATS[self.letter(k)])
-        return mat
+        return to_matrix(OperatorSum.from_string(self))
 
     def __repr__(self):
         return f"PauliString({_PHASE_LABELS[self.phase_exp]}{self.to_label()})"
+
+
+@lru_cache(maxsize=256)
+def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
+                 control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and factor vector of ``i**phase_exp C(x_mask, z_mask)``.
+
+    ``P|psi> = factor * psi[..., idx]``: basis state j goes to j ^ x_mask
+    with the sign (-1)**parity(z_mask & j) and the Y phases i**#Y.  With a
+    control qubit the pair is the identity wherever the control bit is 0,
+    i.e. it realizes ``|0><0|_c (x) 1 + |1><1|_c (x) P``.  Both arrays are
+    read-only and shared between calls.
+    """
+    if control is not None:
+        if not 0 <= control < n_qubits:
+            raise IndexError(f"control qubit {control} out of range")
+        if ((x_mask | z_mask) >> control) & 1:
+            raise ValueError("control overlaps the string support")
+    basis = np.arange(1 << n_qubits, dtype=np.int64)
+    idx = basis ^ x_mask
+    parity = idx & z_mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    unit = _PHASE_VALUES[(phase_exp + (x_mask & z_mask).bit_count()) % 4]
+    factor = np.where(parity & 1, -unit, unit)
+    if control is not None:
+        idle = (basis >> control) & 1 == 0
+        idx[idle] = basis[idle]
+        factor[idle] = 1.0
+    idx.setflags(write=False)
+    factor.setflags(write=False)
+    return idx, factor
 
 
 def _check_sizes(a: PauliString, b: PauliString):
@@ -386,8 +419,10 @@ def to_matrix(op: OperatorSum, n_qubits: int | None = None) -> np.ndarray:
         )
     dim = 1 << n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
     for c, s in op.normalized():
-        mat += c * s.to_matrix()
+        idx, factor = pauli_action(n_qubits, s.x_mask, s.z_mask)
+        mat[rows, idx] += c * factor
     return mat
 
 

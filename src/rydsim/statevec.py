@@ -11,8 +11,6 @@ Units: hbar = 1 and the toric coupling E0 = 1, so times are in hbar/E0.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
@@ -20,35 +18,6 @@ from .pauli import OperatorSum, PauliString
 
 #: exact-propagator dense cap
 PROPAGATOR_QUBIT_CAP = 10
-
-
-@lru_cache(maxsize=256)
-def _xor_index(n_qubits: int, x_mask: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits, dtype=np.int64) ^ x_mask
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=256)
-def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
-    """(-1)**parity(z_mask & index) over all basis indices."""
-    v = np.arange(1 << n_qubits, dtype=np.int64) & z_mask
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    signs = 1.0 - 2.0 * (v & 1)
-    signs.setflags(write=False)
-    return signs
-
-
-def _string_image(amps: np.ndarray, n: int, p: PauliString) -> np.ndarray:
-    """Return P|psi> as a fresh array."""
-    coef = 1j ** ((p.phase_exp + 3 * (p.x_mask & p.z_mask).bit_count()) % 4)
-    out = amps[_xor_index(n, p.x_mask)] if p.x_mask else amps.copy()
-    if p.z_mask:
-        out *= _sign_vector(n, p.z_mask)
-    if coef != 1:
-        out *= coef
-    return out
 
 
 class StateVector:
@@ -127,7 +96,7 @@ class StateVector:
     def apply_string(self, p: PauliString) -> "StateVector":
         """|psi> -> P|psi> (norm preserving; involutive up to phase^2)."""
         self._check(p.n_qubits)
-        self.amps = _string_image(self.amps, self.n_qubits, p)
+        self.amps = p.act(self.amps)
         return self
 
     def apply_exp_pauli(self, p: PauliString, theta: float) -> "StateVector":
@@ -138,7 +107,7 @@ class StateVector:
         self._check(p.n_qubits)
         if not p.is_hermitian():
             raise ValueError("exp_pauli requires a Hermitian string (phase +-1)")
-        image = _string_image(self.amps, self.n_qubits, p)
+        image = p.act(self.amps)
         self.amps = np.cos(theta) * self.amps + (1j * np.sin(theta)) * image
         return self
 
@@ -172,7 +141,7 @@ class StateVector:
 
     def expectation_string(self, p: PauliString) -> complex:
         self._check(p.n_qubits)
-        return complex(np.vdot(self.amps, _string_image(self.amps, self.n_qubits, p)))
+        return complex(np.vdot(self.amps, p.act(self.amps)))
 
     def expectation(self, h: OperatorSum) -> float:
         """<psi|H|psi> for Hermitian H; bounded by sum |coefficients|."""
@@ -196,7 +165,7 @@ def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generat
     """
     if not p.is_hermitian():
         raise ValueError("measurement requires a Hermitian string")
-    image = _string_image(state.amps, state.n_qubits, p)
+    image = p.act(state.amps)
     p_plus = 0.5 * (1.0 + float(np.vdot(state.amps, image).real))
     p_plus = min(1.0, max(0.0, p_plus))
     if rng.random() < p_plus:

@@ -215,3 +215,30 @@ def test_invalid_observable(tmp_path, capsys):
     status = main(["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1",
                    "--steps", "1", "--observables", "q9"])
     assert status == 1
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+def test_bad_workers_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("RYDSIM_WORKERS", value)
+    status = main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi",
+                   "--steps", "1", "--trajectories", "1", "--out", "-"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "RYDSIM_WORKERS must be a positive integer" in err
+    assert repr(value) in err
+
+
+def test_good_workers_env_runs(monkeypatch, tmp_path):
+    monkeypatch.setenv("RYDSIM_WORKERS", " 2 ")
+    out = tmp_path / "w.csv"
+    assert main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi",
+                 "--steps", "1", "--trajectories", "2", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("lx,ly", [("3", "2"), ("2", "4")])
+def test_lindblad_engine_rejects_other_lattices(capsys, lx, ly):
+    status = main(["toric-cool", "--lx", lx, "--ly", ly, "--theta", "0.4",
+                   "--steps", "1", "--trajectories", "1", "--engine", "lindblad",
+                   "--out", "-"])
+    assert status == 2
+    assert "lindblad" in capsys.readouterr().err

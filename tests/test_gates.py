@@ -5,6 +5,7 @@ from rydsim.gates import (
     GateSpec,
     cnot_n,
     controlled_flip,
+    controlled_string,
     faulty_gate,
     flip_probability,
     hadamard,
@@ -294,3 +295,59 @@ def test_full_cycle_flip_probability(theta):
 def test_flip_probability_values():
     assert flip_probability(np.pi) == pytest.approx(1.0)
     assert flip_probability(0.02) == pytest.approx(1e-4, rel=1e-3)
+
+
+# -- kron-oracle pins of the Pauli-structured gates -------------------------
+
+def _controlled(control, n, on_one):
+    """|0><0|_c (x) 1 + |1><1|_c (x) on_one, built from oracle labels."""
+    z_c = label_matrix("".join("Z" if q == control else "I" for q in range(n)))
+    eye = np.eye(1 << n)
+    return 0.5 * (eye + z_c) + 0.5 * (eye - z_c) @ on_one
+
+
+@pytest.mark.parametrize("phase", [1, -1])
+def test_controlled_string_matches_kron_oracle(phase):
+    rng = np.random.default_rng(8)
+    n, control = 5, 2  # control on a middle qubit
+    seen_y = 0
+    while seen_y < 6:
+        rest = random_label(rng, n - 1)
+        if "Y" not in rest:
+            continue
+        seen_y += 1
+        label = rest[:control] + "I" + rest[control:]
+        p = PauliString.from_label(label, phase)
+        got = op_matrix(lambda s: controlled_string(s, control, p), n)
+        want = _controlled(control, n, phase * label_matrix(label))
+        assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "control,targets", [(0, (1, 3, 4)), (4, (0, 2, 3)), (2, (0, 4))]
+)
+def test_cnot_n_matches_kron_oracle(control, targets):
+    n = 5
+    x_t = label_matrix("".join("X" if q in targets else "I" for q in range(n)))
+    got = op_matrix(lambda s: cnot_n(s, control, targets), n)
+    assert np.array_equal(got, _controlled(control, n, x_t))
+
+
+@pytest.mark.parametrize("axis", ["z", "x"])
+@pytest.mark.parametrize("control,target", [(0, 2), (2, 1)])
+def test_controlled_flip_matches_kron_oracle(axis, control, target):
+    n = 3
+    sigma = label_matrix("".join(axis.upper() if q == target else "I" for q in range(n)))
+    for theta in (0.3, 1.9, np.pi):
+        got = op_matrix(lambda s: controlled_flip(s, control, target, theta, axis), n)
+        want = _controlled(control, n, expm_hermitian(sigma, 0.5j * theta))
+        assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 3])
+def test_hadamard_matches_kron_oracle(qubit):
+    n = 4
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    want = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), h), np.eye(1 << qubit))
+    got = op_matrix(lambda s: hadamard(s, qubit), n)
+    assert np.allclose(got, want, atol=1e-12)

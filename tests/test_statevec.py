@@ -284,3 +284,14 @@ def test_dimension_mismatch():
     state = StateVector.zero_state(2)
     with pytest.raises(DimensionMismatchError):
         state.apply_string(PauliString.identity(3))
+
+
+@pytest.mark.parametrize("phase", [1, 1j, -1, -1j])
+def test_apply_string_every_phase_matches_kron_oracle(phase):
+    rng = np.random.default_rng(13)
+    for label in ("XYZI", "YIZX", "ZZYY", "IYXZ"):
+        p = PauliString.from_label(label, phase)
+        state = StateVector.random_state(4, rng)
+        want = phase * label_matrix(label) @ state.amps
+        got = state.apply_string(p).amps
+        assert np.allclose(got, want, atol=1e-13)
