@@ -12,10 +12,11 @@
 
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
-all plaquettes then all stars, each in freshly shuffled order.  Trajectory
-k of a run with seed s draws from the generator seeded by
-``SeedSequence(entropy=s, spawn_key=(tag, k))``, so results do not depend
-on how trajectories are distributed over workers.
+all plaquettes then all stars, each in freshly shuffled order.  The Monte
+Carlo draws block b of :data:`BLOCK` trajectories of a run with seed s from
+``SeedSequence(entropy=s, spawn_key=(tag, b))`` (quantum trajectory k from
+``spawn_key=(tag, k)``) and splits work in whole blocks, so results depend
+on neither the worker count nor the batch size.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ LINDBLAD_QUBIT_CAP = 6
 
 #: trajectory engine cap: system qubits + 1 ancilla as a dense vector
 TRAJECTORY_QUBIT_CAP = 12
+
+#: Monte Carlo trajectories per RNG stream
+BLOCK = 64
+
+#: Monte Carlo rows x cells swept together, bounding the batch's memory
+BATCH_ROW_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -200,10 +207,20 @@ class SyndromeConfig:
             and int(np.prod(self.star_bits)) == 1
         )
 
-    def copy(self) -> "SyndromeConfig":
-        return SyndromeConfig(
-            self.lattice, self.plaquette_bits.copy(), self.star_bits.copy()
-        )
+
+def _sample_bits(lattice: ToricLattice, q_init: float, rngs, sizes) -> np.ndarray:
+    """(rows, cells) int8 bits of :func:`sample_syndrome_config`, plaquettes
+    then stars, a block of ``sizes`` rows per generator."""
+
+    def sample(rng, rows, count):
+        bits = np.where(rng.random((rows, count)) < q_init, -1, 1).astype(np.int8)
+        odd = np.flatnonzero((bits < 0).sum(axis=1) % 2)
+        bits[odd, rng.integers(count, size=len(odd))] *= -1
+        return bits
+
+    counts = (lattice.n_plaquettes, lattice.n_stars)
+    return np.vstack([np.hstack([sample(rng, rows, c) for c in counts])
+                      for rng, rows in zip(rngs, sizes)])
 
 
 def sample_syndrome_config(
@@ -211,42 +228,40 @@ def sample_syndrome_config(
 ) -> SyndromeConfig:
     """Stabilizer bits i.i.d. excited with probability q_init, then parity
     repaired by flipping one uniformly chosen bit per violated product."""
-
-    def sample(count):
-        bits = np.where(rng.random(count) < q_init, -1, 1).astype(np.int8)
-        if int(np.prod(bits)) == -1:
-            k = rng.integers(count)
-            bits[k] = -bits[k]
-        return bits
-
-    return SyndromeConfig(
-        lattice, sample(lattice.n_plaquettes), sample(lattice.n_stars)
-    )
+    bits = _sample_bits(lattice, q_init, [rng], [1])[0]
+    return SyndromeConfig(lattice, *np.split(bits, [lattice.n_plaquettes]))
 
 
-def _incidence_arrays(lattice: ToricLattice):
-    return (
-        np.asarray(lattice.plaquettes, dtype=np.int64),
-        np.asarray(lattice.edge_plaquettes, dtype=np.int64),
-        np.asarray(lattice.stars, dtype=np.int64),
-        np.asarray(lattice.edge_stars, dtype=np.int64),
-    )
+def _sweep_tables(lattice: ToricLattice):
+    """Per kind, its first column and ``ends[cell, pick]``: the columns of
+    the two cells toggled when ``cell`` flips its ``pick``-th edge."""
+    n_p = lattice.n_plaquettes
+    return ((0, np.asarray(lattice.edge_plaquettes)[np.asarray(lattice.plaquettes)]),
+            (n_p, n_p + np.asarray(lattice.edge_stars)[np.asarray(lattice.stars)]))
 
 
-def _sweep(pbits, sbits, arrays, prob, rng):
-    p_edges, edge_pl, s_edges, edge_st = arrays
-    for bits, cells, edge_cells in ((pbits, p_edges, edge_pl), (sbits, s_edges, edge_st)):
-        count = len(bits)
-        order = rng.permutation(count)
-        u = rng.random(count)
-        pick = rng.integers(0, 4, count)
+def _sweep(bits, tables, prob, rngs, sizes):
+    """One sweep of every row of ``bits``, a block of ``sizes`` rows per
+    generator.  Rows are independent, so the loop runs over the positions
+    of a sweep and each step acts on all rows at once."""
+    flat = bits.reshape(-1)
+    base = np.arange(bits.shape[0])[:, None] * bits.shape[1]
+    for offset, ends in tables:
+        count = len(ends)
+        draws = [(rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
+                  rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
+                 for rng, rows in zip(rngs, sizes)]
+        order, u, pick = (np.vstack(d) for d in zip(*draws))
+        visit = np.ascontiguousarray((base + offset + order).T)
+        # a visited bit b flips its cell iff b < limit: b = -1 and u < prob
+        limit = np.ascontiguousarray(np.where(u < prob, 0, -1).astype(np.int8).T)
+        # the two toggled cells of an edge differ (lx, ly >= 2): one scatter
+        toggle = np.ascontiguousarray((base[..., None] + ends[order, pick]).transpose(1, 0, 2))
         for k in range(count):
-            cell = order[k]
-            if bits[cell] < 0 and u[k] < prob:
-                e = cells[cell, pick[k]]
-                a, b = edge_cells[e]
-                bits[a] = -bits[a]
-                bits[b] = -bits[b]
+            hit = (flat[visit[k]] < limit[k]).nonzero()[0]
+            if len(hit):
+                cells = toggle[k].take(hit, axis=0).ravel()
+                flat[cells] = -flat[cells]
 
 
 def syndrome_mc_step(
@@ -255,30 +270,28 @@ def syndrome_mc_step(
     """One sweep: every excited plaquette (then star), visited in random
     order, flips one uniformly random incident edge with probability
     sin^2(theta/2), toggling the two cells sharing that edge."""
-    out = config.copy()
-    _sweep(
-        out.plaquette_bits,
-        out.star_bits,
-        _incidence_arrays(config.lattice),
-        flip_probability(theta),
-        rng,
-    )
-    return out
+    bits = np.concatenate([config.plaquette_bits, config.star_bits])[None].astype(np.int8)
+    _sweep(bits, _sweep_tables(config.lattice), flip_probability(theta), [rng], [1])
+    return SyndromeConfig(config.lattice, *np.split(bits[0], [config.lattice.n_plaquettes]))
 
 
-def _mc_energies(lattice, params, indices, e0=1.0, tag=0):
-    arrays = _incidence_arrays(lattice)
+def _mc_energies(lattice, params, blocks, e0=1.0, tag=0):
+    tables = _sweep_tables(lattice)
     prob = flip_probability(params.theta)
-    out = np.empty((len(indices), params.n_steps + 1))
-    for row, k in enumerate(indices):
-        rng = _stream(params.seed, tag, int(k))
-        config = sample_syndrome_config(lattice, params.q_init, rng)
-        pbits, sbits = config.plaquette_bits, config.star_bits
-        out[row, 0] = -e0 * (pbits.sum() + sbits.sum())
+    per_batch = max(1, BATCH_ROW_CELLS // (BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
+    parts = []
+    for start in range(0, len(blocks), per_batch):
+        batch = blocks[start:start + per_batch]
+        rngs = [_stream(params.seed, tag, int(b)) for b in batch]
+        rows = [min(BLOCK, params.n_trajectories - BLOCK * int(b)) for b in batch]
+        bits = _sample_bits(lattice, params.q_init, rngs, rows)
+        out = np.empty((len(bits), params.n_steps + 1))
+        out[:, 0] = -e0 * bits.sum(axis=1)
         for step in range(1, params.n_steps + 1):
-            _sweep(pbits, sbits, arrays, prob, rng)
-            out[row, step] = -e0 * (pbits.sum() + sbits.sum())
-    return out
+            _sweep(bits, tables, prob, rngs, rows)
+            out[:, step] = -e0 * bits.sum(axis=1)
+        parts.append(out)
+    return np.vstack(parts)
 
 
 # ---------------------------------------------------------------------
@@ -448,10 +461,11 @@ def _worker(payload):
 
 
 def _fan_out(engine, lattice, params, e0, tag, init_mode, workers):
-    indices = np.arange(params.n_trajectories)
-    if workers <= 1 or params.n_trajectories < 4 * workers:
-        return _worker((engine, lattice, params, indices, e0, tag, init_mode))
-    chunks = np.array_split(indices, workers)
+    n = params.n_trajectories
+    units = np.arange(-(-n // BLOCK) if engine == "syndrome" else n)  # MC: whole RNG blocks
+    if workers <= 1 or len(units) < 2 or n < 4 * workers:
+        return _worker((engine, lattice, params, units, e0, tag, init_mode))
+    chunks = np.array_split(units, workers)
     payloads = [
         (engine, lattice, params, chunk, e0, tag, init_mode)
         for chunk in chunks

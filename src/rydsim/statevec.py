@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .pauli import OperatorSum, PauliString
+from .pauli import OperatorSum, PauliString, pauli_action
 
 #: exact-propagator dense cap
 PROPAGATOR_QUBIT_CAP = 10
@@ -234,9 +234,18 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def expectation(self, h: OperatorSum) -> float:
+        """tr(H rho) = sum_terms c sum_k f_k rho[idx_k, k], P[k, idx_k] = f_k."""
         if not h.is_hermitian():
             raise ValueError("expectation requires a Hermitian operator sum")
-        return float(np.trace(h.to_matrix(self.n_qubits) @ self.matrix).real)
+        n = self.n_qubits
+        if h.n_qubits != n:
+            h = h.padded(n)  # identity on the extra qubits; raises if h is larger
+        cols = np.arange(1 << n)
+        value = 0.0
+        for c, s in h.normalized():
+            idx, factor = pauli_action(n, s.x_mask, s.z_mask)
+            value += c * np.dot(factor, self.matrix[idx, cols])
+        return float(value.real)
 
     def expectation_matrix(self, mat: np.ndarray) -> float:
         return float(np.trace(mat @ self.matrix).real)

@@ -242,3 +242,17 @@ def test_lindblad_engine_rejects_other_lattices(capsys, lx, ly):
                    "--out", "-"])
     assert status == 2
     assert "lindblad" in capsys.readouterr().err
+
+
+def test_syndrome_csv_independent_of_workers(monkeypatch, tmp_path):
+    # 150 trajectories span three RNG blocks, so two workers split them
+    args = ["toric-cool", "--lx", "3", "--ly", "3", "--theta", "pi,pi/4",
+            "--steps", "4", "--trajectories", "150", "--engine", "syndrome",
+            "--seed", "5"]
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RYDSIM_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from rydsim import cooling
 from rydsim.cooling import (
     CoolingParams,
     SyndromeConfig,
@@ -21,6 +23,8 @@ from rydsim.gates import flip_probability
 from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix
+
+from oracles import syndrome_mc_reference
 
 
 LATTICE = ToricLattice.build(2, 2)
@@ -386,3 +390,63 @@ def test_cooling_params_validation():
         CoolingParams(theta=4.0, n_steps=1, n_trajectories=1)
     with pytest.raises(ValueError):
         CoolingParams(theta=1.0, n_steps=1, n_trajectories=1, q_init=1.5)
+
+
+# -- batched Monte Carlo on RNG blocks ----------------------------------------
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)])
+@pytest.mark.parametrize("theta", [np.pi, np.pi / 2, np.pi / 4])
+@pytest.mark.parametrize("q_init", [0.0, 0.3, 0.5])
+def test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init):
+    # one trajectory per block: the batched sampler and sweep must make the
+    # per-trajectory draws and moves of the scalar loop, bit for bit
+    monkeypatch.setattr(cooling, "BLOCK", 1)
+    lattice = ToricLattice.build(*shape)
+    params = CoolingParams(theta=theta, n_steps=12, n_trajectories=25,
+                           q_init=q_init, seed=13)
+    blocks = np.arange(params.n_trajectories)
+    assert np.array_equal(cooling._mc_energies(lattice, params, blocks),
+                          syndrome_mc_reference(lattice, params, blocks))
+
+
+def test_mc_independent_of_workers_and_batch_size(monkeypatch):
+    # 150 trajectories: two full blocks of 64 and a partial one
+    lattice = ToricLattice.build(3, 3)
+    params = CoolingParams(theta=np.pi / 2, n_steps=8, n_trajectories=150,
+                           q_init=0.5, seed=21)
+    serial = syndrome_mc_run(lattice, params, workers=1)
+    runs = [syndrome_mc_run(lattice, params, workers=3)]
+    monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", 1)  # one block per batch
+    runs.append(syndrome_mc_run(lattice, params, workers=1))
+    for run in runs:
+        assert np.array_equal(run.mean_energy, serial.mean_energy)
+        assert np.array_equal(run.stderr, serial.stderr)
+
+
+def test_batched_sampler_uniform_over_even_patterns():
+    # at q = 1/2 the parity repair maps the 16 patterns of a kind's four bits
+    # uniformly onto the 8 even ones; a chi-square test with 7 degrees of
+    # freedom per kind at 5e-4 each (false-alarm rate 1e-3 for the pair)
+    rngs = [cooling._stream(17, 0, b) for b in range(125)]
+    bits = cooling._sample_bits(LATTICE, 0.5, rngs, [64] * 125)
+    assert bits.shape == (8000, 8)
+    even = [c for c in range(16) if bin(c).count("1") % 2 == 0]
+    limit = stats.chi2.ppf(1.0 - 5e-4, 7)
+    for cols in (slice(0, 4), slice(4, 8)):
+        codes = ((bits[:, cols] < 0) * np.array([1, 2, 4, 8])).sum(axis=1)
+        counts = np.bincount(codes, minlength=16)
+        assert counts.sum() == counts[even].sum() == 8000
+        assert np.sum((counts[even] - 1000.0) ** 2 / 1000.0) < limit
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+def test_batched_sampler_ground_and_parity(shape):
+    lattice = ToricLattice.build(*shape)
+    n_p = lattice.n_plaquettes
+    rngs = [cooling._stream(5, 0, b) for b in range(3)]
+    assert np.all(cooling._sample_bits(lattice, 0.0, rngs, [64, 64, 22]) == 1)
+    for q in (0.3, 1.0):
+        bits = cooling._sample_bits(lattice, q, rngs, [64, 64, 22])
+        assert bits.shape == (150, 2 * n_p)
+        for row in bits:
+            assert SyndromeConfig(lattice, row[:n_p], row[n_p:]).parity_ok()

@@ -11,7 +11,7 @@ from rydsim.statevec import (
     measure_projector,
 )
 
-from oracles import expm_hermitian, label_matrix
+from oracles import expm_hermitian, label_matrix, random_label, sum_matrix
 
 
 def random_string(rng, n, hermitian=False):
@@ -295,3 +295,23 @@ def test_apply_string_every_phase_matches_kron_oracle(phase):
         want = phase * label_matrix(label) @ state.amps
         got = state.apply_string(p).amps
         assert np.allclose(got, want, atol=1e-13)
+
+
+def test_density_matrix_expectation_matches_dense_oracle():
+    # tr(H rho) from the Pauli-action gather against the kron-built H; the
+    # repeated label merges into one term, and H on 3 qubits pads onto 4
+    rng = np.random.default_rng(19)
+    states = [StateVector.random_state(4, rng) for _ in range(3)]
+    rho = DensityMatrix.from_mixture(zip((0.5, 0.3, 0.2), states))
+    labels = [random_label(rng, 4) for _ in range(6)] + ["XYZI", "XYZI"]
+    terms = [(float(rng.normal()), label) for label in labels]
+    h = OperatorSum([(c, PauliString.from_label(label)) for c, label in terms])
+    want = np.trace(sum_matrix(terms, 4) @ rho.matrix).real
+    assert rho.expectation(h) == pytest.approx(want, abs=1e-12)
+    small = [(0.8, "YXZ"), (-0.3, "ZIY")]
+    h3 = OperatorSum([(c, PauliString.from_label(label)) for c, label in small])
+    want = np.trace(sum_matrix([(c, label + "I") for c, label in small], 4)
+                    @ rho.matrix).real
+    assert rho.expectation(h3) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError):
+        rho.expectation(OperatorSum([(1.0, PauliString.from_label("IIIIZ"))]))
