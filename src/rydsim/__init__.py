@@ -45,7 +45,6 @@ from .gates import (
     plaquette_step,
     star_step,
     syndrome_map,
-    syndrome_map_S,
 )
 from .models import (
     HubbardSpec,

@@ -12,11 +12,13 @@
 
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
-all plaquettes then all stars, each in freshly shuffled order.  The Monte
-Carlo draws block b of :data:`BLOCK` trajectories of a run with seed s from
-``SeedSequence(entropy=s, spawn_key=(tag, b))`` (quantum trajectory k from
-``spawn_key=(tag, k)``) and splits work in whole blocks, so results depend
-on neither the worker count nor the batch size.
+all plaquettes then all stars, each in freshly shuffled order.  Both
+stochastic engines draw block b of :data:`BLOCK` trajectories of a run with
+seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(tag, b))``
+with tag 0 for the Monte Carlo and 1 for the quantum trajectories, and
+split work over processes in whole blocks, so results depend on neither the
+worker count nor the batch size.  The quantum trajectories of a block run
+one after another on the block's stream.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,7 +44,7 @@ LINDBLAD_QUBIT_CAP = 6
 #: trajectory engine cap: system qubits + 1 ancilla as a dense vector
 TRAJECTORY_QUBIT_CAP = 12
 
-#: Monte Carlo trajectories per RNG stream
+#: trajectories per RNG stream, for both stochastic engines
 BLOCK = 64
 
 #: Monte Carlo rows x cells swept together, bounding the batch's memory
@@ -103,9 +106,21 @@ def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
     )
 
 
+def _block_rows(params: CoolingParams, blocks) -> list[int]:
+    """Trajectories in each of ``blocks`` (the last block may be partial)."""
+    return [min(BLOCK, params.n_trajectories - BLOCK * int(b)) for b in blocks]
+
+
 # ---------------------------------------------------------------------
 # jump operators and the master equation
 # ---------------------------------------------------------------------
+
+def _jump(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
+    """pump (1 - stabilizer) / 2: interrogation projector then pump flip."""
+    n = stabilizer.n_qubits
+    interrogate = OperatorSum.identity(n) - OperatorSum.from_string(stabilizer)
+    return (0.5 * (OperatorSum.from_string(pump) @ interrogate)).normalized()
+
 
 def jump_operator_plaquette(lattice: ToricLattice, p: int, edge: int) -> OperatorSum:
     """c_p = Z_edge (1 - A_p) / 2: interrogation projector then pump flip.
@@ -115,24 +130,14 @@ def jump_operator_plaquette(lattice: ToricLattice, p: int, edge: int) -> Operato
     """
     if edge not in lattice.plaquettes[p]:
         raise ValueError(f"edge {edge} is not on plaquette {p}")
-    n = lattice.n_edges
-    pump = OperatorSum.from_string(PauliString.single(n, edge, "Z"))
-    interrogate = OperatorSum.identity(n) - OperatorSum.from_string(
-        lattice.plaquette_string(p)
-    )
-    return (0.5 * (pump @ interrogate)).normalized()
+    return _jump(lattice.plaquette_string(p), PauliString.single(lattice.n_edges, edge, "Z"))
 
 
 def jump_operator_star(lattice: ToricLattice, s: int, edge: int) -> OperatorSum:
     """c_s = X_edge (1 - B_s) / 2, the star-sector analogue."""
     if edge not in lattice.stars[s]:
         raise ValueError(f"edge {edge} is not on star {s}")
-    n = lattice.n_edges
-    pump = OperatorSum.from_string(PauliString.single(n, edge, "X"))
-    interrogate = OperatorSum.identity(n) - OperatorSum.from_string(
-        lattice.star_string(s)
-    )
-    return (0.5 * (pump @ interrogate)).normalized()
+    return _jump(lattice.star_string(s), PauliString.single(lattice.n_edges, edge, "X"))
 
 
 def lindblad_integrate(
@@ -140,8 +145,6 @@ def lindblad_integrate(
     gamma: float,
     rho0: DensityMatrix,
     t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> DensityMatrix:
     """Integrate d rho/dt = gamma sum_k (c rho c+ - {c+c, rho}/2), H = 0.
 
@@ -172,8 +175,8 @@ def lindblad_integrate(
         (0.0, t),
         rho0.matrix.ravel().astype(complex),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
     )
     if not sol.success:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
@@ -275,15 +278,15 @@ def syndrome_mc_step(
     return SyndromeConfig(config.lattice, *np.split(bits[0], [config.lattice.n_plaquettes]))
 
 
-def _mc_energies(lattice, params, blocks, e0=1.0, tag=0):
+def _mc_energies(lattice, params, blocks, e0=1.0):
     tables = _sweep_tables(lattice)
     prob = flip_probability(params.theta)
     per_batch = max(1, BATCH_ROW_CELLS // (BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
     parts = []
     for start in range(0, len(blocks), per_batch):
         batch = blocks[start:start + per_batch]
-        rngs = [_stream(params.seed, tag, int(b)) for b in batch]
-        rows = [min(BLOCK, params.n_trajectories - BLOCK * int(b)) for b in batch]
+        rngs = [_stream(params.seed, 0, int(b)) for b in batch]
+        rows = _block_rows(params, batch)
         bits = _sample_bits(lattice, params.q_init, rngs, rows)
         out = np.empty((len(bits), params.n_steps + 1))
         out[:, 0] = -e0 * bits.sum(axis=1)
@@ -397,42 +400,36 @@ def cooling_cycle_trajectory(
     return state, flipped
 
 
-def _toric_hamiltonian_padded(lattice: ToricLattice, n_qubits: int, e0: float):
-    h, _ = build_toric(lattice.lx, lattice.ly, e0)
-    return h.padded(n_qubits)
-
-
-def _initial_trajectory_state(lattice, params, rng, n_total, init_mode):
+def _initial_trajectory_state(lattice, params, rng, n_total, basis_init):
     n_sys = lattice.n_edges
-    if init_mode == "sample":
-        config = sample_syndrome_config(lattice, params.q_init, rng)
-        sys_state = state_from_config(config)
-    elif init_mode == "basis":
+    if basis_init:
         bits = rng.integers(0, 2, n_sys)
         index = int(sum(int(b) << k for k, b in enumerate(bits)))
         sys_state = StateVector.basis_state(n_sys, index)
         for p in range(lattice.n_plaquettes):
             measure_projector(sys_state, lattice.plaquette_string(p), rng)
     else:
-        raise ValueError(f"unknown init_mode {init_mode!r}")
+        sys_state = state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
     amps = np.zeros(1 << n_total, dtype=complex)
     amps[: 1 << n_sys] = sys_state.amps  # ancilla (top qubit) starts in |0>
     return StateVector(amps, copy=False)
 
 
-def _trajectory_energies(lattice, params, indices, e0=1.0, tag=1, init_mode="sample"):
+def _trajectory_energies(lattice, params, blocks, e0=1.0, basis_init=False):
     n_sys = lattice.n_edges
     n_total = n_sys + 1
     if n_total > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(
             f"trajectory engine needs {n_total} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
         )
-    h = _toric_hamiltonian_padded(lattice, n_total, e0)
+    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(n_total)
     ancilla = n_sys
-    out = np.empty((len(indices), params.n_steps + 1))
-    for row, k in enumerate(indices):
-        rng = _stream(params.seed, tag, int(k))
-        state = _initial_trajectory_state(lattice, params, rng, n_total, init_mode)
+    # the trajectories of a block run in turn on the block's one stream
+    rngs = [rng for b, rows in zip(blocks, _block_rows(params, blocks))
+            for rng in [_stream(params.seed, 1, int(b))] * rows]
+    out = np.empty((len(rngs), params.n_steps + 1))
+    for row, rng in enumerate(rngs):
+        state = _initial_trajectory_state(lattice, params, rng, n_total, basis_init)
         out[row, 0] = state.expectation(h)
         for step in range(1, params.n_steps + 1):
             for p in rng.permutation(lattice.n_plaquettes):
@@ -453,32 +450,22 @@ def _trajectory_energies(lattice, params, indices, e0=1.0, tag=1, init_mode="sam
 # runs, parallel fan-out, engine comparison
 # ---------------------------------------------------------------------
 
-def _worker(payload):
-    engine, lattice, params, indices, e0, tag, init_mode = payload
-    if engine == "syndrome":
-        return _mc_energies(lattice, params, indices, e0, tag)
-    return _trajectory_energies(lattice, params, indices, e0, tag, init_mode)
-
-
-def _fan_out(engine, lattice, params, e0, tag, init_mode, workers):
-    n = params.n_trajectories
-    units = np.arange(-(-n // BLOCK) if engine == "syndrome" else n)  # MC: whole RNG blocks
-    if workers <= 1 or len(units) < 2 or n < 4 * workers:
-        return _worker((engine, lattice, params, units, e0, tag, init_mode))
-    chunks = np.array_split(units, workers)
-    payloads = [
-        (engine, lattice, params, chunk, e0, tag, init_mode)
-        for chunk in chunks
-        if len(chunk)
-    ]
+def _fan_out(energies, lattice, params, e0, workers):
+    """``energies(lattice, params, blocks, e0)`` over all RNG blocks of the
+    run, split in whole blocks over up to ``workers`` processes."""
+    run = partial(energies, lattice, params, e0=e0)
+    blocks = np.arange(-(-params.n_trajectories // BLOCK))
+    if workers <= 1 or len(blocks) < 2 or params.n_trajectories < 4 * workers:
+        return run(blocks)
+    chunks = [chunk for chunk in np.array_split(blocks, workers) if len(chunk)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker, payloads))
+            parts = list(pool.map(run, chunks))
     except (OSError, PermissionError, BrokenProcessPool) as exc:
         # sandboxed environments may forbid subprocesses; fall back serially
         print(f"[rydsim] process pool unavailable ({exc}); running serially",
               file=sys.stderr)
-        parts = [_worker(p) for p in payloads]
+        parts = [run(chunk) for chunk in chunks]
     return np.vstack(parts)
 
 
@@ -506,7 +493,7 @@ def syndrome_mc_run(
     workers: int = 1,
 ) -> Trace:
     """Mean energy trace of the classical syndrome Monte Carlo."""
-    energies = _fan_out("syndrome", lattice, params, e0, 0, "sample", workers)
+    energies = _fan_out(_mc_energies, lattice, params, e0, workers)
     return _trace_from_energies(energies, params, "syndrome")
 
 
@@ -515,14 +502,13 @@ def trajectory_run(
     params: CoolingParams,
     e0: float = 1.0,
     workers: int = 1,
-    init_mode: str = "sample",
 ) -> Trace:
     """Mean energy trace of the circuit-level quantum trajectories.
 
     The lattice must fit in a dense state vector with one ancilla (the 2x2
     torus: 8 system qubits + 1 reused ancilla).
     """
-    energies = _fan_out("trajectory", lattice, params, e0, 1, init_mode, workers)
+    energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
     return _trace_from_energies(energies, params, "trajectory")
 
 
@@ -542,13 +528,9 @@ def equivalence_check(
     every step.
     """
     mc = syndrome_mc_run(lattice, params, e0, workers)
-    if params.q_init == 0.0:
-        init_mode = "sample"  # ground sector exactly; chains are empty
-    elif abs(params.q_init - 0.5) < 1e-12:
-        init_mode = "basis"
-    else:
-        init_mode = "sample"
-    qt = trajectory_run(lattice, params, e0, workers, init_mode=init_mode)
+    engine = partial(_trajectory_energies, basis_init=abs(params.q_init - 0.5) < 1e-12)
+    qt = _trace_from_energies(_fan_out(engine, lattice, params, e0, workers),
+                              params, "trajectory")
     diff = np.abs(mc.mean_energy - qt.mean_energy)
     sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
@@ -573,9 +555,7 @@ def lindblad_reference_trace(
     # standalone plaquette: relabel its four edges to qubits 0..3
     relabel = {e: k for k, e in enumerate(plaq)}
     a_p = PauliString.from_sites(4, {relabel[e]: "X" for e in plaq})
-    pump = OperatorSum.from_string(PauliString.single(4, 0, "Z"))
-    interrogate = OperatorSum.identity(4) - OperatorSum.from_string(a_p)
-    jump = (0.5 * (pump @ interrogate)).normalized()
+    jump = _jump(a_p, PauliString.single(4, 0, "Z"))
     h_local = OperatorSum.from_string(a_p, -e0)
 
     a_mat = a_p.to_matrix()

@@ -86,18 +86,6 @@ def hubbard_matrix(spec: HubbardSpec) -> np.ndarray:
     return h
 
 
-def sector_key(spec: HubbardSpec) -> np.ndarray:
-    """Per-state sector labels: particle number, or (n_up, n_down) packed
-    as n_up * (n_sites + 1) + n_down for spinful specs."""
-    basis = FockBasis(spec.n_modes)
-    if not spec.spinful:
-        return basis.popcounts()
-    up_mask = (1 << spec.n_sites) - 1
-    n_up = basis.popcounts(up_mask)
-    n_down = basis.popcounts(((1 << spec.n_modes) - 1) ^ up_mask)
-    return n_up * (spec.n_sites + 1) + n_down
-
-
 def spectrum(
     spec: HubbardSpec,
     n_particles: int | None = None,

@@ -262,15 +262,6 @@ def syndrome_map(state: StateVector, control: int, stabilizer: PauliString) -> S
     return state
 
 
-def syndrome_map_S(state: StateVector, control: int, plaquette) -> StateVector:
-    """Plaquette (XXXX) specialization of :func:`syndrome_map`, built on G."""
-    plaquette = tuple(plaquette)
-    if len(plaquette) != 4 or len(set(plaquette)) != 4:
-        raise ValueError("plaquette must list four distinct qubits")
-    stab = PauliString.from_sites(state.n_qubits, {q: "X" for q in plaquette})
-    return syndrome_map(state, control, stab)
-
-
 def controlled_flip(
     state: StateVector, control: int, target: int, theta: float, axis: str = "z"
 ) -> StateVector:

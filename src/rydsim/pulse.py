@@ -126,19 +126,18 @@ def _h_of_t(profile: PulseProfile, v: float):
     return h
 
 
-def _integrate(h_of_t, psi0: np.ndarray, t_final: float,
-               rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def _integrate(h_of_t, psi0: np.ndarray, t_final: float) -> np.ndarray:
     sol = solve_ivp(
         lambda t, y: -1j * (h_of_t(t) @ y),
         (0.0, t_final),
         psi0.astype(complex),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
     )
     if not sol.success:
         raise IntegrationError(
-            f"pulse integration failed at tolerance rtol={rtol}: {sol.message}"
+            f"pulse integration failed at tolerance rtol=1e-10: {sol.message}"
         )
     return sol.y[:, -1]
 

@@ -82,9 +82,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         return abs(self.inner(other))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
     def _check(self, n: int):
         if n != self.n_qubits:
             raise DimensionMismatchError(

@@ -23,7 +23,7 @@ from rydsim.gates import (
     controlled_flip,
     faulty_gate,
     plaquette_step,
-    syndrome_map_S,
+    syndrome_map,
 )
 from rydsim.models import (
     HubbardSpec,
@@ -238,9 +238,9 @@ def test_criterion_07_cooling_fixed_points_and_rate():
     thetas = [0.05, 0.1, 0.2]
     for theta in thetas:
         def premeasure_cycle(state, th=theta):
-            syndrome_map_S(state, 4, (0, 1, 2, 3))
+            syndrome_map(state, 4, PauliString.from_label("XXXXI"))
             controlled_flip(state, 4, 0, th, "z")
-            syndrome_map_S(state, 4, (0, 1, 2, 3))
+            syndrome_map(state, 4, PauliString.from_label("XXXXI"))
 
         # Kraus blocks of the cycle: ancilla |0> in, ancilla 0/1 out + pump
         mat = gate_matrix(premeasure_cycle, 5)

@@ -256,3 +256,17 @@ def test_syndrome_csv_independent_of_workers(monkeypatch, tmp_path):
         assert main(args + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_trajectory_csv_independent_of_workers(monkeypatch, tmp_path):
+    # 130 trajectories span three RNG blocks, so two workers split them
+    args = ["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi,pi/2",
+            "--steps", "2", "--trajectories", "130", "--engine", "trajectory",
+            "--seed", "5"]
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RYDSIM_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

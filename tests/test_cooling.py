@@ -325,6 +325,16 @@ def test_trajectory_cap():
         trajectory_run(lattice, params)
 
 
+def test_trajectory_independent_of_workers():
+    # 150 trajectories: two full RNG blocks of 64 and a partial one
+    params = CoolingParams(theta=np.pi / 2, n_steps=2, n_trajectories=150,
+                           q_init=0.5, seed=23)
+    serial = trajectory_run(LATTICE, params, workers=1)
+    pooled = trajectory_run(LATTICE, params, workers=3)
+    assert np.array_equal(pooled.mean_energy, serial.mean_energy)
+    assert np.array_equal(pooled.stderr, serial.stderr)
+
+
 def test_trajectory_matches_lindblad_small_theta():
     # single-plaquette: trajectory excited population vs exp(-gamma t)
     rng_master = 6

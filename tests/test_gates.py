@@ -16,7 +16,6 @@ from rydsim.gates import (
     plaquette_step,
     star_step,
     syndrome_map,
-    syndrome_map_S,
 )
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import StateVector
@@ -257,13 +256,13 @@ def _plaquette_eigenstate(sign):
 def test_syndrome_map_truth_table():
     for sign, expect_anc_one in ((+1, 0.0), (-1, 1.0)):
         state = _plaquette_eigenstate(sign)
-        syndrome_map_S(state, 4, (0, 1, 2, 3))
+        syndrome_map(state, 4, PauliString.from_label("XXXXI"))
         anc_one = float(np.sum(np.abs(state.amps[16:]) ** 2))
         assert anc_one == pytest.approx(expect_anc_one, abs=1e-12)
 
 
 def test_syndrome_map_is_involution():
-    mat = op_matrix(lambda s: syndrome_map_S(s, 4, (0, 1, 2, 3)), 5)
+    mat = op_matrix(lambda s: syndrome_map(s, 4, PauliString.from_label("XXXXI")), 5)
     assert np.allclose(mat @ mat, np.eye(32), atol=1e-12)
 
 
@@ -285,9 +284,9 @@ def test_controlled_flip_zero_angle_identity():
 def test_full_cycle_flip_probability(theta):
     # S U S then ancilla readout flips A_p with probability sin^2(theta/2)
     state = _plaquette_eigenstate(-1)
-    syndrome_map_S(state, 4, (0, 1, 2, 3))
+    syndrome_map(state, 4, PauliString.from_label("XXXXI"))
     controlled_flip(state, 4, 0, theta, axis="z")
-    syndrome_map_S(state, 4, (0, 1, 2, 3))
+    syndrome_map(state, 4, PauliString.from_label("XXXXI"))
     anc_one = float(np.sum(np.abs(state.amps[16:]) ** 2))
     assert anc_one == pytest.approx(flip_probability(theta), abs=1e-12)
 
