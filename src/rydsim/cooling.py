@@ -2,9 +2,11 @@
 
 * :func:`lindblad_integrate`: exact master-equation integration for tiny
   systems (density-matrix cap of six qubits).
-* :func:`trajectory_run`: full circuit-level quantum trajectories with one
-  reused ancilla that is projectively measured and reset each cycle, which
-  reproduces the statistics of optical pumping.
+* :func:`trajectory_run`: quantum trajectories on the system register, each
+  cycle applied as its two-outcome map: K0 = P+ + cos(theta/2) P- (ancilla
+  reads 0) or K1 = -i sin(theta/2) sigma_pump P- (reads 1), with
+  P+- = (1 +- S)/2 for the cycle's stabilizer S.  The circuit-level cycle
+  with its ancilla, :func:`cooling_cycle_trajectory`, is model and oracle.
 * :func:`syndrome_mc_run`: classical Monte Carlo on stabilizer eigenvalues,
   valid at any lattice size.  For syndrome-definite initial states the
   quantum trajectories reduce exactly to this process, which
@@ -23,6 +25,7 @@ one after another on the block's stream.
 
 from __future__ import annotations
 
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -41,7 +44,8 @@ from .statevec import DensityMatrix, StateVector, measure_projector
 #: density-matrix integration cap
 LINDBLAD_QUBIT_CAP = 6
 
-#: trajectory engine cap: system qubits + 1 ancilla as a dense vector
+#: trajectory cap on the circuit-level register, system qubits + 1 ancilla;
+#: the engine's two-outcome map holds the system register only
 TRAJECTORY_QUBIT_CAP = 12
 
 #: trajectories per RNG stream, for both stochastic engines
@@ -298,32 +302,20 @@ def _mc_energies(lattice, params, blocks, e0=1.0):
 
 
 # ---------------------------------------------------------------------
-# circuit-level quantum trajectories
+# quantum trajectories
 # ---------------------------------------------------------------------
 
 def _chain_edges(lattice: ToricLattice, kind: str, i: int, j: int) -> list[int]:
     """Edges of a lattice path connecting two cells (used to imprint a
     chosen excitation pattern on the ground state)."""
-    xi, yi = lattice.plaquette_xy(i)
-    xj, yj = lattice.plaquette_xy(j)
+    (x, y), (xj, yj) = lattice.plaquette_xy(i), lattice.plaquette_xy(j)
     edges = []
-    x, y = xi, yi
-    for _ in range((xj - xi) % lattice.lx):
-        nxt_x = (x + 1) % lattice.lx
-        edges.append(
-            lattice.shared_edge(
-                kind, lattice.plaquette_index(x, y), lattice.plaquette_index(nxt_x, y)
-            )
-        )
-        x = nxt_x
-    for _ in range((yj - yi) % lattice.ly):
-        nxt_y = (y + 1) % lattice.ly
-        edges.append(
-            lattice.shared_edge(
-                kind, lattice.plaquette_index(x, y), lattice.plaquette_index(x, nxt_y)
-            )
-        )
-        y = nxt_y
+    # along x to column xj, then along y to row yj (plaquette_index wraps)
+    for dx, dy, steps in ((1, 0, (xj - x) % lattice.lx), (0, 1, (yj - y) % lattice.ly)):
+        for _ in range(steps):
+            here = lattice.plaquette_index(x, y)
+            x, y = x + dx, y + dy
+            edges.append(lattice.shared_edge(kind, here, lattice.plaquette_index(x, y)))
     return edges
 
 
@@ -363,15 +355,14 @@ def cooling_cycle_trajectory(
     rng: np.random.Generator,
     kind: str = "plaquette",
     ancilla: int | None = None,
-    pump_qubit: int | None = None,
 ):
     """One ancilla-mediated cooling cycle on a four-spin stabilizer.
 
     Sequence: map the stabilizer eigenvalue onto the (|0>-prepared)
     ancilla, apply the controlled pump flip on one of the four spins
-    (uniformly random unless given), unmap, measure the ancilla and pump it
-    back to |0>.  Ground-sector states are exact fixed points; a violated
-    stabilizer flips with probability sin^2(theta/2).
+    (uniformly random), unmap, measure the ancilla and pump it back to |0>.
+    Ground-sector states are exact fixed points; a violated stabilizer
+    flips with probability sin^2(theta/2).  The oracle of the trajectories.
 
     Returns ``(state, flipped)``.
     """
@@ -383,10 +374,7 @@ def cooling_cycle_trajectory(
     if ancilla in qubits:
         raise ValueError("ancilla overlaps the stabilizer")
     letter, axis = ("X", "z") if kind == "plaquette" else ("Z", "x")
-    if pump_qubit is None:
-        pump_qubit = qubits[rng.integers(4)]
-    elif pump_qubit not in qubits:
-        raise ValueError("pump qubit must be one of the stabilizer spins")
+    pump_qubit = qubits[rng.integers(4)]
     stab = PauliString.from_sites(state.n_qubits, {q: letter for q in qubits})
     syndrome_map(state, ancilla, stab)
     controlled_flip(state, ancilla, pump_qubit, theta, axis=axis)
@@ -400,48 +388,47 @@ def cooling_cycle_trajectory(
     return state, flipped
 
 
-def _initial_trajectory_state(lattice, params, rng, n_total, basis_init):
-    n_sys = lattice.n_edges
-    if basis_init:
-        bits = rng.integers(0, 2, n_sys)
-        index = int(sum(int(b) << k for k, b in enumerate(bits)))
-        sys_state = StateVector.basis_state(n_sys, index)
-        for p in range(lattice.n_plaquettes):
-            measure_projector(sys_state, lattice.plaquette_string(p), rng)
-    else:
-        sys_state = state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
-    amps = np.zeros(1 << n_total, dtype=complex)
-    amps[: 1 << n_sys] = sys_state.amps  # ancilla (top qubit) starts in |0>
-    return StateVector(amps, copy=False)
+def _initial_trajectory_state(lattice, params, rng, basis_init) -> StateVector:
+    if not basis_init:
+        return state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
+    bits = "".join(map(str, rng.integers(0, 2, lattice.n_edges)))  # qubit 0 first
+    state = StateVector.basis_state(lattice.n_edges, bits)
+    for p in range(lattice.n_plaquettes):
+        measure_projector(state, lattice.plaquette_string(p), rng)
+    return state
 
 
 def _trajectory_energies(lattice, params, blocks, e0=1.0, basis_init=False):
-    n_sys = lattice.n_edges
-    n_total = n_sys + 1
-    if n_total > TRAJECTORY_QUBIT_CAP:
+    n = lattice.n_edges
+    if n + 1 > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(
-            f"trajectory engine needs {n_total} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
+            f"trajectory engine needs {n + 1} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
         )
-    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(n_total)
-    ancilla = n_sys
+    h = build_toric(lattice.lx, lattice.ly, e0)[0]
+    flip, shrink = flip_probability(params.theta), 1.0 - math.cos(params.theta / 2.0)
+    # per kind: every cell's stabilizer, and the pump string on each of its edges
+    kinds = []
+    for stabilizer, cells, pump in ((lattice.plaquette_string, lattice.plaquettes, "Z"),
+                                    (lattice.star_string, lattice.stars, "X")):
+        kinds.append(([stabilizer(c) for c in range(len(cells))],
+                      [[PauliString.single(n, e, pump) for e in cell] for cell in cells]))
     # the trajectories of a block run in turn on the block's one stream
     rngs = [rng for b, rows in zip(blocks, _block_rows(params, blocks))
             for rng in [_stream(params.seed, 1, int(b))] * rows]
     out = np.empty((len(rngs), params.n_steps + 1))
     for row, rng in enumerate(rngs):
-        state = _initial_trajectory_state(lattice, params, rng, n_total, basis_init)
+        state = _initial_trajectory_state(lattice, params, rng, basis_init)
         out[row, 0] = state.expectation(h)
         for step in range(1, params.n_steps + 1):
-            for p in rng.permutation(lattice.n_plaquettes):
-                cooling_cycle_trajectory(
-                    state, lattice.plaquettes[p], params.theta, rng,
-                    kind="plaquette", ancilla=ancilla,
-                )
-            for s in rng.permutation(lattice.n_stars):
-                cooling_cycle_trajectory(
-                    state, lattice.stars[s], params.theta, rng,
-                    kind="star", ancilla=ancilla,
-                )
+            for stabilizers, pumps in kinds:
+                for c in rng.permutation(len(stabilizers)):
+                    pump = pumps[c][rng.integers(4)]
+                    minus = 0.5 * (state.amps - stabilizers[c].act(state.amps))  # P- psi
+                    p_flip = flip * np.vdot(minus, minus).real
+                    if rng.random() < 1.0 - p_flip:  # K0 = P+ + cos(theta/2) P-
+                        state.amps = (state.amps - shrink * minus) / math.sqrt(1.0 - p_flip)
+                    else:  # K1 up to its global phase -i
+                        state.amps = pump.act(minus) / np.linalg.norm(minus)
             out[row, step] = state.expectation(h)
     return out
 
@@ -503,10 +490,11 @@ def trajectory_run(
     e0: float = 1.0,
     workers: int = 1,
 ) -> Trace:
-    """Mean energy trace of the circuit-level quantum trajectories.
+    """Mean energy trace of the quantum trajectories.
 
-    The lattice must fit in a dense state vector with one ancilla (the 2x2
-    torus: 8 system qubits + 1 reused ancilla).
+    Each cycle applies its two-outcome map on the 2^n_edges system register
+    (oracle: the circuit-level :func:`cooling_cycle_trajectory`); the lattice
+    must fit that circuit's register, system + 1 ancilla (the 2x2 torus).
     """
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
     return _trace_from_energies(energies, params, "trajectory")

@@ -122,12 +122,8 @@ class ToricLattice:
     def plaquette_index(self, x: int, y: int) -> int:
         return (y % self.ly) * self.lx + (x % self.lx)
 
-    star_index = plaquette_index
-
     def plaquette_xy(self, p: int) -> tuple[int, int]:
         return p % self.lx, p // self.lx
-
-    star_xy = plaquette_xy
 
     def plaquette_string(self, p: int, n_qubits: int | None = None) -> PauliString:
         n = n_qubits or self.n_edges

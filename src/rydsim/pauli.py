@@ -31,6 +31,7 @@ from .errors import CapExceededError, DimensionMismatchError
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+_CODE_LETTER = np.frombuffer(b"IXZY", np.uint8)  # by site code x_bit | z_bit << 1
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_LABELS = ("+", "+i", "-", "-i")
 
@@ -117,7 +118,11 @@ class PauliString:
         return _BITS_LETTER[(self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1]
 
     def to_label(self) -> str:
-        return "".join(self.letter(k) for k in range(self.n_qubits))
+        size = (self.n_qubits + 7) // 8  # little-endian bytes: bit k is site k
+        x, z = (np.unpackbits(np.frombuffer(mask.to_bytes(size, "little"), np.uint8),
+                              count=self.n_qubits, bitorder="little")
+                for mask in (self.x_mask, self.z_mask))
+        return _CODE_LETTER[x | z << 1].tobytes().decode()
 
     @property
     def weight(self) -> int:

@@ -89,3 +89,49 @@ def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
             sweep(pbits, sbits, rng)
             out[row, step] = -e0 * (pbits.sum() + sbits.sum())
     return out
+
+
+def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=False):
+    """Per-trajectory energies of the circuit-level quantum trajectories.
+
+    The register holds the system plus one ancilla (the top qubit), and
+    every cycle is one ``cooling_cycle_trajectory`` call.  The trajectories
+    of block b (64 per block) run in turn on stream ``(1, b)``; each draws
+    its initial state (with ``basis_init``: a uniformly random basis state,
+    then one readout of every plaquette), then per sweep the plaquette
+    permutation and its cycles, then the same for the stars.
+    """
+    from rydsim.cooling import (cooling_cycle_trajectory, sample_syndrome_config,
+                                state_from_config)
+    from rydsim.models import build_toric
+    from rydsim.statevec import StateVector, measure_projector
+
+    n_sys = lattice.n_edges
+    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(n_sys + 1)
+    sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
+    out = []
+    for b in blocks:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=params.seed, spawn_key=(1, int(b)))
+        )
+        for _ in range(min(64, params.n_trajectories - 64 * int(b))):
+            if basis_init:
+                bits = rng.integers(0, 2, n_sys)
+                system = StateVector.basis_state(
+                    n_sys, int(sum(int(v) << k for k, v in enumerate(bits))))
+                for p in range(lattice.n_plaquettes):
+                    measure_projector(system, lattice.plaquette_string(p), rng)
+            else:
+                system = state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
+            amps = np.zeros(2 << n_sys, dtype=complex)
+            amps[: 1 << n_sys] = system.amps  # ancilla starts in |0>
+            state = StateVector(amps, copy=False)
+            energies = [state.expectation(h)]
+            for _ in range(params.n_steps):
+                for cells, kind in sweep:
+                    for c in rng.permutation(len(cells)):
+                        cooling_cycle_trajectory(state, cells[c], params.theta, rng,
+                                                 kind=kind, ancilla=n_sys)
+                energies.append(state.expectation(h))
+            out.append(energies)
+    return np.array(out)

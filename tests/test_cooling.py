@@ -19,12 +19,12 @@ from rydsim.cooling import (
     trajectory_run,
 )
 from rydsim.errors import CapExceededError
-from rydsim.gates import flip_probability
+from rydsim.gates import controlled_flip, flip_probability, syndrome_map
 from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
-from rydsim.statevec import DensityMatrix
+from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import syndrome_mc_reference
+from oracles import syndrome_mc_reference, trajectory_energies_reference
 
 
 LATTICE = ToricLattice.build(2, 2)
@@ -362,6 +362,72 @@ def test_trajectory_matches_lindblad_small_theta():
     reference = np.exp(-p_flip * np.arange(n_cycles + 1))
     sigma = np.sqrt(np.maximum(reference * (1 - reference), 1e-12) / n_traj)
     assert np.all(np.abs(frac - reference) <= 3.0 * sigma + 0.01)
+
+
+@pytest.mark.parametrize("theta", [np.pi, np.pi / 2, 0.3])
+@pytest.mark.parametrize("q_init, basis_init", [(0.5, True), (0.3, False), (0.0, False),
+                                                (1.0, False)])
+def test_trajectory_engine_matches_circuit_oracle(theta, q_init, basis_init):
+    # 130 trajectories: two full RNG blocks and a partial one; the system-
+    # register engine must make the circuit's draws and flip decisions
+    params = CoolingParams(theta=theta, n_steps=5, n_trajectories=130,
+                           q_init=q_init, seed=19)
+    blocks = np.arange(3)
+    engine = cooling._trajectory_energies(LATTICE, params, blocks, basis_init=basis_init)
+    oracle = trajectory_energies_reference(LATTICE, params, blocks, basis_init=basis_init)
+    assert engine.shape == oracle.shape == (130, 6)
+    assert np.max(np.abs(engine - oracle)) <= 1e-9
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: a fixed pump index and readout uniform."""
+
+    def __init__(self, pick, u):
+        self.pick, self.u = pick, u
+
+    def integers(self, high):
+        return self.pick
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("kind", ["plaquette", "star"])
+def test_two_outcome_map_is_the_circuit_cycle(kind):
+    # K0 = P+ + cos(theta/2) P- and K1 = -i sin(theta/2) sigma_pump P- are the
+    # ancilla-0 and ancilla-1 blocks of the circuit's unitary part, and the
+    # cycle with a scripted readout leaves K psi / |K psi| on the system
+    theta, n = 0.7, LATTICE.n_edges
+    cells, stabilizer, pump, axis = (
+        (LATTICE.plaquettes, LATTICE.plaquette_string(0), "Z", "z") if kind == "plaquette"
+        else (LATTICE.stars, LATTICE.star_string(0), "X", "x"))
+    one = OperatorSum.identity(n)
+    p_plus = 0.5 * (one + OperatorSum.from_string(stabilizer))
+    p_minus = 0.5 * (one - OperatorSum.from_string(stabilizer))
+    k0 = (p_plus + np.cos(theta / 2) * p_minus).to_matrix()
+    rng = np.random.default_rng(29)
+    psi = StateVector.random_state(n, rng).amps
+    for pick, edge in enumerate(cells[0]):
+        sigma = OperatorSum.from_string(PauliString.single(n, edge, pump))
+        k1 = (-1j * np.sin(theta / 2) * (sigma @ p_minus)).to_matrix()
+        blocks = np.empty((2 << n, 1 << n), dtype=complex)
+        for j in range(1 << n):
+            state = StateVector.basis_state(n + 1, j)
+            syndrome_map(state, n, stabilizer.padded(n + 1))
+            controlled_flip(state, n, edge, theta, axis=axis)
+            syndrome_map(state, n, stabilizer.padded(n + 1))
+            blocks[:, j] = state.amps
+        assert np.allclose(blocks[: 1 << n], k0, atol=1e-12)
+        assert np.allclose(blocks[1 << n:], k1, atol=1e-12)
+        assert np.allclose(k0.conj().T @ k0 + k1.conj().T @ k1, np.eye(1 << n), atol=1e-12)
+        for u, k in ((0.0, k0), (1.0 - 1e-9, k1)):
+            state = StateVector(np.concatenate([psi, np.zeros(1 << n)]))
+            _, flipped = cooling_cycle_trajectory(state, cells[0], theta, _ScriptedRng(pick, u),
+                                                  kind=kind, ancilla=n)
+            assert flipped == (k is k1)
+            want = k @ psi
+            assert np.allclose(state.amps[: 1 << n], want / np.linalg.norm(want), atol=1e-12)
+            assert np.allclose(state.amps[1 << n:], 0.0, atol=1e-12)
 
 
 def test_equivalence_check_small():

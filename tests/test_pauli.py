@@ -263,6 +263,18 @@ def test_jw_index_range():
 
 # -- text round-trip -----------------------------------------------------
 
+def test_to_label_matches_per_site_letters():
+    # masks past 64 bits and lengths off byte boundaries, with every phase
+    rng = np.random.default_rng(31)
+    for n in [*range(1, 20), 63, 64, 65, 127, 128, 129, 255, 300]:
+        full = (1 << n) - 1
+        for phase_exp in range(4):
+            x, z = (int.from_bytes(rng.bytes((n + 7) // 8), "little") & full for _ in "xz")
+            s = PauliString(n, x, z, phase_exp)
+            assert s.to_label() == "".join(s.letter(k) for k in range(n))
+    assert PauliString(3, 0b011, 0b110).to_label() == "XYZ"
+
+
 def test_format_parse_round_trip():
     rng = np.random.default_rng(9)
     op = OperatorSum(
