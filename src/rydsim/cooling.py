@@ -14,13 +14,16 @@
 
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
-all plaquettes then all stars, each in freshly shuffled order.  Both
-stochastic engines draw block b of :data:`BLOCK` trajectories of a run with
-seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(tag, b))``
-with tag 0 for the Monte Carlo and 1 for the quantum trajectories, and
-split work over processes in whole blocks, so results depend on neither the
-worker count nor the batch size.  The quantum trajectories of a block run
-one after another on the block's stream.
+all plaquettes then all stars, each in freshly shuffled order; the Monte
+Carlo resolves each kind's sweep whole, as the unique fixed point of its
+flip rule (:func:`_sweep`), with the draws and flips of a cell-by-cell
+sweep.  Both stochastic engines draw block b of :data:`BLOCK` trajectories
+of a run with seed s from one stream,
+``SeedSequence(entropy=s, spawn_key=(tag, b))`` with tag 0 for the Monte
+Carlo and 1 for the quantum trajectories, and split work over processes in
+whole blocks, so results depend on neither the worker count nor the batch
+size.  The quantum trajectories of a block run one after another on the
+block's stream.
 """
 
 from __future__ import annotations
@@ -240,35 +243,59 @@ def sample_syndrome_config(
 
 
 def _sweep_tables(lattice: ToricLattice):
-    """Per kind, its first column and ``ends[cell, pick]``: the columns of
-    the two cells toggled when ``cell`` flips its ``pick``-th edge."""
+    """Per kind, its first column and ``other[cell, pick]``: the cell at the
+    other end of ``cell``'s ``pick``-th edge, toggled with ``cell`` when it
+    flips that edge (the two ends differ when lx, ly >= 2)."""
     n_p = lattice.n_plaquettes
-    return ((0, np.asarray(lattice.edge_plaquettes)[np.asarray(lattice.plaquettes)]),
-            (n_p, n_p + np.asarray(lattice.edge_stars)[np.asarray(lattice.stars)]))
+    return [(offset, np.asarray(edge_cells)[np.asarray(cells)].sum(axis=2)
+             - np.arange(len(cells))[:, None])
+            for offset, cells, edge_cells in ((0, lattice.plaquettes, lattice.edge_plaquettes),
+                                              (n_p, lattice.stars, lattice.edge_stars))]
 
 
 def _sweep(bits, tables, prob, rngs, sizes):
     """One sweep of every row of ``bits``, a block of ``sizes`` rows per
-    generator.  Rows are independent, so the loop runs over the positions
-    of a sweep and each step acts on all rows at once."""
-    flat = bits.reshape(-1)
-    base = np.arange(bits.shape[0])[:, None] * bits.shape[1]
-    for offset, ends in tables:
-        count = len(ends)
-        draws = [(rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
-                  rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
-                 for rng, rows in zip(rngs, sizes)]
-        order, u, pick = (np.vstack(d) for d in zip(*draws))
-        visit = np.ascontiguousarray((base + offset + order).T)
-        # a visited bit b flips its cell iff b < limit: b = -1 and u < prob
-        limit = np.ascontiguousarray(np.where(u < prob, 0, -1).astype(np.int8).T)
-        # the two toggled cells of an edge differ (lx, ly >= 2): one scatter
-        toggle = np.ascontiguousarray((base[..., None] + ends[order, pick]).transpose(1, 0, 2))
-        for k in range(count):
-            hit = (flat[visit[k]] < limit[k]).nonzero()[0]
-            if len(hit):
-                cells = toggle[k].take(hit, axis=0).ravel()
-                flat[cells] = -flat[cells]
+    generator, each kind solved for all rows and positions at once.
+
+    A visit flips iff it is a candidate (u < prob) and its cell reads
+    excited: its start value, toggled by every flip at an earlier position
+    whose other end is that cell.  Flips depend only on earlier flips, so
+    the sequential sweep's flips are the rule's unique fixed point.  From
+    "candidate and excited at the start", each round re-reads where the last
+    round's changed flips land and settles one more link of the longest chain.
+    """
+    for offset, other in tables:
+        count = len(other)
+        order, u, pick = (np.vstack(d).ravel() for d in zip(*[
+            (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
+             rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
+            for rng, rows in zip(rngs, sizes)]))
+        kind = bits[:, offset:offset + count].flatten()
+        at = np.arange(kind.size)  # flat (row, position), or (row, cell)
+        row = at - at % count  # flat start of the row
+        cell = row + order  # the visited cell
+        pos = np.empty_like(at)
+        pos[cell] = at  # where each cell is read
+        end = row + other.ravel()[4 * order + pick]  # the picked edge's other end
+        read = pos[end]  # where that other end is read
+        cand, start = u < prob, kind[cell] < 0
+        linked = cand & (read > at) & cand[read]  # can change a later candidate's read
+        flips, toggled = cand & start, np.zeros(kind.size, dtype=bool)
+        moved = np.flatnonzero(flips & linked)  # flips whose toggle is not yet read
+        for _ in range(count + 1):
+            if not len(moved):
+                break
+            hit = read[moved]
+            np.logical_xor.at(toggled, hit, True)  # two toggles of one read cancel
+            hit = np.unique(hit)
+            hit = hit[start[hit] ^ toggled[hit] != flips[hit]]
+            flips[hit] = ~flips[hit]
+            moved = hit[linked[hit]]
+        else:
+            raise RuntimeError("syndrome sweep did not reach its fixed point")
+        kind[cell[flips]] *= -1  # each cell is visited once
+        np.negative.at(kind, end[flips])  # an other end may be toggled repeatedly
+        bits[:, offset:offset + count] = kind.reshape(-1, count)
 
 
 def syndrome_mc_step(
@@ -373,6 +400,8 @@ def cooling_cycle_trajectory(
         ancilla = state.n_qubits - 1
     if ancilla in qubits:
         raise ValueError("ancilla overlaps the stabilizer")
+    if kind not in ("plaquette", "star"):
+        raise ValueError(f"kind must be 'plaquette' or 'star', got {kind!r}")
     letter, axis = ("X", "z") if kind == "plaquette" else ("Z", "x")
     pump_qubit = qubits[rng.integers(4)]
     stab = PauliString.from_sites(state.n_qubits, {q: letter for q in qubits})
@@ -457,20 +486,9 @@ def _fan_out(energies, lattice, params, e0, workers):
 
 
 def _trace_from_energies(energies, params, engine) -> Trace:
-    n = energies.shape[0]
-    mean = energies.mean(axis=0)
-    if n > 1:
-        stderr = energies.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        stderr = np.zeros_like(mean)
-    return Trace(
-        steps=np.arange(energies.shape[1]),
-        mean_energy=mean,
-        stderr=stderr,
-        n_trajectories=n,
-        theta=params.theta,
-        engine=engine,
-    )
+    n, width = energies.shape
+    stderr = energies.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(width)
+    return Trace(np.arange(width), energies.mean(axis=0), stderr, n, params.theta, engine)
 
 
 def syndrome_mc_run(

@@ -135,6 +135,8 @@ class ToricLattice:
 
     def shared_edge(self, kind: str, i: int, j: int) -> int:
         """Lowest-index edge shared by two adjacent plaquettes or stars."""
+        if kind not in ("plaquette", "star"):
+            raise ValueError(f"kind must be 'plaquette' or 'star', got {kind!r}")
         cells = self.plaquettes if kind == "plaquette" else self.stars
         common = set(cells[i]) & set(cells[j])
         if not common:

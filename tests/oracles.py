@@ -91,6 +91,34 @@ def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
     return out
 
 
+def sweep_loop_reference(lattice, bits, prob, rngs, sizes):
+    """One Monte Carlo sweep of every row of the (rows, cells) int8 ``bits``
+    (plaquette columns, then star columns), a block of ``sizes`` rows per
+    generator, resolved one position of the sweep at a time.
+
+    Per block and kind the draws are the visit order, the uniforms and the
+    edge picks; the visit at position k flips its cell's picked edge iff the
+    cell reads -1 then and u < prob, toggling both cells of that edge.
+    """
+    flat = bits.reshape(-1)
+    base = np.arange(bits.shape[0]) * bits.shape[1]
+    n_p = lattice.n_plaquettes
+    for offset, cells, edge_cells in ((0, lattice.plaquettes, lattice.edge_plaquettes),
+                                      (n_p, lattice.stars, lattice.edge_stars)):
+        count = len(cells)
+        # both cells of a cell's pick-th edge, as columns of ``bits``
+        ends = offset + np.asarray(edge_cells, dtype=np.int64)[np.asarray(cells)]
+        draws = [(rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
+                  rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
+                 for rng, rows in zip(rngs, sizes)]
+        order, u, pick = (np.vstack(d) for d in zip(*draws))
+        for k in range(count):
+            hit = np.flatnonzero((flat[base + offset + order[:, k]] < 0) & (u[:, k] < prob))
+            # rows are disjoint and an edge's two cells differ: no repeated index
+            toggled = (base[hit, None] + ends[order[hit, k], pick[hit, k]]).ravel()
+            flat[toggled] = -flat[toggled]
+
+
 def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=False):
     """Per-trajectory energies of the circuit-level quantum trajectories.
 

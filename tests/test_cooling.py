@@ -24,7 +24,8 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import syndrome_mc_reference, trajectory_energies_reference
+from oracles import (sweep_loop_reference, syndrome_mc_reference,
+                     trajectory_energies_reference)
 
 
 LATTICE = ToricLattice.build(2, 2)
@@ -526,3 +527,35 @@ def test_batched_sampler_ground_and_parity(shape):
         assert bits.shape == (150, 2 * n_p)
         for row in bits:
             assert SyndromeConfig(lattice, row[:n_p], row[n_p:]).parity_ok()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (8, 8)])
+@pytest.mark.parametrize("theta", [np.pi, np.pi / 2, np.pi / 4])
+@pytest.mark.parametrize("q_init", [0.3, 1.0])
+def test_batched_mc_matches_scalar_oracle_wider(monkeypatch, shape, theta, q_init):
+    # a non-square and a larger torus, with longer chains of flips in a sweep
+    test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (2, 5), (5, 2)])
+@pytest.mark.parametrize("theta", [np.pi, np.pi / 4])
+@pytest.mark.parametrize("q_init", [0.5, 1.0])
+def test_sweep_matches_position_loop(monkeypatch, shape, theta, q_init):
+    # 130 trajectories on the real blocks (two full, one partial); on the
+    # thin tori both x-edges or both y-edges of a cell reach one neighbour
+    lattice = ToricLattice.build(*shape)
+    params = CoolingParams(theta=theta, n_steps=6, n_trajectories=130,
+                           q_init=q_init, seed=37)
+    blocks = np.arange(3)
+    solved = cooling._mc_energies(lattice, params, blocks)
+    monkeypatch.setattr(cooling, "_sweep", lambda bits, _tables, prob, rngs, sizes:
+                        sweep_loop_reference(lattice, bits, prob, rngs, sizes))
+    assert np.array_equal(solved, cooling._mc_energies(lattice, params, blocks))
+
+
+@pytest.mark.parametrize("kind", ["plaquettes", "Star"])
+def test_cooling_cycle_rejects_unknown_kind(kind):
+    state = toric_ground_state(LATTICE, 9)
+    with pytest.raises(ValueError, match="'plaquette' or 'star'"):
+        cooling_cycle_trajectory(state, LATTICE.plaquettes[0], np.pi,
+                                 np.random.default_rng(0), kind=kind, ancilla=8)

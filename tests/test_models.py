@@ -90,6 +90,15 @@ def test_degenerate_dims_rejected():
         build_toric(1, 4)
 
 
+@pytest.mark.parametrize("kind", ["plaquettes", "Star"])
+def test_shared_edge_rejects_unknown_kind(kind):
+    lattice = ToricLattice.build(3, 3)
+    assert lattice.shared_edge("plaquette", 0, 1) == 10
+    assert lattice.shared_edge("star", 0, 1) == 0
+    with pytest.raises(ValueError, match="'plaquette' or 'star'"):
+        lattice.shared_edge(kind, 0, 1)
+
+
 # -- snake ordering ---------------------------------------------------------
 
 def test_snake_2x2():
