@@ -28,7 +28,7 @@ from .cooling import (
     CoolingParams,
     equivalence_check,
     lindblad_reference_trace,
-    syndrome_mc_run,
+    syndrome_mc_scan,
     trajectory_run,
 )
 from .fock import hubbard_matrix, spectrum
@@ -319,22 +319,19 @@ def _run_toric_cool(cfg: ExperimentConfig):
         result = f"max_z={worst:.3f} ({'ok' if status == 0 else '3-sigma failure'})"
         return header, rows, result, status
     header = ["step", "theta", "engine", "mean_energy", "stderr"]
-    rows = []
-    final = None
-    for theta in cfg["theta"]:
-        if cfg["engine"] == "lindblad":
-            trace = lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"],
-                                             cfg["e0"])
+    if cfg["engine"] == "lindblad":
+        traces = [lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"], cfg["e0"])
+                  for theta in cfg["theta"]]
+    else:
+        runs = [CoolingParams(theta, cfg["steps"], cfg["trajectories"], cfg["q-init"],
+                              cfg["seed"]) for theta in cfg["theta"]]
+        if cfg["engine"] == "syndrome":  # every theta on one set of draws
+            traces = syndrome_mc_scan(lattice, runs[0], cfg["theta"], cfg["e0"], workers)
         else:
-            params = CoolingParams(theta, cfg["steps"], cfg["trajectories"],
-                                   cfg["q-init"], cfg["seed"])
-            runner = syndrome_mc_run if cfg["engine"] == "syndrome" else trajectory_run
-            trace = runner(lattice, params, cfg["e0"], workers)
-        for k in range(len(trace.steps)):
-            rows.append([trace.steps[k], theta, trace.engine,
-                         trace.mean_energy[k], trace.stderr[k]])
-        final = trace.mean_energy[-1]
-    return header, rows, f"final_mean_energy={final:.6f}", status
+            traces = [trajectory_run(lattice, params, cfg["e0"], workers) for params in runs]
+    rows = [[trace.steps[k], theta, trace.engine, trace.mean_energy[k], trace.stderr[k]]
+            for theta, trace in zip(cfg["theta"], traces) for k in range(len(trace.steps))]
+    return header, rows, f"final_mean_energy={traces[-1].mean_energy[-1]:.6f}", status
 
 
 def _parse_observables(text: str, n_qubits: int):

@@ -7,9 +7,9 @@
   reads 0) or K1 = -i sin(theta/2) sigma_pump P- (reads 1), with
   P+- = (1 +- S)/2 for the cycle's stabilizer S.  The circuit-level cycle
   with its ancilla, :func:`cooling_cycle_trajectory`, is model and oracle.
-* :func:`syndrome_mc_run`: classical Monte Carlo on stabilizer eigenvalues,
-  valid at any lattice size.  For syndrome-definite initial states the
-  quantum trajectories reduce exactly to this process, which
+* :func:`syndrome_mc_scan`: classical Monte Carlo on stabilizer eigenvalues
+  at any lattice size, one trace per theta.  For syndrome-definite initial
+  states the quantum trajectories reduce exactly to this process, which
   :func:`equivalence_check` certifies statistically.
 
 One cooling cycle flips a violated stabilizer with probability
@@ -17,8 +17,9 @@ sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
 all plaquettes then all stars, each in freshly shuffled order; the Monte
 Carlo resolves each kind's sweep whole, as the unique fixed point of its
 flip rule (:func:`_sweep`), with the draws and flips of a cell-by-cell
-sweep.  Both stochastic engines draw block b of :data:`BLOCK` trajectories
-of a run with seed s from one stream,
+sweep; the theta values of a run share these draws, which do not depend
+on theta, and are swept together.  Both stochastic engines draw block b of
+:data:`BLOCK` trajectories of a run with seed s from one stream,
 ``SeedSequence(entropy=s, spawn_key=(tag, b))`` with tag 0 for the Monte
 Carlo and 1 for the quantum trajectories, and split work over processes in
 whole blocks, so results depend on neither the worker count nor the batch
@@ -32,7 +33,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -54,7 +55,9 @@ TRAJECTORY_QUBIT_CAP = 12
 #: trajectories per RNG stream, for both stochastic engines
 BLOCK = 64
 
-#: Monte Carlo rows x cells swept together, bounding the batch's memory
+#: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
+#: int8 bits (1 MB); one sweep peaks near 63 bytes per row-cell at one
+#: theta, 32 at two (tracemalloc, 64x64 torus, a full batch)
 BATCH_ROW_CELLS = 1 << 20
 
 
@@ -257,6 +260,9 @@ def _sweep(bits, tables, prob, rngs, sizes):
     """One sweep of every row of ``bits``, a block of ``sizes`` rows per
     generator, each kind solved for all rows and positions at once.
 
+    ``bits`` stacks a ``sum(sizes)``-row slice per ``prob`` (a scalar or one
+    per theta); the slices share each kind's draws and the arrays built on them.
+
     A visit flips iff it is a candidate (u < prob) and its cell reads
     excited: its start value, toggled by every flip at an earlier position
     whose other end is that cell.  Flips depend only on earlier flips, so
@@ -264,68 +270,67 @@ def _sweep(bits, tables, prob, rngs, sizes):
     "candidate and excited at the start", each round re-reads where the last
     round's changed flips land and settles one more link of the longest chain.
     """
+    n = sum(sizes)
     for offset, other in tables:
         count = len(other)
         order, u, pick = (np.vstack(d).ravel() for d in zip(*[
             (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
              rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
             for rng, rows in zip(rngs, sizes)]))
-        kind = bits[:, offset:offset + count].flatten()
-        at = np.arange(kind.size)  # flat (row, position), or (row, cell)
+        at = np.arange(order.size)  # flat (row, position), or (row, cell)
         row = at - at % count  # flat start of the row
         cell = row + order  # the visited cell
         pos = np.empty_like(at)
         pos[cell] = at  # where each cell is read
         end = row + other.ravel()[4 * order + pick]  # the picked edge's other end
         read = pos[end]  # where that other end is read
-        cand, start = u < prob, kind[cell] < 0
-        linked = cand & (read > at) & cand[read]  # can change a later candidate's read
-        flips, toggled = cand & start, np.zeros(kind.size, dtype=bool)
-        moved = np.flatnonzero(flips & linked)  # flips whose toggle is not yet read
-        for _ in range(count + 1):
-            if not len(moved):
-                break
-            hit = read[moved]
-            np.logical_xor.at(toggled, hit, True)  # two toggles of one read cancel
-            hit = np.unique(hit)
-            hit = hit[start[hit] ^ toggled[hit] != flips[hit]]
-            flips[hit] = ~flips[hit]
-            moved = hit[linked[hit]]
-        else:
-            raise RuntimeError("syndrome sweep did not reach its fixed point")
-        kind[cell[flips]] *= -1  # each cell is visited once
-        np.negative.at(kind, end[flips])  # an other end may be toggled repeatedly
-        bits[:, offset:offset + count] = kind.reshape(-1, count)
+        later = read > at
+        for k, p in enumerate(np.atleast_1d(prob)):
+            kind = bits[k * n:(k + 1) * n, offset:offset + count].flatten()
+            cand, start = u < p, kind[cell] < 0
+            linked = cand & later & cand[read]  # can change a later candidate's read
+            flips, toggled = cand & start, np.zeros(kind.size, dtype=bool)
+            moved = np.flatnonzero(flips & linked)  # flips whose toggle is not yet read
+            for _ in range(count + 1):
+                if not len(moved):
+                    break
+                hit = read[moved]
+                np.logical_xor.at(toggled, hit, True)  # two toggles of one read cancel
+                hit = np.unique(hit)
+                hit = hit[start[hit] ^ toggled[hit] != flips[hit]]
+                flips[hit] = ~flips[hit]
+                moved = hit[linked[hit]]
+            else:
+                raise RuntimeError("syndrome sweep did not reach its fixed point")
+            kind[cell[flips]] *= -1  # each cell is visited once
+            np.negative.at(kind, end[flips])  # an other end may be toggled repeatedly
+            bits[k * n:(k + 1) * n, offset:offset + count] = kind.reshape(-1, count)
 
 
-def syndrome_mc_step(
-    config: SyndromeConfig, theta: float, rng: np.random.Generator
-) -> SyndromeConfig:
-    """One sweep: every excited plaquette (then star), visited in random
-    order, flips one uniformly random incident edge with probability
-    sin^2(theta/2), toggling the two cells sharing that edge."""
-    bits = np.concatenate([config.plaquette_bits, config.star_bits])[None].astype(np.int8)
-    _sweep(bits, _sweep_tables(config.lattice), flip_probability(theta), [rng], [1])
-    return SyndromeConfig(config.lattice, *np.split(bits[0], [config.lattice.n_plaquettes]))
-
-
-def _mc_energies(lattice, params, blocks, e0=1.0):
+def _mc_scan_energies(lattice, params, blocks, e0=1.0, thetas=()):
+    """(thetas, rows, steps + 1) energies: each batch's initial bits are
+    sampled once and swept at every theta on the same draws."""
     tables = _sweep_tables(lattice)
-    prob = flip_probability(params.theta)
-    per_batch = max(1, BATCH_ROW_CELLS // (BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
+    probs = [flip_probability(theta) for theta in thetas]
+    per_batch = max(1, BATCH_ROW_CELLS
+                    // (len(probs) * BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
     parts = []
     for start in range(0, len(blocks), per_batch):
         batch = blocks[start:start + per_batch]
         rngs = [_stream(params.seed, 0, int(b)) for b in batch]
         rows = _block_rows(params, batch)
-        bits = _sample_bits(lattice, params.q_init, rngs, rows)
+        bits = np.tile(_sample_bits(lattice, params.q_init, rngs, rows), (len(probs), 1))
         out = np.empty((len(bits), params.n_steps + 1))
         out[:, 0] = -e0 * bits.sum(axis=1)
         for step in range(1, params.n_steps + 1):
-            _sweep(bits, tables, prob, rngs, rows)
+            _sweep(bits, tables, probs, rngs, rows)
             out[:, step] = -e0 * bits.sum(axis=1)
-        parts.append(out)
-    return np.vstack(parts)
+        parts.append(out.reshape(len(probs), -1, params.n_steps + 1))
+    return np.concatenate(parts, axis=1)
+
+
+def _mc_energies(lattice, params, blocks, e0=1.0):
+    return _mc_scan_energies(lattice, params, blocks, e0, (params.theta,))[0]
 
 
 # ---------------------------------------------------------------------
@@ -482,13 +487,27 @@ def _fan_out(energies, lattice, params, e0, workers):
         print(f"[rydsim] process pool unavailable ({exc}); running serially",
               file=sys.stderr)
         parts = [run(chunk) for chunk in chunks]
-    return np.vstack(parts)
+    return np.concatenate(parts, axis=-2)
 
 
 def _trace_from_energies(energies, params, engine) -> Trace:
     n, width = energies.shape
     stderr = energies.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(width)
     return Trace(np.arange(width), energies.mean(axis=0), stderr, n, params.theta, engine)
+
+
+def syndrome_mc_scan(
+    lattice: ToricLattice,
+    params: CoolingParams,
+    thetas,
+    e0: float = 1.0,
+    workers: int = 1,
+) -> list[Trace]:
+    """:func:`syndrome_mc_run` at each of ``thetas`` (not ``params.theta``),
+    all swept on one set of draws in one fan-out."""
+    runs = [replace(params, theta=theta) for theta in thetas]
+    energies = _fan_out(partial(_mc_scan_energies, thetas=thetas), lattice, params, e0, workers)
+    return [_trace_from_energies(e, run, "syndrome") for e, run in zip(energies, runs)]
 
 
 def syndrome_mc_run(
@@ -498,8 +517,7 @@ def syndrome_mc_run(
     workers: int = 1,
 ) -> Trace:
     """Mean energy trace of the classical syndrome Monte Carlo."""
-    energies = _fan_out(_mc_energies, lattice, params, e0, workers)
-    return _trace_from_energies(energies, params, "syndrome")
+    return syndrome_mc_scan(lattice, params, [params.theta], e0, workers)[0]
 
 
 def trajectory_run(

@@ -107,6 +107,19 @@ def test_toric_cool_multi_theta_rows(tmp_path):
     assert len(thetas) == 2
 
 
+def test_toric_cool_syndrome_thetas_run_together(tmp_path):
+    # one run over two thetas gives the rows of one run per theta, in order
+    args = ["toric-cool", "--engine", "syndrome", "--lx", "3", "--ly", "3",
+            "--steps", "5", "--trajectories", "150", "--seed", "4"]
+    lines = {}
+    for theta in ("pi,pi/4", "pi", "pi/4"):
+        out = tmp_path / f"{theta.replace('/', '_')}.csv"
+        assert main(args + ["--theta", theta, "--out", str(out)]) == 0
+        lines[theta] = out.read_text().splitlines()
+    assert lines["pi,pi/4"][1:] == lines["pi"][1:] + lines["pi/4"][1:]
+    assert lines["pi,pi/4"][0] == lines["pi"][0] == lines["pi/4"][0]
+
+
 def test_toric_cool_trajectory_engine(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +17,7 @@ from rydsim.cooling import (
     sample_syndrome_config,
     state_from_config,
     syndrome_mc_run,
-    syndrome_mc_step,
+    syndrome_mc_scan,
     trajectory_run,
 )
 from rydsim.errors import CapExceededError
@@ -213,15 +215,23 @@ def test_sampled_config_parity():
             assert config.parity_ok()
 
 
+def _one_row_sweep(config, theta, rng):
+    # one Monte Carlo sweep of a single configuration on ``rng``
+    bits = np.concatenate([config.plaquette_bits, config.star_bits])[None]
+    cooling._sweep(bits, cooling._sweep_tables(config.lattice), flip_probability(theta),
+                   [rng], [1])
+    return SyndromeConfig(config.lattice, *np.split(bits[0], [config.lattice.n_plaquettes]))
+
+
 def test_mc_step_preserves_parity_and_ground():
     rng = np.random.default_rng(4)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
-    out = syndrome_mc_step(config, np.pi, rng)
+    out = _one_row_sweep(config, np.pi, rng)
     assert np.array_equal(out.plaquette_bits, config.plaquette_bits)
     assert np.array_equal(out.star_bits, config.star_bits)
     config = sample_syndrome_config(LATTICE, 0.6, rng)
     for _ in range(30):
-        config = syndrome_mc_step(config, np.pi / 2, rng)
+        config = _one_row_sweep(config, np.pi / 2, rng)
         assert config.parity_ok()
 
 
@@ -240,7 +250,7 @@ def test_adjacent_pair_annihilation_probability():
         )
         config.plaquette_bits[lattice.plaquette_index(1, 1)] = -1
         config.plaquette_bits[lattice.plaquette_index(2, 1)] = -1
-        out = syndrome_mc_step(config, np.pi, rng)
+        out = _one_row_sweep(config, np.pi, rng)
         hits += int(np.all(out.plaquette_bits == 1))
     freq = hits / trials
     assert freq >= 0.25 - 3.0 * np.sqrt(0.25 * 0.75 / trials)
@@ -498,6 +508,28 @@ def test_mc_independent_of_workers_and_batch_size(monkeypatch):
     for run in runs:
         assert np.array_equal(run.mean_energy, serial.mean_energy)
         assert np.array_equal(run.stderr, serial.stderr)
+
+
+@pytest.mark.parametrize("workers,batch_row_cells", [(1, None), (3, None), (1, 1)])
+def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells):
+    # unsorted thetas with a duplicate on 150 trajectories (two full blocks
+    # and a partial one): sweeping them together on one set of draws must
+    # give each theta's own run, made on fresh streams, bit for bit
+    lattice = ToricLattice.build(3, 3)
+    params = CoolingParams(theta=np.pi / 2, n_steps=8, n_trajectories=150,
+                           q_init=0.5, seed=23)
+    thetas = (np.pi / 4, np.pi, np.pi / 2, np.pi / 4)
+    singles = [syndrome_mc_run(lattice, replace(params, theta=theta)) for theta in thetas]
+    if batch_row_cells is not None:
+        monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", batch_row_cells)
+    scan = syndrome_mc_scan(lattice, params, thetas, workers=workers)
+    assert len(scan) == len(thetas)
+    for got, want in zip(scan, singles):
+        assert got.theta == want.theta and got.engine == want.engine == "syndrome"
+        assert got.n_trajectories == want.n_trajectories == 150
+        assert np.array_equal(got.steps, want.steps)
+        assert np.array_equal(got.mean_energy, want.mean_energy)
+        assert np.array_equal(got.stderr, want.stderr)
 
 
 def test_batched_sampler_uniform_over_even_patterns():
