@@ -9,7 +9,6 @@ code at Lindblad, quantum-trajectory and classical syndrome level.
 from .cooling import (
     CoolingParams,
     EquivalenceReport,
-    SyndromeConfig,
     Trace,
     cooling_cycle_trajectory,
     equivalence_check,

@@ -4,8 +4,10 @@ seeded reproducibility, CSV emission.
 Every run is fully determined by its configuration and seed; identical
 config+seed gives byte-identical CSV.  Timestamps and wall time go to
 stderr only.  Exit codes: 0 success, 1 runtime or statistical failure,
-2 usage/configuration error.  The environment variable ``RYDSIM_WORKERS``
-selects the trajectory worker count (default: machine parallelism).
+2 usage/configuration error, also when a runner finds it.  The environment
+variable ``RYDSIM_WORKERS`` sets the worker count of both the quantum
+trajectory and the syndrome Monte Carlo engines (default: machine
+parallelism).
 
 Angles are accepted as multiples of pi ("pi", "pi/2", "0.25pi", "3pi/4")
 or as raw radians.
@@ -90,13 +92,22 @@ def _parse_bool(text) -> bool:
     raise ValueError(f"cannot parse boolean {text!r}")
 
 
+def _list_parser(item):
+    def parse(text) -> list:
+        values = [item(v) for v in str(text).split(",") if v.strip()]
+        if not values:
+            raise ValueError("expected at least one comma-separated value")
+        return values
+    return parse
+
+
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "angle": parse_angle,
-    "anglelist": lambda s: [parse_angle(v) for v in str(s).split(",") if v.strip()],
-    "floatlist": lambda s: [float(v) for v in str(s).split(",") if v.strip()],
+    "anglelist": _list_parser(parse_angle),
+    "floatlist": _list_parser(float),
     "bool": _parse_bool,
     "blockade": _parse_blockade,
 }
@@ -296,7 +307,12 @@ def _workers() -> int:
 
 
 def _run_toric_cool(cfg: ExperimentConfig):
-    lattice = ToricLattice.build(cfg["lx"], cfg["ly"])
+    try:  # a bad lattice or cooling knob is a usage error, found before any run
+        lattice = ToricLattice.build(cfg["lx"], cfg["ly"])
+        runs = [CoolingParams(theta, cfg["steps"], cfg["trajectories"], cfg["q-init"],
+                              cfg["seed"]) for theta in cfg["theta"]]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     workers = _workers()
     status = 0
     if cfg["engine"] == "compare":
@@ -304,15 +320,13 @@ def _run_toric_cool(cfg: ExperimentConfig):
                   "mean_trajectory", "stderr_trajectory", "z"]
         rows = []
         worst = 0.0
-        for theta in cfg["theta"]:
-            params = CoolingParams(theta, cfg["steps"], cfg["trajectories"],
-                                   cfg["q-init"], cfg["seed"])
+        for params in runs:
             rep = equivalence_check(lattice, params, cfg["e0"], workers)
             worst = max(worst, rep.max_z)
             if not rep.passed:
                 status = 1
             for k in range(len(rep.mc.steps)):
-                rows.append([rep.mc.steps[k], theta,
+                rows.append([rep.mc.steps[k], params.theta,
                              rep.mc.mean_energy[k], rep.mc.stderr[k],
                              rep.trajectory.mean_energy[k], rep.trajectory.stderr[k],
                              rep.z_scores[k]])
@@ -322,13 +336,10 @@ def _run_toric_cool(cfg: ExperimentConfig):
     if cfg["engine"] == "lindblad":
         traces = [lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"], cfg["e0"])
                   for theta in cfg["theta"]]
+    elif cfg["engine"] == "syndrome":  # every theta on one set of draws
+        traces = syndrome_mc_scan(lattice, runs[0], cfg["theta"], cfg["e0"], workers)
     else:
-        runs = [CoolingParams(theta, cfg["steps"], cfg["trajectories"], cfg["q-init"],
-                              cfg["seed"]) for theta in cfg["theta"]]
-        if cfg["engine"] == "syndrome":  # every theta on one set of draws
-            traces = syndrome_mc_scan(lattice, runs[0], cfg["theta"], cfg["e0"], workers)
-        else:
-            traces = [trajectory_run(lattice, params, cfg["e0"], workers) for params in runs]
+        traces = [trajectory_run(lattice, params, cfg["e0"], workers) for params in runs]
     rows = [[trace.steps[k], theta, trace.engine, trace.mean_energy[k], trace.stderr[k]]
             for theta, trace in zip(cfg["theta"], traces) for k in range(len(trace.steps))]
     return header, rows, f"final_mean_energy={traces[-1].mean_energy[-1]:.6f}", status
@@ -359,6 +370,8 @@ def _initial_state(init: str, n_qubits: int) -> StateVector:
 
 
 def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
+    if cfg["steps"] < 0:
+        raise ConfigError(f"steps must be non-negative, got {cfg['steps']}")
     circuit = trotterize(h, cfg["tau"], 1, cfg["order"])
     state = _initial_state(cfg["init"], n_qubits)
     obs = _parse_observables(cfg["observables"], n_qubits)
@@ -580,6 +593,9 @@ def main(argv=None) -> int:
     try:
         header, rows, result, status = _RUNNERS[cfg.command](cfg)
         _write_output(header, rows, args.out)
+    except ConfigError as exc:  # bad input a runner finds is still a usage error
+        print(f"rydsim: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic
         print(f"rydsim: {cfg.command} failed: {exc}", file=sys.stderr)
         return 1

@@ -55,6 +55,9 @@ TRAJECTORY_QUBIT_CAP = 12
 #: trajectories per RNG stream, for both stochastic engines
 BLOCK = 64
 
+#: per-step z cut of :func:`equivalence_check`'s verdict
+Z_CUT = 3.0
+
 #: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
 #: int8 bits (1 MB); one sweep peaks near 63 bytes per row-cell at one
 #: theta, 32 at two (tracemalloc, 64x64 torus, a full batch)
@@ -99,7 +102,6 @@ class EquivalenceReport:
     mc: Trace
     trajectory: Trace
     z_scores: np.ndarray
-    z_threshold: float
 
     @property
     def max_z(self) -> float:
@@ -107,7 +109,7 @@ class EquivalenceReport:
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.z_scores <= self.z_threshold))
+        return bool(np.all(self.z_scores <= Z_CUT))
 
 
 def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -199,28 +201,6 @@ def lindblad_integrate(
 # classical syndrome configurations
 # ---------------------------------------------------------------------
 
-@dataclass
-class SyndromeConfig:
-    """Classical +-1 assignment per plaquette and per star.
-
-    On the torus both products are constrained to +1 (anyons come in
-    pairs); every Monte Carlo move preserves the constraint exactly.
-    """
-
-    lattice: ToricLattice
-    plaquette_bits: np.ndarray
-    star_bits: np.ndarray
-
-    def energy(self, e0: float = 1.0) -> float:
-        return -e0 * float(self.plaquette_bits.sum() + self.star_bits.sum())
-
-    def parity_ok(self) -> bool:
-        return (
-            int(np.prod(self.plaquette_bits)) == 1
-            and int(np.prod(self.star_bits)) == 1
-        )
-
-
 def _sample_bits(lattice: ToricLattice, q_init: float, rngs, sizes) -> np.ndarray:
     """(rows, cells) int8 bits of :func:`sample_syndrome_config`, plaquettes
     then stars, a block of ``sizes`` rows per generator."""
@@ -238,11 +218,11 @@ def _sample_bits(lattice: ToricLattice, q_init: float, rngs, sizes) -> np.ndarra
 
 def sample_syndrome_config(
     lattice: ToricLattice, q_init: float, rng: np.random.Generator
-) -> SyndromeConfig:
-    """Stabilizer bits i.i.d. excited with probability q_init, then parity
-    repaired by flipping one uniformly chosen bit per violated product."""
-    bits = _sample_bits(lattice, q_init, [rng], [1])[0]
-    return SyndromeConfig(lattice, *np.split(bits, [lattice.n_plaquettes]))
+) -> np.ndarray:
+    """One int8 row of +-1 bits, plaquettes then stars: each i.i.d. excited
+    with probability q_init, then parity repaired by flipping one uniformly
+    chosen bit per violated product (both products are +1 on the torus)."""
+    return _sample_bits(lattice, q_init, [rng], [1])[0]
 
 
 def _sweep_tables(lattice: ToricLattice):
@@ -351,23 +331,18 @@ def _chain_edges(lattice: ToricLattice, kind: str, i: int, j: int) -> list[int]:
     return edges
 
 
-def state_from_config(
-    config: SyndromeConfig, n_qubits: int | None = None
-) -> StateVector:
-    """A stabilizer eigenstate with exactly the requested syndromes.
+def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
+    """A stabilizer eigenstate with exactly the syndromes ``bits`` (a row of
+    :func:`sample_syndrome_config`: plaquettes, then stars).
 
     Excited cells are paired up and connected by operator chains (Z chains
     move plaquette violations, X chains star violations) applied to the
     ground state; chain overlaps cancel modulo two.
     """
-    lattice = config.lattice
-    n = n_qubits or lattice.n_edges
-    state = toric_ground_state(lattice, n)
-    for kind, bits, letter in (
-        ("plaquette", config.plaquette_bits, "Z"),
-        ("star", config.star_bits, "X"),
-    ):
-        excited = [int(c) for c in np.flatnonzero(bits < 0)]
+    n_p = lattice.n_plaquettes
+    state = toric_ground_state(lattice)
+    for kind, kind_bits, letter in (("plaquette", bits[:n_p], "Z"), ("star", bits[n_p:], "X")):
+        excited = [int(c) for c in np.flatnonzero(kind_bits < 0)]
         if len(excited) % 2:
             raise ValueError("syndrome parity violated; cannot realize state")
         chain: set[int] = set()
@@ -375,7 +350,7 @@ def state_from_config(
             chain ^= set(_chain_edges(lattice, kind, a, b))
         if chain:
             state.apply_string(
-                PauliString.from_sites(n, {e: letter for e in chain})
+                PauliString.from_sites(lattice.n_edges, {e: letter for e in chain})
             )
     return state
 
@@ -386,13 +361,12 @@ def cooling_cycle_trajectory(
     theta: float,
     rng: np.random.Generator,
     kind: str = "plaquette",
-    ancilla: int | None = None,
 ):
     """One ancilla-mediated cooling cycle on a four-spin stabilizer.
 
-    Sequence: map the stabilizer eigenvalue onto the (|0>-prepared)
-    ancilla, apply the controlled pump flip on one of the four spins
-    (uniformly random), unmap, measure the ancilla and pump it back to |0>.
+    Sequence: map the stabilizer eigenvalue onto the ancilla (the top
+    qubit, |0>-prepared), apply the controlled pump flip on one of the four
+    spins (uniformly random), unmap, measure the ancilla, pump it to |0>.
     Ground-sector states are exact fixed points; a violated stabilizer
     flips with probability sin^2(theta/2).  The oracle of the trajectories.
 
@@ -401,8 +375,7 @@ def cooling_cycle_trajectory(
     qubits = tuple(stabilizer_qubits)
     if len(qubits) != 4:
         raise ValueError("stabilizer acts on four spins")
-    if ancilla is None:
-        ancilla = state.n_qubits - 1
+    ancilla = state.n_qubits - 1
     if ancilla in qubits:
         raise ValueError("ancilla overlaps the stabilizer")
     if kind not in ("plaquette", "star"):
@@ -424,7 +397,7 @@ def cooling_cycle_trajectory(
 
 def _initial_trajectory_state(lattice, params, rng, basis_init) -> StateVector:
     if not basis_init:
-        return state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
+        return state_from_config(lattice, sample_syndrome_config(lattice, params.q_init, rng))
     bits = "".join(map(str, rng.integers(0, 2, lattice.n_edges)))  # qubit 0 first
     state = StateVector.basis_state(lattice.n_edges, bits)
     for p in range(lattice.n_plaquettes):
@@ -490,10 +463,10 @@ def _fan_out(energies, lattice, params, e0, workers):
     return np.concatenate(parts, axis=-2)
 
 
-def _trace_from_energies(energies, params, engine) -> Trace:
+def _trace_from_energies(energies, theta, engine) -> Trace:
     n, width = energies.shape
     stderr = energies.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(width)
-    return Trace(np.arange(width), energies.mean(axis=0), stderr, n, params.theta, engine)
+    return Trace(np.arange(width), energies.mean(axis=0), stderr, n, theta, engine)
 
 
 def syndrome_mc_scan(
@@ -505,9 +478,11 @@ def syndrome_mc_scan(
 ) -> list[Trace]:
     """:func:`syndrome_mc_run` at each of ``thetas`` (not ``params.theta``),
     all swept on one set of draws in one fan-out."""
-    runs = [replace(params, theta=theta) for theta in thetas]
+    if not len(thetas):
+        raise ValueError("need at least one theta")
+    runs = [replace(params, theta=theta) for theta in thetas]  # validates each theta
     energies = _fan_out(partial(_mc_scan_energies, thetas=thetas), lattice, params, e0, workers)
-    return [_trace_from_energies(e, run, "syndrome") for e, run in zip(energies, runs)]
+    return [_trace_from_energies(e, run.theta, "syndrome") for e, run in zip(energies, runs)]
 
 
 def syndrome_mc_run(
@@ -533,7 +508,7 @@ def trajectory_run(
     must fit that circuit's register, system + 1 ancilla (the 2x2 torus).
     """
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
-    return _trace_from_energies(energies, params, "trajectory")
+    return _trace_from_energies(energies, params.theta, "trajectory")
 
 
 def equivalence_check(
@@ -541,24 +516,23 @@ def equivalence_check(
     params: CoolingParams,
     e0: float = 1.0,
     workers: int = 1,
-    z_threshold: float = 3.0,
 ) -> EquivalenceReport:
     """Certify the syndrome Monte Carlo against the quantum trajectories.
 
     Both engines start from the same initial syndrome distribution (at
     q_init = 1/2 the quantum side uses a uniformly random computational
     basis state followed by one projective readout of all plaquettes) and
-    their mean energy traces must agree within the combined z threshold at
-    every step.
+    their mean energy traces must agree within :data:`Z_CUT` combined
+    standard errors at every step.
     """
     mc = syndrome_mc_run(lattice, params, e0, workers)
     engine = partial(_trajectory_energies, basis_init=abs(params.q_init - 0.5) < 1e-12)
     qt = _trace_from_energies(_fan_out(engine, lattice, params, e0, workers),
-                              params, "trajectory")
+                              params.theta, "trajectory")
     diff = np.abs(mc.mean_energy - qt.mean_energy)
     sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
-    return EquivalenceReport(mc=mc, trajectory=qt, z_scores=z, z_threshold=z_threshold)
+    return EquivalenceReport(mc=mc, trajectory=qt, z_scores=z)
 
 
 def lindblad_reference_trace(
@@ -574,11 +548,7 @@ def lindblad_reference_trace(
     cooling sweep per time unit.  The excited population decays as
     exp(-gamma t) in closed form.
     """
-    lattice = ToricLattice.build(2, 2)
-    plaq = lattice.plaquettes[0]
-    # standalone plaquette: relabel its four edges to qubits 0..3
-    relabel = {e: k for k, e in enumerate(plaq)}
-    a_p = PauliString.from_sites(4, {relabel[e]: "X" for e in plaq})
+    a_p = PauliString.from_label("XXXX")
     jump = _jump(a_p, PauliString.single(4, 0, "Z"))
     h_local = OperatorSum.from_string(a_p, -e0)
 
@@ -589,17 +559,10 @@ def lindblad_reference_trace(
         q_init * proj_minus / 8.0 + (1.0 - q_init) * proj_plus / 8.0, copy=False
     )
     gamma = flip_probability(theta)
-    energies = np.empty(n_steps + 1)
+    energies = np.empty((1, n_steps + 1))
     rho = rho0
-    energies[0] = rho.expectation(h_local)
+    energies[0, 0] = rho.expectation(h_local)
     for step in range(1, n_steps + 1):
         rho = lindblad_integrate([jump], gamma, rho, 1.0)
-        energies[step] = rho.expectation(h_local)
-    return Trace(
-        steps=np.arange(n_steps + 1),
-        mean_energy=energies,
-        stderr=np.zeros(n_steps + 1),
-        n_trajectories=1,
-        theta=theta,
-        engine="lindblad",
-    )
+        energies[0, step] = rho.expectation(h_local)
+    return _trace_from_energies(energies, theta, "lindblad")

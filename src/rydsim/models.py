@@ -125,13 +125,11 @@ class ToricLattice:
     def plaquette_xy(self, p: int) -> tuple[int, int]:
         return p % self.lx, p // self.lx
 
-    def plaquette_string(self, p: int, n_qubits: int | None = None) -> PauliString:
-        n = n_qubits or self.n_edges
-        return PauliString.from_sites(n, {e: "X" for e in self.plaquettes[p]})
+    def plaquette_string(self, p: int) -> PauliString:
+        return PauliString.from_sites(self.n_edges, {e: "X" for e in self.plaquettes[p]})
 
-    def star_string(self, s: int, n_qubits: int | None = None) -> PauliString:
-        n = n_qubits or self.n_edges
-        return PauliString.from_sites(n, {e: "Z" for e in self.stars[s]})
+    def star_string(self, s: int) -> PauliString:
+        return PauliString.from_sites(self.n_edges, {e: "Z" for e in self.stars[s]})
 
     def shared_edge(self, kind: str, i: int, j: int) -> int:
         """Lowest-index edge shared by two adjacent plaquettes or stars."""
@@ -158,12 +156,11 @@ def build_toric(lx: int, ly: int, e0: float = 1.0):
     return OperatorSum(terms, n).normalized(), lattice
 
 
-def toric_ground_state(lattice: ToricLattice, n_qubits: int | None = None) -> StateVector:
+def toric_ground_state(lattice: ToricLattice) -> StateVector:
     """One toric ground state: project |0...0> onto all A_p = +1 sectors."""
-    n = n_qubits or lattice.n_edges
-    state = StateVector.zero_state(n)
+    state = StateVector.zero_state(lattice.n_edges)
     for p in range(lattice.n_plaquettes):
-        image = state.copy().apply_string(lattice.plaquette_string(p, n))
+        image = state.copy().apply_string(lattice.plaquette_string(p))
         state.amps = 0.5 * (state.amps + image.amps)
     return state.normalize()
 

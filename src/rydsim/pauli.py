@@ -314,14 +314,11 @@ class OperatorSum:
         self._normalized = result
         return result
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        """Term-by-term check: all normalized coefficients real within tol."""
-        if tol == 1e-10 and self._hermitian is not None:
-            return self._hermitian
-        result = all(abs(c.imag) <= tol for c, _ in self.normalized())
-        if tol == 1e-10:
-            self._hermitian = result
-        return result
+    def is_hermitian(self) -> bool:
+        """Term-by-term check: all normalized coefficients real within 1e-10."""
+        if self._hermitian is None:
+            self._hermitian = all(abs(c.imag) <= 1e-10 for c, _ in self.normalized())
+        return self._hermitian
 
     def max_weight(self) -> int:
         return max((s.weight for _, s in self.normalized()), default=0)

@@ -259,7 +259,7 @@ def _overlap_fidelity(u: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.trace(target.conj().T @ u)) / 2.0)
 
 
-def gate_fidelity(profile: PulseProfile, area_tol: float = 1e-6):
+def gate_fidelity(profile: PulseProfile):
     """(f_zero, f_rydberg) of a calibrated (area = pi) pulse.
 
     f_zero measures transparency of the idle branch against the identity;
@@ -267,7 +267,7 @@ def gate_fidelity(profile: PulseProfile, area_tol: float = 1e-6):
     are evaluated up to a global phase and lie in [0, 1].
     """
     area = raman_area(profile)
-    if abs(area - math.pi) > area_tol:
+    if abs(area - math.pi) > 1e-6:
         raise ValueError(
             f"profile not calibrated: Raman area {area:.8f} != pi "
             "(use calibrate_area or calibrate_duration)"

@@ -174,17 +174,15 @@ def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generat
     return outcome, state, prob
 
 
-def exact_propagator(h: OperatorSum, t: float, n_qubits: int | None = None) -> np.ndarray:
+def exact_propagator(h: OperatorSum, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition (oracle path, n <= 10)."""
-    if n_qubits is None:
-        n_qubits = h.n_qubits
-    if n_qubits > PROPAGATOR_QUBIT_CAP:
+    if h.n_qubits > PROPAGATOR_QUBIT_CAP:
         raise CapExceededError(
             f"exact propagator capped at {PROPAGATOR_QUBIT_CAP} qubits"
         )
     if not h.is_hermitian():
         raise ValueError("propagator requires a Hermitian Hamiltonian")
-    w, v = np.linalg.eigh(h.to_matrix(n_qubits))
+    w, v = np.linalg.eigh(h.to_matrix())
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

@@ -5,8 +5,7 @@ realizes it: four-body X/Z terms become plaquette/star steps (gate-framed
 control rotations), two-body XX/YY/ZZ terms become Heisenberg steps,
 three-body hopping terms become the Hadamard-framed gate sequence, and
 anything else falls back to a generic Pauli exponential.  Gates inside a
-step are emitted in a fixed deterministic order and carry a greedy
-sublattice coloring as metadata (execution is sequential).
+step are emitted in a fixed deterministic order and run sequentially.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ class Gate:
     qubits: tuple[int, ...]
     param: float
     string: PauliString | None = None
-    origin: str = ""
-    color: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,36 +59,18 @@ def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
     c = coeff.real
     support = string.support()
     letters = "".join(string.letter(q) for q in support)
-    origin = f"{string.to_label()}"
     if letters == "XXXX":
-        return Gate("plaquette", support, -tau * c, origin=origin)
+        return Gate("plaquette", support, -tau * c)
     if letters == "ZZZZ":
-        return Gate("star", support, -tau * c, origin=origin)
+        return Gate("star", support, -tau * c)
     if letters in ("XX", "YY", "ZZ"):
-        return Gate(letters.lower(), support, -2.0 * tau * c, origin=origin)
+        return Gate(letters.lower(), support, -2.0 * tau * c)
     if len(letters) == 3 and sorted(letters) in (["X", "X", "Z"], ["Y", "Y", "Z"]):
         z_site = support[letters.index("Z")]
         hop = tuple(q for q in support if q != z_site)
         kind = "hop_xxz" if "X" in letters else "hop_yyz"
-        return Gate(kind, (*hop, z_site), -tau * c, origin=origin)
-    return Gate("exp_pauli", support, -tau * c, string=string, origin=origin)
-
-
-def _color_gates(step_gates: list[Gate]) -> list[Gate]:
-    """Greedy sublattice coloring: gates of one color act on disjoint qubits."""
-    used: list[set[int]] = []
-    colored = []
-    for g in step_gates:
-        qubits = set(g.qubits)
-        for color, occupied in enumerate(used):
-            if not occupied & qubits:
-                occupied |= qubits
-                break
-        else:
-            color = len(used)
-            used.append(set(qubits))
-        colored.append(Gate(g.kind, g.qubits, g.param, g.string, g.origin, color))
-    return colored
+        return Gate(kind, (*hop, z_site), -tau * c)
+    return Gate("exp_pauli", support, -tau * c, string=string)
 
 
 def trotterize(h: OperatorSum, tau: float, n_steps: int, order: int = 1) -> Circuit:
@@ -111,11 +90,10 @@ def trotterize(h: OperatorSum, tau: float, n_steps: int, order: int = 1) -> Circ
     if order == 1:
         step = [_term_to_gate(c, s, tau) for c, s in terms]
         step.sort(key=lambda g: (_KIND_RANK[g.kind], g.qubits))
-        step = _color_gates(step)
     else:
         half = [_term_to_gate(c, s, tau / 2.0) for c, s in terms]
         half.sort(key=lambda g: (_KIND_RANK[g.kind], g.qubits))
-        step = _color_gates(half + half[::-1])
+        step = half + half[::-1]
     return Circuit(h.n_qubits, tuple(step) * n_steps)
 
 
@@ -154,8 +132,8 @@ def compile_hopping_term(
     n = max(i, j, string_site) + 1
     phi = t_hop * tau
     gates = (
-        Gate("hop_xxz", (i, j, string_site), phi, origin="hopping XX part"),
-        Gate("hop_yyz", (i, j, string_site), phi, origin="hopping YY part"),
+        Gate("hop_xxz", (i, j, string_site), phi),
+        Gate("hop_yyz", (i, j, string_site), phi),
     )
     return Circuit(n, gates)
 

@@ -43,6 +43,14 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
+def with_ancilla(state):
+    """``state`` with one more, top qubit in |0>: the register of the
+    circuit-level cooling cycle, whose ancilla is the top qubit."""
+    from rydsim.statevec import StateVector
+
+    return StateVector(np.concatenate([state.amps, np.zeros_like(state.amps)]), copy=False)
+
+
 def random_label(rng, n_qubits: int) -> str:
     return "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
 
@@ -150,16 +158,15 @@ def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=Fa
                 for p in range(lattice.n_plaquettes):
                     measure_projector(system, lattice.plaquette_string(p), rng)
             else:
-                system = state_from_config(sample_syndrome_config(lattice, params.q_init, rng))
-            amps = np.zeros(2 << n_sys, dtype=complex)
-            amps[: 1 << n_sys] = system.amps  # ancilla starts in |0>
-            state = StateVector(amps, copy=False)
+                system = state_from_config(
+                    lattice, sample_syndrome_config(lattice, params.q_init, rng))
+            state = with_ancilla(system)
             energies = [state.expectation(h)]
             for _ in range(params.n_steps):
                 for cells, kind in sweep:
                     for c in rng.permutation(len(cells)):
                         cooling_cycle_trajectory(state, cells[c], params.theta, rng,
-                                                 kind=kind, ancilla=n_sys)
+                                                 kind=kind)
                 energies.append(state.expectation(h))
             out.append(energies)
     return np.array(out)

@@ -41,7 +41,7 @@ from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector, exact_propagator
 from rydsim.trotter import Circuit, Gate, circuit_matrix, run, trotterize
 
-from oracles import expm_hermitian, label_matrix, random_label
+from oracles import expm_hermitian, label_matrix, random_label, with_ancilla
 
 
 def report(number: int, description: str, ok: bool, detail: str, started: float):
@@ -216,7 +216,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
     rng = np.random.default_rng(107)
 
     # (a) every cooling cycle leaves ground states exactly invariant
-    gs = toric_ground_state(lattice, 9)
+    gs = with_ancilla(toric_ground_state(lattice))
     loop = PauliString.from_sites(
         9, {lattice.plaquettes[0][0]: "X", lattice.plaquettes[1][0]: "X"}
     )  # non-contractible X loop along row 0: a second ground state
@@ -227,7 +227,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
             for cell in cells:
                 state = state0.copy()
                 _, flipped = cooling_cycle_trajectory(
-                    state, cell, np.pi / 2, rng, kind=kind, ancilla=8
+                    state, cell, np.pi / 2, rng, kind=kind
                 )
                 defect = max(defect, 1.0 - abs(state.inner(state0)), float(flipped))
 

@@ -210,9 +210,10 @@ def test_dump_hamiltonian_round_trip(tmp_path):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    # degenerate lattice dims are a runtime error, not a usage error
-    status = main(["toric-cool", "--lx", "1", "--ly", "4", "--theta", "pi",
-                   "--steps", "1", "--trajectories", "1", "--out", "-"])
+    # a lattice beyond the trajectory cap is a runtime error, not a usage error
+    status = main(["toric-cool", "--lx", "3", "--ly", "2", "--theta", "pi",
+                   "--steps", "1", "--trajectories", "1", "--engine", "trajectory",
+                   "--out", "-"])
     assert status == 1
     assert "failed" in capsys.readouterr().err
 
@@ -227,7 +228,41 @@ def test_invalid_angle_flag(tmp_path, capsys):
 def test_invalid_observable(tmp_path, capsys):
     status = main(["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1",
                    "--steps", "1", "--observables", "q9"])
-    assert status == 1
+    assert status == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric-cool", "--lx", "2", "--ly", "2", "--theta", ",", "--steps", "1",
+     "--trajectories", "1"],
+    ["gate-fidelity", "--durations", ","],
+])
+def test_empty_list_is_usage_error(capsys, argv):
+    assert main(argv + ["--out", "-"]) == 2
+    assert "at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1", "--steps", "1",
+     "--init", "0101"],
+    ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1", "--steps", "1",
+     "--observables", "z99"],
+    ["heisenberg", "--lx", "2", "--tau", "0.1", "--steps", "-2"],
+])
+def test_evolution_input_errors_are_usage_errors(capsys, argv):
+    assert main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("rydsim: error:")
+
+
+@pytest.mark.parametrize("flag,value", [("theta", "4"), ("steps", "-1"),
+                                        ("trajectories", "0"), ("lx", "1")])
+@pytest.mark.parametrize("engine", ["syndrome", "compare"])
+def test_toric_cool_bad_knob_is_usage_error(capsys, flag, value, engine):
+    values = {"lx": "2", "ly": "2", "theta": "pi", "steps": "1", "trajectories": "1"}
+    values[flag] = value
+    argv = ["toric-cool", "--engine", engine, "--out", "-"]
+    argv += [arg for name, v in values.items() for arg in (f"--{name}", v)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("rydsim: error:")
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])

@@ -7,7 +7,8 @@ from scipy import stats
 from rydsim import cooling
 from rydsim.cooling import (
     CoolingParams,
-    SyndromeConfig,
+    EquivalenceReport,
+    Trace,
     cooling_cycle_trajectory,
     equivalence_check,
     jump_operator_plaquette,
@@ -27,11 +28,17 @@ from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
 from oracles import (sweep_loop_reference, syndrome_mc_reference,
-                     trajectory_energies_reference)
+                     trajectory_energies_reference, with_ancilla)
 
 
 LATTICE = ToricLattice.build(2, 2)
 H_TORIC, _ = build_toric(2, 2)
+
+
+def _parity_ok(bits, lattice=LATTICE):
+    # both stabilizer products of a row of syndrome bits are +1
+    n_p = lattice.n_plaquettes
+    return int(np.prod(bits[:n_p])) == 1 and int(np.prod(bits[n_p:])) == 1
 
 
 # -- jump operators ----------------------------------------------------------
@@ -153,18 +160,18 @@ def test_small_theta_rate_scales_as_theta_squared():
 
 def test_ground_state_is_exact_fixed_point_of_every_cycle():
     rng = np.random.default_rng(0)
-    gs = toric_ground_state(LATTICE, 9)
+    gs = with_ancilla(toric_ground_state(LATTICE))
     for p in range(LATTICE.n_plaquettes):
         state = gs.copy()
         _, flipped = cooling_cycle_trajectory(
-            state, LATTICE.plaquettes[p], np.pi, rng, kind="plaquette", ancilla=8
+            state, LATTICE.plaquettes[p], np.pi, rng, kind="plaquette"
         )
         assert not flipped
         assert 1.0 - abs(state.inner(gs)) < 1e-10
     for s in range(LATTICE.n_stars):
         state = gs.copy()
         _, flipped = cooling_cycle_trajectory(
-            state, LATTICE.stars[s], np.pi, rng, kind="star", ancilla=8
+            state, LATTICE.stars[s], np.pi, rng, kind="star"
         )
         assert not flipped
         assert 1.0 - abs(state.inner(gs)) < 1e-10
@@ -173,14 +180,14 @@ def test_ground_state_is_exact_fixed_point_of_every_cycle():
 def test_theta_pi_flips_excited_plaquette_with_certainty():
     rng = np.random.default_rng(1)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
-    config.plaquette_bits[0] = config.plaquette_bits[1] = -1
-    state = state_from_config(config, 9)
+    config[0] = config[1] = -1  # plaquettes 0 and 1
+    state = with_ancilla(state_from_config(LATTICE, config))
     _, flipped = cooling_cycle_trajectory(
-        state, LATTICE.plaquettes[0], np.pi, rng, kind="plaquette", ancilla=8
+        state, LATTICE.plaquettes[0], np.pi, rng, kind="plaquette"
     )
     assert flipped
     assert state.expectation_string(
-        LATTICE.plaquette_string(0, 9)
+        LATTICE.plaquette_string(0).padded(9)
     ).real == pytest.approx(1.0)
 
 
@@ -190,14 +197,14 @@ def test_cycle_flip_frequency_binomial():
     theta = 0.2
     p_flip = flip_probability(theta)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
-    config.plaquette_bits[0] = config.plaquette_bits[1] = -1
-    base = state_from_config(config, 9)
+    config[0] = config[1] = -1  # plaquettes 0 and 1
+    base = with_ancilla(state_from_config(LATTICE, config))
     n_cycles = 10_000
     flips = 0
     for _ in range(n_cycles):
         state = base.copy()
         _, flipped = cooling_cycle_trajectory(
-            state, LATTICE.plaquettes[0], theta, rng, kind="plaquette", ancilla=8
+            state, LATTICE.plaquettes[0], theta, rng, kind="plaquette"
         )
         flips += flipped
     sigma = np.sqrt(n_cycles * p_flip * (1 - p_flip))
@@ -212,27 +219,27 @@ def test_sampled_config_parity():
     for q in (0.0, 0.3, 0.5, 1.0):
         for _ in range(50):
             config = sample_syndrome_config(LATTICE, q, rng)
-            assert config.parity_ok()
+            assert _parity_ok(config)
 
 
-def _one_row_sweep(config, theta, rng):
-    # one Monte Carlo sweep of a single configuration on ``rng``
-    bits = np.concatenate([config.plaquette_bits, config.star_bits])[None]
-    cooling._sweep(bits, cooling._sweep_tables(config.lattice), flip_probability(theta),
+def _one_row_sweep(lattice, config, theta, rng):
+    # one Monte Carlo sweep of a single row of syndrome bits on ``rng``
+    bits = config.copy()[None]
+    cooling._sweep(bits, cooling._sweep_tables(lattice), flip_probability(theta),
                    [rng], [1])
-    return SyndromeConfig(config.lattice, *np.split(bits[0], [config.lattice.n_plaquettes]))
+    return bits[0]
 
 
 def test_mc_step_preserves_parity_and_ground():
     rng = np.random.default_rng(4)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
-    out = _one_row_sweep(config, np.pi, rng)
-    assert np.array_equal(out.plaquette_bits, config.plaquette_bits)
-    assert np.array_equal(out.star_bits, config.star_bits)
+    out = _one_row_sweep(LATTICE, config, np.pi, rng)
+    assert np.array_equal(out[:4], config[:4])
+    assert np.array_equal(out[4:], config[4:])
     config = sample_syndrome_config(LATTICE, 0.6, rng)
     for _ in range(30):
-        config = _one_row_sweep(config, np.pi / 2, rng)
-        assert config.parity_ok()
+        config = _one_row_sweep(LATTICE, config, np.pi / 2, rng)
+        assert _parity_ok(config)
 
 
 def test_adjacent_pair_annihilation_probability():
@@ -243,15 +250,11 @@ def test_adjacent_pair_annihilation_probability():
     hits = 0
     trials = 4000
     for _ in range(trials):
-        config = SyndromeConfig(
-            lattice,
-            np.ones(16, dtype=np.int8),
-            np.ones(16, dtype=np.int8),
-        )
-        config.plaquette_bits[lattice.plaquette_index(1, 1)] = -1
-        config.plaquette_bits[lattice.plaquette_index(2, 1)] = -1
-        out = _one_row_sweep(config, np.pi, rng)
-        hits += int(np.all(out.plaquette_bits == 1))
+        config = np.ones(32, dtype=np.int8)  # 16 plaquettes, then 16 stars
+        config[lattice.plaquette_index(1, 1)] = -1
+        config[lattice.plaquette_index(2, 1)] = -1
+        out = _one_row_sweep(lattice, config, np.pi, rng)
+        hits += int(np.all(out[:16] == 1))
     freq = hits / trials
     assert freq >= 0.25 - 3.0 * np.sqrt(0.25 * 0.75 / trials)
 
@@ -261,16 +264,34 @@ def test_state_from_config_realizes_syndromes():
     h = H_TORIC
     for _ in range(25):
         config = sample_syndrome_config(LATTICE, 0.5, rng)
-        state = state_from_config(config)
-        assert state.expectation(h) == pytest.approx(config.energy(), abs=1e-9)
+        state = state_from_config(LATTICE, config)
+        assert state.expectation(h) == pytest.approx(-float(config.sum()), abs=1e-9)
         for p in range(4):
             assert state.expectation_string(
                 LATTICE.plaquette_string(p)
-            ).real == pytest.approx(float(config.plaquette_bits[p]))
+            ).real == pytest.approx(float(config[p]))
         for s in range(4):
             assert state.expectation_string(
                 LATTICE.star_string(s)
-            ).real == pytest.approx(float(config.star_bits[s]))
+            ).real == pytest.approx(float(config[4 + s]))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_state_from_config_realizes_syndromes_non_square(shape):
+    # 12 qubits: the chains pair excitations along x, then along y
+    rng = np.random.default_rng(31)
+    h, lattice = build_toric(*shape)
+    n_p = lattice.n_plaquettes
+    for _ in range(10):
+        config = sample_syndrome_config(lattice, 0.5, rng)
+        state = state_from_config(lattice, config)
+        assert state.expectation(h) == pytest.approx(-float(config.sum()), abs=1e-9)
+        for p in range(n_p):
+            assert state.expectation_string(
+                lattice.plaquette_string(p)).real == pytest.approx(float(config[p]))
+        for s in range(lattice.n_stars):
+            assert state.expectation_string(
+                lattice.star_string(s)).real == pytest.approx(float(config[n_p + s]))
 
 
 def test_mc_run_ground_start_is_flat():
@@ -354,8 +375,8 @@ def test_trajectory_matches_lindblad_small_theta():
     n_traj, n_cycles = 400, 50
     rng = np.random.default_rng(rng_master)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
-    config.plaquette_bits[0] = config.plaquette_bits[1] = -1
-    base = state_from_config(config, 9)
+    config[0] = config[1] = -1  # plaquettes 0 and 1
+    base = with_ancilla(state_from_config(LATTICE, config))
     excited = np.zeros(n_cycles + 1)
     excited[0] = n_traj
     for k in range(n_traj):
@@ -365,7 +386,7 @@ def test_trajectory_matches_lindblad_small_theta():
             if alive:
                 _, flipped = cooling_cycle_trajectory(
                     state, LATTICE.plaquettes[0], theta, rng,
-                    kind="plaquette", ancilla=8,
+                    kind="plaquette",
                 )
                 alive = not flipped
             excited[cycle] += alive
@@ -434,7 +455,7 @@ def test_two_outcome_map_is_the_circuit_cycle(kind):
         for u, k in ((0.0, k0), (1.0 - 1e-9, k1)):
             state = StateVector(np.concatenate([psi, np.zeros(1 << n)]))
             _, flipped = cooling_cycle_trajectory(state, cells[0], theta, _ScriptedRng(pick, u),
-                                                  kind=kind, ancilla=n)
+                                                  kind=kind)
             assert flipped == (k is k1)
             want = k @ psi
             assert np.allclose(state.amps[: 1 << n], want / np.linalg.norm(want), atol=1e-12)
@@ -457,6 +478,15 @@ def test_equivalence_degenerate_ground_start():
     assert report.max_z == 0.0
     assert np.allclose(report.mc.mean_energy, -8.0)
     assert np.allclose(report.trajectory.mean_energy, -8.0)
+
+
+def test_equivalence_verdict_cuts_at_three_sigma():
+    # the CLI's compare verdict; bench/checks.py cross-checks the same 3.0
+    trace = Trace(np.arange(2), np.zeros(2), np.ones(2), 10, np.pi, "syndrome")
+    at_cut = EquivalenceReport(trace, trace, np.array([0.5, 3.0]))
+    assert at_cut.max_z == 3.0 and at_cut.passed
+    above = EquivalenceReport(trace, trace, np.array([0.5, 3.0 + 1e-9]))
+    assert not above.passed
 
 
 # -- lindblad reference engine ---------------------------------------------------
@@ -532,6 +562,13 @@ def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells)
         assert np.array_equal(got.stderr, want.stderr)
 
 
+@pytest.mark.parametrize("thetas", [(), np.empty(0)])
+def test_mc_scan_rejects_empty_thetas(thetas):
+    params = CoolingParams(theta=np.pi, n_steps=2, n_trajectories=4)
+    with pytest.raises(ValueError, match="at least one theta"):
+        syndrome_mc_scan(LATTICE, params, thetas)
+
+
 def test_batched_sampler_uniform_over_even_patterns():
     # at q = 1/2 the parity repair maps the 16 patterns of a kind's four bits
     # uniformly onto the 8 even ones; a chi-square test with 7 degrees of
@@ -558,7 +595,7 @@ def test_batched_sampler_ground_and_parity(shape):
         bits = cooling._sample_bits(lattice, q, rngs, [64, 64, 22])
         assert bits.shape == (150, 2 * n_p)
         for row in bits:
-            assert SyndromeConfig(lattice, row[:n_p], row[n_p:]).parity_ok()
+            assert _parity_ok(row, lattice)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (8, 8)])
@@ -587,7 +624,7 @@ def test_sweep_matches_position_loop(monkeypatch, shape, theta, q_init):
 
 @pytest.mark.parametrize("kind", ["plaquettes", "Star"])
 def test_cooling_cycle_rejects_unknown_kind(kind):
-    state = toric_ground_state(LATTICE, 9)
+    state = with_ancilla(toric_ground_state(LATTICE))
     with pytest.raises(ValueError, match="'plaquette' or 'star'"):
         cooling_cycle_trajectory(state, LATTICE.plaquettes[0], np.pi,
-                                 np.random.default_rng(0), kind=kind, ancilla=8)
+                                 np.random.default_rng(0), kind=kind)

@@ -127,18 +127,6 @@ def test_determinism_byte_for_byte():
     assert pickle.dumps(a) == pickle.dumps(b)
 
 
-def test_coloring_partitions_disjoint_supports():
-    h, _ = build_toric(2, 2)
-    circuit = trotterize(h, 0.3, 1)
-    by_color = {}
-    for g in circuit.gates:
-        by_color.setdefault(g.color, []).append(set(g.qubits))
-    for groups in by_color.values():
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                assert not groups[i] & groups[j]
-
-
 def test_non_hermitian_term_rejected():
     h = OperatorSum([(1j, PauliString.from_label("XX"))])
     with pytest.raises(UnmappedTermError):
