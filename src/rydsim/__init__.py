@@ -19,7 +19,6 @@ from .cooling import (
     sample_syndrome_config,
     state_from_config,
     syndrome_mc_run,
-    syndrome_mc_scan,
     trajectory_run,
 )
 from .errors import (

@@ -30,7 +30,7 @@ from .cooling import (
     CoolingParams,
     equivalence_check,
     lindblad_reference_trace,
-    syndrome_mc_scan,
+    syndrome_mc_run,
     trajectory_run,
 )
 from .fock import hubbard_matrix, spectrum
@@ -306,43 +306,41 @@ def _workers() -> int:
     return workers
 
 
-def _run_toric_cool(cfg: ExperimentConfig):
-    try:  # a bad lattice or cooling knob is a usage error, found before any run
-        lattice = ToricLattice.build(cfg["lx"], cfg["ly"])
-        runs = [CoolingParams(theta, cfg["steps"], cfg["trajectories"], cfg["q-init"],
-                              cfg["seed"]) for theta in cfg["theta"]]
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for a runner's lattice, spec or profile:
+    the ValueError of bad input there is a usage error, found before any run."""
+    try:
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _run_toric_cool(cfg: ExperimentConfig):
+    lattice = _checked(ToricLattice.build, cfg["lx"], cfg["ly"])
+    params = _checked(CoolingParams, tuple(cfg["theta"]), cfg["steps"], cfg["trajectories"],
+                      cfg["q-init"], cfg["seed"])
     workers = _workers()
-    status = 0
     if cfg["engine"] == "compare":
         header = ["step", "theta", "mean_syndrome", "stderr_syndrome",
                   "mean_trajectory", "stderr_trajectory", "z"]
-        rows = []
-        worst = 0.0
-        for params in runs:
-            rep = equivalence_check(lattice, params, cfg["e0"], workers)
-            worst = max(worst, rep.max_z)
-            if not rep.passed:
-                status = 1
-            for k in range(len(rep.mc.steps)):
-                rows.append([rep.mc.steps[k], params.theta,
-                             rep.mc.mean_energy[k], rep.mc.stderr[k],
-                             rep.trajectory.mean_energy[k], rep.trajectory.stderr[k],
-                             rep.z_scores[k]])
+        reports = equivalence_check(lattice, params, cfg["e0"], workers)
+        rows = [[rep.mc.steps[k], rep.mc.theta, rep.mc.mean_energy[k], rep.mc.stderr[k],
+                 rep.trajectory.mean_energy[k], rep.trajectory.stderr[k], rep.z_scores[k]]
+                for rep in reports for k in range(len(rep.mc.steps))]
+        status = 0 if all(rep.passed for rep in reports) else 1
+        worst = max(rep.max_z for rep in reports)
         result = f"max_z={worst:.3f} ({'ok' if status == 0 else '3-sigma failure'})"
         return header, rows, result, status
     header = ["step", "theta", "engine", "mean_energy", "stderr"]
     if cfg["engine"] == "lindblad":
         traces = [lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"], cfg["e0"])
-                  for theta in cfg["theta"]]
-    elif cfg["engine"] == "syndrome":  # every theta on one set of draws
-        traces = syndrome_mc_scan(lattice, runs[0], cfg["theta"], cfg["e0"], workers)
+                  for theta in params.thetas]
     else:
-        traces = [trajectory_run(lattice, params, cfg["e0"], workers) for params in runs]
-    rows = [[trace.steps[k], theta, trace.engine, trace.mean_energy[k], trace.stderr[k]]
-            for theta, trace in zip(cfg["theta"], traces) for k in range(len(trace.steps))]
-    return header, rows, f"final_mean_energy={traces[-1].mean_energy[-1]:.6f}", status
+        run = syndrome_mc_run if cfg["engine"] == "syndrome" else trajectory_run
+        traces = run(lattice, params, cfg["e0"], workers)
+    rows = [[trace.steps[k], trace.theta, trace.engine, trace.mean_energy[k], trace.stderr[k]]
+            for trace in traces for k in range(len(trace.steps))]
+    return header, rows, f"final_mean_energy={traces[-1].mean_energy[-1]:.6f}", 0
 
 
 def _parse_observables(text: str, n_qubits: int):
@@ -390,15 +388,20 @@ def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
 
 
 def _run_toric_evolve(cfg: ExperimentConfig):
-    h, lattice = build_toric(cfg["lx"], cfg["ly"], cfg["e0"])
+    h, lattice = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
     return _evolution_rows(h, lattice.n_edges, cfg)
 
 
-def _run_heisenberg(cfg: ExperimentConfig):
+def _heisenberg(cfg: ExperimentConfig):
+    """(H, n_qubits) of the Heisenberg grid."""
     n = cfg["lx"] * cfg["ly"]
-    adjacency = grid_adjacency(cfg["lx"], cfg["ly"])
-    h = build_heisenberg(adjacency, cfg["jx"], cfg["jy"], cfg["jz"],
-                         cfg["field"], n_qubits=n)
+    adjacency = _checked(grid_adjacency, cfg["lx"], cfg["ly"])
+    return build_heisenberg(adjacency, cfg["jx"], cfg["jy"], cfg["jz"],
+                            cfg["field"], n_qubits=n), n
+
+
+def _run_heisenberg(cfg: ExperimentConfig):
+    h, n = _heisenberg(cfg)
     total_z = OperatorSum(
         [(1.0, PauliString.single(n, q, "Z")) for q in range(n)], n
     )
@@ -406,8 +409,8 @@ def _run_heisenberg(cfg: ExperimentConfig):
 
 
 def _hubbard_spec(cfg: ExperimentConfig) -> HubbardSpec:
-    return HubbardSpec(cfg["lx"], cfg["ly"], cfg["t"], cfg["u"],
-                       cfg["v-aux"], cfg["spinful"])
+    return _checked(HubbardSpec, cfg["lx"], cfg["ly"], cfg["t"], cfg["u"],
+                    cfg["v-aux"], cfg["spinful"])
 
 
 def _sector_table(spec: HubbardSpec, matrix):
@@ -431,12 +434,12 @@ def _run_hubbard_spectrum(cfg: ExperimentConfig):
     spec = _hubbard_spec(cfg)
     encoding = cfg["encoding"]
     if encoding == "local":
+        shift = -spec.v_aux * _checked(aux_pair_count, spec)  # checks the aux geometry
         w_jw = np.sort(np.linalg.eigvalsh(build_hubbard_jw(spec).to_matrix()))
         w_local = constrained_local_spectrum(spec)
         if len(w_local) % len(w_jw):
             raise RuntimeError("constrained sector dimension mismatch")
         free = len(w_local) // len(w_jw)
-        shift = -spec.v_aux * aux_pair_count(spec)
         dedup = w_local[::free]
         header = ["index", "eigenvalue_jw", "eigenvalue_local_shifted", "abs_delta"]
         rows = []
@@ -479,18 +482,17 @@ def _run_hubbard_spectrum(cfg: ExperimentConfig):
 
 
 def _run_gate_fidelity(cfg: ExperimentConfig):
-    from .pulse import PulseProfile, calibrate_area, evolve_pulse, gate_fidelity
+    from .pulse import PulseProfile, calibrate_area, gate_fidelity
 
     header = ["T", "x_max", "V", "f_zero", "f_rydberg", "leak_R"]
     rows = []
     for duration in cfg["durations"]:
-        profile = PulseProfile.sin2(
-            x_max=cfg["x-max"], duration=duration,
+        profile = _checked(
+            PulseProfile.sin2, x_max=cfg["x-max"], duration=duration,
             omega_c=cfg["omega-c"], delta=cfg["delta"], blockade=cfg["blockade"],
         )
-        profile = calibrate_area(profile, cfg["area"])
-        f_zero, f_rydberg = gate_fidelity(profile)
-        leak = evolve_pulse(profile, "zero").leak_r
+        profile = _checked(calibrate_area, profile, cfg["area"])
+        f_zero, f_rydberg, leak = gate_fidelity(profile)
         rows.append([duration, profile.x_max, profile.blockade,
                      f_zero, f_rydberg, leak])
     return header, rows, f"f_zero_last={rows[-1][3]:.6f}", 0
@@ -499,18 +501,13 @@ def _run_gate_fidelity(cfg: ExperimentConfig):
 def _run_dump_hamiltonian(cfg: ExperimentConfig):
     model = cfg["model"]
     if model == "toric":
-        h, _ = build_toric(cfg["lx"], cfg["ly"], cfg["e0"])
+        h, _ = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
     elif model == "heisenberg":
-        n = cfg["lx"] * cfg["ly"]
-        h = build_heisenberg(grid_adjacency(cfg["lx"], cfg["ly"]),
-                             cfg["jx"], cfg["jy"], cfg["jz"], cfg["field"],
-                             n_qubits=n)
-    elif model == "hubbard-jw":
-        h = build_hubbard_jw(_hubbard_spec(cfg))
-    elif model == "hubbard-local":
-        h = build_hubbard_local(_hubbard_spec(cfg))
+        h, _ = _heisenberg(cfg)
     else:
-        h = build_aux_hamiltonian(_hubbard_spec(cfg))
+        build = {"hubbard-jw": build_hubbard_jw, "hubbard-local": build_hubbard_local,
+                 "aux": build_aux_hamiltonian}[model]
+        h = _checked(build, _hubbard_spec(cfg))
     text = format_operator(h)
     n_terms = len(h.normalized())
     return None, text, f"terms={n_terms}", 0
@@ -580,7 +577,9 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as fh:
                 file_values = _parse_config_text(fh.read())
-            file_values.pop("command", None)
+            command = file_values.pop("command", args.command)
+            if command != args.command:
+                raise ConfigError(f"config file is for {command!r}, not {args.command!r}")
         flags = {p.name: getattr(args, p.name) for p in COMMANDS[args.command]}
         cfg = ExperimentConfig(
             args.command, _resolve_values(args.command, file_values, flags)

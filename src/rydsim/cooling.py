@@ -7,10 +7,13 @@
   reads 0) or K1 = -i sin(theta/2) sigma_pump P- (reads 1), with
   P+- = (1 +- S)/2 for the cycle's stabilizer S.  The circuit-level cycle
   with its ancilla, :func:`cooling_cycle_trajectory`, is model and oracle.
-* :func:`syndrome_mc_scan`: classical Monte Carlo on stabilizer eigenvalues
-  at any lattice size, one trace per theta.  For syndrome-definite initial
-  states the quantum trajectories reduce exactly to this process, which
+* :func:`syndrome_mc_run`: classical Monte Carlo on stabilizer eigenvalues
+  at any lattice size.  For syndrome-definite initial states the quantum
+  trajectories reduce exactly to this process, which
   :func:`equivalence_check` certifies statistically.
+
+A run is one :class:`CoolingParams`; both stochastic engines take its
+``thetas`` whole and return one :class:`Trace` per theta from one fan-out.
 
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
@@ -21,10 +24,11 @@ sweep; the theta values of a run share these draws, which do not depend
 on theta, and are swept together.  Both stochastic engines draw block b of
 :data:`BLOCK` trajectories of a run with seed s from one stream,
 ``SeedSequence(entropy=s, spawn_key=(tag, b))`` with tag 0 for the Monte
-Carlo and 1 for the quantum trajectories, and split work over processes in
-whole blocks, so results depend on neither the worker count nor the batch
-size.  The quantum trajectories of a block run one after another on the
-block's stream.
+Carlo and 1 for the quantum trajectories, at every theta of the run, and
+split work over processes in whole blocks, so results depend on neither the
+worker count, the batch size nor the other thetas of the run.  The quantum
+trajectories of a block run one after another on the block's stream, which
+each theta replays.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -66,16 +70,18 @@ BATCH_ROW_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class CoolingParams:
-    """Knobs of one cooling experiment."""
+    """Knobs of one cooling run; ``thetas`` is a non-empty tuple, one trace each."""
 
-    theta: float
+    thetas: tuple
     n_steps: int
     n_trajectories: int
     q_init: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= np.pi:
+        if not len(self.thetas):
+            raise ValueError("need at least one theta")
+        if not all(0.0 < theta <= np.pi for theta in self.thetas):
             raise ValueError("theta must lie in (0, pi]")
         if not 0.0 <= self.q_init <= 1.0:
             raise ValueError("q_init must lie in [0, 1]")
@@ -287,11 +293,11 @@ def _sweep(bits, tables, prob, rngs, sizes):
             bits[k * n:(k + 1) * n, offset:offset + count] = kind.reshape(-1, count)
 
 
-def _mc_scan_energies(lattice, params, blocks, e0=1.0, thetas=()):
+def _mc_energies(lattice, params, blocks, e0=1.0):
     """(thetas, rows, steps + 1) energies: each batch's initial bits are
     sampled once and swept at every theta on the same draws."""
     tables = _sweep_tables(lattice)
-    probs = [flip_probability(theta) for theta in thetas]
+    probs = [flip_probability(theta) for theta in params.thetas]
     per_batch = max(1, BATCH_ROW_CELLS
                     // (len(probs) * BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
     parts = []
@@ -307,10 +313,6 @@ def _mc_scan_energies(lattice, params, blocks, e0=1.0, thetas=()):
             out[:, step] = -e0 * bits.sum(axis=1)
         parts.append(out.reshape(len(probs), -1, params.n_steps + 1))
     return np.concatenate(parts, axis=1)
-
-
-def _mc_energies(lattice, params, blocks, e0=1.0):
-    return _mc_scan_energies(lattice, params, blocks, e0, (params.theta,))[0]
 
 
 # ---------------------------------------------------------------------
@@ -395,8 +397,8 @@ def cooling_cycle_trajectory(
     return state, flipped
 
 
-def _initial_trajectory_state(lattice, params, rng, basis_init) -> StateVector:
-    if not basis_init:
+def _initial_trajectory_state(lattice, params, rng) -> StateVector:
+    if abs(params.q_init - 0.5) >= 1e-12:
         return state_from_config(lattice, sample_syndrome_config(lattice, params.q_init, rng))
     bits = "".join(map(str, rng.integers(0, 2, lattice.n_edges)))  # qubit 0 first
     state = StateVector.basis_state(lattice.n_edges, bits)
@@ -405,38 +407,41 @@ def _initial_trajectory_state(lattice, params, rng, basis_init) -> StateVector:
     return state
 
 
-def _trajectory_energies(lattice, params, blocks, e0=1.0, basis_init=False):
+def _trajectory_energies(lattice, params, blocks, e0=1.0):
+    """(thetas, rows, steps + 1) energies, every theta on the same streams."""
     n = lattice.n_edges
     if n + 1 > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(
             f"trajectory engine needs {n + 1} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
         )
     h = build_toric(lattice.lx, lattice.ly, e0)[0]
-    flip, shrink = flip_probability(params.theta), 1.0 - math.cos(params.theta / 2.0)
     # per kind: every cell's stabilizer, and the pump string on each of its edges
     kinds = []
     for stabilizer, cells, pump in ((lattice.plaquette_string, lattice.plaquettes, "Z"),
                                     (lattice.star_string, lattice.stars, "X")):
         kinds.append(([stabilizer(c) for c in range(len(cells))],
                       [[PauliString.single(n, e, pump) for e in cell] for cell in cells]))
-    # the trajectories of a block run in turn on the block's one stream
-    rngs = [rng for b, rows in zip(blocks, _block_rows(params, blocks))
-            for rng in [_stream(params.seed, 1, int(b))] * rows]
-    out = np.empty((len(rngs), params.n_steps + 1))
-    for row, rng in enumerate(rngs):
-        state = _initial_trajectory_state(lattice, params, rng, basis_init)
-        out[row, 0] = state.expectation(h)
-        for step in range(1, params.n_steps + 1):
-            for stabilizers, pumps in kinds:
-                for c in rng.permutation(len(stabilizers)):
-                    pump = pumps[c][rng.integers(4)]
-                    minus = 0.5 * (state.amps - stabilizers[c].act(state.amps))  # P- psi
-                    p_flip = flip * np.vdot(minus, minus).real
-                    if rng.random() < 1.0 - p_flip:  # K0 = P+ + cos(theta/2) P-
-                        state.amps = (state.amps - shrink * minus) / math.sqrt(1.0 - p_flip)
-                    else:  # K1 up to its global phase -i
-                        state.amps = pump.act(minus) / np.linalg.norm(minus)
-            out[row, step] = state.expectation(h)
+    rows = _block_rows(params, blocks)
+    out = np.empty((len(params.thetas), sum(rows), params.n_steps + 1))
+    for k, theta in enumerate(params.thetas):
+        flip, shrink = flip_probability(theta), 1.0 - math.cos(theta / 2.0)
+        # the trajectories of a block run in turn on the block's one stream
+        rngs = [rng for b, size in zip(blocks, rows)
+                for rng in [_stream(params.seed, 1, int(b))] * size]
+        for row, rng in enumerate(rngs):
+            state = _initial_trajectory_state(lattice, params, rng)
+            out[k, row, 0] = state.expectation(h)
+            for step in range(1, params.n_steps + 1):
+                for stabilizers, pumps in kinds:
+                    for c in rng.permutation(len(stabilizers)):
+                        pump = pumps[c][rng.integers(4)]
+                        minus = 0.5 * (state.amps - stabilizers[c].act(state.amps))  # P- psi
+                        p_flip = flip * np.vdot(minus, minus).real
+                        if rng.random() < 1.0 - p_flip:  # K0 = P+ + cos(theta/2) P-
+                            state.amps = (state.amps - shrink * minus) / math.sqrt(1.0 - p_flip)
+                        else:  # K1 up to its global phase -i
+                            state.amps = pump.act(minus) / np.linalg.norm(minus)
+                out[k, row, step] = state.expectation(h)
     return out
 
 
@@ -469,30 +474,17 @@ def _trace_from_energies(energies, theta, engine) -> Trace:
     return Trace(np.arange(width), energies.mean(axis=0), stderr, n, theta, engine)
 
 
-def syndrome_mc_scan(
-    lattice: ToricLattice,
-    params: CoolingParams,
-    thetas,
-    e0: float = 1.0,
-    workers: int = 1,
-) -> list[Trace]:
-    """:func:`syndrome_mc_run` at each of ``thetas`` (not ``params.theta``),
-    all swept on one set of draws in one fan-out."""
-    if not len(thetas):
-        raise ValueError("need at least one theta")
-    runs = [replace(params, theta=theta) for theta in thetas]  # validates each theta
-    energies = _fan_out(partial(_mc_scan_energies, thetas=thetas), lattice, params, e0, workers)
-    return [_trace_from_energies(e, run.theta, "syndrome") for e, run in zip(energies, runs)]
-
-
 def syndrome_mc_run(
     lattice: ToricLattice,
     params: CoolingParams,
     e0: float = 1.0,
     workers: int = 1,
-) -> Trace:
-    """Mean energy trace of the classical syndrome Monte Carlo."""
-    return syndrome_mc_scan(lattice, params, [params.theta], e0, workers)[0]
+) -> list[Trace]:
+    """Mean energy trace of the classical syndrome Monte Carlo at each of
+    ``params.thetas``, all swept on one set of draws in one fan-out."""
+    energies = _fan_out(_mc_energies, lattice, params, e0, workers)
+    return [_trace_from_energies(e, theta, "syndrome")
+            for e, theta in zip(energies, params.thetas)]
 
 
 def trajectory_run(
@@ -500,15 +492,20 @@ def trajectory_run(
     params: CoolingParams,
     e0: float = 1.0,
     workers: int = 1,
-) -> Trace:
-    """Mean energy trace of the quantum trajectories.
+) -> list[Trace]:
+    """Mean energy trace of the quantum trajectories at each of
+    ``params.thetas``, from one fan-out.
 
     Each cycle applies its two-outcome map on the 2^n_edges system register
     (oracle: the circuit-level :func:`cooling_cycle_trajectory`); the lattice
     must fit that circuit's register, system + 1 ancilla (the 2x2 torus).
+    A trajectory starts in a stabilizer eigenstate with the sampled syndromes
+    or, at q_init = 1/2, in a uniformly random computational basis state
+    followed by one projective readout of every plaquette.
     """
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
-    return _trace_from_energies(energies, params.theta, "trajectory")
+    return [_trace_from_energies(e, theta, "trajectory")
+            for e, theta in zip(energies, params.thetas)]
 
 
 def equivalence_check(
@@ -516,23 +513,23 @@ def equivalence_check(
     params: CoolingParams,
     e0: float = 1.0,
     workers: int = 1,
-) -> EquivalenceReport:
-    """Certify the syndrome Monte Carlo against the quantum trajectories.
+) -> list[EquivalenceReport]:
+    """Certify the syndrome Monte Carlo against the quantum trajectories,
+    one report per theta: :func:`syndrome_mc_run` and :func:`trajectory_run`
+    on the same ``params``.
 
-    Both engines start from the same initial syndrome distribution (at
-    q_init = 1/2 the quantum side uses a uniformly random computational
-    basis state followed by one projective readout of all plaquettes) and
+    Both engines start from the same initial syndrome distribution and
     their mean energy traces must agree within :data:`Z_CUT` combined
     standard errors at every step.
     """
-    mc = syndrome_mc_run(lattice, params, e0, workers)
-    engine = partial(_trajectory_energies, basis_init=abs(params.q_init - 0.5) < 1e-12)
-    qt = _trace_from_energies(_fan_out(engine, lattice, params, e0, workers),
-                              params.theta, "trajectory")
-    diff = np.abs(mc.mean_energy - qt.mean_energy)
-    sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
-    z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
-    return EquivalenceReport(mc=mc, trajectory=qt, z_scores=z)
+    reports = []
+    for mc, qt in zip(syndrome_mc_run(lattice, params, e0, workers),
+                      trajectory_run(lattice, params, e0, workers)):
+        diff = np.abs(mc.mean_energy - qt.mean_energy)
+        sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
+        z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
+        reports.append(EquivalenceReport(mc=mc, trajectory=qt, z_scores=z))
+    return reports
 
 
 def lindblad_reference_trace(

@@ -260,11 +260,12 @@ def _overlap_fidelity(u: np.ndarray, target: np.ndarray) -> float:
 
 
 def gate_fidelity(profile: PulseProfile):
-    """(f_zero, f_rydberg) of a calibrated (area = pi) pulse.
+    """(f_zero, f_rydberg, leak_zero) of a calibrated (area = pi) pulse.
 
     f_zero measures transparency of the idle branch against the identity;
     f_rydberg measures the conditional transfer against |A> -> -|B>.  Both
-    are evaluated up to a global phase and lie in [0, 1].
+    are evaluated up to a global phase and lie in [0, 1].  leak_zero is the
+    idle branch's final |R> population, from the same solve as f_zero.
     """
     area = raman_area(profile)
     if abs(area - math.pi) > 1e-6:
@@ -272,9 +273,10 @@ def gate_fidelity(profile: PulseProfile):
             f"profile not calibrated: Raman area {area:.8f} != pi "
             "(use calibrate_area or calibrate_duration)"
         )
-    f_zero = _overlap_fidelity(evolve_pulse(profile, "zero").unitary, np.eye(2))
+    zero = evolve_pulse(profile, "zero")
+    f_zero = _overlap_fidelity(zero.unitary, np.eye(2))
     f_rydberg = _overlap_fidelity(evolve_pulse(profile, "rydberg").unitary, SWAP_TARGET)
-    return f_zero, f_rydberg
+    return f_zero, f_rydberg, zero.leak_r
 
 
 def ensemble_phase_error(n_atoms: int, profile: PulseProfile) -> float:

@@ -62,7 +62,8 @@ def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
     edge_pl = np.asarray(lattice.edge_plaquettes, dtype=np.int64)
     s_edges = np.asarray(lattice.stars, dtype=np.int64)
     edge_st = np.asarray(lattice.edge_stars, dtype=np.int64)
-    prob = math.sin(params.theta / 2.0) ** 2
+    (theta,) = params.thetas
+    prob = math.sin(theta / 2.0) ** 2
 
     def sample(rng, count):
         bits = np.where(rng.random(count) < params.q_init, -1, 1).astype(np.int8)
@@ -142,6 +143,7 @@ def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=Fa
     from rydsim.models import build_toric
     from rydsim.statevec import StateVector, measure_projector
 
+    (theta,) = params.thetas
     n_sys = lattice.n_edges
     h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(n_sys + 1)
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
@@ -165,7 +167,7 @@ def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=Fa
             for _ in range(params.n_steps):
                 for cells, kind in sweep:
                     for c in rng.permutation(len(cells)):
-                        cooling_cycle_trajectory(state, cells[c], params.theta, rng,
+                        cooling_cycle_trajectory(state, cells[c], theta, rng,
                                                  kind=kind)
                 energies.append(state.expectation(h))
             out.append(energies)

@@ -278,9 +278,9 @@ def test_criterion_08_fig5_style_cooling():
     lattice = ToricLattice.build(4, 4)
     traces = {}
     for theta in (np.pi, np.pi / 2, np.pi / 4):
-        params = CoolingParams(theta=theta, n_steps=40, n_trajectories=1000,
+        params = CoolingParams(thetas=(theta,), n_steps=40, n_trajectories=1000,
                                q_init=0.5, seed=7)
-        traces[theta] = syndrome_mc_run(lattice, params, workers=1)
+        traces[theta] = syndrome_mc_run(lattice, params, workers=1)[0]
     final = traces[np.pi].mean_energy[40]
     asymptote_ok = abs(final - (-32.0)) < 0.5
     m = {t: traces[t].mean_energy[10] for t in traces}
@@ -298,9 +298,9 @@ def test_criterion_09_cross_engine_equivalence():
     lattice = ToricLattice.build(2, 2)
     worst = 0.0
     for theta in (np.pi, np.pi / 2):
-        params = CoolingParams(theta=theta, n_steps=20, n_trajectories=500,
+        params = CoolingParams(thetas=(theta,), n_steps=20, n_trajectories=500,
                                q_init=0.5, seed=7)
-        rep = equivalence_check(lattice, params, workers=4)
+        rep = equivalence_check(lattice, params, workers=4)[0]
         worst = max(worst, rep.max_z)
         assert len(rep.z_scores) == 21
     report(9, "syndrome MC agrees with quantum trajectories at 3 sigma",
@@ -312,7 +312,7 @@ def test_criterion_10_pulse_level_gate():
     from rydsim.pulse import PulseProfile, calibrate_area, calibrate_duration, gate_fidelity
 
     base = calibrate_duration(PulseProfile.sin2(x_max=0.2, duration=10.0), math.pi)
-    f_zero_adiabatic, f_ryd = gate_fidelity(base)
+    f_zero_adiabatic, f_ryd, _ = gate_fidelity(base)
     f_zeros = []
     for k in range(5):
         prof = calibrate_area(

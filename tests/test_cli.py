@@ -120,6 +120,21 @@ def test_toric_cool_syndrome_thetas_run_together(tmp_path):
     assert lines["pi,pi/4"][0] == lines["pi"][0] == lines["pi/4"][0]
 
 
+@pytest.mark.parametrize("engine", ["trajectory", "compare"])
+def test_toric_cool_quantum_thetas_run_together(tmp_path, engine):
+    # as for the syndrome engine: the rows of one run per theta, in order
+    args = ["toric-cool", "--engine", engine, "--lx", "2", "--ly", "2",
+            "--steps", "3", "--trajectories", "70", "--seed", "4"]
+    lines = {}
+    for theta in ("pi,pi/4", "pi", "pi/4"):
+        out = tmp_path / f"{theta.replace('/', '_')}.csv"
+        # compare's 3-sigma verdict is not under test here, only its rows
+        assert main(args + ["--theta", theta, "--out", str(out)]) in (0, 1)
+        lines[theta] = out.read_text().splitlines()
+    assert lines["pi,pi/4"][1:] == lines["pi"][1:] + lines["pi/4"][1:]
+    assert lines["pi,pi/4"][0] == lines["pi"][0] == lines["pi/4"][0]
+
+
 def test_toric_cool_trajectory_engine(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi",
@@ -263,6 +278,34 @@ def test_toric_cool_bad_knob_is_usage_error(capsys, flag, value, engine):
     argv += [arg for name, v in values.items() for arg in (f"--{name}", v)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("rydsim: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric-evolve", "--lx", "1", "--ly", "2", "--tau", "0.1", "--steps", "1"],
+    ["dump-hamiltonian", "--model", "toric", "--lx", "1", "--ly", "2"],
+    ["heisenberg", "--lx", "0", "--tau", "0.1", "--steps", "1"],
+    ["hubbard-spectrum", "--lx", "0", "--ly", "2"],
+    ["hubbard-spectrum", "--lx", "3", "--ly", "2", "--encoding", "local"],
+    ["dump-hamiltonian", "--model", "aux", "--lx", "3", "--ly", "2"],
+    ["dump-hamiltonian", "--model", "hubbard-local", "--lx", "3", "--ly", "2"],
+    ["gate-fidelity", "--durations", "-5"],
+    ["gate-fidelity", "--durations", "10", "--delta", "0"],
+    ["gate-fidelity", "--durations", "10", "--x-max", "0"],
+])
+def test_runner_bad_input_is_usage_error(capsys, argv):
+    assert main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("rydsim: error:")
+
+
+def test_config_command_must_match_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = heisenberg\nlx = 2\nly = 2\ntheta = pi\n"
+                   "steps = 1\ntrajectories = 1\n")
+    assert main(["toric-cool", "--config", str(cfg), "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rydsim: error:") and "'heisenberg'" in err
+    cfg.write_text(cfg.read_text().replace("heisenberg", "toric-cool"))
+    assert main(["toric-cool", "--config", str(cfg), "--out", "-"]) == 0
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])

@@ -18,7 +18,6 @@ from rydsim.cooling import (
     sample_syndrome_config,
     state_from_config,
     syndrome_mc_run,
-    syndrome_mc_scan,
     trajectory_run,
 )
 from rydsim.errors import CapExceededError
@@ -295,18 +294,18 @@ def test_state_from_config_realizes_syndromes_non_square(shape):
 
 
 def test_mc_run_ground_start_is_flat():
-    params = CoolingParams(theta=np.pi, n_steps=10, n_trajectories=20,
+    params = CoolingParams(thetas=(np.pi,), n_steps=10, n_trajectories=20,
                            q_init=0.0, seed=0)
-    trace = syndrome_mc_run(LATTICE, params)
+    trace = syndrome_mc_run(LATTICE, params)[0]
     assert np.allclose(trace.mean_energy, -8.0)
     assert np.allclose(trace.stderr, 0.0)
 
 
 def test_mc_run_reaches_ground_and_is_monotone():
     lattice = ToricLattice.build(4, 4)
-    params = CoolingParams(theta=np.pi, n_steps=40, n_trajectories=300,
+    params = CoolingParams(thetas=(np.pi,), n_steps=40, n_trajectories=300,
                            q_init=0.5, seed=2)
-    trace = syndrome_mc_run(lattice, params)
+    trace = syndrome_mc_run(lattice, params)[0]
     assert trace.mean_energy[-1] == pytest.approx(-32.0, abs=0.5)
     # monotone non-increasing in expectation, allowing 3-sigma noise
     for k in range(len(trace.steps) - 1):
@@ -315,11 +314,11 @@ def test_mc_run_reaches_ground_and_is_monotone():
 
 
 def test_mc_determinism_and_worker_independence():
-    params = CoolingParams(theta=np.pi / 2, n_steps=8, n_trajectories=64,
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=64,
                            q_init=0.5, seed=9)
-    a = syndrome_mc_run(LATTICE, params, workers=1)
-    b = syndrome_mc_run(LATTICE, params, workers=1)
-    c = syndrome_mc_run(LATTICE, params, workers=3)
+    a = syndrome_mc_run(LATTICE, params, workers=1)[0]
+    b = syndrome_mc_run(LATTICE, params, workers=1)[0]
+    c = syndrome_mc_run(LATTICE, params, workers=3)[0]
     assert np.array_equal(a.mean_energy, b.mean_energy)
     assert np.array_equal(a.mean_energy, c.mean_energy)
 
@@ -328,41 +327,41 @@ def test_theta_ordering_at_fixed_step():
     lattice = ToricLattice.build(4, 4)
     means = {}
     for theta in (np.pi, np.pi / 2, np.pi / 4):
-        params = CoolingParams(theta=theta, n_steps=10, n_trajectories=400,
+        params = CoolingParams(thetas=(theta,), n_steps=10, n_trajectories=400,
                                q_init=0.5, seed=3)
-        means[theta] = syndrome_mc_run(lattice, params).mean_energy[10]
+        means[theta] = syndrome_mc_run(lattice, params)[0].mean_energy[10]
     assert means[np.pi] < means[np.pi / 2] < means[np.pi / 4]
 
 
 # -- quantum trajectories -------------------------------------------------------
 
 def test_trajectory_ground_start_flat():
-    params = CoolingParams(theta=np.pi, n_steps=4, n_trajectories=5,
+    params = CoolingParams(thetas=(np.pi,), n_steps=4, n_trajectories=5,
                            q_init=0.0, seed=4)
-    trace = trajectory_run(LATTICE, params)
+    trace = trajectory_run(LATTICE, params)[0]
     assert np.allclose(trace.mean_energy, -8.0, atol=1e-9)
 
 
 def test_trajectory_cools_to_ground():
-    params = CoolingParams(theta=np.pi, n_steps=25, n_trajectories=40,
+    params = CoolingParams(thetas=(np.pi,), n_steps=25, n_trajectories=40,
                            q_init=0.5, seed=5)
-    trace = trajectory_run(LATTICE, params)
+    trace = trajectory_run(LATTICE, params)[0]
     assert trace.mean_energy[-1] == pytest.approx(-8.0, abs=0.3)
 
 
 def test_trajectory_cap():
     lattice = ToricLattice.build(2, 3)
-    params = CoolingParams(theta=np.pi, n_steps=2, n_trajectories=2, seed=0)
+    params = CoolingParams(thetas=(np.pi,), n_steps=2, n_trajectories=2, seed=0)
     with pytest.raises(CapExceededError):
         trajectory_run(lattice, params)
 
 
 def test_trajectory_independent_of_workers():
     # 150 trajectories: two full RNG blocks of 64 and a partial one
-    params = CoolingParams(theta=np.pi / 2, n_steps=2, n_trajectories=150,
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=2, n_trajectories=150,
                            q_init=0.5, seed=23)
-    serial = trajectory_run(LATTICE, params, workers=1)
-    pooled = trajectory_run(LATTICE, params, workers=3)
+    serial = trajectory_run(LATTICE, params, workers=1)[0]
+    pooled = trajectory_run(LATTICE, params, workers=3)[0]
     assert np.array_equal(pooled.mean_energy, serial.mean_energy)
     assert np.array_equal(pooled.stderr, serial.stderr)
 
@@ -402,10 +401,10 @@ def test_trajectory_matches_lindblad_small_theta():
 def test_trajectory_engine_matches_circuit_oracle(theta, q_init, basis_init):
     # 130 trajectories: two full RNG blocks and a partial one; the system-
     # register engine must make the circuit's draws and flip decisions
-    params = CoolingParams(theta=theta, n_steps=5, n_trajectories=130,
+    params = CoolingParams(thetas=(theta,), n_steps=5, n_trajectories=130,
                            q_init=q_init, seed=19)
     blocks = np.arange(3)
-    engine = cooling._trajectory_energies(LATTICE, params, blocks, basis_init=basis_init)
+    engine = cooling._trajectory_energies(LATTICE, params, blocks)[0]
     oracle = trajectory_energies_reference(LATTICE, params, blocks, basis_init=basis_init)
     assert engine.shape == oracle.shape == (130, 6)
     assert np.max(np.abs(engine - oracle)) <= 1e-9
@@ -463,18 +462,18 @@ def test_two_outcome_map_is_the_circuit_cycle(kind):
 
 
 def test_equivalence_check_small():
-    params = CoolingParams(theta=np.pi, n_steps=12, n_trajectories=120,
+    params = CoolingParams(thetas=(np.pi,), n_steps=12, n_trajectories=120,
                            q_init=0.5, seed=7)
-    report = equivalence_check(LATTICE, params)
+    report = equivalence_check(LATTICE, params)[0]
     assert report.passed, report.z_scores
     assert report.mc.mean_energy[-1] == pytest.approx(-8.0, abs=0.2)
     assert report.trajectory.mean_energy[-1] == pytest.approx(-8.0, abs=0.2)
 
 
 def test_equivalence_degenerate_ground_start():
-    params = CoolingParams(theta=np.pi / 2, n_steps=5, n_trajectories=10,
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=5, n_trajectories=10,
                            q_init=0.0, seed=8)
-    report = equivalence_check(LATTICE, params)
+    report = equivalence_check(LATTICE, params)[0]
     assert report.max_z == 0.0
     assert np.allclose(report.mc.mean_energy, -8.0)
     assert np.allclose(report.trajectory.mean_energy, -8.0)
@@ -502,11 +501,32 @@ def test_lindblad_reference_trace_decay():
 
 def test_cooling_params_validation():
     with pytest.raises(ValueError):
-        CoolingParams(theta=0.0, n_steps=1, n_trajectories=1)
+        CoolingParams(thetas=(0.0,), n_steps=1, n_trajectories=1)
     with pytest.raises(ValueError):
-        CoolingParams(theta=4.0, n_steps=1, n_trajectories=1)
+        CoolingParams(thetas=(4.0,), n_steps=1, n_trajectories=1)
     with pytest.raises(ValueError):
-        CoolingParams(theta=1.0, n_steps=1, n_trajectories=1, q_init=1.5)
+        CoolingParams(thetas=(1.0,), n_steps=1, n_trajectories=1, q_init=1.5)
+
+
+@pytest.mark.parametrize("thetas", [(np.pi, 0.0), (np.pi / 2, 4.0, np.pi)])
+def test_cooling_params_rejects_one_bad_theta(thetas):
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, pi\]"):
+        CoolingParams(thetas=thetas, n_steps=1, n_trajectories=1)
+
+
+@pytest.mark.parametrize("q_init", [0.5, 0.3])
+def test_trajectory_thetas_match_independent_runs(q_init):
+    # 70 trajectories (a full RNG block and a partial one) on two workers:
+    # each theta of one run replays the streams of its own single-theta run
+    params = CoolingParams(thetas=(np.pi / 2, np.pi), n_steps=3, n_trajectories=70,
+                           q_init=q_init, seed=31)
+    together = trajectory_run(LATTICE, params, workers=2)
+    assert len(together) == 2
+    for got, theta in zip(together, params.thetas):
+        want = trajectory_run(LATTICE, replace(params, thetas=(theta,)))[0]
+        assert got.theta == want.theta == theta and got.engine == "trajectory"
+        assert np.array_equal(got.mean_energy, want.mean_energy)
+        assert np.array_equal(got.stderr, want.stderr)
 
 
 # -- batched Monte Carlo on RNG blocks ----------------------------------------
@@ -519,22 +539,22 @@ def test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init):
     # per-trajectory draws and moves of the scalar loop, bit for bit
     monkeypatch.setattr(cooling, "BLOCK", 1)
     lattice = ToricLattice.build(*shape)
-    params = CoolingParams(theta=theta, n_steps=12, n_trajectories=25,
+    params = CoolingParams(thetas=(theta,), n_steps=12, n_trajectories=25,
                            q_init=q_init, seed=13)
     blocks = np.arange(params.n_trajectories)
-    assert np.array_equal(cooling._mc_energies(lattice, params, blocks),
+    assert np.array_equal(cooling._mc_energies(lattice, params, blocks)[0],
                           syndrome_mc_reference(lattice, params, blocks))
 
 
 def test_mc_independent_of_workers_and_batch_size(monkeypatch):
     # 150 trajectories: two full blocks of 64 and a partial one
     lattice = ToricLattice.build(3, 3)
-    params = CoolingParams(theta=np.pi / 2, n_steps=8, n_trajectories=150,
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=150,
                            q_init=0.5, seed=21)
-    serial = syndrome_mc_run(lattice, params, workers=1)
-    runs = [syndrome_mc_run(lattice, params, workers=3)]
+    serial = syndrome_mc_run(lattice, params, workers=1)[0]
+    runs = [syndrome_mc_run(lattice, params, workers=3)[0]]
     monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", 1)  # one block per batch
-    runs.append(syndrome_mc_run(lattice, params, workers=1))
+    runs.append(syndrome_mc_run(lattice, params, workers=1)[0])
     for run in runs:
         assert np.array_equal(run.mean_energy, serial.mean_energy)
         assert np.array_equal(run.stderr, serial.stderr)
@@ -546,13 +566,14 @@ def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells)
     # and a partial one): sweeping them together on one set of draws must
     # give each theta's own run, made on fresh streams, bit for bit
     lattice = ToricLattice.build(3, 3)
-    params = CoolingParams(theta=np.pi / 2, n_steps=8, n_trajectories=150,
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=150,
                            q_init=0.5, seed=23)
     thetas = (np.pi / 4, np.pi, np.pi / 2, np.pi / 4)
-    singles = [syndrome_mc_run(lattice, replace(params, theta=theta)) for theta in thetas]
+    singles = [syndrome_mc_run(lattice, replace(params, thetas=(theta,)))[0]
+               for theta in thetas]
     if batch_row_cells is not None:
         monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", batch_row_cells)
-    scan = syndrome_mc_scan(lattice, params, thetas, workers=workers)
+    scan = syndrome_mc_run(lattice, replace(params, thetas=thetas), workers=workers)
     assert len(scan) == len(thetas)
     for got, want in zip(scan, singles):
         assert got.theta == want.theta and got.engine == want.engine == "syndrome"
@@ -564,9 +585,8 @@ def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells)
 
 @pytest.mark.parametrize("thetas", [(), np.empty(0)])
 def test_mc_scan_rejects_empty_thetas(thetas):
-    params = CoolingParams(theta=np.pi, n_steps=2, n_trajectories=4)
     with pytest.raises(ValueError, match="at least one theta"):
-        syndrome_mc_scan(LATTICE, params, thetas)
+        CoolingParams(thetas=thetas, n_steps=2, n_trajectories=4)
 
 
 def test_batched_sampler_uniform_over_even_patterns():
@@ -613,7 +633,7 @@ def test_sweep_matches_position_loop(monkeypatch, shape, theta, q_init):
     # 130 trajectories on the real blocks (two full, one partial); on the
     # thin tori both x-edges or both y-edges of a cell reach one neighbour
     lattice = ToricLattice.build(*shape)
-    params = CoolingParams(theta=theta, n_steps=6, n_trajectories=130,
+    params = CoolingParams(thetas=(theta,), n_steps=6, n_trajectories=130,
                            q_init=q_init, seed=37)
     blocks = np.arange(3)
     solved = cooling._mc_energies(lattice, params, blocks)

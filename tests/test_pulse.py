@@ -167,7 +167,7 @@ def test_fidelity_degrades_monotonically_with_shorter_pulses():
     f_zeros = []
     for k in range(5):
         prof = calibrate_area(sin2_profile(0.2, base.duration / 2**k), math.pi)
-        f_zero, f_ryd = gate_fidelity(prof)
+        f_zero, f_ryd, _ = gate_fidelity(prof)
         f_zeros.append(f_zero)
         assert f_ryd == pytest.approx(1.0, abs=1e-9)
     assert all(f_zeros[k] > f_zeros[k + 1] for k in range(4))
