@@ -33,6 +33,7 @@ from .cooling import (
     syndrome_mc_run,
     trajectory_run,
 )
+from .errors import CapExceededError
 from .fock import hubbard_matrix, spectrum
 from .models import (
     HubbardSpec,
@@ -184,7 +185,6 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("delta", "float", default=1.0),
         Param("blockade", "blockade", default=math.inf,
               help="Rydberg blockade shift; 'inf' for perfect blockade"),
-        Param("area", "angle", default=math.pi, help="target Raman area"),
     ),
     "dump-hamiltonian": _COMMON + (
         Param("model", "str", required=True,
@@ -307,10 +307,13 @@ def _workers() -> int:
 
 
 def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` for a runner's lattice, spec or profile:
-    the ValueError of bad input there is a usage error, found before any run."""
+    """``build(*args, **kwargs)`` for a runner's lattice, spec, profile or engine
+    comparison: the ValueError of bad input there is a usage error, found before
+    any run; a dense-size cap exceeded by a run stays a runtime failure."""
     try:
         return build(*args, **kwargs)
+    except CapExceededError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -323,7 +326,7 @@ def _run_toric_cool(cfg: ExperimentConfig):
     if cfg["engine"] == "compare":
         header = ["step", "theta", "mean_syndrome", "stderr_syndrome",
                   "mean_trajectory", "stderr_trajectory", "z"]
-        reports = equivalence_check(lattice, params, cfg["e0"], workers)
+        reports = _checked(equivalence_check, lattice, params, cfg["e0"], workers)
         rows = [[rep.mc.steps[k], rep.mc.theta, rep.mc.mean_energy[k], rep.mc.stderr[k],
                  rep.trajectory.mean_energy[k], rep.trajectory.stderr[k], rep.z_scores[k]]
                 for rep in reports for k in range(len(rep.mc.steps))]
@@ -491,7 +494,7 @@ def _run_gate_fidelity(cfg: ExperimentConfig):
             PulseProfile.sin2, x_max=cfg["x-max"], duration=duration,
             omega_c=cfg["omega-c"], delta=cfg["delta"], blockade=cfg["blockade"],
         )
-        profile = _checked(calibrate_area, profile, cfg["area"])
+        profile = _checked(calibrate_area, profile)  # to pi, the gate's target
         f_zero, f_rydberg, leak = gate_fidelity(profile)
         rows.append([duration, profile.x_max, profile.blockade,
                      f_zero, f_rydberg, leak])

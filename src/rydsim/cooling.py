@@ -27,8 +27,8 @@ on theta, and are swept together.  Both stochastic engines draw block b of
 Carlo and 1 for the quantum trajectories, at every theta of the run, and
 split work over processes in whole blocks, so results depend on neither the
 worker count, the batch size nor the other thetas of the run.  The quantum
-trajectories of a block run one after another on the block's stream, which
-each theta replays.
+trajectories record their block's draws once, in the circuit's order, then
+advance every (theta, row) state of the block together, as one array.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from scipy.integrate import solve_ivp
 from .errors import CapExceededError, IntegrationError
 from .gates import controlled_flip, flip_probability, syndrome_map
 from .models import ToricLattice, build_toric, toric_ground_state
-from .pauli import OperatorSum, PauliString
+from .pauli import OperatorSum, PauliString, pauli_action
 from .statevec import DensityMatrix, StateVector, measure_projector
 
 #: density-matrix integration cap
@@ -407,41 +407,86 @@ def _initial_trajectory_state(lattice, params, rng) -> StateVector:
     return state
 
 
+def _energies(psi, ham, acc, buf):
+    """Re <psi|H psi> of each row of ``psi``; H psi accumulates in ``acc``."""
+    acc.fill(0.0)
+    for idx, factor in ham:
+        acc += np.multiply(np.take(psi, idx, axis=1, out=buf, mode="clip"), factor, out=buf)
+    return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
+
+
 def _trajectory_energies(lattice, params, blocks, e0=1.0):
-    """(thetas, rows, steps + 1) energies, every theta on the same streams."""
-    n = lattice.n_edges
+    """(thetas, rows, steps + 1) energies.  Per block, every draw of the
+    circuit is recorded once, in its order; then all (theta, row) states
+    advance on those draws as one array, one sweep position at a time."""
+    n, n_p = lattice.n_edges, lattice.n_plaquettes
     if n + 1 > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(
             f"trajectory engine needs {n + 1} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
         )
-    h = build_toric(lattice.lx, lattice.ly, e0)[0]
-    # per kind: every cell's stabilizer, and the pump string on each of its edges
-    kinds = []
-    for stabilizer, cells, pump in ((lattice.plaquette_string, lattice.plaquettes, "Z"),
-                                    (lattice.star_string, lattice.stars, "X")):
-        kinds.append(([stabilizer(c) for c in range(len(cells))],
-                      [[PauliString.single(n, e, pump) for e in cell] for cell in cells]))
+
+    def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
+        pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for s in strings]
+        return [np.reshape(a, (-1, *shape, 1 << n)) for a in zip(*pairs)]
+
+    ham = {}  # H psi = sum over x masks of factor * psi[idx]; a mask's terms share idx
+    for c, s in build_toric(lattice.lx, lattice.ly, e0)[0].normalized():
+        idx, factor = pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)
+        ham[s.x_mask] = (idx, ham.get(s.x_mask, (idx, 0.0))[1] + c * factor)
+    ham = list(ham.values())
+    # cells are plaquettes then stars: their stabilizers, and the pump on each edge
+    stab_idx, stab_factor = tables([lattice.plaquette_string(c) for c in range(n_p)]
+                                   + [lattice.star_string(c) for c in range(lattice.n_stars)])
+    pump_idx, pump_factor = tables([PauliString.single(n, e, pump) for cells, pump in (
+        (lattice.plaquettes, "Z"), (lattice.stars, "X")) for cell in cells for e in cell], 4)
+    kinds, steps, n_theta = ((0, n_p), (n_p, lattice.n_stars)), params.n_steps, len(params.thetas)
     rows = _block_rows(params, blocks)
-    out = np.empty((len(params.thetas), sum(rows), params.n_steps + 1))
-    for k, theta in enumerate(params.thetas):
-        flip, shrink = flip_probability(theta), 1.0 - math.cos(theta / 2.0)
-        # the trajectories of a block run in turn on the block's one stream
-        rngs = [rng for b, size in zip(blocks, rows)
-                for rng in [_stream(params.seed, 1, int(b))] * size]
-        for row, rng in enumerate(rngs):
-            state = _initial_trajectory_state(lattice, params, rng)
-            out[k, row, 0] = state.expectation(h)
-            for step in range(1, params.n_steps + 1):
-                for stabilizers, pumps in kinds:
-                    for c in rng.permutation(len(stabilizers)):
-                        pump = pumps[c][rng.integers(4)]
-                        minus = 0.5 * (state.amps - stabilizers[c].act(state.amps))  # P- psi
-                        p_flip = flip * np.vdot(minus, minus).real
-                        if rng.random() < 1.0 - p_flip:  # K0 = P+ + cos(theta/2) P-
-                            state.amps = (state.amps - shrink * minus) / math.sqrt(1.0 - p_flip)
-                        else:  # K1 up to its global phase -i
-                            state.amps = pump.act(minus) / np.linalg.norm(minus)
-                out[k, row, step] = state.expectation(h)
+    out = np.empty((n_theta, sum(rows), steps + 1))
+    for b, size, first in zip(blocks, rows, np.cumsum([0] + rows)):
+        # draw phase: the circuit's Generator calls in its order, trajectory by trajectory
+        rng, psi = _stream(params.seed, 1, int(b)), np.empty((n_theta * size, 1 << n), complex)
+        order, pick = np.empty((2, steps, size, len(stab_idx)), np.int8)
+        u = np.empty(order.shape)
+        for row in range(size):
+            psi[row] = _initial_trajectory_state(lattice, params, rng).amps
+            for step in range(steps):
+                for offset, count in kinds:
+                    order[step, row, offset:offset + count] = offset + rng.permutation(count)
+                    for j in range(offset, offset + count):
+                        pick[step, row, j], u[step, row, j] = rng.integers(4), rng.random()
+        # physics phase: theta-major rows in preallocated buffers, and no BLAS call,
+        # whose blocking could make a row's bits depend on the other rows
+        psi.reshape(n_theta, size, -1)[1:] = psi[:size]  # every theta starts alike
+        minus, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
+        base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
+        flip = np.repeat([flip_probability(t) for t in params.thetas], size)
+        shrink = np.repeat([1.0 - math.cos(t / 2.0) for t in params.thetas], size)[:, None]
+        block = out[:, first:first + size]
+        block[..., 0] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
+        for step in range(steps):
+            for cell, edge, v in zip(*(np.tile(d[step].T, n_theta) for d in (order, pick, u))):
+                np.add(np.take(stab_idx, cell, axis=0, out=index, mode="clip"), base, out=index)
+                np.take(psi, index, out=gathered, mode="clip")
+                gathered *= np.take(stab_factor, cell, axis=0, out=minus, mode="clip")
+                np.subtract(psi, gathered, out=minus)
+                minus *= 0.5  # P- psi
+                weight = np.square(minus.view(float), out=gathered.view(float)).sum(axis=1)
+                p_flip = flip * weight
+                stay = v < 1.0 - p_flip
+                # K0 = P+ + cos(theta/2) P- on every row (complex by real on the float
+                # view), then K1 up to its phase -i on the rows that jumped
+                np.multiply(minus.view(float), shrink, out=gathered.view(float))
+                psi -= gathered
+                np.divide(psi.view(float), np.sqrt(np.where(stay, 1.0 - p_flip, 1.0))[:, None],
+                          out=psi.view(float))
+                jumped = np.flatnonzero(~stay)
+                at, kicked = (cell[jumped], edge[jumped]), gathered[:len(jumped)]
+                np.take(minus, np.add(pump_idx[at], base[jumped], out=index[:len(jumped)]),
+                        out=kicked, mode="clip")
+                kicked *= pump_factor[at]
+                psi[jumped] = np.divide(kicked.view(float), np.sqrt(weight[jumped])[:, None],
+                                        out=kicked.view(float)).view(complex)
+            block[..., step + 1] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
     return out
 
 
@@ -502,6 +547,11 @@ def trajectory_run(
     A trajectory starts in a stabilizer eigenstate with the sampled syndromes
     or, at q_init = 1/2, in a uniformly random computational basis state
     followed by one projective readout of every plaquette.
+
+    Per block, the circuit's draws are recorded once, in its order (10 bytes
+    per trajectory, step and cell); then all (theta, row) states advance
+    together as one (thetas * rows, 2^n_edges) array, in four buffers of that
+    shape (1.8 MB for a full block at two thetas on the 2x2 torus).
     """
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
     return [_trace_from_energies(e, theta, "trajectory")
@@ -520,8 +570,10 @@ def equivalence_check(
 
     Both engines start from the same initial syndrome distribution and
     their mean energy traces must agree within :data:`Z_CUT` combined
-    standard errors at every step.
+    standard errors at every step, so each engine needs two trajectories.
     """
+    if params.n_trajectories < 2:
+        raise ValueError("the engine comparison needs at least 2 trajectories")
     reports = []
     for mc, qt in zip(syndrome_mc_run(lattice, params, e0, workers),
                       trajectory_run(lattice, params, e0, workers)):

@@ -280,6 +280,30 @@ def test_toric_cool_bad_knob_is_usage_error(capsys, flag, value, engine):
     assert capsys.readouterr().err.startswith("rydsim: error:")
 
 
+def test_compare_needs_two_trajectories(capsys):
+    # with one trajectory both standard errors are 0, so no z-score exists
+    assert main(["toric-cool", "--engine", "compare", "--lx", "2", "--ly", "2", "--theta",
+                 "pi", "--steps", "2", "--trajectories", "1", "--out", "-"]) == 2
+    assert "at least 2 trajectories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("area", [["--area", "pi/2"], ["--area=-pi"]])
+def test_gate_fidelity_has_no_area_flag(capsys, area):
+    # the gate is judged against its pi-area target, so the profile is always
+    # calibrated to pi
+    with pytest.raises(SystemExit) as exc:
+        main(["gate-fidelity", "--durations", "10", "--out", "-", *area])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gate_fidelity_config_rejects_area(tmp_path, capsys):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("command = gate-fidelity\ndurations = 10\narea = pi/2\n")
+    assert main(["gate-fidelity", "--config", str(cfg), "--out", "-"]) == 2
+    assert "unknown config field 'area'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["toric-evolve", "--lx", "1", "--ly", "2", "--tau", "0.1", "--steps", "1"],
     ["dump-hamiltonian", "--model", "toric", "--lx", "1", "--ly", "2"],

@@ -410,6 +410,38 @@ def test_trajectory_engine_matches_circuit_oracle(theta, q_init, basis_init):
     assert np.max(np.abs(engine - oracle)) <= 1e-9
 
 
+@pytest.mark.parametrize("n_trajectories", [1, 64, 65])
+@pytest.mark.parametrize("n_steps", [0, 3])
+@pytest.mark.parametrize("q_init, basis_init", [(0.5, True), (0.3, False)])
+def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, q_init,
+                                                       basis_init):
+    # one run of three thetas advances all (theta, row) states together; each
+    # theta's rows must be the circuit's, draw for draw.  1 trajectory is a
+    # one-row batch, 65 a full block plus a one-row partial block
+    params = CoolingParams(thetas=(np.pi, np.pi / 2, 0.3), n_steps=n_steps,
+                           n_trajectories=n_trajectories, q_init=q_init, seed=37)
+    blocks = np.arange(-(-n_trajectories // cooling.BLOCK))
+    engine = cooling._trajectory_energies(LATTICE, params, blocks)
+    assert engine.shape == (3, n_trajectories, n_steps + 1)
+    for got, theta in zip(engine, params.thetas):
+        want = trajectory_energies_reference(LATTICE, replace(params, thetas=(theta,)), blocks,
+                                             basis_init=basis_init)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("q_init", [0.5, 0.3])
+def test_trajectory_energies_are_syndrome_levels(q_init):
+    # every trajectory state is an eigenstate of every stabilizer, so each
+    # row's energy is -(plaquette sum) - (star sum), each sum in {-4, 0, 4}
+    # on the 2x2 torus: a map applied to, or renormalized by, the wrong row
+    # leaves that set
+    params = CoolingParams(thetas=(np.pi, np.pi / 2, 0.3), n_steps=6, n_trajectories=130,
+                           q_init=q_init, seed=41)
+    energies = cooling._trajectory_energies(LATTICE, params, np.arange(3))
+    levels = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
+    assert np.max(np.min(np.abs(energies[..., None] - levels), axis=-1)) <= 1e-12
+
+
 class _ScriptedRng:
     """Stands in for a Generator: a fixed pump index and readout uniform."""
 
