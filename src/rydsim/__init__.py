@@ -12,8 +12,7 @@ from .cooling import (
     Trace,
     cooling_cycle_trajectory,
     equivalence_check,
-    jump_operator_plaquette,
-    jump_operator_star,
+    jump_operator,
     lindblad_integrate,
     lindblad_reference_trace,
     sample_syndrome_config,
@@ -54,7 +53,6 @@ from .models import (
     build_hubbard_jw,
     build_hubbard_local,
     build_toric,
-    chain_adjacency,
     grid_adjacency,
     snake_ordering,
     toric_ground_state,
@@ -76,19 +74,16 @@ from .pulse import (
     PulseProfile,
     calibrate_area,
     calibrate_duration,
-    ensemble_phase_error,
     evolve_pulse,
     gate_fidelity,
     heff,
     raman_area,
-    rk4_propagate,
 )
 from .statevec import (
     DensityMatrix,
     StateVector,
-    exact_propagator,
     measure_projector,
 )
-from .trotter import Circuit, Gate, circuit_matrix, compile_hopping_term, run, trotterize
+from .trotter import Circuit, Gate, run, trotterize
 
 __version__ = "0.1.0"

@@ -59,6 +59,16 @@ class ConfigError(Exception):
     """Invalid or missing configuration field."""
 
 
+def _finite(value: float, text) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_float(text) -> float:
+    return _finite(float(text), text)
+
+
 def parse_angle(text: str) -> float:
     """Radians from "pi", "pi/2", "0.25pi", "-3pi/4", or a raw float."""
     s = str(text).strip().lower().replace(" ", "").replace("*", "")
@@ -71,15 +81,17 @@ def parse_angle(text: str) -> float:
             coeff_text + "1"
         )
         denom = float(m.group(2)) if m.group(2) else 1.0
-        return coeff * math.pi / denom
-    return float(s)
+        if denom == 0.0:
+            raise ValueError(f"angle {text!r} divides by zero")
+        return _finite(coeff * math.pi / denom, text)
+    return _parse_float(s)
 
 
 def _parse_blockade(text: str) -> float:
     s = str(text).strip().lower()
     if s in ("inf", "infinite", "infinity"):
         return math.inf
-    return float(s)
+    return _parse_float(s)
 
 
 def _parse_bool(text) -> bool:
@@ -104,11 +116,10 @@ def _list_parser(item):
 
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
-    "angle": parse_angle,
     "anglelist": _list_parser(parse_angle),
-    "floatlist": _list_parser(float),
+    "floatlist": _list_parser(_parse_float),
     "bool": _parse_bool,
     "blockade": _parse_blockade,
 }

@@ -133,29 +133,19 @@ def _block_rows(params: CoolingParams, blocks) -> list[int]:
 # jump operators and the master equation
 # ---------------------------------------------------------------------
 
-def _jump(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
-    """pump (1 - stabilizer) / 2: interrogation projector then pump flip."""
+def jump_operator(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
+    """c = pump (1 - stabilizer) / 2: interrogation projector then pump flip.
+
+    Annihilates every stabilizer = +1 state and maps each excited state
+    directly to its partner in the ground sector.  The pump must
+    anticommute with the stabilizer; on a toric cell, it acts on one of the
+    cell's edges (Z_edge for a plaquette A_p, X_edge for a star B_s).
+    """
+    if stabilizer.commutes(pump):
+        raise ValueError("the pump commutes with the stabilizer, so it cannot flip it")
     n = stabilizer.n_qubits
     interrogate = OperatorSum.identity(n) - OperatorSum.from_string(stabilizer)
     return (0.5 * (OperatorSum.from_string(pump) @ interrogate)).normalized()
-
-
-def jump_operator_plaquette(lattice: ToricLattice, p: int, edge: int) -> OperatorSum:
-    """c_p = Z_edge (1 - A_p) / 2: interrogation projector then pump flip.
-
-    Annihilates every A_p = +1 state and maps each excited state directly
-    to its partner in the ground sector.
-    """
-    if edge not in lattice.plaquettes[p]:
-        raise ValueError(f"edge {edge} is not on plaquette {p}")
-    return _jump(lattice.plaquette_string(p), PauliString.single(lattice.n_edges, edge, "Z"))
-
-
-def jump_operator_star(lattice: ToricLattice, s: int, edge: int) -> OperatorSum:
-    """c_s = X_edge (1 - B_s) / 2, the star-sector analogue."""
-    if edge not in lattice.stars[s]:
-        raise ValueError(f"edge {edge} is not on star {s}")
-    return _jump(lattice.star_string(s), PauliString.single(lattice.n_edges, edge, "X"))
 
 
 def lindblad_integrate(
@@ -420,10 +410,6 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
     circuit is recorded once, in its order; then all (theta, row) states
     advance on those draws as one array, one sweep position at a time."""
     n, n_p = lattice.n_edges, lattice.n_plaquettes
-    if n + 1 > TRAJECTORY_QUBIT_CAP:
-        raise CapExceededError(
-            f"trajectory engine needs {n + 1} qubits, cap is {TRAJECTORY_QUBIT_CAP}"
-        )
 
     def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
         pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for s in strings]
@@ -553,6 +539,9 @@ def trajectory_run(
     together as one (thetas * rows, 2^n_edges) array, in four buffers of that
     shape (1.8 MB for a full block at two thetas on the 2x2 torus).
     """
+    if lattice.n_edges + 1 > TRAJECTORY_QUBIT_CAP:
+        raise CapExceededError(f"trajectory engine needs {lattice.n_edges + 1} qubits, "
+                               f"cap is {TRAJECTORY_QUBIT_CAP}")
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
     return [_trace_from_energies(e, theta, "trajectory")
             for e, theta in zip(energies, params.thetas)]
@@ -574,9 +563,11 @@ def equivalence_check(
     """
     if params.n_trajectories < 2:
         raise ValueError("the engine comparison needs at least 2 trajectories")
+    # the trajectory engine runs first: its cap fails the check before any
+    # MC work, and the engines draw from disjoint streams, so order is free
+    trajectories = trajectory_run(lattice, params, e0, workers)
     reports = []
-    for mc, qt in zip(syndrome_mc_run(lattice, params, e0, workers),
-                      trajectory_run(lattice, params, e0, workers)):
+    for mc, qt in zip(syndrome_mc_run(lattice, params, e0, workers), trajectories):
         diff = np.abs(mc.mean_energy - qt.mean_energy)
         sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
         z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
@@ -598,7 +589,7 @@ def lindblad_reference_trace(
     exp(-gamma t) in closed form.
     """
     a_p = PauliString.from_label("XXXX")
-    jump = _jump(a_p, PauliString.single(4, 0, "Z"))
+    jump = jump_operator(a_p, PauliString.single(4, 0, "Z"))
     h_local = OperatorSum.from_string(a_p, -e0)
 
     a_mat = a_p.to_matrix()

@@ -191,10 +191,6 @@ def build_heisenberg(adjacency, jx: float, jy: float, jz: float, h: float,
     return OperatorSum(terms, n_qubits).normalized()
 
 
-def chain_adjacency(n_sites: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n_sites - 1)]
-
-
 def grid_adjacency(lx: int, ly: int) -> list[tuple[int, int]]:
     """Open-boundary square grid, sites numbered along the snake."""
     pos = {xy: k for k, xy in enumerate(snake_ordering(lx, ly))}

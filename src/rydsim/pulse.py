@@ -11,9 +11,8 @@ area as a pure phase, giving |A> -> -|B> at area pi.
 
 The Raman area is defined dimensionfully as
 ``integral Omega_c^2/(4 Delta) x(t)^2 dt`` so the pi-pulse condition is
-unit-safe.  Production integration uses an adaptive high-order explicit
-scheme (DOP853, rtol 1e-10); a fixed-step fourth-order Runge-Kutta stepper
-is exposed for convergence-order verification and cross-checks.
+unit-safe.  Pulses are integrated with an adaptive high-order explicit
+scheme (DOP853, rtol 1e-10).
 """
 
 from __future__ import annotations
@@ -105,12 +104,6 @@ def heff(x: float, v: float, omega_c: float, delta: float) -> np.ndarray:
     )
 
 
-def dark_state(x: float) -> np.ndarray:
-    """(|+> - x |R>) / sqrt(1 + x^2), the transported zero-energy state."""
-    vec = np.array([1.0, 0.0, -x], dtype=complex)
-    return vec / np.linalg.norm(vec)
-
-
 @dataclass
 class PulseOutcome:
     """Result of one pulse: the map on {|A>, |B>} and the |R> leakage."""
@@ -140,29 +133,6 @@ def _integrate(h_of_t, psi0: np.ndarray, t_final: float) -> np.ndarray:
             f"pulse integration failed at tolerance rtol=1e-10: {sol.message}"
         )
     return sol.y[:, -1]
-
-
-def rk4_propagate(h_of_t, psi0: np.ndarray, t_final: float, n_steps: int) -> np.ndarray:
-    """Fixed-step classic Runge-Kutta propagation (nominal order 4).
-
-    Used to verify the integration order by step halving and to
-    cross-check the adaptive path.
-    """
-    psi = psi0.astype(complex)
-    dt = t_final / n_steps
-
-    def f(t, y):
-        return -1j * (h_of_t(t) @ y)
-
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = f(t, psi)
-        k2 = f(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = f(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return psi
 
 
 # basis change {A, B} <-> {+, -}: |A> = (|+> + |->)/sqrt2, |B> = (|+> - |->)/sqrt2
@@ -277,16 +247,3 @@ def gate_fidelity(profile: PulseProfile):
     f_zero = _overlap_fidelity(zero.unitary, np.eye(2))
     f_rydberg = _overlap_fidelity(evolve_pulse(profile, "rydberg").unitary, SWAP_TARGET)
     return f_zero, f_rydberg, zero.leak_r
-
-
-def ensemble_phase_error(n_atoms: int, profile: PulseProfile) -> float:
-    """Analytic estimate of the grey-state dynamical phase for N atoms.
-
-    kappa * N * x_max^2 with kappa = (Omega_c^2/4Delta) T; keeping
-    sqrt(N) x small keeps this shift (and with it the gate error) small.
-    This is a documented estimate, not an integration.
-    """
-    if n_atoms < 2:
-        raise ValueError("the ensemble estimate needs at least two atoms")
-    kappa = profile.prefactor * profile.duration
-    return kappa * n_atoms * profile.x_max**2

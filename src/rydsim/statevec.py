@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .pauli import OperatorSum, PauliString, pauli_action
-
-#: exact-propagator dense cap
-PROPAGATOR_QUBIT_CAP = 10
 
 
 class StateVector:
@@ -172,18 +169,6 @@ def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generat
         outcome, prob = -1, 1.0 - p_plus
         state.amps = (state.amps - image) * (0.5 / np.sqrt(1.0 - p_plus))
     return outcome, state, prob
-
-
-def exact_propagator(h: OperatorSum, t: float) -> np.ndarray:
-    """exp(-i H t) via Hermitian eigendecomposition (oracle path, n <= 10)."""
-    if h.n_qubits > PROPAGATOR_QUBIT_CAP:
-        raise CapExceededError(
-            f"exact propagator capped at {PROPAGATOR_QUBIT_CAP} qubits"
-        )
-    if not h.is_hermitian():
-        raise ValueError("propagator requires a Hermitian Hamiltonian")
-    w, v = np.linalg.eigh(h.to_matrix())
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 class DensityMatrix:

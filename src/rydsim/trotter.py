@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gates as _g
-from .errors import CapExceededError, UnmappedTermError
+from .errors import UnmappedTermError
 from .pauli import OperatorSum, PauliString
 from .statevec import StateVector
 
@@ -117,33 +115,3 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
     for gate in circuit.gates:
         _DISPATCH[gate.kind](state, gate)
     return state
-
-
-def compile_hopping_term(
-    i: int, j: int, string_site: int, t_hop: float, tau: float
-) -> Circuit:
-    """Circuit for one fermion hopping term split into its XXZ and YYZ parts.
-
-    Realizes exp(i phi X_i X_j Z_k) exp(i phi Y_i Y_j Z_k) with phi =
-    t_hop * tau; the two factors commute, so their order is irrelevant.
-    """
-    if len({i, j, string_site}) != 3:
-        raise ValueError("hopping term needs three distinct qubits")
-    n = max(i, j, string_site) + 1
-    phi = t_hop * tau
-    gates = (
-        Gate("hop_xxz", (i, j, string_site), phi),
-        Gate("hop_yyz", (i, j, string_site), phi),
-    )
-    return Circuit(n, gates)
-
-
-def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit (oracle helper, n <= 10)."""
-    if circuit.n_qubits > 10:
-        raise CapExceededError("circuit_matrix capped at 10 qubits")
-    dim = 1 << circuit.n_qubits
-    mat = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        mat[:, col] = run(circuit, StateVector.basis_state(circuit.n_qubits, col)).amps
-    return mat

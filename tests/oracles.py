@@ -43,6 +43,47 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
+def propagator(h, t: float) -> np.ndarray:
+    """exp(-i H t) of an operator sum ``h``, from its dense matrix."""
+    return expm_hermitian(h.to_matrix(), -1j * t)
+
+
+def circuit_matrix(circuit) -> np.ndarray:
+    """Dense unitary of a circuit: ``trotter.run`` on each basis state.
+
+    This densifies the path under test, so it checks gate compilation and
+    dispatch only against an independent unitary such as :func:`propagator`.
+    """
+    from rydsim.statevec import StateVector
+    from rydsim.trotter import run
+
+    dim = 1 << circuit.n_qubits
+    mat = np.empty((dim, dim), dtype=complex)
+    for col in range(dim):
+        mat[:, col] = run(circuit, StateVector.basis_state(circuit.n_qubits, col)).amps
+    return mat
+
+
+def rk4_propagate(h_of_t, psi0: np.ndarray, t_final: float, n_steps: int) -> np.ndarray:
+    """psi(t_final) of i dpsi/dt = H(t) psi by fixed-step classic Runge-Kutta
+    (nominal order 4), a cross-check of the adaptive pulse integrator."""
+    psi = psi0.astype(complex)
+    dt = t_final / n_steps
+
+    def f(t, y):
+        return -1j * (h_of_t(t) @ y)
+
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = f(t, psi)
+        k2 = f(t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = f(t + dt, psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return psi
+
+
 def with_ancilla(state):
     """``state`` with one more, top qubit in |0>: the register of the
     circuit-level cooling cycle, whose ancilla is the top qubit."""

@@ -33,15 +33,16 @@ from rydsim.models import (
     build_hubbard_jw,
     build_hubbard_local,
     build_toric,
-    chain_adjacency,
     constrained_local_spectrum,
+    grid_adjacency,
     toric_ground_state,
 )
 from rydsim.pauli import OperatorSum, PauliString
-from rydsim.statevec import DensityMatrix, StateVector, exact_propagator
-from rydsim.trotter import Circuit, Gate, circuit_matrix, run, trotterize
+from rydsim.statevec import DensityMatrix, StateVector
+from rydsim.trotter import Circuit, Gate, run, trotterize
 
-from oracles import expm_hermitian, label_matrix, random_label, with_ancilla
+from oracles import (circuit_matrix, expm_hermitian, label_matrix, propagator,
+                     random_label, with_ancilla)
 
 
 def report(number: int, description: str, ok: bool, detail: str, started: float):
@@ -81,7 +82,7 @@ def test_criterion_02_toric_evolution_exact():
     worst = 0.0
     for tau in (0.1, 1.0, 10.0):
         circuit = trotterize(h, tau, 1)
-        u_exact = exact_propagator(h, tau)
+        u_exact = propagator(h, tau)
         for _ in range(20):
             state = StateVector.random_state(8, rng)
             digital = run(circuit, state)
@@ -98,13 +99,13 @@ def test_criterion_03_heisenberg_step_and_trotter_exponents():
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 10):
         got = circuit_matrix(Circuit(2, (Gate("xx", (0, 1), theta),)))
         worst = max(worst, np.linalg.norm(got - expm_hermitian(xx, 0.5j * theta), 2))
-    h = build_heisenberg(chain_adjacency(4), 1.0, 0.8, 0.6, 0.3, n_qubits=4)
+    h = build_heisenberg(grid_adjacency(4, 1), 1.0, 0.8, 0.6, 0.3, n_qubits=4)
     taus = [0.2, 0.1, 0.05, 0.025]
     slopes = {}
     for order in (1, 2):
         errs = [
             np.linalg.norm(
-                circuit_matrix(trotterize(h, tau, 1, order)) - exact_propagator(h, tau),
+                circuit_matrix(trotterize(h, tau, 1, order)) - propagator(h, tau),
                 2,
             )
             for tau in taus

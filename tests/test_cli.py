@@ -240,6 +240,35 @@ def test_invalid_angle_flag(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+_COOL = ["toric-cool", "--lx", "2", "--ly", "2", "--steps", "1", "--trajectories", "1"]
+
+
+@pytest.mark.parametrize("field,argv", [
+    ("theta", _COOL + ["--theta", "pi/0"]),
+    ("theta", _COOL + ["--theta", "pi,inf"]),
+    ("e0", _COOL + ["--theta", "pi", "--e0", "nan"]),
+    ("q-init", _COOL + ["--theta", "pi", "--q-init", "nan"]),
+    ("tau", ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "nan", "--steps", "1"]),
+    ("jz", ["heisenberg", "--lx", "2", "--tau", "0.1", "--steps", "1", "--jz=-inf"]),
+    ("durations", ["gate-fidelity", "--durations", "nan"]),
+    ("durations", ["gate-fidelity", "--durations", "10,1e999"]),
+    ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "nan"]),
+    ("blockade", ["gate-fidelity", "--durations", "10", "--blockade", "nan"]),
+])
+def test_undefined_number_is_usage_error(capsys, field, argv):
+    # a zero denominator or a non-finite value never reaches a runner
+    assert main(argv + ["--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rydsim: error:") and f"{field!r}" in err
+
+
+@pytest.mark.parametrize("word", ["inf", "Infinite", "infinity"])
+def test_blockade_infinity_words_mean_perfect_blockade(word):
+    cfg = ExperimentConfig.from_text(
+        f"command = gate-fidelity\ndurations = 10\nblockade = {word}\n")
+    assert cfg["blockade"] == math.inf
+
+
 def test_invalid_observable(tmp_path, capsys):
     status = main(["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1",
                    "--steps", "1", "--observables", "q9"])

@@ -11,8 +11,7 @@ from rydsim.cooling import (
     Trace,
     cooling_cycle_trajectory,
     equivalence_check,
-    jump_operator_plaquette,
-    jump_operator_star,
+    jump_operator,
     lindblad_integrate,
     lindblad_reference_trace,
     sample_syndrome_config,
@@ -45,14 +44,15 @@ def _parity_ok(bits, lattice=LATTICE):
 def test_jump_vanishes_on_ground_state():
     gs = toric_ground_state(LATTICE)
     for p in range(LATTICE.n_plaquettes):
-        c_p = jump_operator_plaquette(LATTICE, p, LATTICE.plaquettes[p][0])
+        c_p = jump_operator(LATTICE.plaquette_string(p),
+                            PauliString.single(8, LATTICE.plaquettes[p][0], "Z"))
         assert np.linalg.norm(c_p.to_matrix() @ gs.amps) < 1e-12
 
 
 def test_jump_interrogation_projector():
     p = 1
     edge = LATTICE.plaquettes[p][2]
-    c_p = jump_operator_plaquette(LATTICE, p, edge)
+    c_p = jump_operator(LATTICE.plaquette_string(p), PauliString.single(8, edge, "Z"))
     want = 0.5 * (
         OperatorSum.identity(8) - OperatorSum.from_string(LATTICE.plaquette_string(p))
     )
@@ -62,7 +62,7 @@ def test_jump_interrogation_projector():
 def test_jump_maps_excited_to_ground_partner():
     p = 0
     edge = LATTICE.plaquettes[p][1]
-    c_p = jump_operator_plaquette(LATTICE, p, edge)
+    c_p = jump_operator(LATTICE.plaquette_string(p), PauliString.single(8, edge, "Z"))
     gs = toric_ground_state(LATTICE)
     excited = gs.copy().apply_string(PauliString.single(8, edge, "Z"))
     image = c_p.to_matrix() @ excited.amps
@@ -73,7 +73,7 @@ def test_jump_maps_excited_to_ground_partner():
 def test_star_jump_structure():
     s = 2
     edge = LATTICE.stars[s][0]
-    c_s = jump_operator_star(LATTICE, s, edge)
+    c_s = jump_operator(LATTICE.star_string(s), PauliString.single(8, edge, "X"))
     want = 0.5 * (
         OperatorSum.from_string(PauliString.single(8, edge, "X"))
         @ (OperatorSum.identity(8) - OperatorSum.from_string(LATTICE.star_string(s)))
@@ -82,8 +82,10 @@ def test_star_jump_structure():
 
 
 def test_jump_requires_incident_edge():
+    # a pump off the cell commutes with its stabilizer and cannot flip it
     with pytest.raises(ValueError):
-        jump_operator_plaquette(LATTICE, 0, LATTICE.plaquettes[3][1])
+        jump_operator(LATTICE.plaquette_string(0),
+                      PauliString.single(8, LATTICE.plaquettes[3][1], "Z"))
 
 
 # -- Lindblad integration ------------------------------------------------------
@@ -354,6 +356,17 @@ def test_trajectory_cap():
     params = CoolingParams(thetas=(np.pi,), n_steps=2, n_trajectories=2, seed=0)
     with pytest.raises(CapExceededError):
         trajectory_run(lattice, params)
+
+
+def test_compare_cap_fails_before_any_engine_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an engine ran on a lattice beyond the trajectory cap")
+
+    monkeypatch.setattr(cooling, "syndrome_mc_run", never)
+    monkeypatch.setattr(cooling, "_fan_out", never)
+    params = CoolingParams(thetas=(np.pi,), n_steps=40, n_trajectories=20000, seed=0)
+    with pytest.raises(CapExceededError):
+        equivalence_check(ToricLattice.build(3, 2), params, workers=2)
 
 
 def test_trajectory_independent_of_workers():

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from rydsim.errors import UnmappedTermError
-from rydsim.models import build_heisenberg, build_toric, chain_adjacency
+from rydsim.gates import hopping_step
+from rydsim.models import build_heisenberg, build_toric, grid_adjacency
 from rydsim.pauli import OperatorSum, PauliString
-from rydsim.statevec import StateVector, exact_propagator
-from rydsim.trotter import (
-    Circuit,
-    Gate,
-    circuit_matrix,
-    compile_hopping_term,
-    run,
-    trotterize,
-)
+from rydsim.statevec import StateVector
+from rydsim.trotter import Circuit, Gate, run, trotterize
 
-from oracles import expm_hermitian, label_matrix
+from oracles import circuit_matrix, expm_hermitian, label_matrix, propagator
 
 
 def heisenberg_chain(n=4):
-    return build_heisenberg(chain_adjacency(n), 1.0, 0.8, 0.6, 0.3, n_qubits=n)
+    return build_heisenberg(grid_adjacency(n, 1), 1.0, 0.8, 0.6, 0.3, n_qubits=n)
 
 
 def test_empty_circuit_returns_input():
@@ -45,7 +39,7 @@ def test_toric_evolution_is_exact():
     rng = np.random.default_rng(1)
     for tau in (0.1, 1.0, 10.0):
         circuit = trotterize(h, tau, 1)
-        u_exact = exact_propagator(h, tau)
+        u_exact = propagator(h, tau)
         for _ in range(3):
             state = StateVector.random_state(8, rng)
             digital = run(circuit, state)
@@ -62,7 +56,7 @@ def test_commuting_groups_tau_exact_second_order():
     h, _ = build_toric(2, 2)
     circuit = trotterize(h, 0.7, 2, order=2)
     got = circuit_matrix(circuit)
-    want = exact_propagator(h, 1.4)
+    want = propagator(h, 1.4)
     assert np.linalg.norm(got - want, 2) < 1e-10
 
 
@@ -73,7 +67,7 @@ def test_per_step_error_exponent(order, target, tol):
     errors = []
     for tau in taus:
         got = circuit_matrix(trotterize(h, tau, 1, order=order))
-        errors.append(np.linalg.norm(got - exact_propagator(h, tau), 2))
+        errors.append(np.linalg.norm(got - propagator(h, tau), 2))
     slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
     assert abs(slope - target) < tol
 
@@ -86,7 +80,7 @@ def test_global_error_first_order_in_tau():
     for tau in taus:
         n_steps = int(round(total_time / tau))
         got = circuit_matrix(trotterize(h, tau, n_steps, order=1))
-        errs.append(np.linalg.norm(got - exact_propagator(h, total_time), 2))
+        errs.append(np.linalg.norm(got - propagator(h, total_time), 2))
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert abs(slope - 1.0) < 0.2
 
@@ -95,16 +89,16 @@ def test_order2_beats_order1():
     h = heisenberg_chain(4)
     tau = 0.1
     e1 = np.linalg.norm(
-        circuit_matrix(trotterize(h, tau, 1, 1)) - exact_propagator(h, tau), 2
+        circuit_matrix(trotterize(h, tau, 1, 1)) - propagator(h, tau), 2
     )
     e2 = np.linalg.norm(
-        circuit_matrix(trotterize(h, tau, 1, 2)) - exact_propagator(h, tau), 2
+        circuit_matrix(trotterize(h, tau, 1, 2)) - propagator(h, tau), 2
     )
     assert e2 < e1 / 5
 
 
 def test_total_z_approximately_conserved_when_jx_equals_jy():
-    h = build_heisenberg(chain_adjacency(4), 0.9, 0.9, 0.5, 0.3, n_qubits=4)
+    h = build_heisenberg(grid_adjacency(4, 1), 0.9, 0.9, 0.5, 0.3, n_qubits=4)
     n = 4
     total_z = OperatorSum([(1.0, PauliString.single(n, q, "Z")) for q in range(n)], n)
     # symbolic symmetry of the Hamiltonian itself
@@ -135,14 +129,19 @@ def test_non_hermitian_term_rejected():
 
 # -- hopping compilation ----------------------------------------------------
 
+def hopping_circuit(phi):
+    """exp(i phi X0 X1 Z2) exp(i phi Y0 Y1 Z2), the gates trotterize emits."""
+    return Circuit(3, (Gate("hop_xxz", (0, 1, 2), phi), Gate("hop_yyz", (0, 1, 2), phi)))
+
+
 def test_compile_hopping_zero_phase_identity():
-    circuit = compile_hopping_term(0, 1, 2, 1.0, 0.0)
+    circuit = hopping_circuit(0.0)
     assert np.allclose(circuit_matrix(circuit), np.eye(8))
 
 
 def test_compile_hopping_matrix():
     phi = 0.37
-    circuit = compile_hopping_term(0, 1, 2, 1.0, phi)
+    circuit = hopping_circuit(phi)
     want = expm_hermitian(label_matrix("XXZ"), 1j * phi) @ expm_hermitian(
         label_matrix("YYZ"), 1j * phi
     )
@@ -155,14 +154,14 @@ def test_hopping_factors_commute():
     assert xxz.commutes(yyz)
     # so the two emitted gates may be reordered freely
     phi = 0.8
-    fwd = compile_hopping_term(0, 1, 2, 1.0, phi)
+    fwd = hopping_circuit(phi)
     rev = Circuit(3, fwd.gates[::-1])
     assert np.allclose(circuit_matrix(fwd), circuit_matrix(rev), atol=1e-12)
 
 
 def test_hopping_needs_distinct_qubits():
     with pytest.raises(ValueError):
-        compile_hopping_term(0, 0, 1, 1.0, 0.1)
+        hopping_step(StateVector.zero_state(3), 0, 0, 1, 0.1)
 
 
 def test_hubbard_local_terms_all_compile():
