@@ -293,9 +293,10 @@ def _resolve_values(command: str, file_values: dict, flag_values: dict) -> dict:
             )
         values[name] = value
     if (command == "toric-cool" and values["engine"] == "lindblad"
-            and (values["lx"], values["ly"]) != (2, 2)):
-        raise ConfigError("engine 'lindblad' simulates the single-plaquette 2x2 "
-                          f"reference system; got lx={values['lx']}, ly={values['ly']}")
+            and (values["lx"], values["ly"], values["trajectories"]) != (2, 2, 1)):
+        raise ConfigError("engine 'lindblad' integrates the single-plaquette 2x2 reference "
+                          "system once, so fields 'lx', 'ly' and 'trajectories' must be 2, 2 "
+                          f"and 1; got {values['lx']}, {values['ly']} and {values['trajectories']}")
     return values
 
 
@@ -505,7 +506,10 @@ def _run_gate_fidelity(cfg: ExperimentConfig):
             PulseProfile.sin2, x_max=cfg["x-max"], duration=duration,
             omega_c=cfg["omega-c"], delta=cfg["delta"], blockade=cfg["blockade"],
         )
-        profile = _checked(calibrate_area, profile)  # to pi, the gate's target
+        try:  # to pi, the gate's target
+            profile = calibrate_area(profile)
+        except ValueError as exc:  # the area reads every field but the blockade
+            raise ConfigError(f"fields 'durations', 'x-max', 'omega-c', 'delta': {exc}") from None
         f_zero, f_rydberg, leak = gate_fidelity(profile)
         rows.append([duration, profile.x_max, profile.blockade,
                      f_zero, f_rydberg, leak])

@@ -17,24 +17,27 @@ A run is one :class:`CoolingParams`; both stochastic engines take its
 
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
-all plaquettes then all stars, each in freshly shuffled order; the Monte
-Carlo resolves each kind's sweep whole, as the unique fixed point of its
-flip rule (:func:`_sweep`), with the draws and flips of a cell-by-cell
-sweep; the theta values of a run share these draws, which do not depend
-on theta, and are swept together.  Both stochastic engines draw block b of
+each kind of cell in turn, plaquettes then stars, in freshly shuffled
+order; :func:`_kinds` is the one description of what a cycle acts on,
+per kind, and every engine reads it.  The Monte Carlo resolves
+each kind's sweep whole, as the unique fixed point of its flip rule
+(:func:`_sweep`), with the draws and flips of a cell-by-cell sweep; the
+theta values of a run share these draws, which do not depend on theta,
+and are swept together.  Both stochastic engines draw block b of
 :data:`BLOCK` trajectories of a run with seed s from one stream,
 ``SeedSequence(entropy=s, spawn_key=(tag, b))`` with tag 0 for the Monte
 Carlo and 1 for the quantum trajectories, at every theta of the run, and
 split work over processes in whole blocks, so results depend on neither the
 worker count, the batch size nor the other thetas of the run.  The quantum
 trajectories record their block's draws once, in the circuit's order, then
-advance every (theta, row) state of the block together, as one array.
+advance every (theta, row) state of the block together.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -197,9 +200,33 @@ def lindblad_integrate(
 # classical syndrome configurations
 # ---------------------------------------------------------------------
 
-def _sample_bits(lattice: ToricLattice, q_init: float, rngs, sizes) -> np.ndarray:
-    """(rows, cells) int8 bits of :func:`sample_syndrome_config`, plaquettes
-    then stars, a block of ``sizes`` rows per generator."""
+_Kind = namedtuple("_Kind", "offset cells letter pump other")
+
+
+def _kinds(lattice: ToricLattice) -> tuple[_Kind, ...]:
+    """What a cooling sweep acts on, one kind after the other: plaquettes
+    (stabilizer letter X, pump Z), then stars (Z, X).
+
+    Per kind, ``offset`` is its first column in a row of syndrome bits,
+    ``cells`` its ``(count, 4)`` edges and ``other[cell, pick]`` the cell at
+    the other end of ``cell``'s ``pick``-th edge, toggled with ``cell`` when
+    the pump flips that edge (the two ends differ when lx, ly >= 2).  It
+    comes from the cells alone: sorted, an edge's two slots name each other.
+    """
+    kinds, offset = [], 0
+    for cells, letter, pump in ((lattice.plaquettes, "X", "Z"), (lattice.stars, "Z", "X")):
+        cells = np.asarray(cells)
+        slots = np.argsort(cells.ravel(), kind="stable").reshape(-1, 2)
+        other = np.empty(cells.size, dtype=np.int64)
+        other[slots] = slots[:, ::-1] // 4
+        kinds.append(_Kind(offset, cells, letter, pump, other.reshape(cells.shape)))
+        offset += len(cells)
+    return tuple(kinds)
+
+
+def _sample_bits(kinds, q_init: float, rngs, sizes) -> np.ndarray:
+    """(rows, cells) int8 bits of :func:`sample_syndrome_config`, one column
+    block per kind, a block of ``sizes`` rows per generator."""
 
     def sample(rng, rows, count):
         bits = np.where(rng.random((rows, count)) < q_init, -1, 1).astype(np.int8)
@@ -207,8 +234,7 @@ def _sample_bits(lattice: ToricLattice, q_init: float, rngs, sizes) -> np.ndarra
         bits[odd, rng.integers(count, size=len(odd))] *= -1
         return bits
 
-    counts = (lattice.n_plaquettes, lattice.n_stars)
-    return np.vstack([np.hstack([sample(rng, rows, c) for c in counts])
+    return np.vstack([np.hstack([sample(rng, rows, len(kind.cells)) for kind in kinds])
                       for rng, rows in zip(rngs, sizes)])
 
 
@@ -218,21 +244,10 @@ def sample_syndrome_config(
     """One int8 row of +-1 bits, plaquettes then stars: each i.i.d. excited
     with probability q_init, then parity repaired by flipping one uniformly
     chosen bit per violated product (both products are +1 on the torus)."""
-    return _sample_bits(lattice, q_init, [rng], [1])[0]
+    return _sample_bits(_kinds(lattice), q_init, [rng], [1])[0]
 
 
-def _sweep_tables(lattice: ToricLattice):
-    """Per kind, its first column and ``other[cell, pick]``: the cell at the
-    other end of ``cell``'s ``pick``-th edge, toggled with ``cell`` when it
-    flips that edge (the two ends differ when lx, ly >= 2)."""
-    n_p = lattice.n_plaquettes
-    return [(offset, np.asarray(edge_cells)[np.asarray(cells)].sum(axis=2)
-             - np.arange(len(cells))[:, None])
-            for offset, cells, edge_cells in ((0, lattice.plaquettes, lattice.edge_plaquettes),
-                                              (n_p, lattice.stars, lattice.edge_stars))]
-
-
-def _sweep(bits, tables, prob, rngs, sizes):
+def _sweep(bits, kinds, prob, rngs, sizes):
     """One sweep of every row of ``bits``, a block of ``sizes`` rows per
     generator, each kind solved for all rows and positions at once.
 
@@ -247,8 +262,8 @@ def _sweep(bits, tables, prob, rngs, sizes):
     round's changed flips land and settles one more link of the longest chain.
     """
     n = sum(sizes)
-    for offset, other in tables:
-        count = len(other)
+    for kind in kinds:
+        offset, other, count = kind.offset, kind.other, len(kind.other)
         order, u, pick = (np.vstack(d).ravel() for d in zip(*[
             (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
              rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
@@ -262,10 +277,10 @@ def _sweep(bits, tables, prob, rngs, sizes):
         read = pos[end]  # where that other end is read
         later = read > at
         for k, p in enumerate(np.atleast_1d(prob)):
-            kind = bits[k * n:(k + 1) * n, offset:offset + count].flatten()
-            cand, start = u < p, kind[cell] < 0
+            col = bits[k * n:(k + 1) * n, offset:offset + count].flatten()
+            cand, start = u < p, col[cell] < 0
             linked = cand & later & cand[read]  # can change a later candidate's read
-            flips, toggled = cand & start, np.zeros(kind.size, dtype=bool)
+            flips, toggled = cand & start, np.zeros(col.size, dtype=bool)
             moved = np.flatnonzero(flips & linked)  # flips whose toggle is not yet read
             for _ in range(count + 1):
                 if not len(moved):
@@ -278,28 +293,28 @@ def _sweep(bits, tables, prob, rngs, sizes):
                 moved = hit[linked[hit]]
             else:
                 raise RuntimeError("syndrome sweep did not reach its fixed point")
-            kind[cell[flips]] *= -1  # each cell is visited once
-            np.negative.at(kind, end[flips])  # an other end may be toggled repeatedly
-            bits[k * n:(k + 1) * n, offset:offset + count] = kind.reshape(-1, count)
+            col[cell[flips]] *= -1  # each cell is visited once
+            np.negative.at(col, end[flips])  # an other end may be toggled repeatedly
+            bits[k * n:(k + 1) * n, offset:offset + count] = col.reshape(-1, count)
 
 
 def _mc_energies(lattice, params, blocks, e0=1.0):
     """(thetas, rows, steps + 1) energies: each batch's initial bits are
     sampled once and swept at every theta on the same draws."""
-    tables = _sweep_tables(lattice)
+    kinds = _kinds(lattice)
     probs = [flip_probability(theta) for theta in params.thetas]
     per_batch = max(1, BATCH_ROW_CELLS
-                    // (len(probs) * BLOCK * (lattice.n_plaquettes + lattice.n_stars)))
+                    // (len(probs) * BLOCK * sum(len(kind.cells) for kind in kinds)))
     parts = []
     for start in range(0, len(blocks), per_batch):
         batch = blocks[start:start + per_batch]
         rngs = [_stream(params.seed, 0, int(b)) for b in batch]
         rows = _block_rows(params, batch)
-        bits = np.tile(_sample_bits(lattice, params.q_init, rngs, rows), (len(probs), 1))
+        bits = np.tile(_sample_bits(kinds, params.q_init, rngs, rows), (len(probs), 1))
         out = np.empty((len(bits), params.n_steps + 1))
         out[:, 0] = -e0 * bits.sum(axis=1)
         for step in range(1, params.n_steps + 1):
-            _sweep(bits, tables, probs, rngs, rows)
+            _sweep(bits, kinds, probs, rngs, rows)
             out[:, step] = -e0 * bits.sum(axis=1)
         parts.append(out.reshape(len(probs), -1, params.n_steps + 1))
     return np.concatenate(parts, axis=1)
@@ -309,41 +324,33 @@ def _mc_energies(lattice, params, blocks, e0=1.0):
 # quantum trajectories
 # ---------------------------------------------------------------------
 
-def _chain_edges(lattice: ToricLattice, kind: str, i: int, j: int) -> list[int]:
-    """Edges of a lattice path connecting two cells (used to imprint a
-    chosen excitation pattern on the ground state)."""
-    (x, y), (xj, yj) = lattice.plaquette_xy(i), lattice.plaquette_xy(j)
-    edges = []
-    # along x to column xj, then along y to row yj (plaquette_index wraps)
-    for dx, dy, steps in ((1, 0, (xj - x) % lattice.lx), (0, 1, (yj - y) % lattice.ly)):
-        for _ in range(steps):
-            here = lattice.plaquette_index(x, y)
-            x, y = x + dx, y + dy
-            edges.append(lattice.shared_edge(kind, here, lattice.plaquette_index(x, y)))
-    return edges
-
-
 def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
     """A stabilizer eigenstate with exactly the syndromes ``bits`` (a row of
     :func:`sample_syndrome_config`: plaquettes, then stars).
 
-    Excited cells are paired up and connected by operator chains (Z chains
-    move plaquette violations, X chains star violations) applied to the
-    ground state; chain overlaps cancel modulo two.
+    Per kind, a cell's chain is the XOR of the pump edges on its path in a
+    breadth-first spanning tree of the toggle graph (cells joined through
+    ``other``) rooted at the kind's first cell: it toggles the cell and the
+    root.  The excited cells' chains, an even number, multiply to one string
+    with exactly their syndromes, applied to :func:`toric_ground_state`.
     """
-    n_p = lattice.n_plaquettes
     state = toric_ground_state(lattice)
-    for kind, kind_bits, letter in (("plaquette", bits[:n_p], "Z"), ("star", bits[n_p:], "X")):
-        excited = [int(c) for c in np.flatnonzero(kind_bits < 0)]
-        if len(excited) % 2:
+    for kind in _kinds(lattice):
+        excited = bits[kind.offset:kind.offset + len(kind.cells)] < 0
+        if excited.sum() % 2:
             raise ValueError("syndrome parity violated; cannot realize state")
-        chain: set[int] = set()
-        for a, b in zip(excited[::2], excited[1::2]):
-            chain ^= set(_chain_edges(lattice, kind, a, b))
+        order, path = [0], {0: frozenset()}  # breadth first from the root; tree paths
+        for cell in order:  # the list grows as it is read
+            for edge, end in zip(kind.cells[cell].tolist(), kind.other[cell].tolist()):
+                if end not in path:
+                    path[end] = path[cell] ^ {edge}
+                    order.append(end)
+        chain = set()
+        for cell in np.flatnonzero(excited).tolist():
+            chain ^= path[cell]
         if chain:
-            state.apply_string(
-                PauliString.from_sites(lattice.n_edges, {e: letter for e in chain})
-            )
+            state.apply_string(PauliString.from_sites(lattice.n_edges,
+                                                      dict.fromkeys(chain, kind.pump)))
     return state
 
 
@@ -409,7 +416,7 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
     """(thetas, rows, steps + 1) energies.  Per block, every draw of the
     circuit is recorded once, in its order; then all (theta, row) states
     advance on those draws as one array, one sweep position at a time."""
-    n, n_p = lattice.n_edges, lattice.n_plaquettes
+    n, kinds = lattice.n_edges, _kinds(lattice)
 
     def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
         pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for s in strings]
@@ -420,12 +427,13 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
         idx, factor = pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)
         ham[s.x_mask] = (idx, ham.get(s.x_mask, (idx, 0.0))[1] + c * factor)
     ham = list(ham.values())
-    # cells are plaquettes then stars: their stabilizers, and the pump on each edge
-    stab_idx, stab_factor = tables([lattice.plaquette_string(c) for c in range(n_p)]
-                                   + [lattice.star_string(c) for c in range(lattice.n_stars)])
-    pump_idx, pump_factor = tables([PauliString.single(n, e, pump) for cells, pump in (
-        (lattice.plaquettes, "Z"), (lattice.stars, "X")) for cell in cells for e in cell], 4)
-    kinds, steps, n_theta = ((0, n_p), (n_p, lattice.n_stars)), params.n_steps, len(params.thetas)
+    # every cell of every kind: its stabilizer, and the pump on each of its edges
+    cells = [(kind, cell) for kind in kinds for cell in kind.cells.tolist()]
+    stab_idx, stab_factor = tables([PauliString.from_sites(n, dict.fromkeys(cell, kind.letter))
+                                    for kind, cell in cells])
+    pump_idx, pump_factor = tables([PauliString.single(n, e, kind.pump)
+                                    for kind, cell in cells for e in cell], 4)
+    steps, n_theta = params.n_steps, len(params.thetas)
     rows = _block_rows(params, blocks)
     out = np.empty((n_theta, sum(rows), steps + 1))
     for b, size, first in zip(blocks, rows, np.cumsum([0] + rows)):
@@ -436,7 +444,8 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
         for row in range(size):
             psi[row] = _initial_trajectory_state(lattice, params, rng).amps
             for step in range(steps):
-                for offset, count in kinds:
+                for kind in kinds:
+                    offset, count = kind.offset, len(kind.cells)
                     order[step, row, offset:offset + count] = offset + rng.permutation(count)
                     for j in range(offset, offset + count):
                         pick[step, row, j], u[step, row, j] = rng.integers(4), rng.random()

@@ -54,15 +54,14 @@ class ToricLattice:
     y*Lx + x; vertical edge (x, y) points up and follows in a second block.
     Plaquette (x, y) is the face with lower-left vertex (x, y); star (x, y)
     is the vertex itself.  Every edge belongs to exactly two plaquettes and
-    two stars.
+    two stars.  The lattice stores the cells' edges only; the cooling
+    engines derive from them which cells share an edge.
     """
 
     lx: int
     ly: int
     plaquettes: tuple[tuple[int, int, int, int], ...]
     stars: tuple[tuple[int, int, int, int], ...]
-    edge_plaquettes: tuple[tuple[int, int], ...]
-    edge_stars: tuple[tuple[int, int], ...]
 
     @property
     def n_edges(self) -> int:
@@ -99,47 +98,13 @@ class ToricLattice:
                 stars.append(
                     (h_edge(x, y), h_edge(x - 1, y), v_edge(x, y), v_edge(x, y - 1))
                 )
-        n_edges = 2 * lx * ly
-        edge_pl = [[] for _ in range(n_edges)]
-        edge_st = [[] for _ in range(n_edges)]
-        for p, edges in enumerate(plaquettes):
-            for e in edges:
-                edge_pl[e].append(p)
-        for s, edges in enumerate(stars):
-            for e in edges:
-                edge_st[e].append(s)
-        if any(len(v) != 2 for v in edge_pl) or any(len(v) != 2 for v in edge_st):
-            raise AssertionError("torus incidence is broken")
-        return cls(
-            lx,
-            ly,
-            tuple(tuple(p) for p in plaquettes),
-            tuple(tuple(s) for s in stars),
-            tuple(tuple(v) for v in edge_pl),
-            tuple(tuple(v) for v in edge_st),
-        )
-
-    def plaquette_index(self, x: int, y: int) -> int:
-        return (y % self.ly) * self.lx + (x % self.lx)
-
-    def plaquette_xy(self, p: int) -> tuple[int, int]:
-        return p % self.lx, p // self.lx
+        return cls(lx, ly, tuple(plaquettes), tuple(stars))
 
     def plaquette_string(self, p: int) -> PauliString:
         return PauliString.from_sites(self.n_edges, {e: "X" for e in self.plaquettes[p]})
 
     def star_string(self, s: int) -> PauliString:
         return PauliString.from_sites(self.n_edges, {e: "Z" for e in self.stars[s]})
-
-    def shared_edge(self, kind: str, i: int, j: int) -> int:
-        """Lowest-index edge shared by two adjacent plaquettes or stars."""
-        if kind not in ("plaquette", "star"):
-            raise ValueError(f"kind must be 'plaquette' or 'star', got {kind!r}")
-        cells = self.plaquettes if kind == "plaquette" else self.stars
-        common = set(cells[i]) & set(cells[j])
-        if not common:
-            raise ValueError(f"{kind}s {i} and {j} share no edge")
-        return min(common)
 
 
 def build_toric(lx: int, ly: int, e0: float = 1.0):

@@ -96,13 +96,23 @@ def random_label(rng, n_qubits: int) -> str:
     return "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
 
 
+def edge_cells(cells) -> np.ndarray:
+    """(edges, 2) int64: the two cells holding each edge, in cell order,
+    from one loop over the cells' edge lists."""
+    holders = {}
+    for c, edges in enumerate(cells):
+        for e in edges:
+            holders.setdefault(e, []).append(c)
+    return np.array([holders[e] for e in range(len(holders))], dtype=np.int64)
+
+
 def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
     """Per-trajectory energies of the syndrome Monte Carlo, one scalar cell
     visit at a time; trajectory k draws from stream ``(tag, k)``."""
     p_edges = np.asarray(lattice.plaquettes, dtype=np.int64)
-    edge_pl = np.asarray(lattice.edge_plaquettes, dtype=np.int64)
+    edge_pl = edge_cells(lattice.plaquettes)
     s_edges = np.asarray(lattice.stars, dtype=np.int64)
-    edge_st = np.asarray(lattice.edge_stars, dtype=np.int64)
+    edge_st = edge_cells(lattice.stars)
     (theta,) = params.thetas
     prob = math.sin(theta / 2.0) ** 2
 
@@ -153,11 +163,10 @@ def sweep_loop_reference(lattice, bits, prob, rngs, sizes):
     flat = bits.reshape(-1)
     base = np.arange(bits.shape[0]) * bits.shape[1]
     n_p = lattice.n_plaquettes
-    for offset, cells, edge_cells in ((0, lattice.plaquettes, lattice.edge_plaquettes),
-                                      (n_p, lattice.stars, lattice.edge_stars)):
+    for offset, cells in ((0, lattice.plaquettes), (n_p, lattice.stars)):
         count = len(cells)
         # both cells of a cell's pick-th edge, as columns of ``bits``
-        ends = offset + np.asarray(edge_cells, dtype=np.int64)[np.asarray(cells)]
+        ends = offset + edge_cells(cells)[np.asarray(cells)]
         draws = [(rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
                   rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
                  for rng, rows in zip(rngs, sizes)]
@@ -167,6 +176,54 @@ def sweep_loop_reference(lattice, bits, prob, rngs, sizes):
             # rows are disjoint and an edge's two cells differ: no repeated index
             toggled = (base[hit, None] + ends[order[hit, k], pick[hit, k]]).ravel()
             flat[toggled] = -flat[toggled]
+
+
+def syndrome_chain_exact(lattice, theta, q_init, steps):
+    """Exact mean and variance of the syndrome Monte Carlo's energy (E0 = 1)
+    at steps 0 to ``steps``, as two arrays.
+
+    Plaquettes and stars are independent chains; a kind's configuration is
+    an integer whose bit c is set while cell c is excited.  Its initial law
+    is i.i.d. excitation with probability ``q_init``, then one uniformly
+    chosen bit flipped when the count is odd.  A sweep visits the cells in
+    uniformly random order, that is, each next cell uniformly among the
+    unvisited ones, so its law is a dynamic program over (visited subset,
+    configuration).  A visit to an excited cell flips, with probability
+    sin^2(theta/2), one of its four edges picked uniformly, which toggles
+    the cell and the edge's other holder.
+    """
+    prob = math.sin(theta / 2.0) ** 2
+    mean, var = np.zeros(steps + 1), np.zeros(steps + 1)
+    for cells in (lattice.plaquettes, lattice.stars):
+        count, holders = len(cells), edge_cells(cells)
+        configs = np.arange(1 << count)
+        excited = (configs[:, None] >> np.arange(count)) & 1
+        n_excited = excited.sum(axis=1)
+        energy = 2.0 * n_excited - count
+        iid = q_init ** n_excited * (1.0 - q_init) ** (count - n_excited)
+        odd = np.where(n_excited % 2, iid, 0.0)
+        law = iid - odd + sum(odd[configs ^ (1 << c)] for c in range(count)) / count
+        masks = [[(1 << c) ^ (1 << int(sum(holders[e]) - c)) for e in cells[c]]
+                 for c in range(count)]
+
+        def visit(p, c):
+            moved = p * (prob * excited[:, c])
+            out = p - moved
+            for mask in masks[c]:
+                out[configs ^ mask] += moved / 4.0
+            return out
+
+        for step in range(steps + 1):
+            mean[step] += law @ energy
+            var[step] += law @ energy**2 - (law @ energy) ** 2
+            at = np.zeros((1 << count, 1 << count))  # law after visiting a subset
+            at[0] = law
+            for visited in range((1 << count) - 1):  # every subset before its supersets
+                left = [c for c in range(count) if not visited >> c & 1]
+                for c in left:
+                    at[visited | 1 << c] += visit(at[visited], c) / len(left)
+            law = at[-1]
+    return mean, var
 
 
 def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=False):

@@ -254,9 +254,12 @@ _COOL = ["toric-cool", "--lx", "2", "--ly", "2", "--steps", "1", "--trajectories
     ("durations", ["gate-fidelity", "--durations", "10,1e999"]),
     ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "nan"]),
     ("blockade", ["gate-fidelity", "--durations", "10", "--blockade", "nan"]),
+    ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "1e200"]),
+    ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "1e200"]),
+    ("delta", ["gate-fidelity", "--durations", "10", "--delta", "1e-320"]),
 ])
 def test_undefined_number_is_usage_error(capsys, field, argv):
-    # a zero denominator or a non-finite value never reaches a runner
+    # a zero denominator or a non-finite value, given or derived, is a usage error
     assert main(argv + ["--out", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rydsim: error:") and f"{field!r}" in err
@@ -386,6 +389,16 @@ def test_lindblad_engine_rejects_other_lattices(capsys, lx, ly):
                    "--out", "-"])
     assert status == 2
     assert "lindblad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trajectories", ["2", "500"])
+def test_lindblad_engine_rejects_more_trajectories(capsys, trajectories):
+    # one density matrix is integrated: a trajectory count would be ignored
+    status = main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "0.4",
+                   "--steps", "1", "--trajectories", trajectories, "--engine", "lindblad",
+                   "--out", "-"])
+    assert status == 2
+    assert "'trajectories'" in capsys.readouterr().err
 
 
 def test_syndrome_csv_independent_of_workers(monkeypatch, tmp_path):

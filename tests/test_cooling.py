@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import (sweep_loop_reference, syndrome_mc_reference,
+from oracles import (sweep_loop_reference, syndrome_chain_exact, syndrome_mc_reference,
                      trajectory_energies_reference, with_ancilla)
 
 
@@ -226,7 +227,7 @@ def test_sampled_config_parity():
 def _one_row_sweep(lattice, config, theta, rng):
     # one Monte Carlo sweep of a single row of syndrome bits on ``rng``
     bits = config.copy()[None]
-    cooling._sweep(bits, cooling._sweep_tables(lattice), flip_probability(theta),
+    cooling._sweep(bits, cooling._kinds(lattice), flip_probability(theta),
                    [rng], [1])
     return bits[0]
 
@@ -252,8 +253,7 @@ def test_adjacent_pair_annihilation_probability():
     trials = 4000
     for _ in range(trials):
         config = np.ones(32, dtype=np.int8)  # 16 plaquettes, then 16 stars
-        config[lattice.plaquette_index(1, 1)] = -1
-        config[lattice.plaquette_index(2, 1)] = -1
+        config[5] = config[6] = -1  # plaquettes (1, 1) and (2, 1)
         out = _one_row_sweep(lattice, config, np.pi, rng)
         hits += int(np.all(out[:16] == 1))
     freq = hits / trials
@@ -574,6 +574,36 @@ def test_trajectory_thetas_match_independent_runs(q_init):
         assert np.array_equal(got.stderr, want.stderr)
 
 
+def test_syndrome_mc_matches_exact_chain():
+    """The MC's mean energy at every step against the exact chain: 2x2 and
+    3x2, theta pi and pi/2, q_init 0.5 and 0.3, steps 0-10, 4000
+    trajectories, 88 means in all.
+
+    Each mean is cut at Bernstein's bound for a mean of 4000 i.i.d. energies
+    with the exact variance, which holds for any law within |E| <= cells (a
+    normal cut does not: at theta pi the late steps expect under one excited
+    trajectory).  Each cut is at 1e-3 / 88 two-sided, so by Bonferroni the
+    family-wise false-alarm rate on correct code is at most 1e-3.
+    """
+    n, family, alpha, seed = 4000, 88, 1e-3, 41
+    log_term = math.log(2.0 * family / alpha)
+    worst = 0.0  # largest |MC mean - exact mean| / cut
+    for shape in ((2, 2), (3, 2)):
+        lattice = ToricLattice.build(*shape)
+        cells = lattice.n_plaquettes + lattice.n_stars
+        for q_init in (0.5, 0.3):
+            params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=10, n_trajectories=n,
+                                   q_init=q_init, seed=seed)
+            for trace in syndrome_mc_run(lattice, params):
+                mean, var = syndrome_chain_exact(lattice, trace.theta, q_init, 10)
+                bound = cells + np.abs(mean)  # |E - mean| <= bound, as |E| <= cells
+                # P(|MC mean - mean| >= t) <= 2 exp(-n t^2 / (2 var + 2 bound t / 3))
+                reach = 2.0 / 3.0 * bound * log_term
+                cut = (reach + np.sqrt(reach**2 + 8.0 * n * log_term * var)) / (2.0 * n)
+                worst = max(worst, float(np.max(np.abs(trace.mean_energy - mean) / cut)))
+    assert worst <= 1.0
+
+
 # -- batched Monte Carlo on RNG blocks ----------------------------------------
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)])
@@ -639,7 +669,7 @@ def test_batched_sampler_uniform_over_even_patterns():
     # uniformly onto the 8 even ones; a chi-square test with 7 degrees of
     # freedom per kind at 5e-4 each (false-alarm rate 1e-3 for the pair)
     rngs = [cooling._stream(17, 0, b) for b in range(125)]
-    bits = cooling._sample_bits(LATTICE, 0.5, rngs, [64] * 125)
+    bits = cooling._sample_bits(cooling._kinds(LATTICE), 0.5, rngs, [64] * 125)
     assert bits.shape == (8000, 8)
     even = [c for c in range(16) if bin(c).count("1") % 2 == 0]
     limit = stats.chi2.ppf(1.0 - 5e-4, 7)
@@ -655,9 +685,10 @@ def test_batched_sampler_ground_and_parity(shape):
     lattice = ToricLattice.build(*shape)
     n_p = lattice.n_plaquettes
     rngs = [cooling._stream(5, 0, b) for b in range(3)]
-    assert np.all(cooling._sample_bits(lattice, 0.0, rngs, [64, 64, 22]) == 1)
+    kinds = cooling._kinds(lattice)
+    assert np.all(cooling._sample_bits(kinds, 0.0, rngs, [64, 64, 22]) == 1)
     for q in (0.3, 1.0):
-        bits = cooling._sample_bits(lattice, q, rngs, [64, 64, 22])
+        bits = cooling._sample_bits(kinds, q, rngs, [64, 64, 22])
         assert bits.shape == (150, 2 * n_p)
         for row in bits:
             assert _parity_ok(row, lattice)

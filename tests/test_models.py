@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,10 @@ def test_lattice_counts_2x2():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 3)])
 def test_every_edge_in_two_plaquettes_two_stars(dims):
     lattice = ToricLattice.build(*dims)
-    assert all(len(v) == 2 for v in lattice.edge_plaquettes)
-    assert all(len(v) == 2 for v in lattice.edge_stars)
+    for cells in (lattice.plaquettes, lattice.stars):
+        counts = Counter(e for cell in cells for e in cell)
+        assert sorted(counts) == list(range(lattice.n_edges))
+        assert set(counts.values()) == {2}
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
@@ -88,15 +92,6 @@ def test_single_flip_costs_one_gap():
 def test_degenerate_dims_rejected():
     with pytest.raises(UnsupportedGeometryError):
         build_toric(1, 4)
-
-
-@pytest.mark.parametrize("kind", ["plaquettes", "Star"])
-def test_shared_edge_rejects_unknown_kind(kind):
-    lattice = ToricLattice.build(3, 3)
-    assert lattice.shared_edge("plaquette", 0, 1) == 10
-    assert lattice.shared_edge("star", 0, 1) == 0
-    with pytest.raises(ValueError, match="'plaquette' or 'star'"):
-        lattice.shared_edge(kind, 0, 1)
 
 
 # -- snake ordering ---------------------------------------------------------

@@ -76,6 +76,18 @@ def test_area_sin2_closed_form():
     assert raman_area(prof) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("x_max,omega_c,delta", [
+    (1e200, 2.0, 1.0),   # x(t)^2 overflows inside the quadrature
+    (0.2, 1e200, 1.0),   # omega_c^2 overflows
+    (0.2, 2.0, 1e-320),  # the prefactor is inf
+    (0.0, 2.0, 1e-320),  # inf times a zero integral is NaN
+])
+def test_area_rejects_non_finite(x_max, omega_c, delta):
+    prof = PulseProfile.sin2(x_max, 10.0, omega_c=omega_c, delta=delta)
+    with pytest.raises(ValueError, match="non-finite Raman"):
+        raman_area(prof)
+
+
 def test_calibrate_area_scales_amplitude():
     prof = calibrate_area(sin2_profile(0.2, 60.0), math.pi)
     assert raman_area(prof) == pytest.approx(math.pi, rel=1e-8)
