@@ -48,6 +48,7 @@ from .models import (
     grid_adjacency,
 )
 from .pauli import OperatorSum, PauliString, format_operator
+from .pulse import PulseProfile, calibrate_area, gate_fidelity
 from .statevec import StateVector
 from .trotter import run as run_circuit
 from .trotter import trotterize
@@ -497,8 +498,6 @@ def _run_hubbard_spectrum(cfg: ExperimentConfig):
 
 
 def _run_gate_fidelity(cfg: ExperimentConfig):
-    from .pulse import PulseProfile, calibrate_area, gate_fidelity
-
     header = ["T", "x_max", "V", "f_zero", "f_rydberg", "leak_R"]
     rows = []
     for duration in cfg["durations"]:
@@ -510,7 +509,10 @@ def _run_gate_fidelity(cfg: ExperimentConfig):
             profile = calibrate_area(profile)
         except ValueError as exc:  # the area reads every field but the blockade
             raise ConfigError(f"fields 'durations', 'x-max', 'omega-c', 'delta': {exc}") from None
-        f_zero, f_rydberg, leak = gate_fidelity(profile)
+        try:  # the integrated phase reads every field but the amplitude
+            f_zero, f_rydberg, leak = gate_fidelity(profile)
+        except ValueError as exc:
+            raise ConfigError(f"fields 'durations', 'omega-c', 'delta', 'blockade': {exc}") from None
         rows.append([duration, profile.x_max, profile.blockade,
                      f_zero, f_rydberg, leak])
     return header, rows, f"f_zero_last={rows[-1][3]:.6f}", 0

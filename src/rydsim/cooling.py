@@ -1,7 +1,7 @@
 """Dissipative ground-state cooling of the toric code at three levels.
 
 * :func:`lindblad_integrate`: exact master-equation integration for tiny
-  systems (density-matrix cap of six qubits).
+  systems (density-matrix cap of six qubits), by scipy's DOP853.
 * :func:`trajectory_run`: quantum trajectories on the system register, each
   cycle applied as its two-outcome map: K0 = P+ + cos(theta/2) P- (ancilla
   reads 0) or K1 = -i sin(theta/2) sigma_pump P- (reads 1), with
@@ -38,13 +38,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CapExceededError, IntegrationError
 from .gates import controlled_flip, flip_probability, syndrome_map
@@ -181,6 +178,7 @@ def lindblad_integrate(
         drho -= 0.5 * (anti @ rho + rho @ anti)
         return (gamma * drho).ravel()
 
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(
         rhs,
         (0.0, t),
@@ -496,6 +494,8 @@ def _fan_out(energies, lattice, params, e0, workers):
     blocks = np.arange(-(-params.n_trajectories // BLOCK))
     if workers <= 1 or len(blocks) < 2 or params.n_trajectories < 4 * workers:
         return run(blocks)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     chunks = [chunk for chunk in np.array_split(blocks, workers) if len(chunk)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,8 +11,8 @@ area as a pure phase, giving |A> -> -|B> at area pi.
 
 The Raman area is defined dimensionfully as
 ``integral Omega_c^2/(4 Delta) x(t)^2 dt`` so the pi-pulse condition is
-unit-safe.  Pulses are integrated with an adaptive high-order explicit
-scheme (DOP853, rtol 1e-10).
+unit-safe.  scipy integrates pulses (DOP853, rtol 1e-10) and areas (``quad``);
+it loads at the first such call, not with this module.
 """
 
 from __future__ import annotations
@@ -22,11 +22,15 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import IntegrationError
 
 _SQRT2 = math.sqrt(2.0)
+
+#: largest phase bound (rad) evolve_pulse integrates: DOP853 costs about
+#: 30 us per rad (1e6 rad in 32 s on a 2-vCPU VM), so a solve stays near half
+#: a minute; the benchmark's largest pulse is 8.8e3 rad
+MAX_PULSE_PHASE = 1e6
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,7 @@ def _h_of_t(profile: PulseProfile, v: float):
 
 
 def _integrate(h_of_t, psi0: np.ndarray, t_final: float) -> np.ndarray:
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(
         lambda t, y: -1j * (h_of_t(t) @ y),
         (0.0, t_final),
@@ -147,7 +152,8 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
     branch "rydberg": control atom Rydberg-excited; with perfect blockade
     the |R> level is dropped analytically and |+> picks up the Raman area
     as a phase, otherwise the three-level dynamics runs at the finite
-    blockade shift.
+    blockade shift.  ``ValueError`` if the phase bound to integrate,
+    |Omega_c^2/4Delta| (1 + V + x_max^2) T, exceeds :data:`MAX_PULSE_PHASE`.
     """
     if branch not in ("zero", "rydberg"):
         raise ValueError("branch must be 'zero' or 'rydberg'")
@@ -158,6 +164,9 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
         u_pm = np.diag([np.exp(-1j * area), 1.0])
         return PulseOutcome(_T_AB @ u_pm @ _T_AB, 0.0)
     v = 0.0 if branch == "zero" else profile.blockade
+    phase = abs(profile.prefactor) * (1.0 + v + profile.x_max * profile.x_max) * profile.duration
+    if not phase <= MAX_PULSE_PHASE:
+        raise ValueError(f"pulse phase {phase:.3g} rad exceeds {MAX_PULSE_PHASE:g} rad")
     h = _h_of_t(profile, v)
     plus_final = _integrate(h, np.array([1.0, 0.0, 0.0]), profile.duration)
     # |-> is exactly stationary, so the {+,-} block is diagonal
@@ -168,6 +177,7 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
 
 def raman_area(profile: PulseProfile) -> float:
     """integral_0^T (Omega_c^2/4Delta) x(t)^2 dt; pi drives |A> -> -|B>."""
+    from scipy.integrate import quad
     try:
         value, err = quad(
             lambda t: profile.x_of_t(t) ** 2,

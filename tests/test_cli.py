@@ -257,9 +257,12 @@ _COOL = ["toric-cool", "--lx", "2", "--ly", "2", "--steps", "1", "--trajectories
     ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "1e200"]),
     ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "1e200"]),
     ("delta", ["gate-fidelity", "--durations", "10", "--delta", "1e-320"]),
+    ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "1e150"]),
+    ("durations", ["gate-fidelity", "--durations", "1e300"]),
 ])
 def test_undefined_number_is_usage_error(capsys, field, argv):
-    # a zero denominator or a non-finite value, given or derived, is a usage error
+    # a zero denominator, a non-finite value, given or derived, or a pulse
+    # phase past what the integrator is run to, is a usage error
     assert main(argv + ["--out", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rydsim: error:") and f"{field!r}" in err

@@ -574,33 +574,66 @@ def test_trajectory_thetas_match_independent_runs(q_init):
         assert np.array_equal(got.stderr, want.stderr)
 
 
+def _worst_over_bernstein_cut(lattice, traces, q_init, n, family, alpha=1e-3):
+    """Largest |mean - exact mean| / cut over every step of ``traces``, each
+    a mean of ``n`` i.i.d. energies, cut at Bernstein's bound at
+    ``alpha / family`` two-sided.
+
+    Bernstein's bound uses the exact variance and holds for any law within
+    |E| <= cells; a normal cut does not (at theta pi the late steps expect
+    under one excited trajectory).  So by Bonferroni over ``family`` means
+    the family-wise false-alarm rate on correct code is at most ``alpha``.
+    """
+    log_term = math.log(2.0 * family / alpha)
+    cells = lattice.n_plaquettes + lattice.n_stars
+    worst = 0.0
+    for trace in traces:
+        mean, var = syndrome_chain_exact(lattice, trace.theta, q_init,
+                                         len(trace.mean_energy) - 1)
+        bound = cells + np.abs(mean)  # |E - mean| <= bound, as |E| <= cells
+        # P(|MC mean - mean| >= t) <= 2 exp(-n t^2 / (2 var + 2 bound t / 3))
+        reach = 2.0 / 3.0 * bound * log_term
+        cut = (reach + np.sqrt(reach**2 + 8.0 * n * log_term * var)) / (2.0 * n)
+        worst = max(worst, float(np.max(np.abs(trace.mean_energy - mean) / cut)))
+    return worst
+
+
 def test_syndrome_mc_matches_exact_chain():
     """The MC's mean energy at every step against the exact chain: 2x2 and
     3x2, theta pi and pi/2, q_init 0.5 and 0.3, steps 0-10, 4000
-    trajectories, 88 means in all.
-
-    Each mean is cut at Bernstein's bound for a mean of 4000 i.i.d. energies
-    with the exact variance, which holds for any law within |E| <= cells (a
-    normal cut does not: at theta pi the late steps expect under one excited
-    trajectory).  Each cut is at 1e-3 / 88 two-sided, so by Bonferroni the
-    family-wise false-alarm rate on correct code is at most 1e-3.
+    trajectories, 88 means in all, each cut at Bernstein's bound at 1e-3 / 88
+    (family-wise false-alarm rate at most 1e-3).
     """
-    n, family, alpha, seed = 4000, 88, 1e-3, 41
-    log_term = math.log(2.0 * family / alpha)
-    worst = 0.0  # largest |MC mean - exact mean| / cut
+    n, seed, worst = 4000, 41, 0.0
     for shape in ((2, 2), (3, 2)):
         lattice = ToricLattice.build(*shape)
-        cells = lattice.n_plaquettes + lattice.n_stars
         for q_init in (0.5, 0.3):
             params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=10, n_trajectories=n,
                                    q_init=q_init, seed=seed)
-            for trace in syndrome_mc_run(lattice, params):
-                mean, var = syndrome_chain_exact(lattice, trace.theta, q_init, 10)
-                bound = cells + np.abs(mean)  # |E - mean| <= bound, as |E| <= cells
-                # P(|MC mean - mean| >= t) <= 2 exp(-n t^2 / (2 var + 2 bound t / 3))
-                reach = 2.0 / 3.0 * bound * log_term
-                cut = (reach + np.sqrt(reach**2 + 8.0 * n * log_term * var)) / (2.0 * n)
-                worst = max(worst, float(np.max(np.abs(trace.mean_energy - mean) / cut)))
+            traces = syndrome_mc_run(lattice, params)
+            worst = max(worst, _worst_over_bernstein_cut(lattice, traces, q_init, n, 88))
+    assert worst <= 1.0
+
+
+def test_trajectory_run_matches_exact_chain():
+    """The quantum trajectories' mean energy at every step against the exact
+    chain: 2x2, theta pi and pi/2, q_init 0.5 (the basis start plus
+    plaquette readout) and 0.3, steps 0-10, 2000 trajectories on two
+    workers, 44 means, each cut at Bernstein's bound at 1e-3 / 44, so the
+    family-wise false-alarm rate on correct code is at most 1e-3.
+
+    On correct code the worst mean reads 0.44 of its cut (0.22 at seed 42).
+    Flip probability x0.95, injected with K0 rescaled to match, reads 0.91
+    (0.85 at seed 42): not caught at this size, where the exact means put it
+    at 0.68 of the cut (1.0 at 4000 trajectories).  x0.90 reads 1.60 and is
+    caught.
+    """
+    n, seed, worst = 2000, 41, 0.0
+    for q_init in (0.5, 0.3):
+        params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=10, n_trajectories=n,
+                               q_init=q_init, seed=seed)
+        traces = trajectory_run(LATTICE, params, workers=2)
+        worst = max(worst, _worst_over_bernstein_cut(LATTICE, traces, q_init, n, 44))
     assert worst <= 1.0
 
 
