@@ -15,7 +15,6 @@ from .cooling import (
     jump_operator,
     lindblad_integrate,
     lindblad_reference_trace,
-    sample_syndrome_config,
     state_from_config,
     syndrome_mc_run,
     trajectory_run,

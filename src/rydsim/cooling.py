@@ -19,18 +19,21 @@ One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
 each kind of cell in turn, plaquettes then stars, in freshly shuffled
 order; :func:`_kinds` is the one description of what a cycle acts on,
-per kind, and every engine reads it.  The Monte Carlo resolves
-each kind's sweep whole, as the unique fixed point of its flip rule
-(:func:`_sweep`), with the draws and flips of a cell-by-cell sweep; the
-theta values of a run share these draws, which do not depend on theta,
-and are swept together.  Both stochastic engines draw block b of
-:data:`BLOCK` trajectories of a run with seed s from one stream,
-``SeedSequence(entropy=s, spawn_key=(tag, b))`` with tag 0 for the Monte
-Carlo and 1 for the quantum trajectories, at every theta of the run, and
-split work over processes in whole blocks, so results depend on neither the
-worker count, the batch size nor the other thetas of the run.  The quantum
-trajectories record their block's draws once, in the circuit's order, then
-advance every (theta, row) state of the block together.
+per kind, and every engine reads it.
+
+Both stochastic engines draw block b of :data:`BLOCK` trajectories of a
+run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(tag,
+b))`` with tag 0 for the Monte Carlo and 1 for the quantum trajectories,
+the same way: its start syndromes from :func:`_sample_bits`, then per sweep
+and kind the visit order, uniforms and edge picks of all its rows from
+:func:`_draws`.  The theta values of a run share these draws, which do not
+depend on theta, and advance together.  Work splits over processes in
+whole blocks, so results depend on neither the worker count, the batch size
+nor the other thetas of the run.  The Monte Carlo resolves each kind's
+sweep whole, as the unique fixed point of its flip rule (:func:`_sweep`),
+with the flips of a cell-by-cell sweep; the quantum trajectories advance
+every (theta, row) state of the block together, one sweep position at a
+time.
 """
 
 from __future__ import annotations
@@ -159,13 +162,14 @@ def lindblad_integrate(
     Trace and Hermiticity are preserved to integrator tolerance; every
     ground-sector state is a fixed point.
     """
+    jumps = list(jumps)
     if rho0.n_qubits > LINDBLAD_QUBIT_CAP:
         raise CapExceededError(
             f"density-matrix integration capped at {LINDBLAD_QUBIT_CAP} qubits"
         )
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    if gamma == 0.0 or t == 0.0 or not list(jumps):
+    if gamma == 0.0 or t == 0.0 or not jumps:
         return rho0.copy()
     dim = 1 << rho0.n_qubits
     cs = [op.to_matrix(rho0.n_qubits) for op in jumps]
@@ -223,8 +227,10 @@ def _kinds(lattice: ToricLattice) -> tuple[_Kind, ...]:
 
 
 def _sample_bits(kinds, q_init: float, rngs, sizes) -> np.ndarray:
-    """(rows, cells) int8 bits of :func:`sample_syndrome_config`, one column
-    block per kind, a block of ``sizes`` rows per generator."""
+    """(rows, cells) int8 rows of +-1 start syndromes, one column block per
+    kind, a block of ``sizes`` rows per generator: each bit i.i.d. excited
+    with probability q_init, then parity repaired by flipping one uniformly
+    chosen bit per violated product (both products are +1 on the torus)."""
 
     def sample(rng, rows, count):
         bits = np.where(rng.random((rows, count)) < q_init, -1, 1).astype(np.int8)
@@ -236,13 +242,14 @@ def _sample_bits(kinds, q_init: float, rngs, sizes) -> np.ndarray:
                       for rng, rows in zip(rngs, sizes)])
 
 
-def sample_syndrome_config(
-    lattice: ToricLattice, q_init: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One int8 row of +-1 bits, plaquettes then stars: each i.i.d. excited
-    with probability q_init, then parity repaired by flipping one uniformly
-    chosen bit per violated product (both products are +1 on the torus)."""
-    return _sample_bits(_kinds(lattice), q_init, [rng], [1])[0]
+def _draws(count, rngs, sizes):
+    """One sweep's draws for a kind of ``count`` cells, a block of ``sizes``
+    rows per generator: the visit order, the uniforms and the edge picks, each
+    (rows, count), drawn in that order from each generator."""
+    return [np.vstack(d) for d in zip(*[
+        (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
+         rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
+        for rng, rows in zip(rngs, sizes)])]
 
 
 def _sweep(bits, kinds, prob, rngs, sizes):
@@ -262,10 +269,7 @@ def _sweep(bits, kinds, prob, rngs, sizes):
     n = sum(sizes)
     for kind in kinds:
         offset, other, count = kind.offset, kind.other, len(kind.other)
-        order, u, pick = (np.vstack(d).ravel() for d in zip(*[
-            (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
-             rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
-            for rng, rows in zip(rngs, sizes)]))
+        order, u, pick = (d.ravel() for d in _draws(count, rngs, sizes))
         at = np.arange(order.size)  # flat (row, position), or (row, cell)
         row = at - at % count  # flat start of the row
         cell = row + order  # the visited cell
@@ -323,8 +327,8 @@ def _mc_energies(lattice, params, blocks, e0=1.0):
 # ---------------------------------------------------------------------
 
 def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
-    """A stabilizer eigenstate with exactly the syndromes ``bits`` (a row of
-    :func:`sample_syndrome_config`: plaquettes, then stars).
+    """A stabilizer eigenstate with exactly the syndromes ``bits``, one +-1
+    per plaquette, then per star (a row of :func:`_sample_bits`).
 
     Per kind, a cell's chain is the XOR of the pump edges on its path in a
     breadth-first spanning tree of the toggle graph (cells joined through
@@ -332,6 +336,9 @@ def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
     root.  The excited cells' chains, an even number, multiply to one string
     with exactly their syndromes, applied to :func:`toric_ground_state`.
     """
+    bits = np.asarray(bits)
+    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not np.isin(bits, (-1, 1)).all():
+        raise ValueError("need one syndrome of +1 or -1 per plaquette and per star")
     state = toric_ground_state(lattice)
     for kind in _kinds(lattice):
         excited = bits[kind.offset:kind.offset + len(kind.cells)] < 0
@@ -392,16 +399,6 @@ def cooling_cycle_trajectory(
     return state, flipped
 
 
-def _initial_trajectory_state(lattice, params, rng) -> StateVector:
-    if abs(params.q_init - 0.5) >= 1e-12:
-        return state_from_config(lattice, sample_syndrome_config(lattice, params.q_init, rng))
-    bits = "".join(map(str, rng.integers(0, 2, lattice.n_edges)))  # qubit 0 first
-    state = StateVector.basis_state(lattice.n_edges, bits)
-    for p in range(lattice.n_plaquettes):
-        measure_projector(state, lattice.plaquette_string(p), rng)
-    return state
-
-
 def _energies(psi, ham, acc, buf):
     """Re <psi|H psi> of each row of ``psi``; H psi accumulates in ``acc``."""
     acc.fill(0.0)
@@ -411,9 +408,11 @@ def _energies(psi, ham, acc, buf):
 
 
 def _trajectory_energies(lattice, params, blocks, e0=1.0):
-    """(thetas, rows, steps + 1) energies.  Per block, every draw of the
-    circuit is recorded once, in its order; then all (theta, row) states
-    advance on those draws as one array, one sweep position at a time."""
+    """(thetas, rows, steps + 1) energies.  Per block, the rows start in the
+    eigenstates of the Monte Carlo's start sampler; then all (theta, row)
+    states advance as one array, one sweep position at a time, on the Monte
+    Carlo's sweep draws: at each position, its cell, pump pick and readout
+    uniform."""
     n, kinds = lattice.n_edges, _kinds(lattice)
 
     def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
@@ -435,21 +434,11 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
     rows = _block_rows(params, blocks)
     out = np.empty((n_theta, sum(rows), steps + 1))
     for b, size, first in zip(blocks, rows, np.cumsum([0] + rows)):
-        # draw phase: the circuit's Generator calls in its order, trajectory by trajectory
-        rng, psi = _stream(params.seed, 1, int(b)), np.empty((n_theta * size, 1 << n), complex)
-        order, pick = np.empty((2, steps, size, len(stab_idx)), np.int8)
-        u = np.empty(order.shape)
-        for row in range(size):
-            psi[row] = _initial_trajectory_state(lattice, params, rng).amps
-            for step in range(steps):
-                for kind in kinds:
-                    offset, count = kind.offset, len(kind.cells)
-                    order[step, row, offset:offset + count] = offset + rng.permutation(count)
-                    for j in range(offset, offset + count):
-                        pick[step, row, j], u[step, row, j] = rng.integers(4), rng.random()
-        # physics phase: theta-major rows in preallocated buffers, and no BLAS call,
-        # whose blocking could make a row's bits depend on the other rows
-        psi.reshape(n_theta, size, -1)[1:] = psi[:size]  # every theta starts alike
+        rng = _stream(params.seed, 1, int(b))
+        # theta-major rows in preallocated buffers, and no BLAS call, whose
+        # blocking could make a row's bits depend on the other rows
+        psi = np.tile([state_from_config(lattice, row).amps
+                       for row in _sample_bits(kinds, params.q_init, [rng], [size])], (n_theta, 1))
         minus, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
         base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
         flip = np.repeat([flip_probability(t) for t in params.thetas], size)
@@ -457,28 +446,31 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
         block = out[:, first:first + size]
         block[..., 0] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
         for step in range(steps):
-            for cell, edge, v in zip(*(np.tile(d[step].T, n_theta) for d in (order, pick, u))):
-                np.add(np.take(stab_idx, cell, axis=0, out=index, mode="clip"), base, out=index)
-                np.take(psi, index, out=gathered, mode="clip")
-                gathered *= np.take(stab_factor, cell, axis=0, out=minus, mode="clip")
-                np.subtract(psi, gathered, out=minus)
-                minus *= 0.5  # P- psi
-                weight = np.square(minus.view(float), out=gathered.view(float)).sum(axis=1)
-                p_flip = flip * weight
-                stay = v < 1.0 - p_flip
-                # K0 = P+ + cos(theta/2) P- on every row (complex by real on the float
-                # view), then K1 up to its phase -i on the rows that jumped
-                np.multiply(minus.view(float), shrink, out=gathered.view(float))
-                psi -= gathered
-                np.divide(psi.view(float), np.sqrt(np.where(stay, 1.0 - p_flip, 1.0))[:, None],
-                          out=psi.view(float))
-                jumped = np.flatnonzero(~stay)
-                at, kicked = (cell[jumped], edge[jumped]), gathered[:len(jumped)]
-                np.take(minus, np.add(pump_idx[at], base[jumped], out=index[:len(jumped)]),
-                        out=kicked, mode="clip")
-                kicked *= pump_factor[at]
-                psi[jumped] = np.divide(kicked.view(float), np.sqrt(weight[jumped])[:, None],
-                                        out=kicked.view(float)).view(complex)
+            for kind in kinds:
+                order, u, pick = (np.tile(d.T, n_theta)
+                                  for d in _draws(len(kind.cells), [rng], [size]))
+                for cell, edge, v in zip(kind.offset + order, pick, u):
+                    np.add(np.take(stab_idx, cell, axis=0, out=index, mode="clip"), base, out=index)
+                    np.take(psi, index, out=gathered, mode="clip")
+                    gathered *= np.take(stab_factor, cell, axis=0, out=minus, mode="clip")
+                    np.subtract(psi, gathered, out=minus)
+                    minus *= 0.5  # P- psi
+                    weight = np.square(minus.view(float), out=gathered.view(float)).sum(axis=1)
+                    p_flip = flip * weight
+                    stay = v < 1.0 - p_flip
+                    # K0 = P+ + cos(theta/2) P- on every row (complex by real on the float
+                    # view), then K1 up to its phase -i on the rows that jumped
+                    np.multiply(minus.view(float), shrink, out=gathered.view(float))
+                    psi -= gathered
+                    np.divide(psi.view(float), np.sqrt(np.where(stay, 1.0 - p_flip, 1.0))[:, None],
+                              out=psi.view(float))
+                    jumped = np.flatnonzero(~stay)
+                    at, kicked = (cell[jumped], edge[jumped]), gathered[:len(jumped)]
+                    np.take(minus, np.add(pump_idx[at], base[jumped], out=index[:len(jumped)]),
+                            out=kicked, mode="clip")
+                    kicked *= pump_factor[at]
+                    psi[jumped] = np.divide(kicked.view(float), np.sqrt(weight[jumped])[:, None],
+                                            out=kicked.view(float)).view(complex)
             block[..., step + 1] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
     return out
 
@@ -539,14 +531,13 @@ def trajectory_run(
     Each cycle applies its two-outcome map on the 2^n_edges system register
     (oracle: the circuit-level :func:`cooling_cycle_trajectory`); the lattice
     must fit that circuit's register, system + 1 ancilla (the 2x2 torus).
-    A trajectory starts in a stabilizer eigenstate with the sampled syndromes
-    or, at q_init = 1/2, in a uniformly random computational basis state
-    followed by one projective readout of every plaquette.
+    A trajectory starts in the stabilizer eigenstate of its sampled start
+    syndromes (:func:`state_from_config`).
 
-    Per block, the circuit's draws are recorded once, in its order (10 bytes
-    per trajectory, step and cell); then all (theta, row) states advance
-    together as one (thetas * rows, 2^n_edges) array, in four buffers of that
-    shape (1.8 MB for a full block at two thetas on the 2x2 torus).
+    Per block, all (theta, row) states advance together as one
+    (thetas * rows, 2^n_edges) array, in four buffers of that shape (1.8 MB
+    for a full block at two thetas on the 2x2 torus), on one sweep's draws
+    at a time.
     """
     if lattice.n_edges + 1 > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges + 1} qubits, "
@@ -566,9 +557,10 @@ def equivalence_check(
     one report per theta: :func:`syndrome_mc_run` and :func:`trajectory_run`
     on the same ``params``.
 
-    Both engines start from the same initial syndrome distribution and
-    their mean energy traces must agree within :data:`Z_CUT` combined
-    standard errors at every step, so each engine needs two trajectories.
+    Both engines draw their start syndromes from the same sampler, on
+    disjoint streams, and their mean energy traces must agree within
+    :data:`Z_CUT` combined standard errors at every step, so each engine
+    needs two trajectories.
     """
     if params.n_trajectories < 2:
         raise ValueError("the engine comparison needs at least 2 trajectories")

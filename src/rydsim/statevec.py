@@ -40,8 +40,8 @@ class StateVector:
     def basis_state(cls, n_qubits: int, bits) -> "StateVector":
         """|bits>.  Accepts an integer index or a string read as qubit 0, 1, ...."""
         if isinstance(bits, str):
-            if len(bits) != n_qubits:
-                raise ValueError("bitstring length != n_qubits")
+            if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+                raise ValueError(f"need a string of {n_qubits} characters 0 and 1, got {bits!r}")
             index = sum(1 << k for k, b in enumerate(bits) if b == "1")
         else:
             index = int(bits)

@@ -226,47 +226,62 @@ def syndrome_chain_exact(lattice, theta, q_init, steps):
     return mean, var
 
 
-def trajectory_energies_reference(lattice, params, blocks, e0=1.0, basis_init=False):
+class ScriptedRng:
+    """Stands in for a Generator in one cooling cycle: its pump pick, then its
+    readout uniform."""
+
+    def __init__(self, pick, u):
+        self.pick, self.u = pick, u
+
+    def integers(self, high):
+        return self.pick
+
+    def random(self):
+        return self.u
+
+
+def trajectory_energies_reference(lattice, params, blocks, e0=1.0):
     """Per-trajectory energies of the circuit-level quantum trajectories.
 
     The register holds the system plus one ancilla (the top qubit), and
-    every cycle is one ``cooling_cycle_trajectory`` call.  The trajectories
-    of block b (64 per block) run in turn on stream ``(1, b)``; each draws
-    its initial state (with ``basis_init``: a uniformly random basis state,
-    then one readout of every plaquette), then per sweep the plaquette
-    permutation and its cycles, then the same for the stars.
+    every cycle is one ``cooling_cycle_trajectory`` call.  Block b (64
+    trajectories, the last block partial) draws on stream ``(1, b)`` for all
+    its rows at once.  Per kind of cell, plaquettes then stars, a row's start
+    syndromes are i.i.d. excited with probability q_init, then one uniformly
+    chosen one is flipped if their product is -1.  Then per sweep and kind
+    come the visit order, the readout uniforms and the pump picks, each
+    (rows, cells); a row's cycle at sweep position k reads its pick and its
+    uniform through a :class:`ScriptedRng`.
     """
-    from rydsim.cooling import (cooling_cycle_trajectory, sample_syndrome_config,
-                                state_from_config)
+    from rydsim.cooling import cooling_cycle_trajectory, state_from_config
     from rydsim.models import build_toric
-    from rydsim.statevec import StateVector, measure_projector
 
     (theta,) = params.thetas
-    n_sys = lattice.n_edges
-    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(n_sys + 1)
+    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(lattice.n_edges + 1)
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
     out = []
     for b in blocks:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=params.seed, spawn_key=(1, int(b)))
         )
-        for _ in range(min(64, params.n_trajectories - 64 * int(b))):
-            if basis_init:
-                bits = rng.integers(0, 2, n_sys)
-                system = StateVector.basis_state(
-                    n_sys, int(sum(int(v) << k for k, v in enumerate(bits))))
-                for p in range(lattice.n_plaquettes):
-                    measure_projector(system, lattice.plaquette_string(p), rng)
-            else:
-                system = state_from_config(
-                    lattice, sample_syndrome_config(lattice, params.q_init, rng))
-            state = with_ancilla(system)
-            energies = [state.expectation(h)]
-            for _ in range(params.n_steps):
-                for cells, kind in sweep:
-                    for c in rng.permutation(len(cells)):
-                        cooling_cycle_trajectory(state, cells[c], theta, rng,
-                                                 kind=kind)
-                energies.append(state.expectation(h))
-            out.append(energies)
+        rows, starts = min(64, params.n_trajectories - 64 * int(b)), []
+        for cells, _ in sweep:
+            bits = np.where(rng.random((rows, len(cells))) < params.q_init, -1, 1)
+            odd = np.flatnonzero((bits < 0).sum(axis=1) % 2)
+            bits[odd, rng.integers(len(cells), size=len(odd))] *= -1
+            starts.append(bits)
+        states = [with_ancilla(state_from_config(lattice, row)) for row in np.hstack(starts)]
+        energies = [[state.expectation(h)] for state in states]
+        for _ in range(params.n_steps):
+            for cells, kind in sweep:
+                count = len(cells)
+                order = rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1)
+                u, pick = rng.random((rows, count)), rng.integers(0, 4, (rows, count))
+                for r, state in enumerate(states):
+                    for k in range(count):
+                        cooling_cycle_trajectory(state, cells[order[r, k]], theta,
+                                                 ScriptedRng(pick[r, k], u[r, k]), kind=kind)
+            for state, row in zip(states, energies):
+                row.append(state.expectation(h))
+        out += energies
     return np.array(out)

@@ -15,7 +15,6 @@ from rydsim.cooling import (
     jump_operator,
     lindblad_integrate,
     lindblad_reference_trace,
-    sample_syndrome_config,
     state_from_config,
     syndrome_mc_run,
     trajectory_run,
@@ -26,12 +25,16 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import (sweep_loop_reference, syndrome_chain_exact, syndrome_mc_reference,
-                     trajectory_energies_reference, with_ancilla)
+from oracles import (ScriptedRng, sweep_loop_reference, syndrome_chain_exact,
+                     syndrome_mc_reference, trajectory_energies_reference, with_ancilla)
 
 
 LATTICE = ToricLattice.build(2, 2)
 H_TORIC, _ = build_toric(2, 2)
+
+
+def sample_syndrome_config(lattice, q_init, rng):
+    return cooling._sample_bits(cooling._kinds(lattice), q_init, [rng], [1])[0]
 
 
 def _parity_ok(bits, lattice=LATTICE):
@@ -141,6 +144,14 @@ def test_lindblad_cap_and_negative_rate():
     big = DensityMatrix(np.eye(1 << 7) / float(1 << 7), copy=False)
     with pytest.raises(CapExceededError):
         lindblad_integrate([], 1.0, big, 1.0)
+
+
+def test_lindblad_reads_a_generator_of_jumps_once():
+    jump, proj_minus = _single_plaquette_setup()
+    rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
+    want = lindblad_integrate([jump], 0.7, rho0, 1.5)
+    got = lindblad_integrate((c for c in [jump]), 0.7, rho0, 1.5)
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_small_theta_rate_scales_as_theta_squared():
@@ -295,6 +306,17 @@ def test_state_from_config_realizes_syndromes_non_square(shape):
                 lattice.star_string(s)).real == pytest.approx(float(config[n_p + s]))
 
 
+@pytest.mark.parametrize("bits", [
+    [1, -1, -1, 1],  # plaquettes only
+    [1, 1, 1, 1, 1, 1, 1, 1, 1],  # one syndrome too many
+    [0, 1, 1, 0, 1, 1, 1, 1],  # 0/1 values
+    [1, 1, 1, 1, 1, 1, 1, 2],
+])
+def test_state_from_config_rejects_a_row_not_of_signed_syndromes(bits):
+    with pytest.raises(ValueError, match=r"\+1 or -1 per plaquette and per star"):
+        state_from_config(LATTICE, np.array(bits, dtype=np.int8))
+
+
 def test_mc_run_ground_start_is_flat():
     params = CoolingParams(thetas=(np.pi,), n_steps=10, n_trajectories=20,
                            q_init=0.0, seed=0)
@@ -408,26 +430,29 @@ def test_trajectory_matches_lindblad_small_theta():
     assert np.all(np.abs(frac - reference) <= 3.0 * sigma + 0.01)
 
 
+def _q_init_id(q_init):
+    # q_init, then whether it is 1/2, where the start law is uniform over even patterns
+    return f"{q_init}-{q_init == 0.5}"
+
+
 @pytest.mark.parametrize("theta", [np.pi, np.pi / 2, 0.3])
-@pytest.mark.parametrize("q_init, basis_init", [(0.5, True), (0.3, False), (0.0, False),
-                                                (1.0, False)])
-def test_trajectory_engine_matches_circuit_oracle(theta, q_init, basis_init):
+@pytest.mark.parametrize("q_init", [0.5, 0.3, 0.0, 1.0], ids=_q_init_id)
+def test_trajectory_engine_matches_circuit_oracle(theta, q_init):
     # 130 trajectories: two full RNG blocks and a partial one; the system-
     # register engine must make the circuit's draws and flip decisions
     params = CoolingParams(thetas=(theta,), n_steps=5, n_trajectories=130,
                            q_init=q_init, seed=19)
     blocks = np.arange(3)
     engine = cooling._trajectory_energies(LATTICE, params, blocks)[0]
-    oracle = trajectory_energies_reference(LATTICE, params, blocks, basis_init=basis_init)
+    oracle = trajectory_energies_reference(LATTICE, params, blocks)
     assert engine.shape == oracle.shape == (130, 6)
     assert np.max(np.abs(engine - oracle)) <= 1e-9
 
 
 @pytest.mark.parametrize("n_trajectories", [1, 64, 65])
 @pytest.mark.parametrize("n_steps", [0, 3])
-@pytest.mark.parametrize("q_init, basis_init", [(0.5, True), (0.3, False)])
-def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, q_init,
-                                                       basis_init):
+@pytest.mark.parametrize("q_init", [0.5, 0.3], ids=_q_init_id)
+def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, q_init):
     # one run of three thetas advances all (theta, row) states together; each
     # theta's rows must be the circuit's, draw for draw.  1 trajectory is a
     # one-row batch, 65 a full block plus a one-row partial block
@@ -437,9 +462,55 @@ def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, 
     engine = cooling._trajectory_energies(LATTICE, params, blocks)
     assert engine.shape == (3, n_trajectories, n_steps + 1)
     for got, theta in zip(engine, params.thetas):
-        want = trajectory_energies_reference(LATTICE, replace(params, thetas=(theta,)), blocks,
-                                             basis_init=basis_init)
+        want = trajectory_energies_reference(LATTICE, replace(params, thetas=(theta,)), blocks)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("q_init", [0.5, 0.3, 1.0])
+@pytest.mark.parametrize("n_trajectories", [1, 64, 65])
+def test_trajectory_start_is_the_mc_start_sampler(q_init, n_trajectories):
+    # per block, each row's step-0 energy is that of the start syndromes the
+    # Monte Carlo's sampler draws first from the block's own stream
+    params = CoolingParams(thetas=(np.pi, 0.3), n_steps=2, n_trajectories=n_trajectories,
+                           q_init=q_init, seed=43)
+    blocks = np.arange(-(-n_trajectories // cooling.BLOCK))
+    rows = cooling._block_rows(params, blocks)
+    want = np.concatenate([
+        -cooling._sample_bits(cooling._kinds(LATTICE), q_init,
+                              [cooling._stream(params.seed, 1, int(b))], [size]).sum(axis=1)
+        for b, size in zip(blocks, rows)])
+    energies = cooling._trajectory_energies(LATTICE, params, blocks)
+    for theta_rows in energies:
+        assert np.max(np.abs(theta_rows[:, 0] - want)) <= 1e-9
+
+
+class _CountingRng:
+    """Passes every call on to a Generator and counts it."""
+
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.counts.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_trajectory_block_draws_do_not_grow_with_its_rows(monkeypatch):
+    # one Generator call per draw array: a block of 64 rows makes the calls
+    # of a block of 1, so no draw loops over the trajectories
+    stream, calls = cooling._stream, {1: [], 64: []}
+    for rows, log in calls.items():
+        monkeypatch.setattr(cooling, "_stream",
+                            lambda *key, log=log: _CountingRng(stream(*key), log))
+        params = CoolingParams(thetas=(np.pi / 2,), n_steps=3, n_trajectories=rows,
+                               q_init=0.5, seed=47)
+        cooling._trajectory_energies(LATTICE, params, np.arange(1))
+    # per kind, two start calls, then three per sweep
+    assert calls[1] == calls[64] and len(calls[1]) == 2 * 2 + 3 * 2 * 3
 
 
 @pytest.mark.parametrize("q_init", [0.5, 0.3])
@@ -453,19 +524,6 @@ def test_trajectory_energies_are_syndrome_levels(q_init):
     energies = cooling._trajectory_energies(LATTICE, params, np.arange(3))
     levels = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
     assert np.max(np.min(np.abs(energies[..., None] - levels), axis=-1)) <= 1e-12
-
-
-class _ScriptedRng:
-    """Stands in for a Generator: a fixed pump index and readout uniform."""
-
-    def __init__(self, pick, u):
-        self.pick, self.u = pick, u
-
-    def integers(self, high):
-        return self.pick
-
-    def random(self):
-        return self.u
 
 
 @pytest.mark.parametrize("kind", ["plaquette", "star"])
@@ -498,7 +556,7 @@ def test_two_outcome_map_is_the_circuit_cycle(kind):
         assert np.allclose(k0.conj().T @ k0 + k1.conj().T @ k1, np.eye(1 << n), atol=1e-12)
         for u, k in ((0.0, k0), (1.0 - 1e-9, k1)):
             state = StateVector(np.concatenate([psi, np.zeros(1 << n)]))
-            _, flipped = cooling_cycle_trajectory(state, cells[0], theta, _ScriptedRng(pick, u),
+            _, flipped = cooling_cycle_trajectory(state, cells[0], theta, ScriptedRng(pick, u),
                                                   kind=kind)
             assert flipped == (k is k1)
             want = k @ psi
@@ -617,16 +675,16 @@ def test_syndrome_mc_matches_exact_chain():
 
 def test_trajectory_run_matches_exact_chain():
     """The quantum trajectories' mean energy at every step against the exact
-    chain: 2x2, theta pi and pi/2, q_init 0.5 (the basis start plus
-    plaquette readout) and 0.3, steps 0-10, 2000 trajectories on two
-    workers, 44 means, each cut at Bernstein's bound at 1e-3 / 44, so the
-    family-wise false-alarm rate on correct code is at most 1e-3.
+    chain: 2x2, theta pi and pi/2, q_init 0.5 and 0.3, steps 0-10, 2000
+    trajectories on two workers, 44 means, each cut at Bernstein's bound at
+    1e-3 / 44, so the family-wise false-alarm rate on correct code is at
+    most 1e-3.
 
-    On correct code the worst mean reads 0.44 of its cut (0.22 at seed 42).
-    Flip probability x0.95, injected with K0 rescaled to match, reads 0.91
-    (0.85 at seed 42): not caught at this size, where the exact means put it
-    at 0.68 of the cut (1.0 at 4000 trajectories).  x0.90 reads 1.60 and is
-    caught.
+    On correct code the worst mean reads 0.42 of its cut (0.34 at seed 42).
+    Flip probability x0.95, injected with K0 rescaled to match, reads 0.76
+    (0.95 at seed 42): not caught at this size, where the exact means put it
+    at 0.68 of the cut (1.0 at 4000 trajectories).  x0.90 reads 1.56 (1.59
+    at seed 42) and is caught.
     """
     n, seed, worst = 2000, 41, 0.0
     for q_init in (0.5, 0.3):

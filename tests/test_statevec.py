@@ -28,6 +28,13 @@ def test_apply_x_on_vacuum():
     assert state.fidelity(StateVector.basis_state(4, "1000")) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bits", ["0a1", "012", "1 0", "00"])
+def test_basis_state_rejects_a_string_not_of_n_bits(bits):
+    with pytest.raises(ValueError, match="characters 0 and 1"):
+        StateVector.basis_state(3, bits)
+    assert StateVector.basis_state(3, "001").amps[4] == 1.0  # qubit 2 set: index 4
+
+
 def test_apply_string_involution():
     rng = np.random.default_rng(0)
     a_p = PauliString.from_label("XXXX")
