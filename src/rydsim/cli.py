@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,44 +216,6 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """A fully resolved run: subcommand plus typed parameter values."""
-
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def to_text(self) -> str:
-        lines = [f"command = {self.command}"]
-        for key in sorted(self.values):
-            lines.append(f"{key} = {_format_value(self.values[key])}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = _parse_config_text(text)
-        command = raw.pop("command", None)
-        if command is None:
-            raise ConfigError("config text is missing the 'command' field")
-        if command not in COMMANDS:
-            raise ConfigError(f"unknown command {command!r}")
-        values = _resolve_values(command, raw, {})
-        return cls(command, values)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return ",".join(repr(float(v)) for v in value)
-    return str(value)
-
-
 def _parse_config_text(text: str) -> dict:
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -302,7 +264,8 @@ def _resolve_values(command: str, file_values: dict, flag_values: dict) -> dict:
 
 
 # ---------------------------------------------------------------------
-# runners: each returns (header, rows, key_result, exit_status)
+# runners: each takes the resolved values and returns
+# (header, rows, key_result, exit_status)
 # ---------------------------------------------------------------------
 
 def _workers() -> int:
@@ -331,7 +294,7 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
-def _run_toric_cool(cfg: ExperimentConfig):
+def _run_toric_cool(cfg: dict):
     lattice = _checked(ToricLattice.build, cfg["lx"], cfg["ly"])
     params = _checked(CoolingParams, tuple(cfg["theta"]), cfg["steps"], cfg["trajectories"],
                       cfg["q-init"], cfg["seed"])
@@ -386,7 +349,7 @@ def _initial_state(init: str, n_qubits: int) -> StateVector:
 def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
     if cfg["steps"] < 0:
         raise ConfigError(f"steps must be non-negative, got {cfg['steps']}")
-    circuit = trotterize(h, cfg["tau"], 1, cfg["order"])
+    circuit = trotterize(h, cfg["tau"], cfg["order"])
     state = _initial_state(cfg["init"], n_qubits)
     obs = _parse_observables(cfg["observables"], n_qubits)
     header = ["step", "time", "energy"]
@@ -403,12 +366,12 @@ def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
     return header, rows, f"final_energy={rows[-1][2]:.6f}", 0
 
 
-def _run_toric_evolve(cfg: ExperimentConfig):
+def _run_toric_evolve(cfg: dict):
     h, lattice = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
     return _evolution_rows(h, lattice.n_edges, cfg)
 
 
-def _heisenberg(cfg: ExperimentConfig):
+def _heisenberg(cfg: dict):
     """(H, n_qubits) of the Heisenberg grid."""
     n = cfg["lx"] * cfg["ly"]
     adjacency = _checked(grid_adjacency, cfg["lx"], cfg["ly"])
@@ -416,7 +379,7 @@ def _heisenberg(cfg: ExperimentConfig):
                             cfg["field"], n_qubits=n), n
 
 
-def _run_heisenberg(cfg: ExperimentConfig):
+def _run_heisenberg(cfg: dict):
     h, n = _heisenberg(cfg)
     total_z = OperatorSum(
         [(1.0, PauliString.single(n, q, "Z")) for q in range(n)], n
@@ -424,7 +387,7 @@ def _run_heisenberg(cfg: ExperimentConfig):
     return _evolution_rows(h, n, cfg, extra_columns=[("total_z", total_z)])
 
 
-def _hubbard_spec(cfg: ExperimentConfig) -> HubbardSpec:
+def _hubbard_spec(cfg: dict) -> HubbardSpec:
     return _checked(HubbardSpec, cfg["lx"], cfg["ly"], cfg["t"], cfg["u"],
                     cfg["v-aux"], cfg["spinful"])
 
@@ -446,7 +409,7 @@ def _sector_table(spec: HubbardSpec, matrix):
     return out
 
 
-def _run_hubbard_spectrum(cfg: ExperimentConfig):
+def _run_hubbard_spectrum(cfg: dict):
     spec = _hubbard_spec(cfg)
     encoding = cfg["encoding"]
     if encoding == "local":
@@ -497,7 +460,7 @@ def _run_hubbard_spectrum(cfg: ExperimentConfig):
     return header, rows, result, 0
 
 
-def _run_gate_fidelity(cfg: ExperimentConfig):
+def _run_gate_fidelity(cfg: dict):
     header = ["T", "x_max", "V", "f_zero", "f_rydberg", "leak_R"]
     rows = []
     for duration in cfg["durations"]:
@@ -518,7 +481,7 @@ def _run_gate_fidelity(cfg: ExperimentConfig):
     return header, rows, f"f_zero_last={rows[-1][3]:.6f}", 0
 
 
-def _run_dump_hamiltonian(cfg: ExperimentConfig):
+def _run_dump_hamiltonian(cfg: dict):
     model = cfg["model"]
     if model == "toric":
         h, _ = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
@@ -601,26 +564,24 @@ def main(argv=None) -> int:
             if command != args.command:
                 raise ConfigError(f"config file is for {command!r}, not {args.command!r}")
         flags = {p.name: getattr(args, p.name) for p in COMMANDS[args.command]}
-        cfg = ExperimentConfig(
-            args.command, _resolve_values(args.command, file_values, flags)
-        )
+        cfg = _resolve_values(args.command, file_values, flags)
         _workers()  # a bad worker count is a usage error, caught before any work
     except (ConfigError, OSError) as exc:
         print(f"rydsim: error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:
-        header, rows, result, status = _RUNNERS[cfg.command](cfg)
+        header, rows, result, status = _RUNNERS[args.command](cfg)
         _write_output(header, rows, args.out)
     except ConfigError as exc:  # bad input a runner finds is still a usage error
         print(f"rydsim: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure -> exit 1 with a diagnostic
-        print(f"rydsim: {cfg.command} failed: {exc}", file=sys.stderr)
+        print(f"rydsim: {args.command} failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
     print(
-        f"[rydsim] {cfg.command}: {wall:.2f}s seed={cfg.values.get('seed')} {result}",
+        f"[rydsim] {args.command}: {wall:.2f}s seed={cfg['seed']} {result}",
         file=sys.stderr,
     )
     return status

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CapExceededError, IntegrationError
+from .errors import CapExceededError, DimensionMismatchError, IntegrationError
 from .gates import controlled_flip, flip_probability, syndrome_map
 from .models import ToricLattice, build_toric, toric_ground_state
 from .pauli import OperatorSum, PauliString, pauli_action
@@ -55,8 +55,7 @@ from .statevec import DensityMatrix, StateVector, measure_projector
 #: density-matrix integration cap
 LINDBLAD_QUBIT_CAP = 6
 
-#: trajectory cap on the circuit-level register, system qubits + 1 ancilla;
-#: the engine's two-outcome map holds the system register only
+#: trajectory cap on the system register, the qubits the engine holds
 TRAJECTORY_QUBIT_CAP = 12
 
 #: trajectories per RNG stream, for both stochastic engines
@@ -163,6 +162,8 @@ def lindblad_integrate(
     ground-sector state is a fixed point.
     """
     jumps = list(jumps)
+    if any(op.n_qubits != rho0.n_qubits for op in jumps):
+        raise DimensionMismatchError("jump operators and state differ in qubit count")
     if rho0.n_qubits > LINDBLAD_QUBIT_CAP:
         raise CapExceededError(
             f"density-matrix integration capped at {LINDBLAD_QUBIT_CAP} qubits"
@@ -170,9 +171,9 @@ def lindblad_integrate(
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     if gamma == 0.0 or t == 0.0 or not jumps:
-        return rho0.copy()
+        return DensityMatrix(rho0.matrix, validate=False)
     dim = 1 << rho0.n_qubits
-    cs = [op.to_matrix(rho0.n_qubits) for op in jumps]
+    cs = [op.to_matrix() for op in jumps]
     cdags = [c.conj().T for c in cs]
     anti = sum(cd @ c for c, cd in zip(cs, cdags))
 
@@ -529,18 +530,18 @@ def trajectory_run(
     ``params.thetas``, from one fan-out.
 
     Each cycle applies its two-outcome map on the 2^n_edges system register
-    (oracle: the circuit-level :func:`cooling_cycle_trajectory`); the lattice
-    must fit that circuit's register, system + 1 ancilla (the 2x2 torus).
-    A trajectory starts in the stabilizer eigenstate of its sampled start
-    syndromes (:func:`state_from_config`).
+    (oracle: the circuit-level :func:`cooling_cycle_trajectory`), which must
+    fit :data:`TRAJECTORY_QUBIT_CAP` (up to the 3x2 torus).  A trajectory
+    starts in the stabilizer eigenstate of its sampled start syndromes
+    (:func:`state_from_config`).
 
     Per block, all (theta, row) states advance together as one
     (thetas * rows, 2^n_edges) array, in four buffers of that shape (1.8 MB
-    for a full block at two thetas on the 2x2 torus), on one sweep's draws
-    at a time.
+    for a full block at two thetas on the 2x2 torus, 29 MB on 3x2), on one
+    sweep's draws at a time.
     """
-    if lattice.n_edges + 1 > TRAJECTORY_QUBIT_CAP:
-        raise CapExceededError(f"trajectory engine needs {lattice.n_edges + 1} qubits, "
+    if lattice.n_edges > TRAJECTORY_QUBIT_CAP:
+        raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "
                                f"cap is {TRAJECTORY_QUBIT_CAP}")
     energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
     return [_trace_from_energies(e, theta, "trajectory")

@@ -45,21 +45,6 @@ def _sign_below(state: int, mode: int) -> int:
     return -1 if (state & ((1 << mode) - 1)).bit_count() % 2 else 1
 
 
-def annihilator_matrix(mode: int, n_modes: int) -> np.ndarray:
-    """Dense c_mode with Jordan-Wigner-compatible signs (lower modes first)."""
-    basis = FockBasis(n_modes)
-    mat = np.zeros((basis.dim, basis.dim))
-    bit = 1 << mode
-    for s in range(basis.dim):
-        if s & bit:
-            mat[s & ~bit, s] = _sign_below(s, mode)
-    return mat
-
-
-def creator_matrix(mode: int, n_modes: int) -> np.ndarray:
-    return annihilator_matrix(mode, n_modes).T
-
-
 def hubbard_matrix(spec: HubbardSpec) -> np.ndarray:
     """Dense Hubbard Hamiltonian in the Fock basis (real symmetric)."""
     basis = FockBasis(spec.n_modes)

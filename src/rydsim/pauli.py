@@ -22,8 +22,8 @@ dense realization all go through it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +40,9 @@ MATRIX_QUBIT_CAP = 12
 
 #: coefficients below this magnitude are dropped during normalization
 COEFF_EPS = 1e-12
+
+#: bytes of gather tables :func:`pauli_action` keeps, 24 * 2^n per entry
+ACTION_CACHE_BYTES = 64 << 20
 
 
 def _phase_to_exp(phase) -> int:
@@ -124,10 +127,6 @@ class PauliString:
                 for mask in (self.x_mask, self.z_mask))
         return _CODE_LETTER[x | z << 1].tobytes().decode()
 
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def support(self) -> tuple[int, ...]:
         mask = self.x_mask | self.z_mask
         return tuple(k for k in range(self.n_qubits) if (mask >> k) & 1)
@@ -151,15 +150,6 @@ class PauliString:
     def commutes(self, other: "PauliString") -> bool:
         return commutes(self, other)
 
-    def with_phase(self, phase) -> "PauliString":
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, _phase_to_exp(phase))
-
-    def padded(self, n_qubits: int) -> "PauliString":
-        """Same operator on a larger register (identity on the new qubits)."""
-        if n_qubits < self.n_qubits:
-            raise ValueError("cannot shrink a Pauli string")
-        return PauliString(n_qubits, self.x_mask, self.z_mask, self.phase_exp)
-
     def act(self, amps: np.ndarray, control: int | None = None) -> np.ndarray:
         """P|psi> as a fresh array, over the last axis of ``amps``.
 
@@ -178,7 +168,10 @@ class PauliString:
         return f"PauliString({_PHASE_LABELS[self.phase_exp]}{self.to_label()})"
 
 
-@lru_cache(maxsize=256)
+_actions: OrderedDict = OrderedDict()  # pauli_action's tables, least recently used first
+_action_bytes = 0
+
+
 def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
                  control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and factor vector of ``i**phase_exp C(x_mask, z_mask)``.
@@ -187,8 +180,24 @@ def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
     with the sign (-1)**parity(z_mask & j) and the Y phases i**#Y.  With a
     control qubit the pair is the identity wherever the control bit is 0,
     i.e. it realizes ``|0><0|_c (x) 1 + |1><1|_c (x) P``.  Both arrays are
-    read-only and shared between calls.
+    read-only and shared between calls: the least recently used pairs are
+    dropped once the kept ones exceed :data:`ACTION_CACHE_BYTES`.
     """
+    global _action_bytes
+    key = (n_qubits, x_mask, z_mask, phase_exp, control)
+    pair = _actions.get(key)
+    if pair is not None:
+        _actions.move_to_end(key)
+        return pair
+    pair = _actions[key] = _action_tables(*key)
+    _action_bytes += pair[0].nbytes + pair[1].nbytes
+    while _action_bytes > ACTION_CACHE_BYTES:
+        idx, factor = _actions.popitem(last=False)[1]
+        _action_bytes -= idx.nbytes + factor.nbytes
+    return pair
+
+
+def _action_tables(n_qubits, x_mask, z_mask, phase_exp, control):
     if control is not None:
         if not 0 <= control < n_qubits:
             raise IndexError(f"control qubit {control} out of range")
@@ -270,10 +279,6 @@ class OperatorSum:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "OperatorSum":
-        return cls([], n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff=1.0) -> "OperatorSum":
         return cls([(coeff, PauliString.identity(n_qubits))])
 
@@ -320,13 +325,6 @@ class OperatorSum:
             self._hermitian = all(abs(c.imag) <= 1e-10 for c, _ in self.normalized())
         return self._hermitian
 
-    def max_weight(self) -> int:
-        return max((s.weight for _, s in self.normalized()), default=0)
-
-    def coeff_norm(self) -> float:
-        """Sum of |coefficients|; an operator-norm upper bound."""
-        return float(sum(abs(c) for c, _ in self.normalized()))
-
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other):
@@ -340,9 +338,6 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
 
     def __mul__(self, scalar):
         if isinstance(scalar, OperatorSum):
@@ -373,17 +368,8 @@ class OperatorSum:
             [(c.conjugate(), s.adjoint()) for c, s in self._terms], self._n_qubits
         ).normalized()
 
-    def padded(self, n_qubits: int) -> "OperatorSum":
-        return OperatorSum(
-            [(c, s.padded(n_qubits)) for c, s in self._terms], n_qubits
-        )
-
-    def approx_equal(self, other: "OperatorSum", tol: float = 1e-10) -> bool:
-        diff = self - other
-        return all(abs(c) <= tol for c, _ in diff.normalized())
-
-    def to_matrix(self, n_qubits: int | None = None) -> np.ndarray:
-        return to_matrix(self, n_qubits)
+    def to_matrix(self) -> np.ndarray:
+        return to_matrix(self)
 
     def single_string(self) -> PauliString:
         """Collapse a sum that is exactly one unit-coefficient string.
@@ -408,12 +394,9 @@ class OperatorSum:
         return f"OperatorSum({' + '.join(parts) or '0'}, n={self._n_qubits})"
 
 
-def to_matrix(op: OperatorSum, n_qubits: int | None = None) -> np.ndarray:
+def to_matrix(op: OperatorSum) -> np.ndarray:
     """Dense 2^n x 2^n realization of an operator sum (n capped at 12)."""
-    if n_qubits is None:
-        n_qubits = op.n_qubits
-    if n_qubits != op.n_qubits:
-        op = op.padded(n_qubits)
+    n_qubits = op.n_qubits
     if n_qubits > MATRIX_QUBIT_CAP:
         raise CapExceededError(
             f"dense matrix for {n_qubits} qubits exceeds the "

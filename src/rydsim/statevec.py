@@ -51,12 +51,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps, copy=False)
 
-    @classmethod
-    def random_state(cls, n_qubits: int, rng: np.random.Generator) -> "StateVector":
-        amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-        amps /= np.linalg.norm(amps)
-        return cls(amps, copy=False)
-
     # -- inspection ---------------------------------------------------
 
     def copy(self) -> "StateVector":
@@ -71,13 +65,6 @@ class StateVector:
             raise ValueError("cannot normalize a zero state")
         self.amps /= n
         return self
-
-    def inner(self, other: "StateVector") -> complex:
-        self._check(other.n_qubits)
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.inner(other))
 
     def _check(self, n: int):
         if n != self.n_qubits:
@@ -199,17 +186,6 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(self.matrix)[0]) < self.POSITIVITY_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return cls(np.outer(state.amps, state.amps.conj()), validate=False)
-
-    @classmethod
-    def from_mixture(cls, pairs) -> "DensityMatrix":
-        """Mixture of (weight, StateVector) pairs; weights must sum to 1."""
-        pairs = list(pairs)
-        mat = sum(w * np.outer(s.amps, s.amps.conj()) for w, s in pairs)
-        return cls(mat, validate=True, copy=False)
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -219,19 +195,13 @@ class DensityMatrix:
             raise ValueError("expectation requires a Hermitian operator sum")
         n = self.n_qubits
         if h.n_qubits != n:
-            h = h.padded(n)  # identity on the extra qubits; raises if h is larger
+            raise DimensionMismatchError(f"operator on {h.n_qubits} qubits, state on {n}")
         cols = np.arange(1 << n)
         value = 0.0
         for c, s in h.normalized():
             idx, factor = pauli_action(n, s.x_mask, s.z_mask)
             value += c * np.dot(factor, self.matrix[idx, cols])
         return float(value.real)
-
-    def expectation_matrix(self, mat: np.ndarray) -> float:
-        return float(np.trace(mat @ self.matrix).real)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.matrix, validate=False, copy=True)
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n_qubits}, trace={self.trace():.6f})"

@@ -44,9 +44,6 @@ class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
 
-    def __len__(self):
-        return len(self.gates)
-
 
 def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
     """Gate realizing exp(-i tau coeff P) for one normalized term."""
@@ -71,8 +68,8 @@ def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
     return Gate("exp_pauli", support, -tau * c, string=string)
 
 
-def trotterize(h: OperatorSum, tau: float, n_steps: int, order: int = 1) -> Circuit:
-    """Compile exp(-i H tau) per step, repeated n_steps times.
+def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
+    """Compile one step of exp(-i H tau).
 
     Order 1 emits the product of per-term exponentials; order 2 emits the
     symmetrized palindrome of half-steps.  Exact whenever all terms
@@ -80,8 +77,6 @@ def trotterize(h: OperatorSum, tau: float, n_steps: int, order: int = 1) -> Circ
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 are supported")
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
     terms = [
         (c, s) for c, s in h.normalized() if not s.is_identity()
     ]  # a global phase is not observable; identity terms are dropped
@@ -92,7 +87,7 @@ def trotterize(h: OperatorSum, tau: float, n_steps: int, order: int = 1) -> Circ
         half = [_term_to_gate(c, s, tau / 2.0) for c, s in terms]
         half.sort(key=lambda g: (_KIND_RANK[g.kind], g.qubits))
         step = half + half[::-1]
-    return Circuit(h.n_qubits, tuple(step) * n_steps)
+    return Circuit(h.n_qubits, tuple(step))
 
 
 _DISPATCH = {

@@ -255,9 +255,12 @@ def trajectory_energies_reference(lattice, params, blocks, e0=1.0):
     """
     from rydsim.cooling import cooling_cycle_trajectory, state_from_config
     from rydsim.models import build_toric
+    from rydsim.pauli import OperatorSum, PauliString
 
     (theta,) = params.thetas
-    h = build_toric(lattice.lx, lattice.ly, e0)[0].padded(lattice.n_edges + 1)
+    n = lattice.n_edges + 1
+    h = OperatorSum([(c, PauliString(n, s.x_mask, s.z_mask, s.phase_exp))
+                     for c, s in build_toric(lattice.lx, lattice.ly, e0)[0]], n)
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
     out = []
     for b in blocks:

@@ -81,10 +81,10 @@ def test_criterion_02_toric_evolution_exact():
     rng = np.random.default_rng(102)
     worst = 0.0
     for tau in (0.1, 1.0, 10.0):
-        circuit = trotterize(h, tau, 1)
+        circuit = trotterize(h, tau)
         u_exact = propagator(h, tau)
         for _ in range(20):
-            state = StateVector.random_state(8, rng)
+            state = StateVector((1, 1j) @ rng.normal(size=(2, 256))).normalize()
             digital = run(circuit, state)
             worst = max(worst, float(np.linalg.norm(digital.amps - u_exact @ state.amps)))
     report(2, "2x2 toric digital evolution matches the exact propagator",
@@ -105,7 +105,7 @@ def test_criterion_03_heisenberg_step_and_trotter_exponents():
     for order in (1, 2):
         errs = [
             np.linalg.norm(
-                circuit_matrix(trotterize(h, tau, 1, order)) - propagator(h, tau),
+                circuit_matrix(trotterize(h, tau, order)) - propagator(h, tau),
                 2,
             )
             for tau in taus
@@ -161,7 +161,7 @@ def test_criterion_05_local_encoding_equivalence():
     started = time.perf_counter()
     spec = HubbardSpec(2, 2, t_hop=1.0, u=0.0, v_aux=1.0)
     h_local = build_hubbard_local(spec)
-    max_weight = h_local.max_weight()
+    max_weight = max(len(s.support()) for _, s in h_local.normalized())
     w_jw = np.sort(np.linalg.eigvalsh(build_hubbard_jw(spec).to_matrix()))
     w_local = constrained_local_spectrum(spec)
     shift = -spec.v_aux * aux_pair_count(spec)
@@ -230,7 +230,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
                 _, flipped = cooling_cycle_trajectory(
                     state, cell, np.pi / 2, rng, kind=kind
                 )
-                defect = max(defect, 1.0 - abs(state.inner(state0)), float(flipped))
+                defect = max(defect, 1.0 - abs(np.vdot(state.amps, state0.amps)), float(flipped))
 
     # (b) single-plaquette decay rate from the deterministic cycle channel
     a_p = PauliString.from_label("XXXX")
@@ -264,7 +264,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
     lindblad_err = 0.0
     for t in (0.5, 2.0):
         rho_t = lindblad_integrate([jump], gamma, rho0, t)
-        pop = rho_t.expectation_matrix(proj_minus)
+        pop = float(np.trace(proj_minus @ rho_t.matrix).real)
         lindblad_err = max(lindblad_err, abs(pop - math.exp(-gamma * t)))
 
     ok = defect < 1e-10 and abs(slope - 2.0) < 0.2 and lindblad_err < 1e-6

@@ -4,8 +4,6 @@ import pytest
 from rydsim.errors import CapExceededError
 from rydsim.fock import (
     FockBasis,
-    annihilator_matrix,
-    creator_matrix,
     hubbard_matrix,
     spectrum,
 )
@@ -23,18 +21,6 @@ def test_two_site_spinless_single_particle():
     w = spectrum(spec, n_particles=1)
     assert np.allclose(w, [-0.8, 0.8])
     assert np.allclose(spectrum(spec), [-0.8, 0.0, 0.0, 0.8])
-
-
-def test_fock_anticommutation_relations():
-    n = 5
-    cs = [annihilator_matrix(m, n) for m in range(n)]
-    cds = [creator_matrix(m, n) for m in range(n)]
-    eye = np.eye(1 << n)
-    for i in range(n):
-        for j in range(n):
-            assert np.allclose(cs[i] @ cds[j] + cds[j] @ cs[i],
-                               eye if i == j else 0.0)
-            assert np.allclose(cs[i] @ cs[j] + cs[j] @ cs[i], 0.0)
 
 
 def test_half_filling_superexchange_limit():

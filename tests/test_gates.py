@@ -48,7 +48,7 @@ def random_hermitian_sum(rng, n, n_terms=4):
 def test_cnot_n_flips_all_targets():
     state = StateVector.basis_state(4, "1000")  # control qubit 0 in |1>
     cnot_n(state, 0, (1, 2, 3))
-    assert state.fidelity(StateVector.basis_state(4, "1111")) == pytest.approx(1.0)
+    assert np.allclose(state.amps, StateVector.basis_state(4, "1111").amps)
 
 
 def test_cnot_n_idle_control_does_nothing():
@@ -121,8 +121,8 @@ def test_zero_angle_steps_are_identity():
 
 def test_faulty_gate_zero_generator_is_ideal():
     rng = np.random.default_rng(2)
-    spec = GateSpec(0, (1, 2, 3), "faulty", OperatorSum.zero(3), 0.8)
-    state = StateVector.random_state(4, rng)
+    spec = GateSpec(0, (1, 2, 3), "faulty", OperatorSum([], 3), 0.8)
+    state = StateVector((1, 1j) @ rng.normal(size=(2, 16))).normalize()
     got = state.copy()
     faulty_gate(got, spec)
     want = cnot_n(state.copy(), 0, (1, 2, 3))
@@ -133,7 +133,7 @@ def test_faulty_gate_zero_phase_is_ideal():
     rng = np.random.default_rng(3)
     q = random_hermitian_sum(rng, 3)
     spec = GateSpec(0, (1, 2, 3), "faulty", q, 0.0)
-    state = StateVector.random_state(4, rng)
+    state = StateVector((1, 1j) @ rng.normal(size=(2, 16))).normalize()
     got = faulty_gate(state.copy(), spec)
     want = cnot_n(state.copy(), 0, (1, 2, 3))
     assert np.allclose(got.amps, want.amps)

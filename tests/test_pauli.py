@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydsim import pauli
 from rydsim.errors import CapExceededError, DimensionMismatchError
 from rydsim.pauli import (
     OperatorSum,
@@ -11,6 +12,7 @@ from rydsim.pauli import (
     jw_creator,
     jw_number,
     parse_operator,
+    pauli_action,
     pauli_mul,
     to_matrix,
 )
@@ -158,6 +160,23 @@ def test_matrix_cap():
         to_matrix(OperatorSum.identity(13))
 
 
+def test_action_cache_stays_within_its_byte_budget():
+    # a 16-qubit pair of tables holds 1.5 MB, so 64 strings overrun the budget;
+    # the least recently used pairs go first, and a dropped pair is rebuilt
+    n = 16
+    first = pauli_action(n, 0, 1)
+    for x in range(1, 64):
+        pauli_action(n, x, 0)
+        pauli_action(n, 0, 1)  # keeps the first pair the most recently used
+    kept = pauli._actions.values()
+    assert 0 < pauli._action_bytes == sum(i.nbytes + f.nbytes for i, f in kept)
+    assert pauli._action_bytes <= pauli.ACTION_CACHE_BYTES
+    assert pauli_action(n, 0, 1) is first
+    assert (n, 1, 0, 0, None) not in pauli._actions
+    idx, factor = pauli_action(n, 1, 0)
+    assert np.array_equal(idx, np.arange(1 << n) ^ 1) and np.all(factor == 1.0)
+
+
 # -- operator sums ------------------------------------------------------
 
 def test_normalization_merges_and_drops():
@@ -232,7 +251,7 @@ def test_jw_number_equals_creator_annihilator_product():
     for n in (1, 3):
         for i in range(1, n + 1):
             lhs = (jw_creator(i, n) @ jw_annihilator(i, n)).normalized()
-            assert lhs.approx_equal(jw_number(i, n))
+            assert all(abs(c) <= 1e-10 for c, _ in (lhs - jw_number(i, n)).normalized())
 
 
 def test_jw_annihilator_maps_occupied_to_empty():
@@ -282,7 +301,7 @@ def test_format_parse_round_trip():
         4,
     ).normalized()
     back = parse_operator(format_operator(op))
-    assert back.approx_equal(op, tol=1e-15)
+    assert all(abs(c) <= 1e-15 for c, _ in (back - op).normalized())
 
 
 def test_parse_rejects_ragged_words():
