@@ -192,7 +192,6 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
     "gate-fidelity": _COMMON + (
         Param("durations", "floatlist", required=True,
               help="comma list of pulse durations to sweep"),
-        Param("x-max", "float", default=0.2, help="base envelope amplitude"),
         Param("omega-c", "float", default=2.0),
         Param("delta", "float", default=1.0),
         Param("blockade", "blockade", default=math.inf,
@@ -283,9 +282,10 @@ def _workers() -> int:
 
 
 def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` for a runner's lattice, spec, profile or engine
-    comparison: the ValueError of bad input there is a usage error, found before
-    any run; a dense-size cap exceeded by a run stays a runtime failure."""
+    """``build(*args, **kwargs)`` for a runner's lattice, spec, profile, start
+    state or engine comparison: the ValueError of bad input there is a usage
+    error, found before any run; a dense-size cap exceeded by a run stays a
+    runtime failure."""
     try:
         return build(*args, **kwargs)
     except CapExceededError:
@@ -338,19 +338,11 @@ def _parse_observables(text: str, n_qubits: int):
     return obs
 
 
-def _initial_state(init: str, n_qubits: int) -> StateVector:
-    if not init:
-        return StateVector.zero_state(n_qubits)
-    if len(init) != n_qubits or set(init) - {"0", "1"}:
-        raise ConfigError(f"init must be a {n_qubits}-bit string of 0/1")
-    return StateVector.basis_state(n_qubits, init)
-
-
 def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
     if cfg["steps"] < 0:
         raise ConfigError(f"steps must be non-negative, got {cfg['steps']}")
     circuit = trotterize(h, cfg["tau"], cfg["order"])
-    state = _initial_state(cfg["init"], n_qubits)
+    state = _checked(StateVector.basis_state, n_qubits, cfg["init"] or 0)
     obs = _parse_observables(cfg["observables"], n_qubits)
     header = ["step", "time", "energy"]
     header += [name for name, _ in extra_columns]
@@ -464,15 +456,13 @@ def _run_gate_fidelity(cfg: dict):
     header = ["T", "x_max", "V", "f_zero", "f_rydberg", "leak_R"]
     rows = []
     for duration in cfg["durations"]:
-        profile = _checked(
-            PulseProfile.sin2, x_max=cfg["x-max"], duration=duration,
-            omega_c=cfg["omega-c"], delta=cfg["delta"], blockade=cfg["blockade"],
-        )
-        try:  # to pi, the gate's target
+        profile = _checked(PulseProfile, 1.0, duration, cfg["omega-c"], cfg["delta"],
+                           cfg["blockade"])
+        try:  # amplitude rescaled to area pi, the gate's target
             profile = calibrate_area(profile)
         except ValueError as exc:  # the area reads every field but the blockade
-            raise ConfigError(f"fields 'durations', 'x-max', 'omega-c', 'delta': {exc}") from None
-        try:  # the integrated phase reads every field but the amplitude
+            raise ConfigError(f"fields 'durations', 'omega-c', 'delta': {exc}") from None
+        try:
             f_zero, f_rydberg, leak = gate_fidelity(profile)
         except ValueError as exc:
             raise ConfigError(f"fields 'durations', 'omega-c', 'delta', 'blockade': {exc}") from None

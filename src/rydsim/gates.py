@@ -28,15 +28,14 @@ _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 class GateSpec:
     """Geometry and error model of one mesoscopic gate application.
 
-    ``fault_generator`` is the Hermitian generator acting on the targets
-    only (the control is excluded); it may be given either on the full
-    register with support inside the targets, or directly on
-    ``len(targets)`` qubits ordered like ``targets``.
+    A spec with a ``fault_generator`` is faulty.  The generator is Hermitian
+    and acts on the targets only (the control is excluded); it may be given
+    either on the full register with support inside the targets, or directly
+    on ``len(targets)`` qubits ordered like ``targets``.
     """
 
     control: int
     targets: tuple[int, ...]
-    kind: str = "ideal"
     fault_generator: OperatorSum | None = None
     fault_phase: float = 0.0
 
@@ -49,13 +48,8 @@ class GateSpec:
             raise ValueError("duplicate target qubit")
         if self.control in targets:
             raise ValueError("control qubit cannot also be a target")
-        if self.kind not in ("ideal", "faulty"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "faulty":
-            if self.fault_generator is None:
-                raise ValueError("faulty gate requires a fault generator")
-            if not self.fault_generator.is_hermitian():
-                raise ValueError("fault generator must be Hermitian")
+        if self.fault_generator is not None and not self.fault_generator.is_hermitian():
+            raise ValueError("fault generator must be Hermitian")
 
 
 def _local_matrix(op: OperatorSum, qubits: tuple[int, ...]) -> np.ndarray:
@@ -100,8 +94,8 @@ def faulty_gate(state: StateVector, spec: GateSpec) -> StateVector:
     Applies ``|0><0|_c (x) exp(i phi Q) + |1><1|_c (x) X^N``; reduces to the
     ideal gate when the generator vanishes or the phase is zero.
     """
-    if spec.kind != "faulty":
-        raise ValueError("faulty_gate requires a spec with kind='faulty'")
+    if spec.fault_generator is None:
+        raise ValueError("faulty_gate requires a spec with a fault generator")
     q_local = _local_matrix(spec.fault_generator, spec.targets)
     w, v = np.linalg.eigh(q_local)
     u0 = (v * np.exp(1j * spec.fault_phase * w)) @ v.conj().T

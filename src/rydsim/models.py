@@ -42,6 +42,11 @@ def snake_ordering(lx: int, ly: int) -> list[tuple[int, int]]:
     return sites
 
 
+@lru_cache(maxsize=64)
+def _snake_positions(lx: int, ly: int) -> dict:
+    return {xy: k for k, xy in enumerate(snake_ordering(lx, ly))}
+
+
 # ---------------------------------------------------------------------
 # toric code
 # ---------------------------------------------------------------------
@@ -158,7 +163,7 @@ def build_heisenberg(adjacency, jx: float, jy: float, jz: float, h: float,
 
 def grid_adjacency(lx: int, ly: int) -> list[tuple[int, int]]:
     """Open-boundary square grid, sites numbered along the snake."""
-    pos = {xy: k for k, xy in enumerate(snake_ordering(lx, ly))}
+    pos = _snake_positions(lx, ly)
     edges = []
     for (x, y), k in pos.items():
         if x + 1 < lx:
@@ -202,11 +207,6 @@ class HubbardSpec:
     @property
     def spins(self) -> tuple:
         return ("up", "down") if self.spinful else (None,)
-
-
-@lru_cache(maxsize=64)
-def _snake_positions(lx: int, ly: int) -> dict:
-    return {xy: k for k, xy in enumerate(snake_ordering(lx, ly))}
 
 
 def hubbard_mode(spec: HubbardSpec, x: int, y: int, spin=None) -> int:

@@ -11,15 +11,15 @@ area as a pure phase, giving |A> -> -|B> at area pi.
 
 The Raman area is defined dimensionfully as
 ``integral Omega_c^2/(4 Delta) x(t)^2 dt`` so the pi-pulse condition is
-unit-safe.  scipy integrates pulses (DOP853, rtol 1e-10) and areas (``quad``);
-it loads at the first such call, not with this module.
+unit-safe; for the sin^2 envelope it is ``Omega_c^2/(4 Delta) x_max^2 3T/8``
+in closed form.  scipy integrates pulses only (DOP853, rtol 1e-10); it loads
+at the first such call, not with this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -35,19 +35,19 @@ MAX_PULSE_PHASE = 1e6
 
 @dataclass(frozen=True)
 class PulseProfile:
-    """A smooth probe-strength envelope x(t) with its laser parameters.
+    """The smooth probe envelope x(t) = x_max sin^2(pi t / T) with its laser
+    parameters.
 
     x = sqrt(2) Omega_p / Omega_c is the relative probe strength; the pulse
-    must start and end off (x(0) = x(T) = 0).  ``blockade`` is the
-    interaction shift of the ensemble Rydberg level when the control atom
-    is excited; ``math.inf`` means perfect blockade.
+    starts and ends off.  ``blockade`` is the interaction shift of the
+    ensemble Rydberg level when the control atom is excited; ``math.inf``
+    means perfect blockade.
     """
 
-    duration: float
-    x_of_t: Callable[[float], float]
     x_max: float
-    omega_c: float
-    delta: float
+    duration: float
+    omega_c: float = 2.0
+    delta: float = 1.0
     blockade: float = math.inf
 
     def __post_init__(self):
@@ -57,33 +57,15 @@ class PulseProfile:
             raise ValueError("detuning must be nonzero")
         if self.blockade < 0.0:
             raise ValueError("blockade shift must be non-negative")
-        if self.duration > 0.0:
-            for t_edge in (0.0, self.duration):
-                if abs(self.x_of_t(t_edge)) > 1e-9 * max(1.0, self.x_max):
-                    raise ValueError("pulse must start and end with x = 0")
 
     @property
     def prefactor(self) -> float:
         """Energy scale Omega_c^2 / (4 Delta) of the effective Hamiltonian."""
         return self.omega_c**2 / (4.0 * self.delta)
 
-    @classmethod
-    def sin2(
-        cls,
-        x_max: float,
-        duration: float,
-        omega_c: float = 2.0,
-        delta: float = 1.0,
-        blockade: float = math.inf,
-    ) -> "PulseProfile":
-        """Default smooth envelope x(t) = x_max sin^2(pi t / T)."""
-        if duration == 0.0:
-            return cls(0.0, lambda t: 0.0, 0.0, omega_c, delta, blockade)
-
-        def x_of_t(t, _xm=x_max, _T=duration):
-            return _xm * math.sin(math.pi * t / _T) ** 2
-
-        return cls(duration, x_of_t, x_max, omega_c, delta, blockade)
+    def x(self, t: float) -> float:
+        """Relative probe strength at time t in [0, T]."""
+        return self.x_max * math.sin(math.pi * t / self.duration) ** 2
 
 
 def heff(x: float, v: float, omega_c: float, delta: float) -> np.ndarray:
@@ -118,7 +100,7 @@ class PulseOutcome:
 
 def _h_of_t(profile: PulseProfile, v: float):
     def h(t):
-        return heff(profile.x_of_t(t), v, profile.omega_c, profile.delta)
+        return heff(profile.x(t), v, profile.omega_c, profile.delta)
 
     return h
 
@@ -176,72 +158,41 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
 
 
 def raman_area(profile: PulseProfile) -> float:
-    """integral_0^T (Omega_c^2/4Delta) x(t)^2 dt; pi drives |A> -> -|B>."""
-    from scipy.integrate import quad
+    """integral_0^T (Omega_c^2/4Delta) x(t)^2 dt = (Omega_c^2/4Delta) x_max^2 3T/8,
+    as the mean of sin^4 over its period is 3/8; pi drives |A> -> -|B>."""
     try:
-        value, err = quad(
-            lambda t: profile.x_of_t(t) ** 2,
-            0.0,
-            profile.duration,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-        )
-        area, err = profile.prefactor * value, profile.prefactor * err
+        area = profile.prefactor * profile.x_max**2 * 3.0 * profile.duration / 8.0
     except OverflowError:  # a float power past the largest double
         area = math.inf
     if not math.isfinite(area):
         raise ValueError(f"non-finite Raman prefactor or area at duration {profile.duration}")
-    if area != 0.0 and not abs(err) <= 1e-8 * abs(area):
-        raise IntegrationError("Raman-area quadrature above tolerance")
     return area
 
 
-def calibrate_area(profile: PulseProfile, target: float = math.pi) -> PulseProfile:
-    """Rescale the envelope amplitude so the Raman area hits the target.
-
-    The area is exactly quadratic in the amplitude scale, so one rescaling
-    suffices; the result is verified to 1e-8 relative.
-    """
+def calibrate_area(profile: PulseProfile) -> PulseProfile:
+    """The pulse with its amplitude rescaled to Raman area pi, which is
+    |x_max| = sqrt(8 pi / (3 T Omega_c^2/4Delta)); the sign of x_max stays."""
     area = raman_area(profile)
     if area <= 0.0:
         raise ValueError("cannot calibrate a pulse with zero area")
-    scale = math.sqrt(target / area)
-
-    def scaled(t, _f=profile.x_of_t, _s=scale):
-        return _s * _f(t)
-
-    out = replace(profile, x_of_t=scaled, x_max=scale * profile.x_max)
-    if not abs(raman_area(out) - target) <= 1e-8 * abs(target):
-        raise IntegrationError("area calibration missed the target")
-    return out
+    return replace(profile, x_max=profile.x_max * math.sqrt(math.pi / area))
 
 
-def calibrate_duration(profile: PulseProfile, target: float = math.pi) -> PulseProfile:
-    """Rescale the pulse duration (time-stretching the envelope) to the
-    target area, keeping the amplitude fixed."""
+def calibrate_duration(profile: PulseProfile) -> PulseProfile:
+    """The pulse stretched in time to Raman area pi, keeping the amplitude."""
     area = raman_area(profile)
     if area <= 0.0:
         raise ValueError("cannot calibrate a pulse with zero area")
-    factor = target / area
-    new_t = profile.duration * factor
-
-    def stretched(t, _f=profile.x_of_t, _c=1.0 / factor):
-        return _f(t * _c)
-
-    out = replace(profile, duration=new_t, x_of_t=stretched)
-    if not abs(raman_area(out) - target) <= 1e-8 * abs(target):
-        raise IntegrationError("area calibration missed the target")
-    return out
+    return replace(profile, duration=profile.duration * math.pi / area)
 
 
 #: ideal conditional transfer at Raman area pi: |A> -> -|B>, |B> -> -|A>
 SWAP_TARGET = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
 
 
-def _overlap_fidelity(u: np.ndarray, target: np.ndarray) -> float:
-    """|tr(target^dag u)| / 2: phase-insensitive two-level gate fidelity."""
-    return float(abs(np.trace(target.conj().T @ u)) / 2.0)
+def _overlap_fidelity(u: np.ndarray, ideal: np.ndarray) -> float:
+    """|tr(ideal^dag u)| / 2: phase-insensitive two-level gate fidelity."""
+    return float(abs(np.trace(ideal.conj().T @ u)) / 2.0)
 
 
 def gate_fidelity(profile: PulseProfile):

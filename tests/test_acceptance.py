@@ -198,7 +198,7 @@ def test_criterion_06_gate_error_model_scaling():
         phis = np.logspace(-3, -1, 7)
         errs = []
         for phi in phis:
-            spec = GateSpec(0, (1, 2, 3), "faulty", q3, float(phi))
+            spec = GateSpec(0, (1, 2, 3), q3, float(phi))
             g = gate_matrix(lambda s: faulty_gate(s, spec), 4)
             u_x = np.cos(phi) * np.eye(16) + 1j * np.sin(phi) * label_matrix("XIII")
             residual = g @ u_x @ g - (
@@ -312,13 +312,11 @@ def test_criterion_10_pulse_level_gate():
     started = time.perf_counter()
     from rydsim.pulse import PulseProfile, calibrate_area, calibrate_duration, gate_fidelity
 
-    base = calibrate_duration(PulseProfile.sin2(x_max=0.2, duration=10.0), math.pi)
+    base = calibrate_duration(PulseProfile(0.2, 10.0))
     f_zero_adiabatic, f_ryd, _ = gate_fidelity(base)
     f_zeros = []
     for k in range(5):
-        prof = calibrate_area(
-            PulseProfile.sin2(x_max=0.2, duration=base.duration / 2**k), math.pi
-        )
+        prof = calibrate_area(PulseProfile(0.2, base.duration / 2**k))
         f_zeros.append(gate_fidelity(prof)[0])
     monotone = all(f_zeros[k] > f_zeros[k + 1] for k in range(4))
     ok = f_ryd >= 0.999 and f_zero_adiabatic >= 0.99 and monotone

@@ -243,9 +243,9 @@ _COOL = ["toric-cool", "--lx", "2", "--ly", "2", "--steps", "1", "--trajectories
     ("jz", ["heisenberg", "--lx", "2", "--tau", "0.1", "--steps", "1", "--jz=-inf"]),
     ("durations", ["gate-fidelity", "--durations", "nan"]),
     ("durations", ["gate-fidelity", "--durations", "10,1e999"]),
-    ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "nan"]),
+    ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "nan"]),
     ("blockade", ["gate-fidelity", "--durations", "10", "--blockade", "nan"]),
-    ("x-max", ["gate-fidelity", "--durations", "10", "--x-max", "1e200"]),
+    ("delta", ["gate-fidelity", "--durations", "10", "--delta=-inf"]),
     ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "1e200"]),
     ("delta", ["gate-fidelity", "--durations", "10", "--delta", "1e-320"]),
     ("omega-c", ["gate-fidelity", "--durations", "10", "--omega-c", "1e150"]),
@@ -333,6 +333,18 @@ def test_gate_fidelity_config_rejects_area(tmp_path, capsys):
     assert "unknown config field 'area'" in capsys.readouterr().err
 
 
+def test_gate_fidelity_has_no_x_max(tmp_path, capsys):
+    # calibration sets the amplitude, so no amplitude is read from the input
+    with pytest.raises(SystemExit) as exc:
+        main(["gate-fidelity", "--durations", "10", "--x-max", "0.2", "--out", "-"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("command = gate-fidelity\ndurations = 10\nx-max = 0.2\n")
+    assert main(["gate-fidelity", "--config", str(cfg), "--out", "-"]) == 2
+    assert "unknown config field 'x-max'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["toric-evolve", "--lx", "1", "--ly", "2", "--tau", "0.1", "--steps", "1"],
     ["dump-hamiltonian", "--model", "toric", "--lx", "1", "--ly", "2"],
@@ -343,7 +355,7 @@ def test_gate_fidelity_config_rejects_area(tmp_path, capsys):
     ["dump-hamiltonian", "--model", "hubbard-local", "--lx", "3", "--ly", "2"],
     ["gate-fidelity", "--durations", "-5"],
     ["gate-fidelity", "--durations", "10", "--delta", "0"],
-    ["gate-fidelity", "--durations", "10", "--x-max", "0"],
+    ["gate-fidelity", "--durations", "0"],
 ])
 def test_runner_bad_input_is_usage_error(capsys, argv):
     assert main(argv + ["--out", "-"]) == 2

@@ -121,7 +121,7 @@ def test_zero_angle_steps_are_identity():
 
 def test_faulty_gate_zero_generator_is_ideal():
     rng = np.random.default_rng(2)
-    spec = GateSpec(0, (1, 2, 3), "faulty", OperatorSum([], 3), 0.8)
+    spec = GateSpec(0, (1, 2, 3), OperatorSum([], 3), 0.8)
     state = StateVector((1, 1j) @ rng.normal(size=(2, 16))).normalize()
     got = state.copy()
     faulty_gate(got, spec)
@@ -132,7 +132,7 @@ def test_faulty_gate_zero_generator_is_ideal():
 def test_faulty_gate_zero_phase_is_ideal():
     rng = np.random.default_rng(3)
     q = random_hermitian_sum(rng, 3)
-    spec = GateSpec(0, (1, 2, 3), "faulty", q, 0.0)
+    spec = GateSpec(0, (1, 2, 3), q, 0.0)
     state = StateVector((1, 1j) @ rng.normal(size=(2, 16))).normalize()
     got = faulty_gate(state.copy(), spec)
     want = cnot_n(state.copy(), 0, (1, 2, 3))
@@ -145,7 +145,7 @@ def test_faulty_gate_unitary_and_continuous():
     prev = None
     for phi in (0.1, 0.1 + 1e-6):
         mat = op_matrix(
-            lambda s: faulty_gate(s, GateSpec(0, (1, 2, 3), "faulty", q, phi)), 4
+            lambda s: faulty_gate(s, GateSpec(0, (1, 2, 3), q, phi)), 4
         )
         assert np.allclose(mat @ mat.conj().T, np.eye(16), atol=1e-10)
         prev = mat if prev is None else prev
@@ -176,7 +176,7 @@ def test_faulty_gate_first_order_expansion_scaling():
         phis = np.logspace(-3, -1, 7)
         errs = []
         for phi in phis:
-            spec = GateSpec(0, (1, 2, 3), "faulty", q3, float(phi))
+            spec = GateSpec(0, (1, 2, 3), q3, float(phi))
             g = op_matrix(lambda s: faulty_gate(s, spec), 4)
             u_x = np.cos(phi) * np.eye(16) + 1j * np.sin(phi) * label_matrix("XIII")
             u_prime = g @ u_x @ g
@@ -188,7 +188,7 @@ def test_faulty_gate_first_order_expansion_scaling():
 
 def test_faulty_gate_requires_support_on_targets():
     q = OperatorSum.from_string(PauliString.single(4, 0, "X"))  # touches control
-    spec = GateSpec(0, (1, 2, 3), "faulty", q, 0.1)
+    spec = GateSpec(0, (1, 2, 3), q, 0.1)
     with pytest.raises(ValueError):
         faulty_gate(StateVector.zero_state(4), spec)
 
@@ -196,10 +196,10 @@ def test_faulty_gate_requires_support_on_targets():
 def test_gate_spec_validation():
     with pytest.raises(ValueError):
         GateSpec(0, (0, 1))
-    with pytest.raises(ValueError):
-        GateSpec(0, (1, 2), "faulty", None, 0.1)
-    with pytest.raises(ValueError):
-        GateSpec(0, (1,), "faulty", OperatorSum([(1j, PauliString.single(1, 0, "X"))]), 0.1)
+    with pytest.raises(ValueError):  # a spec without a generator is not faulty
+        faulty_gate(StateVector.zero_state(3), GateSpec(0, (1, 2), None, 0.1))
+    with pytest.raises(ValueError):  # any given generator must be Hermitian
+        GateSpec(0, (1,), OperatorSum([(1j, PauliString.single(1, 0, "X"))]), 0.1)
 
 
 # -- Heisenberg steps ------------------------------------------------------

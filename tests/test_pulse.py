@@ -18,7 +18,7 @@ from oracles import rk4_propagate
 
 
 def sin2_profile(x_max=0.2, duration=60.0, **kwargs):
-    return PulseProfile.sin2(x_max=x_max, duration=duration, **kwargs)
+    return PulseProfile(x_max, duration, **kwargs)
 
 
 # -- effective Hamiltonian -----------------------------------------------------
@@ -64,16 +64,20 @@ def test_heff_rejects_zero_detuning_and_infinite_v():
 # -- Raman area and calibration --------------------------------------------------
 
 def test_area_zero_pulse():
-    prof = PulseProfile(10.0, lambda t: 0.0, 0.0, 2.0, 1.0)
+    prof = PulseProfile(0.0, 10.0)
     assert raman_area(prof) == 0.0
 
 
 def test_area_sin2_closed_form():
-    # integral of sin^4 over one period is 3T/8
-    x_max, duration = 0.3, 40.0
-    prof = sin2_profile(x_max, duration)
-    want = prof.prefactor * x_max**2 * 3.0 * duration / 8.0
-    assert raman_area(prof) == pytest.approx(want, rel=1e-10)
+    # the closed form against a quadrature of the envelope itself
+    from scipy.integrate import quad
+
+    for x_max, duration, omega_c, delta in [(0.3, 40.0, 2.0, 1.0), (0.05, 13.1, 2.0, 1.0),
+                                            (-1.7, 2.5, 3.0, 0.5), (4.0, 1000.0, 0.4, 7.0)]:
+        prof = PulseProfile(x_max, duration, omega_c, delta)
+        value, _ = quad(lambda t: prof.x(t) ** 2, 0.0, duration, epsabs=0.0, epsrel=1e-12,
+                        limit=200)
+        assert raman_area(prof) == pytest.approx(prof.prefactor * value, rel=1e-10)
 
 
 @pytest.mark.parametrize("x_max,omega_c,delta", [
@@ -83,42 +87,46 @@ def test_area_sin2_closed_form():
     (0.0, 2.0, 1e-320),  # inf times a zero integral is NaN
 ])
 def test_area_rejects_non_finite(x_max, omega_c, delta):
-    prof = PulseProfile.sin2(x_max, 10.0, omega_c=omega_c, delta=delta)
+    prof = PulseProfile(x_max, 10.0, omega_c=omega_c, delta=delta)
     with pytest.raises(ValueError, match="non-finite Raman"):
         raman_area(prof)
 
 
 def test_calibrate_area_scales_amplitude():
-    prof = calibrate_area(sin2_profile(0.2, 60.0), math.pi)
-    assert raman_area(prof) == pytest.approx(math.pi, rel=1e-8)
-    prof2 = calibrate_area(sin2_profile(0.2, 240.0), math.pi)
+    prof = calibrate_area(sin2_profile(0.2, 60.0))
+    assert raman_area(prof) == pytest.approx(math.pi, rel=1e-14)
+    prof2 = calibrate_area(sin2_profile(0.2, 240.0))
     assert prof2.x_max == pytest.approx(prof.x_max / 2.0)
 
 
 def test_calibrate_duration_keeps_amplitude():
-    prof = calibrate_duration(sin2_profile(0.2, 60.0), math.pi)
+    prof = calibrate_duration(sin2_profile(0.2, 60.0))
     assert prof.x_max == 0.2
-    assert raman_area(prof) == pytest.approx(math.pi, rel=1e-8)
+    assert raman_area(prof) == pytest.approx(math.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize("calibrate", [calibrate_area, calibrate_duration])
+def test_calibration_rejects_zero_area(calibrate):
+    with pytest.raises(ValueError, match="zero area"):
+        calibrate(PulseProfile(0.0, 10.0))
 
 
 def test_profile_edge_validation():
     with pytest.raises(ValueError):
-        PulseProfile(10.0, lambda t: 0.5, 0.5, 2.0, 1.0)  # does not vanish at edges
-    with pytest.raises(ValueError):
-        PulseProfile(10.0, lambda t: 0.0, 0.0, 2.0, 0.0)  # zero detuning
+        PulseProfile(0.0, 10.0, delta=0.0)  # zero detuning
 
 
 # -- pulse evolution ---------------------------------------------------------------
 
 def test_zero_duration_pulse_is_identity():
-    prof = PulseProfile.sin2(x_max=0.4, duration=0.0)
+    prof = PulseProfile(0.4, 0.0)
     out = evolve_pulse(prof, "zero")
     assert np.allclose(out.unitary, np.eye(2))
     assert out.leak_r == 0.0
 
 
 def test_rydberg_branch_swap_at_pi_area():
-    prof = calibrate_area(sin2_profile(0.3, 30.0), math.pi)
+    prof = calibrate_area(sin2_profile(0.3, 30.0))
     out = evolve_pulse(prof, "rydberg")
     assert np.allclose(out.unitary, SWAP_TARGET, atol=1e-12)
 
@@ -126,7 +134,7 @@ def test_rydberg_branch_swap_at_pi_area():
 def test_rydberg_branch_insensitive_to_amplitude_at_fixed_area():
     u_ref = None
     for duration in (20.0, 80.0, 320.0):
-        prof = calibrate_area(sin2_profile(0.2, duration), math.pi)
+        prof = calibrate_area(sin2_profile(0.2, duration))
         u = evolve_pulse(prof, "rydberg").unitary
         if u_ref is None:
             u_ref = u
@@ -134,7 +142,7 @@ def test_rydberg_branch_insensitive_to_amplitude_at_fixed_area():
 
 
 def test_zero_branch_transparency_adiabatic():
-    prof = calibrate_area(sin2_profile(0.1, 2000.0), math.pi)
+    prof = calibrate_area(sin2_profile(0.1, 2000.0))
     out = evolve_pulse(prof, "zero")
     fid = abs(np.trace(out.unitary)) / 2.0
     assert fid > 0.999
@@ -143,7 +151,7 @@ def test_zero_branch_transparency_adiabatic():
 
 def test_minus_state_exactly_stationary():
     # |B> - |A> ~ |->: evolve and check the |-> component is untouched
-    prof = calibrate_area(sin2_profile(0.5, 8.0), math.pi)
+    prof = calibrate_area(sin2_profile(0.5, 8.0))
     out = evolve_pulse(prof, "zero")
     minus_in_ab = np.array([1.0, -1.0]) / math.sqrt(2)
     image = out.unitary @ minus_in_ab
@@ -151,11 +159,11 @@ def test_minus_state_exactly_stationary():
 
 
 def test_finite_blockade_approaches_perfect_blockade():
-    prof_inf = calibrate_area(sin2_profile(0.2, 60.0), math.pi)
+    prof_inf = calibrate_area(sin2_profile(0.2, 60.0))
     u_inf = evolve_pulse(prof_inf, "rydberg").unitary
     errs = []
     for v in (30.0, 300.0):
-        prof = calibrate_area(sin2_profile(0.2, 60.0, blockade=v), math.pi)
+        prof = calibrate_area(sin2_profile(0.2, 60.0, blockade=v))
         u = evolve_pulse(prof, "rydberg").unitary
         phase = np.exp(-1j * np.angle(np.trace(u_inf.conj().T @ u)))
         errs.append(np.linalg.norm(phase * u - u_inf))
@@ -176,10 +184,10 @@ def test_gate_fidelity_requires_calibration():
 
 
 def test_fidelity_degrades_monotonically_with_shorter_pulses():
-    base = calibrate_duration(sin2_profile(0.2, 10.0), math.pi)
+    base = calibrate_duration(sin2_profile(0.2, 10.0))
     f_zeros = []
     for k in range(5):
-        prof = calibrate_area(sin2_profile(0.2, base.duration / 2**k), math.pi)
+        prof = calibrate_area(sin2_profile(0.2, base.duration / 2**k))
         f_zero, f_ryd, _ = gate_fidelity(prof)
         f_zeros.append(f_zero)
         assert f_ryd == pytest.approx(1.0, abs=1e-9)
@@ -204,7 +212,7 @@ def test_rk4_order_by_step_halving():
 
 
 def test_rk4_cross_checks_adaptive_path():
-    prof = calibrate_area(sin2_profile(0.4, 12.0), math.pi)
+    prof = calibrate_area(sin2_profile(0.4, 12.0))
     from rydsim.pulse import _h_of_t, _integrate
 
     h = _h_of_t(prof, 0.0)
