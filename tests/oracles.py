@@ -84,6 +84,43 @@ def rk4_propagate(h_of_t, psi0: np.ndarray, t_final: float, n_steps: int) -> np.
     return psi
 
 
+def pulse_reference(profile, v: float) -> np.ndarray:
+    """Amplitudes on (|+>, |->, |R>) at the end of ``profile`` from |+>, at
+    blockade shift ``v``: i dpsi/dt = heff(x(t)) psi by scipy's DOP853 at
+    rtol 1e-12, the independent oracle of the Magnus pulse propagator."""
+    from scipy.integrate import solve_ivp
+
+    from rydsim.pulse import heff
+
+    def rhs(t, y):
+        return -1j * (heff(profile.x(t), v, profile.omega_c, profile.delta) @ y)
+
+    sol = solve_ivp(rhs, (0.0, profile.duration), np.array([1.0, 0.0, 0.0], dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
+def lindblad_reference(cs, gamma: float, rho0: np.ndarray, t: float) -> np.ndarray:
+    """rho(t) of d rho/dt = gamma sum_c (c rho c+ - {c+c, rho}/2) from the
+    dense jump matrices ``cs``, by scipy's DOP853 at rtol 1e-12: the
+    independent oracle of the series Lindblad exponential."""
+    from scipy.integrate import solve_ivp
+
+    dim = rho0.shape[0]
+    anti = sum(c.conj().T @ c for c in cs)
+
+    def rhs(_t, y):
+        rho = y.reshape(dim, dim)
+        drho = sum(c @ rho @ c.conj().T for c in cs) - 0.5 * (anti @ rho + rho @ anti)
+        return gamma * drho.ravel()
+
+    sol = solve_ivp(rhs, (0.0, t), rho0.astype(complex).ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(dim, dim)
+
+
 def with_ancilla(state):
     """``state`` with one more, top qubit in |0>: the register of the
     circuit-level cooling cycle, whose ancilla is the top qubit."""

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy import stats
 
 from rydsim import cooling
 from rydsim.cooling import (
+    LINDBLAD_QUBIT_CAP,
     CoolingParams,
     EquivalenceReport,
     Trace,
@@ -25,8 +28,9 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import (ScriptedRng, sweep_loop_reference, syndrome_chain_exact,
-                     syndrome_mc_reference, trajectory_energies_reference, with_ancilla)
+from oracles import (ScriptedRng, lindblad_reference, random_label, sweep_loop_reference,
+                     syndrome_chain_exact, syndrome_mc_reference, trajectory_energies_reference,
+                     with_ancilla)
 
 
 LATTICE = ToricLattice.build(2, 2)
@@ -144,6 +148,67 @@ def test_lindblad_cap_and_negative_rate():
     big = DensityMatrix(np.eye(1 << 7) / float(1 << 7), copy=False)
     with pytest.raises(CapExceededError):
         lindblad_integrate([], 1.0, big, 1.0)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("gamma,t", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                     (1.0, math.inf), (1.0, -1.0)])
+def test_lindblad_rejects_non_finite_rate_or_time(gamma, t):
+    jump, proj_minus = _single_plaquette_setup()
+    rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
+    with deadline(5.0), pytest.raises(ValueError, match="finite and non-negative"):
+        lindblad_integrate([jump], gamma, rho0, t)
+
+
+def _random_jumps(rng, n_qubits, count):
+    """``count`` jump operators, each two random Pauli strings with complex
+    Gaussian coefficients."""
+    return [OperatorSum([(complex(*rng.normal(size=2)),
+                          PauliString.from_label(random_label(rng, n_qubits)))
+                         for _ in range(2)], n_qubits)
+            for _ in range(count)]
+
+
+def _random_density(rng, n_qubits):
+    dim = 1 << n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_lindblad_series_matches_dop853(n_qubits, count):
+    rng = np.random.default_rng(10 * n_qubits + count)
+    jumps = _random_jumps(rng, n_qubits, count)
+    rho0 = _random_density(rng, n_qubits)
+    gamma, t = rng.uniform(0.2, 2.0), rng.uniform(0.3, 3.0)
+    got = lindblad_integrate(jumps, gamma, DensityMatrix(rho0), t).matrix
+    want = lindblad_reference([op.to_matrix() for op in jumps], gamma, rho0, t)
+    assert np.abs(got - want).max() < 1e-9
+
+
+def test_lindblad_series_matches_dop853_at_the_cap():
+    rng = np.random.default_rng(11)
+    jumps = _random_jumps(rng, LINDBLAD_QUBIT_CAP, 2)
+    rho0 = _random_density(rng, LINDBLAD_QUBIT_CAP)
+    got = lindblad_integrate(jumps, 0.6, DensityMatrix(rho0), 1.3).matrix
+    want = lindblad_reference([op.to_matrix() for op in jumps], 0.6, rho0, 1.3)
+    assert np.abs(got - want).max() < 1e-9
 
 
 def test_lindblad_rejects_jumps_of_another_size():

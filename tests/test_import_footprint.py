@@ -1,8 +1,10 @@
-"""``import rydsim.cli`` loads numpy and rydsim, not scipy or the process pool.
+"""No command loads scipy, and only a multi-worker run loads the process pool.
 
-scipy loads at the first pulse or Lindblad integration and the pool at the
-first multi-worker fan-out.  The checks run in a fresh interpreter, since
-this test process has long since loaded both.
+``import rydsim.cli`` loads numpy and rydsim's own modules; pulses and the
+master equation integrate in numpy, so no subcommand loads scipy.  The pool
+loads at the first multi-worker fan-out, which the probe's last run makes:
+seeing it load shows that the probe sees what a run loads.  The checks run
+in a fresh interpreter, since this test process has long since loaded both.
 """
 
 import json
@@ -16,20 +18,29 @@ import pytest
 import rydsim
 from rydsim.cli import main
 
-#: module prefixes only a pulse, a Lindblad run or a pool fan-out may load
+#: module prefixes only a pool fan-out may load
 HEAVY = ("scipy", "multiprocessing", "concurrent.futures.process")
 
 SERIAL = ["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
           "--steps", "4", "--trajectories", "20"]
 LAZY = {
-    "gate-fidelity": ["gate-fidelity", "--durations", "13.1"],
+    "gate-fidelity": ["gate-fidelity", "--durations", "13.1", "--blockade", "20"],
     "lindblad": ["toric-cool", "--engine", "lindblad", "--lx", "2", "--ly", "2",
                  "--theta", "pi/2", "--steps", "4", "--trajectories", "1"],
+    "trajectory": ["toric-cool", "--engine", "trajectory", "--lx", "2", "--ly", "2",
+                   "--theta", "pi", "--steps", "2", "--trajectories", "3"],
+    "heisenberg": ["heisenberg", "--lx", "3", "--tau", "0.1", "--steps", "1"],
+    "toric-evolve": ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.3", "--steps", "1"],
+    "hubbard-spectrum": ["hubbard-spectrum", "--lx", "2", "--ly", "2", "--encoding", "both"],
+    "dump-hamiltonian": ["dump-hamiltonian", "--model", "toric", "--lx", "2", "--ly", "2"],
 }
+#: three RNG blocks, split over two workers
+POOLED = ["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
+          "--steps", "2", "--trajectories", "130"]
 
 SCRIPT = """
 import json, os, sys
-heavy, serial, lazy, out = json.loads(sys.argv[1])
+heavy, serial, lazy, pooled, out = json.loads(sys.argv[1])
 
 def loaded():
     return sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in heavy))
@@ -42,6 +53,9 @@ report["serial"] = loaded()
 report["lazy_status"] = {name: cli.main(argv + ["--out", os.path.join(out, name + ".csv")])
                          for name, argv in lazy.items()}
 report["lazy"] = loaded()
+os.environ["RYDSIM_WORKERS"] = "2"
+report["pooled_status"] = cli.main(pooled + ["--out", os.path.join(out, "pooled.csv")])
+report["pooled"] = loaded()
 print(json.dumps(report))
 """
 
@@ -52,7 +66,7 @@ def fresh(tmp_path_factory):
     out = tmp_path_factory.mktemp("fresh")
     env = dict(os.environ, PYTHONPATH=str(Path(rydsim.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([HEAVY, SERIAL, LAZY, str(out)])],
+        [sys.executable, "-c", SCRIPT, json.dumps([HEAVY, SERIAL, LAZY, POOLED, str(out)])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1]), out
@@ -72,7 +86,14 @@ def test_serial_syndrome_run_loads_no_scipy_or_pool(fresh):
 def test_cold_lazy_import_writes_the_warm_csv(fresh, tmp_path, name):
     report, out = fresh
     assert report["lazy_status"][name] == 0
-    assert "scipy.integrate" in report["lazy"]  # the probe sees what a run loads
+    assert report["lazy"] == []  # no subcommand loads scipy
     warm = tmp_path / "warm.csv"
     assert main(LAZY[name] + ["--out", str(warm)]) == 0
     assert (out / f"{name}.csv").read_text() == warm.read_text()
+
+
+def test_pooled_run_loads_the_pool_and_no_scipy(fresh):
+    report, _ = fresh
+    assert report["pooled_status"] == 0
+    assert "concurrent.futures.process" in report["pooled"]  # the probe sees what a run loads
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in report["pooled"])

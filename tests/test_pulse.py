@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rydsim import pulse
+from rydsim.errors import IntegrationError
 from rydsim.pulse import (
     PulseProfile,
     SWAP_TARGET,
@@ -14,11 +17,17 @@ from rydsim.pulse import (
     raman_area,
 )
 
-from oracles import rk4_propagate
+from oracles import pulse_reference, rk4_propagate
 
 
 def sin2_profile(x_max=0.2, duration=60.0, **kwargs):
     return PulseProfile(x_max, duration, **kwargs)
+
+
+def plus_amplitude(outcome) -> complex:
+    """The |+> -> |+> amplitude of a pulse's map on {|A>, |B>}:
+    <+|U|+> with |+> = (|A> + |B>)/sqrt2."""
+    return outcome.unitary.sum() / 2.0
 
 
 # -- effective Hamiltonian -----------------------------------------------------
@@ -213,11 +222,53 @@ def test_rk4_order_by_step_halving():
 
 def test_rk4_cross_checks_adaptive_path():
     prof = calibrate_area(sin2_profile(0.4, 12.0))
-    from rydsim.pulse import _h_of_t, _integrate
+    h = lambda t: heff(prof.x(t), 0.0, prof.omega_c, prof.delta)
+    fixed = rk4_propagate(h, np.array([1.0, 0.0, 0.0]), prof.duration, 20000)
+    out = evolve_pulse(prof, "zero")
+    plus = plus_amplitude(out)
+    assert abs(plus - fixed[0]) < 1e-8
+    assert abs(out.leak_r - abs(fixed[2]) ** 2) < 1e-8
+    assert abs(plus) ** 2 + out.leak_r == pytest.approx(1.0, abs=1e-8)
 
-    h = _h_of_t(prof, 0.0)
-    psi0 = np.array([1.0, 0.0, 0.0])
-    adaptive = _integrate(h, psi0, prof.duration)
-    fixed = rk4_propagate(h, psi0, prof.duration, 20000)
-    assert np.linalg.norm(adaptive - fixed) < 1e-8
-    assert np.linalg.norm(adaptive) == pytest.approx(1.0, abs=1e-8)
+
+# -- Magnus propagator -------------------------------------------------------------------
+
+@pytest.mark.parametrize("duration", [13.1, 26.2, 52.4, 104.7, 209.4, 418.9])
+@pytest.mark.parametrize("v", [0.0, 20.0])
+def test_magnus_matches_dop853(duration, v):
+    # the benchmark's gate-fidelity pulses, idle branch (V = 0) and blockaded
+    prof = calibrate_area(PulseProfile(1.0, duration, blockade=20.0))
+    want = pulse_reference(prof, v)
+    out = evolve_pulse(prof, "zero" if v == 0.0 else "rydberg")
+    assert abs(plus_amplitude(out) - want[0]) < 1e-9
+    assert abs(out.leak_r - abs(want[2]) ** 2) < 1e-9
+
+
+def test_magnus_order_by_step_doubling():
+    # the commutator term is what lifts the Gauss-node exponential from order 2 to 4
+    prof = calibrate_area(PulseProfile(1.0, 52.4))
+    want = pulse_reference(prof, 0.0)[::2]
+    errors = [np.abs(pulse._plus_column(prof, 0.0, n) - want).max() for n in (128, 256, 512)]
+    for k in range(2):
+        assert abs(math.log2(errors[k] / errors[k + 1]) - 4.0) < 0.3
+
+
+def test_pulse_near_the_phase_bound_stays_small():
+    # 9.9e5 rad: the step unitaries are held 2^15 at a time
+    prof = calibrate_area(PulseProfile(1.0, 9.9e5 / 21.0, blockade=20.0))
+    tracemalloc.start()
+    try:
+        out = evolve_pulse(prof, "rydberg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert abs(plus_amplitude(out)) ** 2 + out.leak_r == pytest.approx(1.0, abs=1e-9)
+
+
+def test_unconverged_pulse_raises(monkeypatch):
+    # 418.9 at V = 20 needs 32768 steps; one doubling from 1024 stops short
+    monkeypatch.setattr(pulse, "_MAX_DOUBLINGS", 1)
+    prof = calibrate_area(PulseProfile(1.0, 418.9, blockade=20.0))
+    with pytest.raises(IntegrationError, match="not converged"):
+        evolve_pulse(prof, "rydberg")
