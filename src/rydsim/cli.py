@@ -34,7 +34,7 @@ from .cooling import (
     trajectory_run,
 )
 from .errors import CapExceededError
-from .fock import hubbard_matrix, spectrum
+from .fock import hubbard_matrix, sectors, spectrum
 from .models import (
     HubbardSpec,
     ToricLattice,
@@ -384,23 +384,6 @@ def _hubbard_spec(cfg: dict) -> HubbardSpec:
                     cfg["v-aux"], cfg["spinful"])
 
 
-def _sector_table(spec: HubbardSpec, matrix):
-    """(sector label, eigenvalues) pairs in deterministic sector order."""
-    out = []
-    if spec.spinful:
-        for n_up in range(spec.n_sites + 1):
-            for n_down in range(spec.n_sites + 1):
-                w = spectrum(spec, n_up=n_up, n_down=n_down, matrix=matrix)
-                if len(w):
-                    out.append((f"{n_up}u{n_down}d", w))
-    else:
-        for n_part in range(spec.n_modes + 1):
-            w = spectrum(spec, n_particles=n_part, matrix=matrix)
-            if len(w):
-                out.append((str(n_part), w))
-    return out
-
-
 def _run_hubbard_spectrum(cfg: dict):
     spec = _hubbard_spec(cfg)
     encoding = cfg["encoding"]
@@ -419,36 +402,24 @@ def _run_hubbard_spectrum(cfg: dict):
             worst = max(worst, abs(a - b))
             rows.append([k, a, b, abs(a - b)])
         return header, rows, f"max_abs_delta={worst:.3e}", 0
-    fock_mat = hubbard_matrix(spec)
-    jw_mat = None
-    if encoding in ("jw", "both"):
-        jw_mat = build_hubbard_jw(spec).to_matrix().real
-    if encoding == "fock":
-        tables = {"fock": _sector_table(spec, fock_mat)}
-        header = ["index", "sector", "eigenvalue_fock"]
-    elif encoding == "jw":
-        tables = {"jw": _sector_table(spec, jw_mat)}
-        header = ["index", "sector", "eigenvalue_jw"]
-    else:
-        tables = {"jw": _sector_table(spec, jw_mat),
-                  "fock": _sector_table(spec, fock_mat)}
-        header = ["index", "sector", "eigenvalue_jw", "eigenvalue_fock", "abs_delta"]
+    blocks = sectors(spec)  # checks the Fock mode cap before any matrix
+    encodings = ("jw", "fock") if encoding == "both" else (encoding,)
+    matrices = [build_hubbard_jw(spec).to_matrix() if e == "jw" else hubbard_matrix(spec)
+                for e in encodings]
+    header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)]
+    if encoding == "both":
+        header.append("abs_delta")
     rows = []
     worst = 0.0
-    index = 0
-    first = next(iter(tables.values()))
-    for block in range(len(first)):
-        label = first[block][0]
-        columns = [tables[k][block][1] for k in tables]
-        for vals in zip(*columns):
-            row = [index, label] + list(vals)
-            if len(vals) == 2:
+    for label, indices in blocks:
+        for vals in zip(*(spectrum(m, indices) for m in matrices)):
+            row = [len(rows), label, *vals]
+            if encoding == "both":
                 delta = abs(vals[0] - vals[1])
                 worst = max(worst, delta)
                 row.append(delta)
             rows.append(row)
-            index += 1
-    result = f"max_abs_delta={worst:.3e}" if encoding == "both" else f"levels={index}"
+    result = f"max_abs_delta={worst:.3e}" if encoding == "both" else f"levels={len(rows)}"
     return header, rows, result, 0
 
 

@@ -18,26 +18,11 @@ from .models import HubbardSpec, hubbard_bonds
 MODE_CAP = 12
 
 
-class FockBasis:
-    """Occupation-bitmask enumeration of the 2^M Fock states of M modes."""
-
-    def __init__(self, n_modes: int):
-        if n_modes < 1:
-            raise ValueError("need at least one mode")
-        if n_modes > MODE_CAP:
-            raise CapExceededError(f"Fock basis capped at {MODE_CAP} modes")
-        self.n_modes = n_modes
-        self.dim = 1 << n_modes
-
-    def popcounts(self, mode_mask: int | None = None) -> np.ndarray:
-        """Occupation count of every basis state, optionally masked."""
-        if mode_mask is None:
-            mode_mask = (1 << self.n_modes) - 1
-        states = np.arange(self.dim, dtype=np.int64) & mode_mask
-        counts = np.zeros(self.dim, dtype=np.int64)
-        for m in range(self.n_modes):
-            counts += (states >> m) & 1
-        return counts
+def _dim(spec: HubbardSpec) -> int:
+    """Dimension 2^M of the Fock basis of the spec's M modes, within the cap."""
+    if spec.n_modes > MODE_CAP:
+        raise CapExceededError(f"Fock basis capped at {MODE_CAP} modes")
+    return 1 << spec.n_modes
 
 
 def _sign_below(state: int, mode: int) -> int:
@@ -47,13 +32,13 @@ def _sign_below(state: int, mode: int) -> int:
 
 def hubbard_matrix(spec: HubbardSpec) -> np.ndarray:
     """Dense Hubbard Hamiltonian in the Fock basis (real symmetric)."""
-    basis = FockBasis(spec.n_modes)
+    dim = _dim(spec)
     hops, pairs = hubbard_bonds(spec)
-    h = np.zeros((basis.dim, basis.dim))
+    h = np.zeros((dim, dim))
     t = spec.t_hop
     for a, b, _ in hops:
         bit_a, bit_b = 1 << a, 1 << b
-        for s in range(basis.dim):
+        for s in range(dim):
             # c^dag_a c_b |s>, plus Hermitian conjugate
             if (s & bit_b) and not (s & bit_a):
                 s1 = s & ~bit_b
@@ -62,8 +47,8 @@ def hubbard_matrix(spec: HubbardSpec) -> np.ndarray:
                 h[target, s] += amp
                 h[s, target] += amp
     if pairs:
-        diag = np.zeros(basis.dim)
-        states = np.arange(basis.dim, dtype=np.int64)
+        diag = np.zeros(dim)
+        states = np.arange(dim, dtype=np.int64)
         for up, down in pairs:
             both = ((states >> up) & 1) * ((states >> down) & 1)
             diag += spec.u * both
@@ -71,33 +56,26 @@ def hubbard_matrix(spec: HubbardSpec) -> np.ndarray:
     return h
 
 
-def spectrum(
-    spec: HubbardSpec,
-    n_particles: int | None = None,
-    n_up: int | None = None,
-    n_down: int | None = None,
-    matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sorted eigenvalues, optionally restricted to a symmetry sector.
+def sectors(spec: HubbardSpec) -> list[tuple[str, np.ndarray]]:
+    """The Fock basis's number sectors as (label, ascending basis indices).
 
-    Sector restriction works because hopping and interaction conserve the
-    particle number of each species, so the Hamiltonian is block diagonal
-    over occupation counts.
+    Hopping and interaction conserve the particle number of each species,
+    so the Hamiltonian is block diagonal over these sectors.  Spinless:
+    label "N" for N = 0..n_modes.  Spinful: "<n_up>u<n_down>d", n_up outer
+    and n_down inner, each 0..n_sites; the up modes are the low n_sites bits.
     """
-    if matrix is None:
-        matrix = hubbard_matrix(spec)
-    basis = FockBasis(spec.n_modes)
-    keep = np.ones(basis.dim, dtype=bool)
-    if n_particles is not None:
-        keep &= basis.popcounts() == n_particles
-    if n_up is not None or n_down is not None:
-        if not spec.spinful:
-            raise ValueError("spin sectors require a spinful spec")
-        up_mask = (1 << spec.n_sites) - 1
-        if n_up is not None:
-            keep &= basis.popcounts(up_mask) == n_up
-        if n_down is not None:
-            keep &= basis.popcounts(((1 << spec.n_modes) - 1) ^ up_mask) == n_down
-    idx = np.flatnonzero(keep)
-    block = matrix[np.ix_(idx, idx)]
-    return np.sort(np.linalg.eigvalsh(block))
+    dim = _dim(spec)
+    if not spec.spinful:
+        counts = np.array([s.bit_count() for s in range(dim)])
+        return [(str(n), np.flatnonzero(counts == n)) for n in range(spec.n_modes + 1)]
+    n = spec.n_sites
+    up = np.array([(s & ((1 << n) - 1)).bit_count() for s in range(dim)])
+    down = np.array([(s >> n).bit_count() for s in range(dim)])
+    return [(f"{n_up}u{n_down}d", np.flatnonzero((up == n_up) & (down == n_down)))
+            for n_up in range(n + 1) for n_down in range(n + 1)]
+
+
+def spectrum(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the block of ``matrix`` on the basis ``indices``,
+    one of :func:`sectors`."""
+    return np.sort(np.linalg.eigvalsh(matrix[np.ix_(indices, indices)]))

@@ -395,19 +395,26 @@ class OperatorSum:
 
 
 def to_matrix(op: OperatorSum) -> np.ndarray:
-    """Dense 2^n x 2^n realization of an operator sum (n capped at 12)."""
+    """Dense 2^n x 2^n realization of an operator sum (n capped at 12).
+
+    float64 when every normalized term has a real coefficient and an even
+    number of Y sites, whose product i**#Y is then real; complex otherwise.
+    """
     n_qubits = op.n_qubits
     if n_qubits > MATRIX_QUBIT_CAP:
         raise CapExceededError(
             f"dense matrix for {n_qubits} qubits exceeds the "
             f"{MATRIX_QUBIT_CAP}-qubit cap"
         )
+    terms = op.normalized().terms
+    real = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
+               for c, s in terms)
     dim = 1 << n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=float if real else complex)
     rows = np.arange(dim)
-    for c, s in op.normalized():
+    for c, s in terms:
         idx, factor = pauli_action(n_qubits, s.x_mask, s.z_mask)
-        mat[rows, idx] += c * factor
+        mat[rows, idx] += c.real * factor.real if real else c * factor
     return mat
 
 

@@ -70,11 +70,12 @@ class PulseProfile:
 
 
 def heff(x, v: float, omega_c: float, delta: float) -> np.ndarray:
-    """Effective 3x3 Hamiltonian on {|+>, |->, |R>} (hbar = 1), one per
-    entry of ``x`` (shape ``x.shape + (3, 3)``).
+    """Effective Hamiltonian on the coupled pair {|+>, |R>} (hbar = 1), one
+    per entry of ``x`` (shape ``x.shape + (2, 2)``).
 
     (Omega_c^2/4Delta) [x^2 |+><+| + (1+V)|R><R| + x(|+><R| + h.c.)]; the
-    |-> row and column vanish identically.
+    third state |-> has no coupling and no energy, so it is exactly
+    stationary.
     """
     if delta == 0.0:
         raise ValueError("detuning must be nonzero")
@@ -82,10 +83,10 @@ def heff(x, v: float, omega_c: float, delta: float) -> np.ndarray:
         raise ValueError("heff needs a finite blockade; the infinite limit "
                          "is handled analytically by evolve_pulse")
     x = np.asarray(x, dtype=float)
-    h = np.zeros(x.shape + (3, 3))
+    h = np.empty(x.shape + (2, 2))
     h[..., 0, 0] = x * x
-    h[..., 0, 2] = h[..., 2, 0] = x
-    h[..., 2, 2] = 1.0 + v
+    h[..., 0, 1] = h[..., 1, 0] = x
+    h[..., 1, 1] = 1.0 + v
     h *= omega_c**2 / (4.0 * delta)
     return h
 
@@ -126,7 +127,7 @@ def _plus_column(profile: PulseProfile, v: float, n: int) -> np.ndarray:
         t = (np.arange(start, min(n, start + _CHUNK))[:, None] + _GAUSS) * dt
         h = heff(profile.x(t), v, profile.omega_c, profile.delta)
         h *= dt
-        pp, pr, rr = h[..., 0, 0], h[..., 0, 2], h[..., 2, 2]  # (steps, nodes) each
+        pp, pr, rr = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]  # (steps, nodes) each
         # the step is exp(-i M), M = (H1 + H2) dt/2 + i sqrt3/12 dt^2 [H1, H2]; the
         # commutator of real symmetric H is antisymmetric, so it sits in b = M[0, 1]
         comm = pr[:, 1] * (pp[:, 0] - rr[:, 0]) - pr[:, 0] * (pp[:, 1] - rr[:, 1])

@@ -85,7 +85,7 @@ def rk4_propagate(h_of_t, psi0: np.ndarray, t_final: float, n_steps: int) -> np.
 
 
 def pulse_reference(profile, v: float) -> np.ndarray:
-    """Amplitudes on (|+>, |->, |R>) at the end of ``profile`` from |+>, at
+    """Amplitudes on (|+>, |R>) at the end of ``profile`` from |+>, at
     blockade shift ``v``: i dpsi/dt = heff(x(t)) psi by scipy's DOP853 at
     rtol 1e-12, the independent oracle of the Magnus pulse propagator."""
     from scipy.integrate import solve_ivp
@@ -95,7 +95,7 @@ def pulse_reference(profile, v: float) -> np.ndarray:
     def rhs(t, y):
         return -1j * (heff(profile.x(t), v, profile.omega_c, profile.delta) @ y)
 
-    sol = solve_ivp(rhs, (0.0, profile.duration), np.array([1.0, 0.0, 0.0], dtype=complex),
+    sol = solve_ivp(rhs, (0.0, profile.duration), np.array([1.0, 0.0], dtype=complex),
                     method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success, sol.message
     return sol.y[:, -1]

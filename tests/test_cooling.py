@@ -174,6 +174,16 @@ def test_lindblad_rejects_non_finite_rate_or_time(gamma, t):
         lindblad_integrate([jump], gamma, rho0, t)
 
 
+def test_lindblad_caps_its_substeps():
+    # 1e9 rate units need about 2e9 substeps: the call refuses before the first
+    jump, proj_minus = _single_plaquette_setup()
+    rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
+    with deadline(5.0), pytest.raises(CapExceededError, match="substeps"):
+        lindblad_integrate([jump], 1.0, rho0, 1e9)
+    with deadline(5.0), pytest.raises(CapExceededError, match="substeps"):
+        lindblad_integrate([jump], 1e300, rho0, 1e300)  # t * bound overflows
+
+
 def _random_jumps(rng, n_qubits, count):
     """``count`` jump operators, each two random Pauli strings with complex
     Gaussian coefficients."""

@@ -17,7 +17,7 @@ from rydsim.pauli import (
     to_matrix,
 )
 
-from oracles import label_matrix
+from oracles import label_matrix, sum_matrix
 
 
 def random_string(rng, n):
@@ -153,6 +153,21 @@ def test_to_matrix_linearity_and_products():
     assert np.allclose(to_matrix(a @ b), to_matrix(a) @ to_matrix(b), atol=1e-12)
     assert np.allclose(to_matrix(a + b), to_matrix(a) + to_matrix(b), atol=1e-12)
     assert np.allclose(to_matrix(2.5 * a), 2.5 * to_matrix(a), atol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs,labels,real", [
+    ((0.5, -1.25), ("XZI", "YYZ"), True),     # real coefficients, even Y counts
+    ((0.5, -1.25), ("XZI", "YZI"), False),    # one Y site
+    ((0.5, 0.25j), ("XZI", "ZZX"), False),    # complex coefficient
+    ((1.0, 1.0), ("YXI", "XYI"), False),      # XY + YX has one Y per term
+    ((1.0j, 1.0j), ("YXI", "ZZZ"), False),
+])
+def test_to_matrix_dtype_follows_the_terms(coeffs, labels, real):
+    terms = list(zip(coeffs, labels))
+    op = OperatorSum([(c, PauliString.from_label(l)) for c, l in terms], 3)
+    mat = to_matrix(op)
+    assert mat.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(mat, sum_matrix(terms, 3))
 
 
 def test_matrix_cap():
