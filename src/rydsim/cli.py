@@ -150,14 +150,12 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("trajectories", "int", required=True),
         Param("q-init", "float", default=0.5,
               help="initial excitation probability per stabilizer"),
-        Param("e0", "float", default=1.0),
         Param("engine", "str", default="syndrome",
               choices=("syndrome", "trajectory", "lindblad", "compare")),
     ),
     "toric-evolve": _COMMON + (
         Param("lx", "int", required=True),
         Param("ly", "int", required=True),
-        Param("e0", "float", default=1.0),
         Param("tau", "float", required=True, help="Trotter time step"),
         Param("steps", "int", required=True),
         Param("order", "int", default=1, choices=(1, 2)),
@@ -183,8 +181,7 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
         Param("lx", "int", required=True),
         Param("ly", "int", required=True),
         Param("t", "float", default=1.0, help="hopping energy"),
-        Param("u", "float", default=0.0, help="on-site energy"),
-        Param("v-aux", "float", default=1.0, help="auxiliary coupling"),
+        Param("u", "float", default=0.0, help="on-site energy (spinful only)"),
         Param("spinful", "bool", default=False),
         Param("encoding", "str", default="both",
               choices=("jw", "fock", "both", "local")),
@@ -202,7 +199,6 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
               choices=("toric", "heisenberg", "hubbard-jw", "hubbard-local", "aux")),
         Param("lx", "int", required=True),
         Param("ly", "int", required=True),
-        Param("e0", "float", default=1.0),
         Param("jx", "float", default=1.0),
         Param("jy", "float", default=1.0),
         Param("jz", "float", default=1.0),
@@ -302,7 +298,7 @@ def _run_toric_cool(cfg: dict):
     if cfg["engine"] == "compare":
         header = ["step", "theta", "mean_syndrome", "stderr_syndrome",
                   "mean_trajectory", "stderr_trajectory", "z"]
-        reports = _checked(equivalence_check, lattice, params, cfg["e0"], workers)
+        reports = _checked(equivalence_check, lattice, params, workers)
         rows = [[rep.mc.steps[k], rep.mc.theta, rep.mc.mean_energy[k], rep.mc.stderr[k],
                  rep.trajectory.mean_energy[k], rep.trajectory.stderr[k], rep.z_scores[k]]
                 for rep in reports for k in range(len(rep.mc.steps))]
@@ -312,11 +308,11 @@ def _run_toric_cool(cfg: dict):
         return header, rows, result, status
     header = ["step", "theta", "engine", "mean_energy", "stderr"]
     if cfg["engine"] == "lindblad":
-        traces = [lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"], cfg["e0"])
+        traces = [lindblad_reference_trace(theta, cfg["steps"], cfg["q-init"])
                   for theta in params.thetas]
     else:
         run = syndrome_mc_run if cfg["engine"] == "syndrome" else trajectory_run
-        traces = run(lattice, params, cfg["e0"], workers)
+        traces = run(lattice, params, workers)
     rows = [[trace.steps[k], trace.theta, trace.engine, trace.mean_energy[k], trace.stderr[k]]
             for trace in traces for k in range(len(trace.steps))]
     return header, rows, f"final_mean_energy={traces[-1].mean_energy[-1]:.6f}", 0
@@ -359,7 +355,7 @@ def _evolution_rows(h, n_qubits, cfg, extra_columns=()):
 
 
 def _run_toric_evolve(cfg: dict):
-    h, lattice = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
+    h, lattice = _checked(build_toric, cfg["lx"], cfg["ly"])
     return _evolution_rows(h, lattice.n_edges, cfg)
 
 
@@ -380,8 +376,9 @@ def _run_heisenberg(cfg: dict):
 
 
 def _hubbard_spec(cfg: dict) -> HubbardSpec:
+    """The spec of the Hubbard fields; only dump-hamiltonian sets 'v-aux'."""
     return _checked(HubbardSpec, cfg["lx"], cfg["ly"], cfg["t"], cfg["u"],
-                    cfg["v-aux"], cfg["spinful"])
+                    cfg.get("v-aux", HubbardSpec.v_aux), cfg["spinful"])
 
 
 def _run_hubbard_spectrum(cfg: dict):
@@ -445,7 +442,7 @@ def _run_gate_fidelity(cfg: dict):
 def _run_dump_hamiltonian(cfg: dict):
     model = cfg["model"]
     if model == "toric":
-        h, _ = _checked(build_toric, cfg["lx"], cfg["ly"], cfg["e0"])
+        h, _ = _checked(build_toric, cfg["lx"], cfg["ly"])
     elif model == "heisenberg":
         h, _ = _heisenberg(cfg)
     else:

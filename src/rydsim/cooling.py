@@ -17,10 +17,11 @@ A run is one :class:`CoolingParams`; both stochastic engines take its
 ``thetas`` whole and return one :class:`Trace` per theta from one fan-out.
 
 One cooling cycle flips a violated stabilizer with probability
-sin^2(theta/2) and leaves the ground sector exactly invariant.  A sweep is
-each kind of cell in turn, plaquettes then stars, in freshly shuffled
-order; :func:`_kinds` is the one description of what a cycle acts on,
-per kind, and every engine reads it.
+sin^2(theta/2), which no energy scale enters, and leaves the ground sector
+exactly invariant; energies are in units of the stabilizer coupling E0 = 1.
+A sweep is each kind of cell in turn, plaquettes then stars, in freshly
+shuffled order; :func:`_kinds` is the one description of what a cycle acts
+on, per kind, and every engine reads it.
 
 Both stochastic engines draw block b of :data:`BLOCK` trajectories of a
 run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(tag,
@@ -314,9 +315,10 @@ def _sweep(bits, kinds, prob, rngs, sizes):
             bits[k * n:(k + 1) * n, offset:offset + count] = col.reshape(-1, count)
 
 
-def _mc_energies(lattice, params, blocks, e0=1.0):
-    """(thetas, rows, steps + 1) energies: each batch's initial bits are
-    sampled once and swept at every theta on the same draws."""
+def _mc_energies(lattice, params, blocks):
+    """(thetas, rows, steps + 1) energies, each minus its row's syndrome sum:
+    each batch's initial bits are sampled once and swept at every theta on
+    the same draws."""
     kinds = _kinds(lattice)
     probs = [flip_probability(theta) for theta in params.thetas]
     per_batch = max(1, BATCH_ROW_CELLS
@@ -328,11 +330,11 @@ def _mc_energies(lattice, params, blocks, e0=1.0):
         rows = _block_rows(params, batch)
         bits = np.tile(_sample_bits(kinds, params.q_init, rngs, rows), (len(probs), 1))
         out = np.empty((len(bits), params.n_steps + 1))
-        out[:, 0] = -e0 * bits.sum(axis=1)
+        out[:, 0] = bits.sum(axis=1)
         for step in range(1, params.n_steps + 1):
             _sweep(bits, kinds, probs, rngs, rows)
-            out[:, step] = -e0 * bits.sum(axis=1)
-        parts.append(out.reshape(len(probs), -1, params.n_steps + 1))
+            out[:, step] = bits.sum(axis=1)
+        parts.append(-out.reshape(len(probs), -1, params.n_steps + 1))
     return np.concatenate(parts, axis=1)
 
 
@@ -421,7 +423,7 @@ def _energies(psi, ham, acc, buf):
     return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
 
 
-def _trajectory_energies(lattice, params, blocks, e0=1.0):
+def _trajectory_energies(lattice, params, blocks):
     """(thetas, rows, steps + 1) energies.  Per block, the rows start in the
     eigenstates of the Monte Carlo's start sampler; then all (theta, row)
     states advance as one array, one sweep position at a time, on the Monte
@@ -434,7 +436,7 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
         return [np.reshape(a, (-1, *shape, 1 << n)) for a in zip(*pairs)]
 
     ham = {}  # H psi = sum over x masks of factor * psi[idx]; a mask's terms share idx
-    for c, s in build_toric(lattice.lx, lattice.ly, e0)[0].normalized():
+    for c, s in build_toric(lattice.lx, lattice.ly)[0].normalized():
         idx, factor = pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)
         ham[s.x_mask] = (idx, ham.get(s.x_mask, (idx, 0.0))[1] + c * factor)
     ham = list(ham.values())
@@ -493,10 +495,10 @@ def _trajectory_energies(lattice, params, blocks, e0=1.0):
 # runs, parallel fan-out, engine comparison
 # ---------------------------------------------------------------------
 
-def _fan_out(energies, lattice, params, e0, workers):
-    """``energies(lattice, params, blocks, e0)`` over all RNG blocks of the
-    run, split in whole blocks over up to ``workers`` processes."""
-    run = partial(energies, lattice, params, e0=e0)
+def _fan_out(energies, lattice, params, workers):
+    """``energies(lattice, params, blocks)`` over all RNG blocks of the run,
+    split in whole blocks over up to ``workers`` processes, one per chunk."""
+    run = partial(energies, lattice, params)
     blocks = np.arange(-(-params.n_trajectories // BLOCK))
     if workers <= 1 or len(blocks) < 2 or params.n_trajectories < 4 * workers:
         return run(blocks)
@@ -504,7 +506,8 @@ def _fan_out(energies, lattice, params, e0, workers):
     from concurrent.futures.process import BrokenProcessPool
     chunks = [chunk for chunk in np.array_split(blocks, workers) if len(chunk)]
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # under fork a pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(run, chunks))
     except (OSError, PermissionError, BrokenProcessPool) as exc:
         # sandboxed environments may forbid subprocesses; fall back serially
@@ -523,12 +526,11 @@ def _trace_from_energies(energies, theta, engine) -> Trace:
 def syndrome_mc_run(
     lattice: ToricLattice,
     params: CoolingParams,
-    e0: float = 1.0,
     workers: int = 1,
 ) -> list[Trace]:
     """Mean energy trace of the classical syndrome Monte Carlo at each of
     ``params.thetas``, all swept on one set of draws in one fan-out."""
-    energies = _fan_out(_mc_energies, lattice, params, e0, workers)
+    energies = _fan_out(_mc_energies, lattice, params, workers)
     return [_trace_from_energies(e, theta, "syndrome")
             for e, theta in zip(energies, params.thetas)]
 
@@ -536,7 +538,6 @@ def syndrome_mc_run(
 def trajectory_run(
     lattice: ToricLattice,
     params: CoolingParams,
-    e0: float = 1.0,
     workers: int = 1,
 ) -> list[Trace]:
     """Mean energy trace of the quantum trajectories at each of
@@ -556,7 +557,7 @@ def trajectory_run(
     if lattice.n_edges > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "
                                f"cap is {TRAJECTORY_QUBIT_CAP}")
-    energies = _fan_out(_trajectory_energies, lattice, params, e0, workers)
+    energies = _fan_out(_trajectory_energies, lattice, params, workers)
     return [_trace_from_energies(e, theta, "trajectory")
             for e, theta in zip(energies, params.thetas)]
 
@@ -564,7 +565,6 @@ def trajectory_run(
 def equivalence_check(
     lattice: ToricLattice,
     params: CoolingParams,
-    e0: float = 1.0,
     workers: int = 1,
 ) -> list[EquivalenceReport]:
     """Certify the syndrome Monte Carlo against the quantum trajectories,
@@ -580,9 +580,9 @@ def equivalence_check(
         raise ValueError("the engine comparison needs at least 2 trajectories")
     # the trajectory engine runs first: its cap fails the check before any
     # MC work, and the engines draw from disjoint streams, so order is free
-    trajectories = trajectory_run(lattice, params, e0, workers)
+    trajectories = trajectory_run(lattice, params, workers)
     reports = []
-    for mc, qt in zip(syndrome_mc_run(lattice, params, e0, workers), trajectories):
+    for mc, qt in zip(syndrome_mc_run(lattice, params, workers), trajectories):
         diff = np.abs(mc.mean_energy - qt.mean_energy)
         sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
         z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
@@ -594,7 +594,6 @@ def lindblad_reference_trace(
     theta: float,
     n_steps: int,
     q_init: float = 0.5,
-    e0: float = 1.0,
 ) -> Trace:
     """Master-equation trace for the single-plaquette reference system.
 
@@ -605,7 +604,7 @@ def lindblad_reference_trace(
     """
     a_p = PauliString.from_label("XXXX")
     jump = jump_operator(a_p, PauliString.single(4, 0, "Z"))
-    h_local = OperatorSum.from_string(a_p, -e0)
+    h_local = OperatorSum.from_string(a_p, -1.0)
 
     a_mat = a_p.to_matrix()
     proj_minus = 0.5 * (np.eye(16) - a_mat)

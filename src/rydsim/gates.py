@@ -1,7 +1,8 @@
 """Circuit-level mesoscopic Rydberg gate and the composite sequences built
 from it: the many-target controlled flip, the plaquette/star phase steps,
 the two-qubit Heisenberg step, the syndrome map and the controlled pump
-flips used by the cooling protocol, plus the coherent gate-error model.
+flips used by the cooling protocol, plus the coherent gate-error model,
+whose generator is given on the gate's targets (its qubit j on target j).
 
 Rotation conventions: ``rot_x(state, q, phi)`` applies exp(i phi X_q) (and
 analogously for Y/Z); ``controlled_flip`` applies exp(i theta P/2) on the
@@ -20,18 +21,14 @@ import numpy as np
 from .pauli import OperatorSum, PauliString
 from .statevec import StateVector
 
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class GateSpec:
     """Geometry and error model of one mesoscopic gate application.
 
     A spec with a ``fault_generator`` is faulty.  The generator is Hermitian
-    and acts on the targets only (the control is excluded); it may be given
-    either on the full register with support inside the targets, or directly
-    on ``len(targets)`` qubits ordered like ``targets``.
+    and acts on the targets only: it is given on ``len(targets)`` qubits,
+    its qubit j being ``targets[j]``.
     """
 
     control: int
@@ -48,31 +45,12 @@ class GateSpec:
             raise ValueError("duplicate target qubit")
         if self.control in targets:
             raise ValueError("control qubit cannot also be a target")
-        if self.fault_generator is not None and not self.fault_generator.is_hermitian():
+        q = self.fault_generator
+        if q is not None and q.n_qubits != len(targets):
+            raise ValueError(f"fault generator acts on {q.n_qubits} qubits, "
+                             f"the gate has {len(targets)} targets")
+        if q is not None and not q.is_hermitian():
             raise ValueError("fault generator must be Hermitian")
-
-
-def _local_matrix(op: OperatorSum, qubits: tuple[int, ...]) -> np.ndarray:
-    """Dense matrix of an operator restricted to the listed qubits.
-
-    ``qubits[0]`` becomes the most-significant bit of the local index,
-    matching :meth:`StateVector.apply_operator`: the j-th listed qubit is
-    relabelled to local qubit k-1-j.  An operator given on k qubits is
-    read as already ordered like ``qubits``.
-    """
-    k = len(qubits)
-    order = range(k) if op.n_qubits == k else qubits
-    local_bit = {q: k - 1 - j for j, q in enumerate(order)}
-    terms = []
-    for c, s in op.normalized():
-        x = z = 0
-        for q in s.support():
-            if q not in local_bit:
-                raise ValueError(f"operator has support on qubit {q} outside the targets")
-            x |= ((s.x_mask >> q) & 1) << local_bit[q]
-            z |= ((s.z_mask >> q) & 1) << local_bit[q]
-        terms.append((c, PauliString(k, x, z)))
-    return OperatorSum(terms, k).to_matrix()
 
 
 def cnot_n(state: StateVector, control: int, targets) -> StateVector:
@@ -91,18 +69,20 @@ def cnot_n(state: StateVector, control: int, targets) -> StateVector:
 def faulty_gate(state: StateVector, spec: GateSpec) -> StateVector:
     """Mesoscopic gate with a coherent error on the |0> branch.
 
-    Applies ``|0><0|_c (x) exp(i phi Q) + |1><1|_c (x) X^N``; reduces to the
-    ideal gate when the generator vanishes or the phase is zero.
+    Applies ``|0><0|_c (x) exp(i phi Q) + |1><1|_c (x) X^N``: the dense
+    exp(i phi Q) on the targets for the control-0 half, :func:`cnot_n` for
+    the rest.  Reduces to the ideal gate when the generator vanishes or the
+    phase is zero.
     """
     if spec.fault_generator is None:
         raise ValueError("faulty_gate requires a spec with a fault generator")
-    q_local = _local_matrix(spec.fault_generator, spec.targets)
-    w, v = np.linalg.eigh(q_local)
+    w, v = np.linalg.eigh(spec.fault_generator.to_matrix())
     u0 = (v * np.exp(1j * spec.fault_phase * w)) @ v.conj().T
-    k = len(spec.targets)
-    xn = np.eye(1 << k, dtype=complex)[::-1]  # X^(x)k is the anti-identity
-    gate = np.kron(_P0, u0) + np.kron(_P1, xn)
-    return state.apply_operator(gate, (spec.control, *spec.targets))
+    zero = state.copy().apply_operator(u0, spec.targets)
+    cnot_n(state, spec.control, spec.targets)
+    half = (-1, 2, 1 << spec.control)  # [:, 0] is the control-0 half
+    state.amps.reshape(half)[:, 0] = zero.amps.reshape(half)[:, 0]
+    return state
 
 
 def rot_x(state: StateVector, qubit: int, phi: float) -> StateVector:

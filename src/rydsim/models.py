@@ -112,17 +112,18 @@ class ToricLattice:
         return PauliString.from_sites(self.n_edges, {e: "Z" for e in self.stars[s]})
 
 
-def build_toric(lx: int, ly: int, e0: float = 1.0):
-    """Toric Hamiltonian -E0 (sum A_p + sum B_s) and its lattice.
+def build_toric(lx: int, ly: int):
+    """Toric Hamiltonian -(sum A_p + sum B_s) and its lattice, in units of
+    the stabilizer coupling E0 = 1.
 
     All terms commute pairwise; the stabilizer products over the torus are
     identities, leaving 2*Lx*Ly - 2 independent stabilizers and a four-fold
-    degenerate ground space at energy -2*Lx*Ly*E0.
+    degenerate ground space at energy -2*Lx*Ly.
     """
     lattice = ToricLattice.build(lx, ly)
     n = lattice.n_edges
-    terms = [(-e0, lattice.plaquette_string(p)) for p in range(lattice.n_plaquettes)]
-    terms += [(-e0, lattice.star_string(s)) for s in range(lattice.n_stars)]
+    terms = [(-1.0, lattice.plaquette_string(p)) for p in range(lattice.n_plaquettes)]
+    terms += [(-1.0, lattice.star_string(s)) for s in range(lattice.n_stars)]
     return OperatorSum(terms, n).normalized(), lattice
 
 
@@ -182,7 +183,8 @@ class HubbardSpec:
     """Single-band Hubbard model on an open Lx x Ly grid.
 
     ``v_aux`` only enters the auxiliary-fermion local construction, where
-    it sets the energy of the stabilized sector.
+    it sets the energy of the stabilized sector.  The on-site energy ``u``
+    pairs the two spins of a site, so a spinless lattice must leave it 0.
     """
 
     lx: int
@@ -195,6 +197,8 @@ class HubbardSpec:
     def __post_init__(self):
         if self.lx < 1 or self.ly < 1:
             raise ValueError("lattice dimensions must be positive")
+        if self.u != 0.0 and not self.spinful:
+            raise ValueError(f"on-site energy u = {self.u} needs a spinful lattice")
 
     @property
     def n_sites(self) -> int:

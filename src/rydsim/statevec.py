@@ -1,8 +1,9 @@
 """Dense state-vector backend and density-matrix support.
 
 States are complex amplitude arrays over 2^n basis indices with qubit k on
-bit k of the index.  Operations mutate the state buffer in place and return
-the instance; use :meth:`StateVector.copy` to branch.  Every stochastic
+bit k of the index; a dense operator on listed qubits reads ``qubits[j]``
+as bit j of its own index.  Operations mutate the state buffer in place
+and return the instance; use :meth:`StateVector.copy` to branch.  Every stochastic
 operation takes an explicit ``numpy.random.Generator`` so identical seeds
 give identical trajectories.
 
@@ -95,8 +96,8 @@ class StateVector:
     def apply_operator(self, matrix: np.ndarray, qubits) -> "StateVector":
         """Apply a dense 2^k x 2^k operator to the listed qubits.
 
-        ``qubits[0]`` corresponds to the most-significant bit of the matrix
-        index, i.e. ``matrix = kron(op_on_qubits[0], op_on_qubits[1], ...)``.
+        ``qubits[j]`` is bit j of the matrix index, so the matrix of a
+        k-qubit operator sum applies as is, qubit j on ``qubits[j]``.
         """
         qubits = list(qubits)
         k = len(qubits)
@@ -110,7 +111,7 @@ class StateVector:
             raise ValueError("operator matrix shape does not match qubit count")
         n = self.n_qubits
         psi = self.amps.reshape((2,) * n)
-        axes = [n - 1 - q for q in qubits]
+        axes = [n - 1 - q for q in reversed(qubits)]  # most significant first
         moved = np.moveaxis(psi, axes, range(k))
         shape = moved.shape
         block = moved.reshape(1 << k, -1)

@@ -143,7 +143,7 @@ def edge_cells(cells) -> np.ndarray:
     return np.array([holders[e] for e in range(len(holders))], dtype=np.int64)
 
 
-def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
+def syndrome_mc_reference(lattice, params, indices, tag=0):
     """Per-trajectory energies of the syndrome Monte Carlo, one scalar cell
     visit at a time; trajectory k draws from stream ``(tag, k)``."""
     p_edges = np.asarray(lattice.plaquettes, dtype=np.int64)
@@ -181,10 +181,10 @@ def syndrome_mc_reference(lattice, params, indices, e0=1.0, tag=0):
         )
         pbits = sample(rng, lattice.n_plaquettes)
         sbits = sample(rng, lattice.n_stars)
-        out[row, 0] = -e0 * (pbits.sum() + sbits.sum())
+        out[row, 0] = -(pbits.sum() + sbits.sum())
         for step in range(1, params.n_steps + 1):
             sweep(pbits, sbits, rng)
-            out[row, step] = -e0 * (pbits.sum() + sbits.sum())
+            out[row, step] = -(pbits.sum() + sbits.sum())
     return out
 
 
@@ -277,7 +277,7 @@ class ScriptedRng:
         return self.u
 
 
-def trajectory_energies_reference(lattice, params, blocks, e0=1.0):
+def trajectory_energies_reference(lattice, params, blocks):
     """Per-trajectory energies of the circuit-level quantum trajectories.
 
     The register holds the system plus one ancilla (the top qubit), and
@@ -297,7 +297,7 @@ def trajectory_energies_reference(lattice, params, blocks, e0=1.0):
     (theta,) = params.thetas
     n = lattice.n_edges + 1
     h = OperatorSum([(c, PauliString(n, s.x_mask, s.z_mask, s.phase_exp))
-                     for c, s in build_toric(lattice.lx, lattice.ly, e0)[0]], n)
+                     for c, s in build_toric(lattice.lx, lattice.ly)[0]], n)
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
     out = []
     for b in blocks:

@@ -179,7 +179,7 @@ def test_heisenberg_run(tmp_path):
 def test_hubbard_spectrum_both(tmp_path):
     out = tmp_path / "sp.csv"
     assert main(["hubbard-spectrum", "--lx", "2", "--ly", "2", "--t", "1",
-                 "--u", "4", "--encoding", "both", "--out", str(out)]) == 0
+                 "--encoding", "both", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "index,sector,eigenvalue_jw,eigenvalue_fock,abs_delta"
     deltas = [float(line.split(",")[-1]) for line in lines[1:]]
@@ -237,7 +237,7 @@ _COOL = ["toric-cool", "--lx", "2", "--ly", "2", "--steps", "1", "--trajectories
 @pytest.mark.parametrize("field,argv", [
     ("theta", _COOL + ["--theta", "pi/0"]),
     ("theta", _COOL + ["--theta", "pi,inf"]),
-    ("e0", _COOL + ["--theta", "pi", "--e0", "nan"]),
+    ("q-init", _COOL + ["--theta", "pi", "--q-init=-inf"]),
     ("q-init", _COOL + ["--theta", "pi", "--q-init", "nan"]),
     ("tau", ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "nan", "--steps", "1"]),
     ("jz", ["heisenberg", "--lx", "2", "--tau", "0.1", "--steps", "1", "--jz=-inf"]),
@@ -343,6 +343,36 @@ def test_gate_fidelity_has_no_x_max(tmp_path, capsys):
     cfg.write_text("command = gate-fidelity\ndurations = 10\nx-max = 0.2\n")
     assert main(["gate-fidelity", "--config", str(cfg), "--out", "-"]) == 2
     assert "unknown config field 'x-max'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,argv", [
+    # E0 = 1 is the unit: the flip law sin^2(theta/2) has no energy scale and
+    # toric-evolve's E0 tau is --tau
+    ("e0", _COOL + ["--theta", "pi"]),
+    ("e0", ["toric-evolve", "--lx", "2", "--ly", "2", "--tau", "0.1", "--steps", "1"]),
+    ("e0", ["dump-hamiltonian", "--model", "toric", "--lx", "2", "--ly", "2"]),
+    # no branch of hubbard-spectrum reads the auxiliary coupling
+    ("v-aux", ["hubbard-spectrum", "--lx", "2", "--ly", "2"]),
+])
+def test_unread_field_is_refused(tmp_path, capsys, field, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{field}", "2", "--out", "-"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{field}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{field} = 2\n")
+    assert main(argv + ["--config", str(cfg), "--out", "-"]) == 2
+    assert f"unknown config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hubbard-spectrum", "--lx", "2", "--ly", "2", "--u", "4"],
+    ["dump-hamiltonian", "--model", "hubbard-jw", "--lx", "2", "--ly", "2", "--u", "4"],
+])
+def test_spinless_u_is_usage_error(capsys, argv):
+    # spinless modes share no site, so an on-site energy would be ignored
+    assert main(argv + ["--out", "-"]) == 2
+    assert "u = 4.0 needs a spinful lattice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

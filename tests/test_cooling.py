@@ -486,6 +486,33 @@ def test_trajectory_independent_of_workers():
     assert np.array_equal(pooled.stderr, serial.stderr)
 
 
+def test_fan_out_starts_one_process_per_chunk(monkeypatch):
+    # under fork the first submit starts every worker a pool may have, so the
+    # pool is sized to its chunks: 256 trajectories are 4 blocks, not 64 tasks
+    import concurrent.futures
+    sizes = []
+
+    class Recorder:  # runs in this process and starts none
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    params = CoolingParams(thetas=(np.pi,), n_steps=1, n_trajectories=256,
+                           q_init=0.5, seed=4)
+    pooled = cooling._fan_out(cooling._mc_energies, LATTICE, params, workers=64)
+    assert sizes == [4]
+    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, params, np.arange(4)))
+
+
 def test_trajectory_matches_lindblad_small_theta():
     # single-plaquette: trajectory excited population vs exp(-gamma t)
     rng_master = 6

@@ -188,9 +188,9 @@ def test_faulty_gate_first_order_expansion_scaling():
 
 def test_faulty_gate_requires_support_on_targets():
     q = OperatorSum.from_string(PauliString.single(4, 0, "X"))  # touches control
-    spec = GateSpec(0, (1, 2, 3), q, 0.1)
     with pytest.raises(ValueError):
-        faulty_gate(StateVector.zero_state(4), spec)
+        faulty_gate(StateVector.zero_state(4), GateSpec(0, (1, 2, 3), q, 0.1))
+
 
 
 def test_gate_spec_validation():
@@ -200,6 +200,10 @@ def test_gate_spec_validation():
         faulty_gate(StateVector.zero_state(3), GateSpec(0, (1, 2), None, 0.1))
     with pytest.raises(ValueError):  # any given generator must be Hermitian
         GateSpec(0, (1,), OperatorSum([(1j, PauliString.single(1, 0, "X"))]), 0.1)
+    # the generator's qubit j is target j, so its size is the target count
+    q4 = OperatorSum.from_string(PauliString.from_label("IXZY"))
+    with pytest.raises(ValueError, match="acts on 4 qubits, the gate has 3 targets"):
+        GateSpec(0, (1, 2, 3), q4, 0.1)
 
 
 # -- Heisenberg steps ------------------------------------------------------

@@ -30,7 +30,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 ALLOWED = {
     # subjects of acceptance criteria 06 (faulty gate) and 10 (duration
     # calibration), with their helpers
-    "gates.faulty_gate", "gates._local_matrix", "statevec.StateVector.apply_operator",
+    "gates.faulty_gate", "statevec.StateVector.apply_operator",
     "pulse.calibrate_duration",
     # the Hadamard-framed hopping sequence, until lattice fermions are Trotterized
     "gates.hopping_step",

@@ -101,10 +101,21 @@ def test_apply_operator_matches_kron_embedding():
 def test_apply_operator_qubit_order_convention():
     rng = np.random.default_rng(5)
     state = StateVector((1, 1j) @ rng.normal(size=(2, 16))).normalize()
-    zx = np.kron(label_matrix("Z"), label_matrix("X"))  # qubits[0]=Z, qubits[1]=X
+    zx = label_matrix("ZX")  # qubits[0] = Z on bit 0, qubits[1] = X on bit 1
     got = state.copy().apply_operator(zx, (3, 1))
     want = state.copy().apply_string(PauliString.from_sites(4, {3: "Z", 1: "X"}))
     assert np.allclose(got.amps, want.amps)
+
+
+def test_apply_operator_reads_qubit_j_as_bit_j():
+    # the matrix of an n-qubit sum applies unchanged on range(n)
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 4):
+        op = OperatorSum([(complex(*rng.normal(size=2)), random_string(rng, n))
+                          for _ in range(5)], n)
+        state = StateVector((1, 1j) @ rng.normal(size=(2, 1 << n)))
+        got = state.copy().apply_operator(op.to_matrix(), range(n))
+        assert np.allclose(got.amps, op.to_matrix() @ state.amps, atol=1e-12)
 
 
 def test_norm_preserved_over_long_random_chains():
