@@ -10,8 +10,8 @@
   with its ancilla, :func:`cooling_cycle_trajectory`, is model and oracle.
 * :func:`syndrome_mc_run`: classical Monte Carlo on stabilizer eigenvalues
   at any lattice size.  For syndrome-definite initial states the quantum
-  trajectories reduce exactly to this process, which
-  :func:`equivalence_check` certifies statistically.
+  trajectories reduce exactly to this process, trajectory by trajectory,
+  which :func:`equivalence_check` certifies.
 
 A run is one :class:`CoolingParams`; both stochastic engines take its
 ``thetas`` whole and return one :class:`Trace` per theta from one fan-out.
@@ -24,11 +24,11 @@ shuffled order; :func:`_kinds` is the one description of what a cycle acts
 on, per kind, and every engine reads it.
 
 Both stochastic engines draw block b of :data:`BLOCK` trajectories of a
-run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(tag,
-b))`` with tag 0 for the Monte Carlo and 1 for the quantum trajectories,
-the same way: its start syndromes from :func:`_sample_bits`, then per sweep
-and kind the visit order, uniforms and edge picks of all its rows from
-:func:`_draws`.  The theta values of a run share these draws, which do not
+run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(0,
+b))``: its start syndromes from :func:`_sample_bits`, then per sweep and
+kind the visit order, uniforms u and edge picks of all its rows from
+:func:`_draws`.  In both, a visit flips iff u < sin^2(theta/2) on an
+excited cell.  The theta values of a run share these draws, which do not
 depend on theta, and advance together.  Work splits over processes in
 whole blocks, so results depend on neither the worker count, the batch size
 nor the other thetas of the run.  The Monte Carlo resolves each kind's
@@ -68,8 +68,8 @@ TRAJECTORY_QUBIT_CAP = 12
 #: trajectories per RNG stream, for both stochastic engines
 BLOCK = 64
 
-#: per-step z cut of :func:`equivalence_check`'s verdict
-Z_CUT = 3.0
+#: largest per-trajectory energy difference :func:`equivalence_check` passes
+MAX_ABS_DELTA = 1e-9
 
 #: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
 #: int8 bits (1 MB); one sweep peaks near 63 bytes per row-cell at one
@@ -100,37 +100,45 @@ class CoolingParams:
 
 @dataclass
 class Trace:
-    """Per-step mean energy over trajectories (step 0 is the initial state)."""
+    """Per-trajectory energies, ``(trajectories, steps + 1)`` with step 0 the
+    initial state, and their per-step mean and standard error."""
 
-    steps: np.ndarray
-    mean_energy: np.ndarray
-    stderr: np.ndarray
-    n_trajectories: int
+    energies: np.ndarray
     theta: float
     engine: str
+
+    def __post_init__(self):
+        n, width = self.energies.shape
+        self.steps, self.mean_energy = np.arange(width), self.energies.mean(axis=0)
+        self.stderr = (self.energies.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
+                       else np.zeros(width))
 
 
 @dataclass
 class EquivalenceReport:
-    """Per-step comparison of the two cooling engines."""
+    """Trajectory-by-trajectory comparison of the two cooling engines."""
 
     mc: Trace
     trajectory: Trace
-    z_scores: np.ndarray
 
     @property
-    def max_z(self) -> float:
-        return float(np.max(self.z_scores))
+    def max_abs_delta(self) -> float:
+        return float(np.max(np.abs(self.mc.energies - self.trajectory.energies)))
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.z_scores <= Z_CUT))
+        return self.max_abs_delta <= MAX_ABS_DELTA
+
+    @property
+    def z_scores(self) -> np.ndarray:
+        """Per step, the mean difference in standard errors; 0 if passed."""
+        diff = np.abs(self.mc.mean_energy - self.trajectory.mean_energy)
+        sigma = np.sqrt(self.mc.stderr**2 + self.trajectory.stderr**2)
+        return np.where(diff <= MAX_ABS_DELTA, 0.0, diff / np.maximum(sigma, 1e-300))
 
 
-def _stream(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
-    )
+def _stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, index)))
 
 
 def _block_rows(params: CoolingParams, blocks) -> list[int]:
@@ -326,7 +334,7 @@ def _mc_energies(lattice, params, blocks):
     parts = []
     for start in range(0, len(blocks), per_batch):
         batch = blocks[start:start + per_batch]
-        rngs = [_stream(params.seed, 0, int(b)) for b in batch]
+        rngs = [_stream(params.seed, int(b)) for b in batch]
         rows = _block_rows(params, batch)
         bits = np.tile(_sample_bits(kinds, params.q_init, rngs, rows), (len(probs), 1))
         out = np.empty((len(bits), params.n_steps + 1))
@@ -428,7 +436,7 @@ def _trajectory_energies(lattice, params, blocks):
     eigenstates of the Monte Carlo's start sampler; then all (theta, row)
     states advance as one array, one sweep position at a time, on the Monte
     Carlo's sweep draws: at each position, its cell, pump pick and readout
-    uniform."""
+    uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
 
     def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
@@ -450,7 +458,7 @@ def _trajectory_energies(lattice, params, blocks):
     rows = _block_rows(params, blocks)
     out = np.empty((n_theta, sum(rows), steps + 1))
     for b, size, first in zip(blocks, rows, np.cumsum([0] + rows)):
-        rng = _stream(params.seed, 1, int(b))
+        rng = _stream(params.seed, int(b))
         # theta-major rows in preallocated buffers, and no BLAS call, whose
         # blocking could make a row's bits depend on the other rows
         psi = np.tile([state_from_config(lattice, row).amps
@@ -473,14 +481,17 @@ def _trajectory_energies(lattice, params, blocks):
                     minus *= 0.5  # P- psi
                     weight = np.square(minus.view(float), out=gathered.view(float)).sum(axis=1)
                     p_flip = flip * weight
-                    stay = v < 1.0 - p_flip
+                    jump = v < p_flip  # the Monte Carlo's rule, u < prob on an excited cell
                     # K0 = P+ + cos(theta/2) P- on every row (complex by real on the float
-                    # view), then K1 up to its phase -i on the rows that jumped
+                    # view), then K1 up to its phase -i on the rows that jumped.  K0 psi is
+                    # divided by its own norm; divided by sqrt(1 - p_flip), a norm rounded
+                    # off 1 would grow by 1 / cos^2(theta/2) at each stay on an excited cell
                     np.multiply(minus.view(float), shrink, out=gathered.view(float))
                     psi -= gathered
-                    np.divide(psi.view(float), np.sqrt(np.where(stay, 1.0 - p_flip, 1.0))[:, None],
+                    kept = np.square(psi.view(float), out=gathered.view(float)).sum(axis=1)
+                    np.divide(psi.view(float), np.sqrt(np.where(jump, 1.0, kept))[:, None],
                               out=psi.view(float))
-                    jumped = np.flatnonzero(~stay)
+                    jumped = np.flatnonzero(jump)
                     at, kicked = (cell[jumped], edge[jumped]), gathered[:len(jumped)]
                     np.take(minus, np.add(pump_idx[at], base[jumped], out=index[:len(jumped)]),
                             out=kicked, mode="clip")
@@ -517,12 +528,6 @@ def _fan_out(energies, lattice, params, workers):
     return np.concatenate(parts, axis=-2)
 
 
-def _trace_from_energies(energies, theta, engine) -> Trace:
-    n, width = energies.shape
-    stderr = energies.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(width)
-    return Trace(np.arange(width), energies.mean(axis=0), stderr, n, theta, engine)
-
-
 def syndrome_mc_run(
     lattice: ToricLattice,
     params: CoolingParams,
@@ -531,8 +536,7 @@ def syndrome_mc_run(
     """Mean energy trace of the classical syndrome Monte Carlo at each of
     ``params.thetas``, all swept on one set of draws in one fan-out."""
     energies = _fan_out(_mc_energies, lattice, params, workers)
-    return [_trace_from_energies(e, theta, "syndrome")
-            for e, theta in zip(energies, params.thetas)]
+    return [Trace(e, theta, "syndrome") for e, theta in zip(energies, params.thetas)]
 
 
 def trajectory_run(
@@ -558,8 +562,7 @@ def trajectory_run(
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "
                                f"cap is {TRAJECTORY_QUBIT_CAP}")
     energies = _fan_out(_trajectory_energies, lattice, params, workers)
-    return [_trace_from_energies(e, theta, "trajectory")
-            for e, theta in zip(energies, params.thetas)]
+    return [Trace(e, theta, "trajectory") for e, theta in zip(energies, params.thetas)]
 
 
 def equivalence_check(
@@ -571,23 +574,16 @@ def equivalence_check(
     one report per theta: :func:`syndrome_mc_run` and :func:`trajectory_run`
     on the same ``params``.
 
-    Both engines draw their start syndromes from the same sampler, on
-    disjoint streams, and their mean energy traces must agree within
-    :data:`Z_CUT` combined standard errors at every step, so each engine
-    needs two trajectories.
+    The engines draw each trajectory from one stream and flip by one rule,
+    and a syndrome-definite state stays so, so each trajectory's energy at
+    each step must be the Monte Carlo's: a report passes iff none differs by
+    more than :data:`MAX_ABS_DELTA`.  Only rounding separates them.
     """
-    if params.n_trajectories < 2:
-        raise ValueError("the engine comparison needs at least 2 trajectories")
     # the trajectory engine runs first: its cap fails the check before any
-    # MC work, and the engines draw from disjoint streams, so order is free
+    # MC work, and each engine opens its own generators, so order is free
     trajectories = trajectory_run(lattice, params, workers)
-    reports = []
-    for mc, qt in zip(syndrome_mc_run(lattice, params, workers), trajectories):
-        diff = np.abs(mc.mean_energy - qt.mean_energy)
-        sigma = np.sqrt(mc.stderr**2 + qt.stderr**2)
-        z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(sigma, 1e-300))
-        reports.append(EquivalenceReport(mc=mc, trajectory=qt, z_scores=z))
-    return reports
+    return [EquivalenceReport(mc, qt)
+            for mc, qt in zip(syndrome_mc_run(lattice, params, workers), trajectories)]
 
 
 def lindblad_reference_trace(
@@ -613,10 +609,8 @@ def lindblad_reference_trace(
         q_init * proj_minus / 8.0 + (1.0 - q_init) * proj_plus / 8.0, copy=False
     )
     gamma = flip_probability(theta)
-    energies = np.empty((1, n_steps + 1))
-    rho = rho0
-    energies[0, 0] = rho.expectation(h_local)
-    for step in range(1, n_steps + 1):
+    rho, energies = rho0, [rho0.expectation(h_local)]
+    for _ in range(n_steps):
         rho = lindblad_integrate([jump], gamma, rho, 1.0)
-        energies[0, step] = rho.expectation(h_local)
-    return _trace_from_energies(energies, theta, "lindblad")
+        energies.append(rho.expectation(h_local))
+    return Trace(np.array([energies]), theta, "lindblad")

@@ -282,13 +282,16 @@ def trajectory_energies_reference(lattice, params, blocks):
 
     The register holds the system plus one ancilla (the top qubit), and
     every cycle is one ``cooling_cycle_trajectory`` call.  Block b (64
-    trajectories, the last block partial) draws on stream ``(1, b)`` for all
+    trajectories, the last block partial) draws on stream ``(0, b)`` for all
     its rows at once.  Per kind of cell, plaquettes then stars, a row's start
     syndromes are i.i.d. excited with probability q_init, then one uniformly
     chosen one is flipped if their product is -1.  Then per sweep and kind
     come the visit order, the readout uniforms and the pump picks, each
     (rows, cells); a row's cycle at sweep position k reads its pick and its
-    uniform through a :class:`ScriptedRng`.
+    uniform u through a :class:`ScriptedRng`.  The cycle's measurement reads
+    the ancilla 0 iff its uniform is below that outcome's probability, so the
+    script hands it 1 - u, and the ancilla reads 1 (a flip) iff u < p_flip,
+    up to ties.
     """
     from rydsim.cooling import cooling_cycle_trajectory, state_from_config
     from rydsim.models import build_toric
@@ -302,7 +305,7 @@ def trajectory_energies_reference(lattice, params, blocks):
     out = []
     for b in blocks:
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=params.seed, spawn_key=(1, int(b)))
+            np.random.SeedSequence(entropy=params.seed, spawn_key=(0, int(b)))
         )
         rows, starts = min(64, params.n_trajectories - 64 * int(b)), []
         for cells, _ in sweep:
@@ -320,7 +323,7 @@ def trajectory_energies_reference(lattice, params, blocks):
                 for r, state in enumerate(states):
                     for k in range(count):
                         cooling_cycle_trajectory(state, cells[order[r, k]], theta,
-                                                 ScriptedRng(pick[r, k], u[r, k]), kind=kind)
+                                                 ScriptedRng(pick[r, k], 1.0 - u[r, k]), kind=kind)
             for state, row in zip(states, energies):
                 row.append(state.expectation(h))
         out += energies

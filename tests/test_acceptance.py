@@ -285,6 +285,16 @@ def test_criterion_08_fig5_style_cooling():
 
 
 def test_criterion_09_cross_engine_equivalence():
+    """Every quantum trajectory's energy equals the Monte Carlo's, step by step.
+
+    Both engines draw each trajectory from one stream and flip iff its
+    uniform is below the flip probability, so only rounding separates them.
+    Over seeds 0-999 at this size (both thetas in one run), the worst |dE|
+    was 1.8e-15 and no seed failed the 1e-9 bound.  The per-step 3-sigma cut
+    on the mean energies that this replaces flagged correct engines: the
+    benchmark's compare line (this size at 50 trajectories) at 8 of seeds
+    0-199.
+    """
     started = time.perf_counter()
     lattice = ToricLattice.build(2, 2)
     worst = 0.0
@@ -292,10 +302,10 @@ def test_criterion_09_cross_engine_equivalence():
         params = CoolingParams(thetas=(theta,), n_steps=20, n_trajectories=500,
                                q_init=0.5, seed=7)
         rep = equivalence_check(lattice, params, workers=4)[0]
-        worst = max(worst, rep.max_z)
-        assert len(rep.z_scores) == 21
-    report(9, "syndrome MC agrees with quantum trajectories at 3 sigma",
-           worst <= 3.0, f"max z {worst:.2f} over 2x21 steps", started)
+        worst = max(worst, rep.max_abs_delta)
+        assert rep.trajectory.energies.shape == (500, 21)
+    report(9, "syndrome MC equals the quantum trajectories per trajectory",
+           worst <= 1e-9, f"max |dE| {worst:.1e} over 2x500x21 energies", started)
 
 
 def test_criterion_10_pulse_level_gate():

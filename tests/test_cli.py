@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rydsim import cooling
 from rydsim.cli import main, parse_angle
 from rydsim.pauli import parse_operator
 from rydsim.models import build_toric
@@ -119,8 +120,7 @@ def test_toric_cool_quantum_thetas_run_together(tmp_path, engine):
     lines = {}
     for theta in ("pi,pi/4", "pi", "pi/4"):
         out = tmp_path / f"{theta.replace('/', '_')}.csv"
-        # compare's 3-sigma verdict is not under test here, only its rows
-        assert main(args + ["--theta", theta, "--out", str(out)]) in (0, 1)
+        assert main(args + ["--theta", theta, "--out", str(out)]) == 0
         lines[theta] = out.read_text().splitlines()
     assert lines["pi,pi/4"][1:] == lines["pi"][1:] + lines["pi/4"][1:]
     assert lines["pi,pi/4"][0] == lines["pi"][0] == lines["pi/4"][0]
@@ -309,11 +309,48 @@ def test_toric_cool_bad_knob_is_usage_error(capsys, flag, value, engine):
     assert capsys.readouterr().err.startswith("rydsim: error:")
 
 
-def test_compare_needs_two_trajectories(capsys):
-    # with one trajectory both standard errors are 0, so no z-score exists
-    assert main(["toric-cool", "--engine", "compare", "--lx", "2", "--ly", "2", "--theta",
-                 "pi", "--steps", "2", "--trajectories", "1", "--out", "-"]) == 2
-    assert "at least 2 trajectories" in capsys.readouterr().err
+COMPARE = ["toric-cool", "--engine", "compare", "--lx", "2", "--ly", "2", "--theta", "pi,pi/2"]
+
+
+def test_compare_runs_one_trajectory(tmp_path):
+    # the verdict compares trajectories one by one, so one is enough; its
+    # standard errors read 0
+    out = tmp_path / "one.csv"
+    assert main(COMPARE + ["--steps", "2", "--trajectories", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6 and all(float(r[3]) == float(r[5]) == float(r[6]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("seed", [26, 35, 75, 108, 132, 140, 142, 180])
+def test_compare_benchmark_line_passes(seed):
+    # the benchmark's compare line at the seeds where a per-step 3-sigma cut
+    # on the mean energies flagged these correct engines
+    assert main(COMPARE + ["--steps", "20", "--trajectories", "50", "--seed", str(seed),
+                           "--out", "-"]) == 0
+
+
+def test_compare_exits_1_when_the_engines_differ(monkeypatch, capsys):
+    real = cooling._trajectory_energies
+
+    def defective(*args):
+        energies = real(*args)
+        energies[0, 0, -1] += 4.0  # one trajectory ends a pair of excitations higher
+        return energies
+    monkeypatch.setattr(cooling, "_trajectory_energies", defective)
+    assert main(COMPARE + ["--steps", "3", "--trajectories", "20", "--out", "-"]) == 1
+    assert "the engines differ" in capsys.readouterr().err
+
+
+def test_compare_csv_is_independent_of_workers(tmp_path, monkeypatch):
+    # 150 trajectories: two full blocks and a partial one, split over processes
+    text = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RYDSIM_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert main(COMPARE + ["--steps", "4", "--trajectories", "150", "--seed", "5",
+                               "--out", str(out)]) == 0
+        text[workers] = out.read_bytes()
+    assert text["1"] == text["2"]
 
 
 @pytest.mark.parametrize("area", [["--area", "pi/2"], ["--area=-pi"]])
@@ -363,6 +400,37 @@ def test_unread_field_is_refused(tmp_path, capsys, field, argv):
     cfg.write_text(f"{field} = 2\n")
     assert main(argv + ["--config", str(cfg), "--out", "-"]) == 2
     assert f"unknown config field {field!r}" in capsys.readouterr().err
+
+
+#: each optional dump-hamiltonian field at its default value
+DUMP_FIELDS = {"jx": "1", "jy": "1", "jz": "1", "field": "0", "t": "1", "u": "0",
+               "v-aux": "1", "spinful": "false"}
+
+
+@pytest.mark.parametrize("model,reads", [
+    ("toric", ()),
+    ("heisenberg", ("jx", "jy", "jz", "field")),
+    ("hubbard-jw", ("t", "u", "spinful")),
+    ("hubbard-local", ("t", "u", "spinful", "v-aux")),
+    ("aux", ("v-aux", "spinful")),
+])
+def test_dump_hamiltonian_refuses_fields_its_model_does_not_read(tmp_path, capsys, model,
+                                                                 reads):
+    # set by flag or config file, even to its default, a field the model does
+    # not read exits 2 and is named; its own fields and the seed are accepted
+    argv = ["dump-hamiltonian", "--model", model, "--lx", "2", "--ly", "2", "--seed", "3",
+            "--out", "-"]
+    cfg = tmp_path / "run.cfg"
+    for field, value in DUMP_FIELDS.items():
+        cfg.write_text(f"{field} = {value}\n")
+        for extra in ([f"--{field}", value], ["--config", str(cfg)]):
+            status = main(argv + extra)
+            err = capsys.readouterr().err
+            if field in reads:
+                assert status == 0, err
+            else:
+                assert status == 2
+                assert f"model {model!r} does not read field {field!r}" in err
 
 
 @pytest.mark.parametrize("argv", [

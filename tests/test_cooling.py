@@ -594,14 +594,15 @@ def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, 
 @pytest.mark.parametrize("n_trajectories", [1, 64, 65])
 def test_trajectory_start_is_the_mc_start_sampler(q_init, n_trajectories):
     # per block, each row's step-0 energy is that of the start syndromes the
-    # Monte Carlo's sampler draws first from the block's own stream
+    # Monte Carlo's sampler draws first from the block's stream, the Monte
+    # Carlo's own
     params = CoolingParams(thetas=(np.pi, 0.3), n_steps=2, n_trajectories=n_trajectories,
                            q_init=q_init, seed=43)
     blocks = np.arange(-(-n_trajectories // cooling.BLOCK))
     rows = cooling._block_rows(params, blocks)
     want = np.concatenate([
         -cooling._sample_bits(cooling._kinds(LATTICE), q_init,
-                              [cooling._stream(params.seed, 1, int(b))], [size]).sum(axis=1)
+                              [cooling._stream(params.seed, int(b))], [size]).sum(axis=1)
         for b, size in zip(blocks, rows)])
     energies = cooling._trajectory_energies(LATTICE, params, blocks)
     for theta_rows in energies:
@@ -693,27 +694,62 @@ def test_equivalence_check_small():
     params = CoolingParams(thetas=(np.pi,), n_steps=12, n_trajectories=120,
                            q_init=0.5, seed=7)
     report = equivalence_check(LATTICE, params)[0]
-    assert report.passed, report.z_scores
+    assert report.passed, report.max_abs_delta
+    assert report.mc.energies.shape == report.trajectory.energies.shape == (120, 13)
+    assert not report.z_scores.any()
     assert report.mc.mean_energy[-1] == pytest.approx(-8.0, abs=0.2)
     assert report.trajectory.mean_energy[-1] == pytest.approx(-8.0, abs=0.2)
+
+
+def test_trajectory_stays_keep_the_norm(monkeypatch):
+    # every uniform at 0.9 is above sin^2(pi/4), so no cell of a fully
+    # excited start ever flips: each visit is a stay of weight cos^2(theta/2),
+    # renormalized back; dividing by sqrt(1 - p_flip) instead of the state's
+    # own norm would double the norm's rounding error at every visit
+    draws = cooling._draws
+    monkeypatch.setattr(cooling, "_draws", lambda *args: [
+        np.full_like(d, 0.9) if k == 1 else d for k, d in enumerate(draws(*args))])
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=10, n_trajectories=3, q_init=1.0)
+    report = equivalence_check(LATTICE, params)[0]
+    assert np.all(report.mc.energies == 8.0)
+    assert report.passed, report.max_abs_delta
 
 
 def test_equivalence_degenerate_ground_start():
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=5, n_trajectories=10,
                            q_init=0.0, seed=8)
     report = equivalence_check(LATTICE, params)[0]
-    assert report.max_z == 0.0
+    assert report.passed and not report.z_scores.any()
     assert np.allclose(report.mc.mean_energy, -8.0)
     assert np.allclose(report.trajectory.mean_energy, -8.0)
 
 
-def test_equivalence_verdict_cuts_at_three_sigma():
-    # the CLI's compare verdict; bench/checks.py cross-checks the same 3.0
-    trace = Trace(np.arange(2), np.zeros(2), np.ones(2), 10, np.pi, "syndrome")
-    at_cut = EquivalenceReport(trace, trace, np.array([0.5, 3.0]))
-    assert at_cut.max_z == 3.0 and at_cut.passed
-    above = EquivalenceReport(trace, trace, np.array([0.5, 3.0 + 1e-9]))
-    assert not above.passed
+def test_equivalence_verdict_bound():
+    # the CLI's compare verdict: every (trajectory, step) energy within 1e-9,
+    # the bound below which bench/checks.py reads the z column as 0
+    assert cooling.MAX_ABS_DELTA == 1e-9
+    mc = Trace(np.zeros((3, 2)), np.pi, "syndrome")
+    for delta, passed in ((1e-9, True), (np.nextafter(1e-9, 1.0), False)):
+        energies = np.zeros((3, 2))
+        energies[1, 1] = -delta
+        report = EquivalenceReport(mc, Trace(energies, np.pi, "trajectory"))
+        assert report.max_abs_delta == delta and report.passed == passed
+
+
+@pytest.mark.parametrize("engine", ["_mc_energies", "_trajectory_energies"])
+def test_equivalence_check_catches_a_weaker_flip_in_one_engine(monkeypatch, engine):
+    # a flip probability of 0.9 sin^2(theta/2) in one engine alone fails the
+    # benchmark's compare run at both thetas
+    real, flip = getattr(cooling, engine), cooling.flip_probability
+
+    def defective(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(cooling, "flip_probability", lambda theta: 0.9 * flip(theta))
+            return real(*args)
+    monkeypatch.setattr(cooling, engine, defective)
+    params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50)
+    for report in equivalence_check(LATTICE, params):
+        assert not report.passed and report.max_abs_delta >= 4.0
 
 
 # -- lindblad reference engine ---------------------------------------------------
@@ -868,7 +904,8 @@ def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells)
     assert len(scan) == len(thetas)
     for got, want in zip(scan, singles):
         assert got.theta == want.theta and got.engine == want.engine == "syndrome"
-        assert got.n_trajectories == want.n_trajectories == 150
+        assert got.energies.shape == want.energies.shape == (150, 9)
+        assert np.array_equal(got.energies, want.energies)
         assert np.array_equal(got.steps, want.steps)
         assert np.array_equal(got.mean_energy, want.mean_energy)
         assert np.array_equal(got.stderr, want.stderr)
@@ -884,7 +921,7 @@ def test_batched_sampler_uniform_over_even_patterns():
     # at q = 1/2 the parity repair maps the 16 patterns of a kind's four bits
     # uniformly onto the 8 even ones; a chi-square test with 7 degrees of
     # freedom per kind at 5e-4 each (false-alarm rate 1e-3 for the pair)
-    rngs = [cooling._stream(17, 0, b) for b in range(125)]
+    rngs = [cooling._stream(17, b) for b in range(125)]
     bits = cooling._sample_bits(cooling._kinds(LATTICE), 0.5, rngs, [64] * 125)
     assert bits.shape == (8000, 8)
     even = [c for c in range(16) if bin(c).count("1") % 2 == 0]
@@ -900,7 +937,7 @@ def test_batched_sampler_uniform_over_even_patterns():
 def test_batched_sampler_ground_and_parity(shape):
     lattice = ToricLattice.build(*shape)
     n_p = lattice.n_plaquettes
-    rngs = [cooling._stream(5, 0, b) for b in range(3)]
+    rngs = [cooling._stream(5, b) for b in range(3)]
     kinds = cooling._kinds(lattice)
     assert np.all(cooling._sample_bits(kinds, 0.0, rngs, [64, 64, 22]) == 1)
     for q in (0.3, 1.0):
