@@ -34,8 +34,8 @@ whole blocks, so results depend on neither the worker count, the batch size
 nor the other thetas of the run.  The Monte Carlo resolves each kind's
 sweep whole, as the unique fixed point of its flip rule (:func:`_sweep`),
 with the flips of a cell-by-cell sweep; the quantum trajectories advance
-every (theta, row) state of the block together, one sweep position at a
-time.
+the block's live (theta, row) states together, one sweep position at a
+time, and a state leaves once a sweep has left it in the ground sector.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -350,46 +350,50 @@ def _mc_energies(lattice, params, blocks):
 # quantum trajectories
 # ---------------------------------------------------------------------
 
+@cache
+def _chains(lattice: ToricLattice):
+    """:func:`state_from_config`'s ground state, and per kind each cell's chain."""
+    chains = []
+    for kind in _kinds(lattice):
+        order, path = [0], {0: 0}  # breadth first from the root; tree paths
+        for cell in order:  # the list grows as it is read
+            for edge, end in zip(kind.cells[cell].tolist(), kind.other[cell].tolist()):
+                if end not in path:
+                    path[end] = path[cell] ^ (1 << edge)
+                    order.append(end)
+        chains.append((kind, np.array([path[cell] for cell in range(len(kind.cells))])))
+    return toric_ground_state(lattice).amps, chains
+
+
 def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
     """A stabilizer eigenstate with exactly the syndromes ``bits``, one +-1
     per plaquette, then per star (a row of :func:`_sample_bits`).
 
-    Per kind, a cell's chain is the XOR of the pump edges on its path in a
+    Per kind, a cell's chain is the mask of the pump edges on its path in a
     breadth-first spanning tree of the toggle graph (cells joined through
     ``other``) rooted at the kind's first cell: it toggles the cell and the
     root.  The excited cells' chains, an even number, multiply to one string
-    with exactly their syndromes, applied to :func:`toric_ground_state`.
+    with exactly their syndromes, applied to :func:`toric_ground_state` as
+    one Pauli gather.  The ground state and the chains are built once per
+    lattice.
     """
     bits = np.asarray(bits)
-    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not np.isin(bits, (-1, 1)).all():
+    signed = (bits == 1) | (bits == -1)
+    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not signed.all():
         raise ValueError("need one syndrome of +1 or -1 per plaquette and per star")
-    state = toric_ground_state(lattice)
-    for kind in _kinds(lattice):
-        excited = bits[kind.offset:kind.offset + len(kind.cells)] < 0
+    amps, chains = _chains(lattice)
+    for kind, chain in chains:
+        excited = bits[kind.offset:kind.offset + len(chain)] < 0
         if excited.sum() % 2:
             raise ValueError("syndrome parity violated; cannot realize state")
-        order, path = [0], {0: frozenset()}  # breadth first from the root; tree paths
-        for cell in order:  # the list grows as it is read
-            for edge, end in zip(kind.cells[cell].tolist(), kind.other[cell].tolist()):
-                if end not in path:
-                    path[end] = path[cell] ^ {edge}
-                    order.append(end)
-        chain = set()
-        for cell in np.flatnonzero(excited).tolist():
-            chain ^= path[cell]
-        if chain:
-            state.apply_string(PauliString.from_sites(lattice.n_edges,
-                                                      dict.fromkeys(chain, kind.pump)))
-    return state
+        mask = int(np.bitwise_xor.reduce(chain[excited]))
+        idx, factor = pauli_action(lattice.n_edges, *((mask, 0) if kind.pump == "X" else (0, mask)))
+        amps = factor * amps[idx]  # a new array: the cached ground state stays
+    return StateVector(amps, copy=False)
 
 
-def cooling_cycle_trajectory(
-    state: StateVector,
-    stabilizer_qubits,
-    theta: float,
-    rng: np.random.Generator,
-    kind: str = "plaquette",
-):
+def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float,
+                             rng: np.random.Generator, kind: str = "plaquette"):
     """One ancilla-mediated cooling cycle on a four-spin stabilizer.
 
     Sequence: map the stabilizer eigenvalue onto the ancilla (the top
@@ -414,9 +418,7 @@ def cooling_cycle_trajectory(
     syndrome_map(state, ancilla, stab)
     controlled_flip(state, ancilla, pump_qubit, theta, axis=axis)
     syndrome_map(state, ancilla, stab)
-    outcome, _, _ = measure_projector(
-        state, PauliString.single(state.n_qubits, ancilla, "Z"), rng
-    )
+    outcome, _, _ = measure_projector(state, PauliString.single(state.n_qubits, ancilla, "Z"), rng)
     flipped = outcome == -1
     if flipped:  # optical pumping back to |0>
         state.apply_string(PauliString.single(state.n_qubits, ancilla, "X"))
@@ -432,11 +434,10 @@ def _energies(psi, ham, acc, buf):
 
 
 def _trajectory_energies(lattice, params, blocks):
-    """(thetas, rows, steps + 1) energies.  Per block, the rows start in the
-    eigenstates of the Monte Carlo's start sampler; then all (theta, row)
-    states advance as one array, one sweep position at a time, on the Monte
-    Carlo's sweep draws: at each position, its cell, pump pick and readout
-    uniform u, the row jumping iff u < p_flip."""
+    """(thetas, rows, steps + 1) energies of :func:`trajectory_run`.  Per block,
+    the rows start in the eigenstates of the Monte Carlo's start sampler and
+    advance on its sweep draws: at each position, its cell, pump pick and
+    readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
 
     def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
@@ -463,42 +464,56 @@ def _trajectory_energies(lattice, params, blocks):
         # blocking could make a row's bits depend on the other rows
         psi = np.tile([state_from_config(lattice, row).amps
                        for row in _sample_bits(kinds, params.q_init, [rng], [size])], (n_theta, 1))
-        minus, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
+        spare, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
         base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
         flip = np.repeat([flip_probability(t) for t in params.thetas], size)
-        shrink = np.repeat([1.0 - math.cos(t / 2.0) for t in params.thetas], size)[:, None]
-        block = out[:, first:first + size]
-        block[..., 0] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
+        # K0 psi = psi + (cos(theta/2) - 1) P- psi, with the 1/2 of P- moved here
+        shrink = np.repeat([0.5 * (math.cos(t / 2.0) - 1.0) for t in params.thetas], size)[:, None]
+        energy = np.empty((len(psi), steps + 1))
+        energy[:, 0] = _energies(psi, ham, spare, gathered)
+        live = np.arange(len(psi))  # the (theta, row) state of each row of psi
         for step in range(steps):
+            twice, image, at, start = (a[:len(psi)] for a in (spare, gathered, index, base))
+            moved = np.zeros(len(psi), dtype=bool)
             for kind in kinds:
-                order, u, pick = (np.tile(d.T, n_theta)
-                                  for d in _draws(len(kind.cells), [rng], [size]))
-                for cell, edge, v in zip(kind.offset + order, pick, u):
-                    np.add(np.take(stab_idx, cell, axis=0, out=index, mode="clip"), base, out=index)
-                    np.take(psi, index, out=gathered, mode="clip")
-                    gathered *= np.take(stab_factor, cell, axis=0, out=minus, mode="clip")
-                    np.subtract(psi, gathered, out=minus)
-                    minus *= 0.5  # P- psi
-                    weight = np.square(minus.view(float), out=gathered.view(float)).sum(axis=1)
-                    p_flip = flip * weight
-                    jump = v < p_flip  # the Monte Carlo's rule, u < prob on an excited cell
-                    # K0 = P+ + cos(theta/2) P- on every row (complex by real on the float
-                    # view), then K1 up to its phase -i on the rows that jumped.  K0 psi is
-                    # divided by its own norm; divided by sqrt(1 - p_flip), a norm rounded
-                    # off 1 would grow by 1 / cos^2(theta/2) at each stay on an excited cell
-                    np.multiply(minus.view(float), shrink, out=gathered.view(float))
-                    psi -= gathered
-                    kept = np.square(psi.view(float), out=gathered.view(float)).sum(axis=1)
-                    np.divide(psi.view(float), np.sqrt(np.where(jump, 1.0, kept))[:, None],
-                              out=psi.view(float))
-                    jumped = np.flatnonzero(jump)
-                    at, kicked = (cell[jumped], edge[jumped]), gathered[:len(jumped)]
-                    np.take(minus, np.add(pump_idx[at], base[jumped], out=index[:len(jumped)]),
-                            out=kicked, mode="clip")
-                    kicked *= pump_factor[at]
-                    psi[jumped] = np.divide(kicked.view(float), np.sqrt(weight[jumped])[:, None],
-                                            out=kicked.view(float)).view(complex)
-            block[..., step + 1] = _energies(psi, ham, minus, gathered).reshape(n_theta, size)
+                draws = _draws(len(kind.cells), [rng], [size])  # drawn even with no live row
+                order, u, pick = (d[live % size].T for d in draws)
+                for cell, edge, v in zip(kind.offset + order, pick, u) if len(psi) else ():
+                    np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
+                    np.take(psi, at, out=image, mode="clip")
+                    image *= np.take(stab_factor, cell, axis=0, out=twice, mode="clip")
+                    np.subtract(psi, image, out=twice)  # 2 P- psi
+                    norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
+                    act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
+                    if not len(act):
+                        continue
+                    moved[act] = True
+                    jump = v[act] < flip[act] * (0.25 * norm[act])  # the Monte Carlo's rule
+                    # in the buffers: K1 up to its phase -i on the rows that jump, then K0
+                    # (complex by real on the float view) on those that stay, each over its
+                    # own norm; over sqrt(1 - p_flip), a norm rounded off 1 would grow by
+                    # 1 / cos^2(theta/2) at each stay on an excited cell
+                    stay, jumped = act[~jump], act[jump]
+                    go, to = (cell[jumped], edge[jumped]), at[:len(jumped)]
+                    kick = np.take(twice, np.add(pump_idx[go], start[jumped], out=to),
+                                   out=image[:len(jumped)], mode="clip")
+                    kick *= pump_factor[go]
+                    psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
+                                            out=kick.view(float)).view(complex)
+                    kept, rows = image[:len(stay)].view(float), twice[:len(stay)]
+                    np.take(twice, stay, axis=0, out=kept.view(complex), mode="clip")
+                    kept *= shrink[stay]
+                    kept += np.take(psi, stay, axis=0, out=rows, mode="clip").view(float)
+                    kept /= np.sqrt(np.square(kept, out=rows.view(float)).sum(axis=1))[:, None]
+                    psi[stay] = kept.view(complex)
+            # a row that acted nowhere is in the ground sector, where every later visit
+            # reads P- psi = 0: it leaves, keeping its energy; the rest move to spare
+            keep = np.flatnonzero(moved)
+            psi, spare = np.take(psi, keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
+            live, flip, shrink = live[keep], flip[keep], shrink[keep]
+            energy[:, step + 1] = energy[:, step]
+            energy[live, step + 1] = _energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
+        out[:, first:first + size] = energy.reshape(n_theta, size, -1)
     return out
 
 
@@ -528,22 +543,14 @@ def _fan_out(energies, lattice, params, workers):
     return np.concatenate(parts, axis=-2)
 
 
-def syndrome_mc_run(
-    lattice: ToricLattice,
-    params: CoolingParams,
-    workers: int = 1,
-) -> list[Trace]:
+def syndrome_mc_run(lattice: ToricLattice, params: CoolingParams, workers: int = 1) -> list[Trace]:
     """Mean energy trace of the classical syndrome Monte Carlo at each of
     ``params.thetas``, all swept on one set of draws in one fan-out."""
     energies = _fan_out(_mc_energies, lattice, params, workers)
     return [Trace(e, theta, "syndrome") for e, theta in zip(energies, params.thetas)]
 
 
-def trajectory_run(
-    lattice: ToricLattice,
-    params: CoolingParams,
-    workers: int = 1,
-) -> list[Trace]:
+def trajectory_run(lattice: ToricLattice, params: CoolingParams, workers: int = 1) -> list[Trace]:
     """Mean energy trace of the quantum trajectories at each of
     ``params.thetas``, from one fan-out.
 
@@ -553,10 +560,12 @@ def trajectory_run(
     starts in the stabilizer eigenstate of its sampled start syndromes
     (:func:`state_from_config`).
 
-    Per block, all (theta, row) states advance together as one
-    (thetas * rows, 2^n_edges) array, in four buffers of that shape (1.8 MB
-    for a full block at two thetas on the 2x2 torus, 29 MB on 3x2), on one
-    sweep's draws at a time.
+    Per block, the live (theta, row) states advance together on one sweep's
+    draws at a time; only rows with P- psi != 0 apply K0 or K1.  A row that
+    acts nowhere in a sweep is in the ground sector, a fixed point of every
+    later cycle: it leaves, its energy carried forward.  A block holds four
+    buffers of (thetas * rows, 2^n_edges) entries; a full block at two thetas
+    peaks at 2.4 MB on the 2x2 torus and 40 MB on 3x2 (tracemalloc).
     """
     if lattice.n_edges > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "
@@ -565,11 +574,8 @@ def trajectory_run(
     return [Trace(e, theta, "trajectory") for e, theta in zip(energies, params.thetas)]
 
 
-def equivalence_check(
-    lattice: ToricLattice,
-    params: CoolingParams,
-    workers: int = 1,
-) -> list[EquivalenceReport]:
+def equivalence_check(lattice: ToricLattice, params: CoolingParams,
+                      workers: int = 1) -> list[EquivalenceReport]:
     """Certify the syndrome Monte Carlo against the quantum trajectories,
     one report per theta: :func:`syndrome_mc_run` and :func:`trajectory_run`
     on the same ``params``.
@@ -586,11 +592,7 @@ def equivalence_check(
             for mc, qt in zip(syndrome_mc_run(lattice, params, workers), trajectories)]
 
 
-def lindblad_reference_trace(
-    theta: float,
-    n_steps: int,
-    q_init: float = 0.5,
-) -> Trace:
+def lindblad_reference_trace(theta: float, n_steps: int, q_init: float = 0.5) -> Trace:
     """Master-equation trace for the single-plaquette reference system.
 
     Four spins, one jump operator (pump on the first plaquette edge), rate

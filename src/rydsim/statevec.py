@@ -140,23 +140,21 @@ class StateVector:
 def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generator):
     """Projective +-1 measurement of a Hermitian Pauli string.
 
-    Samples the outcome with Born probabilities, collapses and renormalizes
-    the state in place.  Returns ``(outcome, state, probability)`` where
+    Samples the outcome with Born probabilities and collapses the state in
+    place, divided by its own norm: divided by the square root of the
+    outcome's probability, a state's norm error would grow by the inverse
+    of that probability.  Returns ``(outcome, state, probability)`` where
     probability is that of the sampled outcome; a branch of zero weight is
     never selected.
     """
     if not p.is_hermitian():
         raise ValueError("measurement requires a Hermitian string")
     image = p.act(state.amps)
-    p_plus = 0.5 * (1.0 + float(np.vdot(state.amps, image).real))
-    p_plus = min(1.0, max(0.0, p_plus))
-    if rng.random() < p_plus:
-        outcome, prob = +1, p_plus
-        state.amps = (state.amps + image) * (0.5 / np.sqrt(p_plus))
-    else:
-        outcome, prob = -1, 1.0 - p_plus
-        state.amps = (state.amps - image) * (0.5 / np.sqrt(1.0 - p_plus))
-    return outcome, state, prob
+    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + float(np.vdot(state.amps, image).real))))
+    outcome = 1 if rng.random() < p_plus else -1
+    collapsed = state.amps + outcome * image
+    state.amps = collapsed / np.linalg.norm(collapsed)
+    return outcome, state, p_plus if outcome == 1 else 1.0 - p_plus
 
 
 class DensityMatrix:

@@ -353,6 +353,21 @@ def test_compare_csv_is_independent_of_workers(tmp_path, monkeypatch):
     assert text["1"] == text["2"]
 
 
+@pytest.mark.parametrize("engine", ["compare", "trajectory"])
+def test_quantum_engine_csv_is_independent_of_workers(tmp_path, monkeypatch, engine):
+    # 130 trajectories: three RNG blocks, whose live sets shrink apart, split
+    # over two processes
+    text = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RYDSIM_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["toric-cool", "--engine", engine, "--lx", "2", "--ly", "2",
+                     "--theta", "pi,pi/2", "--steps", "8", "--trajectories", "130",
+                     "--seed", "13", "--out", str(out)]) == 0
+        text[workers] = out.read_bytes()
+    assert text["1"] == text["2"]
+
+
 @pytest.mark.parametrize("area", [["--area", "pi/2"], ["--area=-pi"]])
 def test_gate_fidelity_has_no_area_flag(capsys, area):
     # the gate is judged against its pi-area target, so the profile is always

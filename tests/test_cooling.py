@@ -451,6 +451,44 @@ def test_trajectory_ground_start_flat():
     assert np.allclose(trace.mean_energy, -8.0, atol=1e-9)
 
 
+def _rows_per_energy_call(monkeypatch, lattice, params, blocks):
+    """The trajectory energies, and the row count of each ``_energies`` call:
+    the start, then after each sweep the rows that acted in it, which are
+    the rows the next sweep runs."""
+    energies, counts = cooling._energies, []
+
+    def counted(psi, *args):
+        counts.append(len(psi))
+        return energies(psi, *args)
+    monkeypatch.setattr(cooling, "_energies", counted)
+    return cooling._trajectory_energies(lattice, params, blocks), counts
+
+
+def test_ground_start_leaves_the_live_set_after_one_sweep(monkeypatch):
+    # a ground-sector row reads P- psi = 0 at every position, so it never
+    # acts: after the first sweep no row reaches the kernel, and each energy
+    # is carried forward bit for bit
+    params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=70,
+                           q_init=0.0, seed=9)
+    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(2))
+    assert counts == [128] + [0] * 20 + [12] + [0] * 20
+    assert np.array_equal(energies, np.broadcast_to(energies[..., :1], energies.shape))
+    assert np.allclose(energies, -8.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 26])
+def test_live_rows_follow_the_monte_carlo_energies(monkeypatch, seed):
+    # the benchmark's compare size: a row acts in a sweep iff it starts the
+    # sweep off the ground sector, so after sweep t the energies are computed
+    # for exactly the rows whose Monte Carlo energy after sweep t - 1 is above
+    # -8, over both thetas
+    params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50, seed=seed)
+    mc = cooling._mc_energies(LATTICE, params, np.arange(1))
+    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(1))
+    assert counts == [100] + [int((mc[..., t] > -8.0).sum()) for t in range(20)]
+    assert np.max(np.abs(energies - mc)) <= 1e-9
+
+
 def test_trajectory_cools_to_ground():
     params = CoolingParams(thetas=(np.pi,), n_steps=25, n_trajectories=40,
                            q_init=0.5, seed=5)

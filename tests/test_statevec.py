@@ -10,7 +10,8 @@ from rydsim.statevec import (
     measure_projector,
 )
 
-from oracles import expm_hermitian, label_matrix, propagator, random_label, sum_matrix
+from oracles import (ScriptedRng, expm_hermitian, label_matrix, propagator, random_label,
+                     sum_matrix)
 
 
 def random_string(rng, n, hermitian=False):
@@ -241,6 +242,19 @@ def test_measure_born_statistics_binomial():
         hits += outcome == 1
     sigma = np.sqrt(n_samples * p_plus * (1 - p_plus))
     assert abs(hits - n_samples * p_plus) < 3.0 * sigma
+
+
+def test_measure_keeps_the_norm_on_an_unlikely_outcome():
+    # a norm^2 of 1 + 2e-12 measured into an outcome of probability 1e-6:
+    # divided by sqrt(p), the collapsed norm^2 reads 1 + 1e-6
+    scale = np.sqrt(1.0 + 2e-12)
+    amps = scale * np.array([np.sqrt(1.0 - 1e-6), np.sqrt(1e-6), 0.0, 0.0], dtype=complex)
+    state = StateVector(amps)
+    outcome, collapsed, prob = measure_projector(state, PauliString.from_label("ZI"),
+                                                 ScriptedRng(None, 1.0 - 1e-7))
+    assert outcome == -1 and prob == pytest.approx(1e-6, rel=1e-5)
+    assert abs(np.vdot(collapsed.amps, collapsed.amps).real - 1.0) <= 1e-12
+    assert np.allclose(collapsed.amps, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 # -- exact propagator ----------------------------------------------------
