@@ -397,12 +397,8 @@ def _run_hubbard_spectrum(cfg: dict):
         free = len(w_local) // len(w_jw)
         dedup = w_local[::free]
         header = ["index", "eigenvalue_jw", "eigenvalue_local_shifted", "abs_delta"]
-        rows = []
-        worst = 0.0
-        for k, (a, b) in enumerate(zip(w_jw, dedup - shift)):
-            worst = max(worst, abs(a - b))
-            rows.append([k, a, b, abs(a - b)])
-        return header, rows, f"max_abs_delta={worst:.3e}", 0
+        rows = [[k, a, b, abs(a - b)] for k, (a, b) in enumerate(zip(w_jw, dedup - shift))]
+        return header, rows, f"max_abs_delta={max((row[3] for row in rows), default=0.0):.3e}", 0
     blocks = sectors(spec)  # checks the Fock mode cap before any matrix
     encodings = ("jw", "fock") if encoding == "both" else (encoding,)
     matrices = [build_hubbard_jw(spec).to_matrix() if e == "jw" else hubbard_matrix(spec)
@@ -453,9 +449,7 @@ def _run_dump_hamiltonian(cfg: dict):
         build = {"hubbard-jw": build_hubbard_jw, "hubbard-local": build_hubbard_local,
                  "aux": build_aux_hamiltonian}[model]
         h = _checked(build, _hubbard_spec(cfg))
-    text = format_operator(h)
-    n_terms = len(h.normalized())
-    return None, text, f"terms={n_terms}", 0
+    return None, format_operator(h), f"terms={len(h.normalized())}", 0
 
 
 _RUNNERS = {

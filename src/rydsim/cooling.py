@@ -19,23 +19,21 @@ A run is one :class:`CoolingParams`; both stochastic engines take its
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2), which no energy scale enters, and leaves the ground sector
 exactly invariant; energies are in units of the stabilizer coupling E0 = 1.
-A sweep is each kind of cell in turn, plaquettes then stars, in freshly
-shuffled order; :func:`_kinds` is the one description of what a cycle acts
-on, per kind, and every engine reads it.
+A sweep is each kind of cell in turn, plaquettes then stars; :func:`_kinds`
+is the one description of what a cycle acts on, per kind, and every engine
+reads it.
 
 Both stochastic engines draw block b of :data:`BLOCK` trajectories of a
 run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(0,
-b))``: its start syndromes from :func:`_sample_bits`, then per sweep and
-kind the visit order, uniforms u and edge picks of all its rows from
-:func:`_draws`.  In both, a visit flips iff u < sin^2(theta/2) on an
-excited cell.  The theta values of a run share these draws, which do not
-depend on theta, and advance together.  Work splits over processes in
-whole blocks, so results depend on neither the worker count, the batch size
-nor the other thetas of the run.  The Monte Carlo resolves each kind's
-sweep whole, as the unique fixed point of its flip rule (:func:`_sweep`),
-with the flips of a cell-by-cell sweep; the quantum trajectories advance
-the block's live (theta, row) states together, one sweep position at a
-time, and a state leaves once a sweep has left it in the ground sector.
+b))``: its start syndromes (:func:`_sample_bits`), then per sweep and kind
+a visit time, uniform u and edge pick per (row, cell) (:func:`_draws`).
+A row visits its cells in increasing time, a uniformly random order, and
+a visit flips iff u < sin^2(theta/2) on an excited cell.  A run's thetas
+share these draws and advance together; work splits over processes in
+whole blocks, so results depend on neither the worker count, the batch
+size nor the other thetas.  The Monte Carlo solves each kind's sweep whole
+over the excited cells (:func:`_sweep`); the quantum trajectories advance
+a block's live (theta, row) states together, visit by visit.
 """
 
 from __future__ import annotations
@@ -72,8 +70,9 @@ BLOCK = 64
 MAX_ABS_DELTA = 1e-9
 
 #: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
-#: int8 bits (1 MB); one sweep peaks near 63 bytes per row-cell at one
-#: theta, 32 at two (tracemalloc, 64x64 torus, a full batch)
+#: int8 bits (1 MB); a sweep from q_init 0.5 peaks near 34 bytes per
+#: row-cell at one theta and 19 at two, with the batch's buffers
+#: (tracemalloc, 64x64 torus, a full batch)
 BATCH_ROW_CELLS = 1 << 20
 
 
@@ -265,62 +264,75 @@ def _sample_bits(kinds, q_init: float, rngs, sizes) -> np.ndarray:
                       for rng, rows in zip(rngs, sizes)])
 
 
-def _draws(count, rngs, sizes):
+def _draws(count, rngs, sizes, out=None):
     """One sweep's draws for a kind of ``count`` cells, a block of ``sizes``
-    rows per generator: the visit order, the uniforms and the edge picks, each
-    (rows, count), drawn in that order from each generator."""
-    return [np.vstack(d) for d in zip(*[
-        (rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
-         rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
-        for rng, rows in zip(rngs, sizes)])]
+    rows per generator, each (rows, count), column c for cell c: visit times
+    and flip uniforms, one ``(2, rows, count)`` draw (into ``out`` if given),
+    then edge picks.  A row visits its cells by time, a tie to the lower cell."""
+    size = 2 * sum(sizes) * count
+    times, u = (np.empty(size) if out is None else out[:size]).reshape(2, -1, count)
+    for rng, first, last in zip(rngs, np.cumsum([0, *sizes]), np.cumsum(sizes)):
+        for half in (times, u):  # drawn in turn, a block's halves are its (2, rows, count) draw
+            rng.random(out=half[first:last])
+    picks = [rng.integers(0, 4, (rows, count)) for rng, rows in zip(rngs, sizes)]
+    return times, u, picks[0] if len(picks) == 1 else np.concatenate(picks)
 
 
-def _sweep(bits, kinds, prob, rngs, sizes):
+def _tables(kinds, rows: int, n_theta: int):
+    """:func:`_sweep`'s draws buffer and four int8 flags per (theta, row, cell)."""
+    size = rows * max(len(kind.cells) for kind in kinds)
+    return kinds, np.empty(2 * size), np.zeros((4, n_theta * size), dtype=np.int8)
+
+
+def _sweep(bits, tables, prob, rngs, sizes):
     """One sweep of every row of ``bits``, a block of ``sizes`` rows per
-    generator, each kind solved for all rows and positions at once.
+    generator, with its batch's :func:`_tables`; ``bits`` stacks a
+    ``sum(sizes)``-row slice per ``prob`` (a scalar or one per theta).
 
-    ``bits`` stacks a ``sum(sizes)``-row slice per ``prob`` (a scalar or one
-    per theta); the slices share each kind's draws and the arrays built on them.
-
-    A visit flips iff it is a candidate (u < prob) and its cell reads
-    excited: its start value, toggled by every flip at an earlier position
-    whose other end is that cell.  Flips depend only on earlier flips, so
-    the sequential sweep's flips are the rule's unique fixed point.  From
-    "candidate and excited at the start", each round re-reads where the last
-    round's changed flips land and settles one more link of the longest chain.
+    Per kind, for all (theta, row, cell) entries at once: a visit flips iff
+    it is a candidate (u < prob) and its cell reads excited, its start value
+    toggled by every flip visited before it (by time, then cell) whose picked
+    edge's other end it is.  The sequential sweep's flips are its unique fixed point.
+    From "candidate and excited at the start", each round re-reads the cells
+    the last round's changed flips toggle, settling one more link of the
+    longest chain; toggles are int8 counts (fast ``np.add.at``) read by parity.
     """
-    n = sum(sizes)
+    kinds, draws, flags = tables
+    probs, n, one = np.atleast_1d(prob)[:, None], sum(sizes), np.int8(1)
     for kind in kinds:
-        offset, other, count = kind.offset, kind.other, len(kind.other)
-        order, u, pick = (d.ravel() for d in _draws(count, rngs, sizes))
-        at = np.arange(order.size)  # flat (row, position), or (row, cell)
-        row = at - at % count  # flat start of the row
-        cell = row + order  # the visited cell
-        pos = np.empty_like(at)
-        pos[cell] = at  # where each cell is read
-        end = row + other.ravel()[4 * order + pick]  # the picked edge's other end
-        read = pos[end]  # where that other end is read
-        later = read > at
-        for k, p in enumerate(np.atleast_1d(prob)):
-            col = bits[k * n:(k + 1) * n, offset:offset + count].flatten()
-            cand, start = u < p, col[cell] < 0
-            linked = cand & later & cand[read]  # can change a later candidate's read
-            flips, toggled = cand & start, np.zeros(col.size, dtype=bool)
-            moved = np.flatnonzero(flips & linked)  # flips whose toggle is not yet read
-            for _ in range(count + 1):
-                if not len(moved):
-                    break
-                hit = read[moved]
-                np.logical_xor.at(toggled, hit, True)  # two toggles of one read cancel
-                hit = np.unique(hit)
-                hit = hit[start[hit] ^ toggled[hit] != flips[hit]]
-                flips[hit] = ~flips[hit]
-                moved = hit[linked[hit]]
-            else:
-                raise RuntimeError("syndrome sweep did not reach its fixed point")
-            col[cell[flips]] *= -1  # each cell is visited once
-            np.negative.at(col, end[flips])  # an other end may be toggled repeatedly
-            bits[k * n:(k + 1) * n, offset:offset + count] = col.reshape(-1, count)
+        other, count = kind.other.ravel(), len(kind.other)
+        size, col = n * count, bits[:, kind.offset:kind.offset + count]  # size: entries per theta
+        times, u, pick = (d.ravel() for d in _draws(count, rngs, sizes, draws))
+        reads, cand, flips, moves = flags[:, :len(probs) * size]  # reads: start, then toggles
+        np.less(col, 0, out=reads.view(bool).reshape(col.shape))
+        np.less(u, probs, out=cand.view(bool).reshape(len(probs), size))
+        np.bitwise_and(cand, reads, out=flips)
+
+        def spread(at):  # ``at`` start or stop flipping: the later candidates they toggle
+            cell, draw = at % count, at % size
+            shift = other[4 * cell + pick[draw]] - cell
+            end = at + shift
+            np.add.at(moves, end, one)
+            then, now = times[draw + shift], times[draw]
+            return np.compress(((then > now) | ((then == now) & (shift > 0))) & cand[end], end)
+
+        hit = spread(np.flatnonzero(flips.view(bool)))
+        for _ in range(count + 1):
+            if not len(hit):
+                break
+            np.add.at(reads, hit, one)
+            hit = np.sort(hit)  # distinct, as np.unique is, without its slower hashing
+            hit = np.compress(np.concatenate(([True], hit[1:] != hit[:-1])), hit)
+            hit = np.compress((reads[hit] ^ flips[hit]) & one, hit)
+            flips[hit] ^= one
+            hit = spread(hit)
+        else:
+            raise RuntimeError("syndrome sweep did not reach its fixed point")
+        moves += flips  # a cell moves iff its own flip plus its toggles is odd
+        np.bitwise_and(moves, one, out=moves)
+        np.multiply(moves, -2, out=moves)  # 0 or -2, and x ^ -2 = -x for x = +-1
+        np.bitwise_xor(col, moves.reshape(col.shape), out=col)
+        moves.fill(0)
 
 
 def _mc_energies(lattice, params, blocks):
@@ -337,10 +349,11 @@ def _mc_energies(lattice, params, blocks):
         rngs = [_stream(params.seed, int(b)) for b in batch]
         rows = _block_rows(params, batch)
         bits = np.tile(_sample_bits(kinds, params.q_init, rngs, rows), (len(probs), 1))
+        tables = _tables(kinds, sum(rows), len(probs))
         out = np.empty((len(bits), params.n_steps + 1))
         out[:, 0] = bits.sum(axis=1)
         for step in range(1, params.n_steps + 1):
-            _sweep(bits, kinds, probs, rngs, rows)
+            _sweep(bits, tables, probs, rngs, rows)
             out[:, step] = bits.sum(axis=1)
         parts.append(-out.reshape(len(probs), -1, params.n_steps + 1))
     return np.concatenate(parts, axis=1)
@@ -462,23 +475,34 @@ def _trajectory_energies(lattice, params, blocks):
         rng = _stream(params.seed, int(b))
         # theta-major rows in preallocated buffers, and no BLAS call, whose
         # blocking could make a row's bits depend on the other rows
-        psi = np.tile([state_from_config(lattice, row).amps
-                       for row in _sample_bits(kinds, params.q_init, [rng], [size])], (n_theta, 1))
+        starts = _sample_bits(kinds, params.q_init, [rng], [size])
+        psi = np.tile([state_from_config(lattice, row).amps for row in starts], (n_theta, 1))
         spare, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
         base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
         flip = np.repeat([flip_probability(t) for t in params.thetas], size)
         # K0 psi = psi + (cos(theta/2) - 1) P- psi, with the 1/2 of P- moved here
         shrink = np.repeat([0.5 * (math.cos(t / 2.0) - 1.0) for t in params.thetas], size)[:, None]
-        energy = np.empty((len(psi), steps + 1))
-        energy[:, 0] = _energies(psi, ham, spare, gathered)
+        energy = np.repeat(_energies(psi, ham, spare, gathered)[:, None], steps + 1, axis=1)
         live = np.arange(len(psi))  # the (theta, row) state of each row of psi
-        for step in range(steps):
+        moved = np.tile((starts < 0).any(axis=1), n_theta)  # a ground-sector start never acts
+        for step in range(steps + 1):
+            # a row that acted nowhere is in the ground sector, where every later visit
+            # reads P- psi = 0: it leaves, keeping its energy; the rest move to spare
+            keep = np.flatnonzero(moved)
+            psi, spare = np.take(psi, keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
+            live, flip, shrink = live[keep], flip[keep], shrink[keep]
+            if step and len(psi):
+                now = _energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
+                energy[live, step:] = now[:, None]  # carried forward until it next changes
+            if step == steps or not len(psi):
+                break  # a block with no live row stops drawing: its stream is its own
             twice, image, at, start = (a[:len(psi)] for a in (spare, gathered, index, base))
             moved = np.zeros(len(psi), dtype=bool)
             for kind in kinds:
-                draws = _draws(len(kind.cells), [rng], [size])  # drawn even with no live row
-                order, u, pick = (d[live % size].T for d in draws)
-                for cell, edge, v in zip(kind.offset + order, pick, u) if len(psi) else ():
+                times, u, pick = (d[live % size] for d in _draws(len(kind.cells), [rng], [size]))
+                order = np.argsort(times, axis=1, kind="stable")  # a tie to the lower cell
+                u, pick = (np.take_along_axis(d, order, axis=1).T for d in (u, pick))
+                for cell, edge, v in zip(kind.offset + order.T, pick, u):
                     np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
                     np.take(psi, at, out=image, mode="clip")
                     image *= np.take(stab_factor, cell, axis=0, out=twice, mode="clip")
@@ -506,13 +530,6 @@ def _trajectory_energies(lattice, params, blocks):
                     kept += np.take(psi, stay, axis=0, out=rows, mode="clip").view(float)
                     kept /= np.sqrt(np.square(kept, out=rows.view(float)).sum(axis=1))[:, None]
                     psi[stay] = kept.view(complex)
-            # a row that acted nowhere is in the ground sector, where every later visit
-            # reads P- psi = 0: it leaves, keeping its energy; the rest move to spare
-            keep = np.flatnonzero(moved)
-            psi, spare = np.take(psi, keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
-            live, flip, shrink = live[keep], flip[keep], shrink[keep]
-            energy[:, step + 1] = energy[:, step]
-            energy[live, step + 1] = _energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
         out[:, first:first + size] = energy.reshape(n_theta, size, -1)
     return out
 
@@ -560,11 +577,12 @@ def trajectory_run(lattice: ToricLattice, params: CoolingParams, workers: int = 
     starts in the stabilizer eigenstate of its sampled start syndromes
     (:func:`state_from_config`).
 
-    Per block, the live (theta, row) states advance together on one sweep's
-    draws at a time; only rows with P- psi != 0 apply K0 or K1.  A row that
-    acts nowhere in a sweep is in the ground sector, a fixed point of every
-    later cycle: it leaves, its energy carried forward.  A block holds four
-    buffers of (thetas * rows, 2^n_edges) entries; a full block at two thetas
+    Per block, the live (theta, row) states advance together, each row in
+    its visit order; only rows with P- psi != 0 apply K0 or K1.  A row in the
+    ground sector, a fixed point of every later cycle, leaves with its
+    energy: at once if its start syndromes are all +1, else after a sweep in
+    which it acted nowhere.  A block with no live row stops.  A block holds
+    four (thetas * rows, 2^n_edges) buffers; a full block at two thetas
     peaks at 2.4 MB on the 2x2 torus and 40 MB on 3x2 (tracemalloc).
     """
     if lattice.n_edges > TRAJECTORY_QUBIT_CAP:

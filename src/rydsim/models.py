@@ -93,17 +93,12 @@ class ToricLattice:
         def v_edge(x, y):
             return lx * ly + (y % ly) * lx + (x % lx)
 
-        plaquettes = []
-        stars = []
-        for y in range(ly):
-            for x in range(lx):
-                plaquettes.append(
-                    (h_edge(x, y), h_edge(x, y + 1), v_edge(x, y), v_edge(x + 1, y))
-                )
-                stars.append(
-                    (h_edge(x, y), h_edge(x - 1, y), v_edge(x, y), v_edge(x, y - 1))
-                )
-        return cls(lx, ly, tuple(plaquettes), tuple(stars))
+        sites = [(x, y) for y in range(ly) for x in range(lx)]
+        plaquettes = tuple((h_edge(x, y), h_edge(x, y + 1), v_edge(x, y), v_edge(x + 1, y))
+                           for x, y in sites)
+        stars = tuple((h_edge(x, y), h_edge(x - 1, y), v_edge(x, y), v_edge(x, y - 1))
+                      for x, y in sites)
+        return cls(lx, ly, plaquettes, stars)
 
     def plaquette_string(self, p: int) -> PauliString:
         return PauliString.from_sites(self.n_edges, {e: "X" for e in self.plaquettes[p]})

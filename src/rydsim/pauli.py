@@ -420,24 +420,17 @@ def to_matrix(op: OperatorSum) -> np.ndarray:
 
 # -- Jordan-Wigner images ---------------------------------------------
 
-def _jw_site_strings(i: int, n: int):
-    if not 1 <= i <= n:
-        raise IndexError(f"site index {i} outside 1..{n}")
-    q = i - 1
-    tail = (1 << q) - 1  # Z on every earlier site
-    x_str = PauliString(n, 1 << q, tail)
-    y_str = PauliString(n, 1 << q, tail | (1 << q))
-    return x_str, y_str
-
-
 def jw_annihilator(i: int, n: int) -> OperatorSum:
     """Fermionic annihilator for mode i (1-based) on an n-mode chain.
 
     Returns the two-string image ``(Z_1...Z_{i-1}) (X_i + iY_i)/2``, which
     maps the occupied state |1> to the empty state |0>.
     """
-    x_str, y_str = _jw_site_strings(i, n)
-    return OperatorSum([(0.5, x_str), (0.5j, y_str)], n)
+    if not 1 <= i <= n:
+        raise IndexError(f"site index {i} outside 1..{n}")
+    x = 1 << (i - 1)
+    z = x - 1  # Z on every earlier site
+    return OperatorSum([(0.5, PauliString(n, x, z)), (0.5j, PauliString(n, x, z | x))], n)
 
 
 def jw_creator(i: int, n: int) -> OperatorSum:

@@ -143,9 +143,20 @@ def edge_cells(cells) -> np.ndarray:
     return np.array([holders[e] for e in range(len(holders))], dtype=np.int64)
 
 
-def syndrome_mc_reference(lattice, params, indices, tag=0):
+def visit_order(times) -> np.ndarray:
+    """Each row's cells in the order a sweep visits them: by increasing
+    visit time, a tie going to the lower cell."""
+    times = np.asarray(times)
+    cells = np.broadcast_to(np.arange(times.shape[-1]), times.shape)
+    return np.lexsort((cells, times), axis=-1)
+
+
+def syndrome_mc_reference(lattice, params, indices, tag=0, clock=None):
     """Per-trajectory energies of the syndrome Monte Carlo, one scalar cell
-    visit at a time; trajectory k draws from stream ``(tag, k)``."""
+    visit at a time; trajectory k draws from stream ``(tag, k)``.  Per sweep
+    and kind of cell it draws a visit time and a flip uniform per cell (one
+    ``(2, cells)`` draw), then an edge pick per cell.  ``clock``, if given,
+    maps the drawn times to the ones used, so that a test can make them tie."""
     p_edges = np.asarray(lattice.plaquettes, dtype=np.int64)
     edge_pl = edge_cells(lattice.plaquettes)
     s_edges = np.asarray(lattice.stars, dtype=np.int64)
@@ -163,13 +174,11 @@ def syndrome_mc_reference(lattice, params, indices, tag=0):
     def sweep(pbits, sbits, rng):
         for bits, cells, edge_cells in ((pbits, p_edges, edge_pl), (sbits, s_edges, edge_st)):
             count = len(bits)
-            order = rng.permutation(count)
-            u = rng.random(count)
+            times, u = rng.random((2, count))
             pick = rng.integers(0, 4, count)
-            for k in range(count):
-                cell = order[k]
-                if bits[cell] < 0 and u[k] < prob:
-                    e = cells[cell, pick[k]]
+            for cell in visit_order(times if clock is None else clock(times)):
+                if bits[cell] < 0 and u[cell] < prob:
+                    e = cells[cell, pick[cell]]
                     a, b = edge_cells[e]
                     bits[a] = -bits[a]
                     bits[b] = -bits[b]
@@ -191,27 +200,31 @@ def syndrome_mc_reference(lattice, params, indices, tag=0):
 def sweep_loop_reference(lattice, bits, prob, rngs, sizes):
     """One Monte Carlo sweep of every row of the (rows, cells) int8 ``bits``
     (plaquette columns, then star columns), a block of ``sizes`` rows per
-    generator, resolved one position of the sweep at a time.
+    generator, resolved one visit of the sweep at a time.
 
-    Per block and kind the draws are the visit order, the uniforms and the
-    edge picks; the visit at position k flips its cell's picked edge iff the
-    cell reads -1 then and u < prob, toggling both cells of that edge.
+    Per block and kind the draws are a visit time and a flip uniform per
+    (row, cell), one ``(2, rows, cells)`` draw, then an edge pick per (row,
+    cell).  The k-th visit of a row (:func:`visit_order`) flips its cell's
+    picked edge iff the cell reads -1 then and its u < prob, toggling both
+    cells of that edge.
     """
     flat = bits.reshape(-1)
     base = np.arange(bits.shape[0]) * bits.shape[1]
+    rows_at = np.arange(bits.shape[0])
     n_p = lattice.n_plaquettes
     for offset, cells in ((0, lattice.plaquettes), (n_p, lattice.stars)):
         count = len(cells)
         # both cells of a cell's pick-th edge, as columns of ``bits``
         ends = offset + edge_cells(cells)[np.asarray(cells)]
-        draws = [(rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1),
-                  rng.random((rows, count)), rng.integers(0, 4, (rows, count)))
+        draws = [(*rng.random((2, rows, count)), rng.integers(0, 4, (rows, count)))
                  for rng, rows in zip(rngs, sizes)]
-        order, u, pick = (np.vstack(d) for d in zip(*draws))
+        times, u, pick = (np.vstack(d) for d in zip(*draws))
+        order = visit_order(times)
         for k in range(count):
-            hit = np.flatnonzero((flat[base + offset + order[:, k]] < 0) & (u[:, k] < prob))
+            cell = order[:, k]
+            hit = np.flatnonzero((flat[base + offset + cell] < 0) & (u[rows_at, cell] < prob))
             # rows are disjoint and an edge's two cells differ: no repeated index
-            toggled = (base[hit, None] + ends[order[hit, k], pick[hit, k]]).ravel()
+            toggled = (base[hit, None] + ends[cell[hit], pick[hit, cell[hit]]]).ravel()
             flat[toggled] = -flat[toggled]
 
 
@@ -286,9 +299,10 @@ def trajectory_energies_reference(lattice, params, blocks):
     its rows at once.  Per kind of cell, plaquettes then stars, a row's start
     syndromes are i.i.d. excited with probability q_init, then one uniformly
     chosen one is flipped if their product is -1.  Then per sweep and kind
-    come the visit order, the readout uniforms and the pump picks, each
-    (rows, cells); a row's cycle at sweep position k reads its pick and its
-    uniform u through a :class:`ScriptedRng`.  The cycle's measurement reads
+    come the visit times and the readout uniforms, one (2, rows, cells)
+    draw, and the pump picks, (rows, cells); a row visits its cells in
+    :func:`visit_order`, and the cycle at cell c reads the row's pick and
+    uniform u of c through a :class:`ScriptedRng`.  The cycle's measurement reads
     the ancilla 0 iff its uniform is below that outcome's probability, so the
     script hands it 1 - u, and the ancilla reads 1 (a flip) iff u < p_flip,
     up to ties.
@@ -318,12 +332,12 @@ def trajectory_energies_reference(lattice, params, blocks):
         for _ in range(params.n_steps):
             for cells, kind in sweep:
                 count = len(cells)
-                order = rng.permuted(np.tile(np.arange(count), (rows, 1)), axis=1)
-                u, pick = rng.random((rows, count)), rng.integers(0, 4, (rows, count))
+                times, u = rng.random((2, rows, count))
+                pick = rng.integers(0, 4, (rows, count))
                 for r, state in enumerate(states):
-                    for k in range(count):
-                        cooling_cycle_trajectory(state, cells[order[r, k]], theta,
-                                                 ScriptedRng(pick[r, k], 1.0 - u[r, k]), kind=kind)
+                    for c in visit_order(times[r]):
+                        cooling_cycle_trajectory(state, cells[c], theta,
+                                                 ScriptedRng(pick[r, c], 1.0 - u[r, c]), kind=kind)
             for state, row in zip(states, energies):
                 row.append(state.expectation(h))
         out += energies

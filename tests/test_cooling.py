@@ -323,8 +323,8 @@ def test_sampled_config_parity():
 def _one_row_sweep(lattice, config, theta, rng):
     # one Monte Carlo sweep of a single row of syndrome bits on ``rng``
     bits = config.copy()[None]
-    cooling._sweep(bits, cooling._kinds(lattice), flip_probability(theta),
-                   [rng], [1])
+    cooling._sweep(bits, cooling._tables(cooling._kinds(lattice), 1, 1),
+                   flip_probability(theta), [rng], [1])
     return bits[0]
 
 
@@ -464,14 +464,18 @@ def _rows_per_energy_call(monkeypatch, lattice, params, blocks):
     return cooling._trajectory_energies(lattice, params, blocks), counts
 
 
-def test_ground_start_leaves_the_live_set_after_one_sweep(monkeypatch):
+def test_ground_start_makes_no_sweep_draws(monkeypatch):
     # a ground-sector row reads P- psi = 0 at every position, so it never
-    # acts: after the first sweep no row reaches the kernel, and each energy
-    # is carried forward bit for bit
+    # acts: a q_init = 0 start enters no live set, each block makes its start
+    # draws (two calls per kind) and no sweep draw, and each energy is
+    # carried forward bit for bit
+    stream, calls = cooling._stream, []
+    monkeypatch.setattr(cooling, "_stream", lambda *key: _CountingRng(stream(*key), calls))
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=70,
                            q_init=0.0, seed=9)
     energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(2))
-    assert counts == [128] + [0] * 20 + [12] + [0] * 20
+    assert counts == [128, 12]
+    assert calls == ["random", "integers"] * 2 * 2
     assert np.array_equal(energies, np.broadcast_to(energies[..., :1], energies.shape))
     assert np.allclose(energies, -8.0, atol=1e-12)
 
@@ -481,11 +485,12 @@ def test_live_rows_follow_the_monte_carlo_energies(monkeypatch, seed):
     # the benchmark's compare size: a row acts in a sweep iff it starts the
     # sweep off the ground sector, so after sweep t the energies are computed
     # for exactly the rows whose Monte Carlo energy after sweep t - 1 is above
-    # -8, over both thetas
+    # -8, over both thetas, and for none once no row is left
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50, seed=seed)
     mc = cooling._mc_energies(LATTICE, params, np.arange(1))
     energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(1))
-    assert counts == [100] + [int((mc[..., t] > -8.0).sum()) for t in range(20)]
+    excited = [int((mc[..., t] > -8.0).sum()) for t in range(20)]
+    assert counts == [100] + [count for count in excited if count]
     assert np.max(np.abs(energies - mc)) <= 1e-9
 
 
@@ -909,6 +914,30 @@ def test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init):
     blocks = np.arange(params.n_trajectories)
     assert np.array_equal(cooling._mc_energies(lattice, params, blocks)[0],
                           syndrome_mc_reference(lattice, params, blocks))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4)])
+@pytest.mark.parametrize("grid", [1, 4])
+def test_tied_visit_times_go_to_the_lower_cell(monkeypatch, shape, grid):
+    # visit times cut to ``grid`` values (1: all equal) tie often: the Monte
+    # Carlo must make the moves of the scalar loop that visits tied cells
+    # lowest first, bit for bit, and the trajectory engine must follow it
+    def clock(times):
+        return np.floor(times * grid) / grid
+
+    draws = cooling._draws
+    monkeypatch.setattr(cooling, "_draws", lambda *args: [
+        clock(d) if k == 0 else d for k, d in enumerate(draws(*args))])
+    monkeypatch.setattr(cooling, "BLOCK", 1)
+    lattice = ToricLattice.build(*shape)
+    params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=20,
+                           q_init=0.5, seed=53)
+    blocks = np.arange(params.n_trajectories)
+    mc = cooling._mc_energies(lattice, params, blocks)[0]
+    assert np.array_equal(mc, syndrome_mc_reference(lattice, params, blocks, clock=clock))
+    if shape == (2, 2):
+        trajectories = cooling._trajectory_energies(lattice, params, blocks)[0]
+        assert np.max(np.abs(trajectories - mc)) <= 1e-9
 
 
 def test_mc_independent_of_workers_and_batch_size(monkeypatch):

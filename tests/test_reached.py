@@ -10,6 +10,12 @@ profile.  A ``def`` in ``src/rydsim/*.py``, at any nesting, that no line
 calls fails the test, named by module and qualified name, unless
 :data:`ALLOWED` or the benchmark's traced targets cover it.  Such code is
 an oracle, which belongs in ``tests/``, or dead.
+
+The same run pins every line's output bytes: its sha256 must be the one in
+:data:`DIGESTS`, and the test names each line whose digest changed.  A
+change that moves some output on purpose updates its digest and says so.
+The :data:`WORKER_LINES` run again at two workers and must write the same
+bytes.
 """
 
 import ast
@@ -58,26 +64,95 @@ LINES = [
     "dump-hamiltonian --model hubbard-local --lx 2 --ly 2",
     "dump-hamiltonian --model aux --lx 2 --ly 2",
     "gate-fidelity --config {config}",
+    # three RNG blocks each: run again at two workers, where they split
+    "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130",
+    "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 4 --trajectories 130",
 ]
+
+#: the lines that run again at RYDSIM_WORKERS=2, after the profile is off
+WORKER_LINES = LINES[-2:]
+
+#: sha256 of each line's output at --seed 0 (the default) and one worker
+DIGESTS = {
+    "toric-cool --engine syndrome --lx 3 --ly 2 --theta pi,pi/2 --steps 3 --trajectories 70":
+        "f56d55438795a2a3ec3860f944cb6fb2e32ac953b42a1f5124dfa32c07b3cc6c",
+    "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 2 --trajectories 3":
+        "a68401e3ae5b2122e2390eaacca2a24f97b4f935b654068930a11926b4b66ceb",
+    "toric-cool --engine compare --lx 2 --ly 2 --theta pi --steps 2 --trajectories 4":
+        "69c2f4c22da0e1131bdba111f5c870bda288a63f5d07f64872ad5281cd917a3b",
+    "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
+        "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
+    "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
+        "e3a15cefb82c0781229334f6cc19a5ec3748f3a7356aa214dc4392613143aa8f",
+    "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2":
+        "16e935236e263deadbc1c013f142733de6b9e178bb93836b13ac23fe09474857",
+    "heisenberg --lx 3 --ly 2 --jz 0.5 --field 0.3 --tau 0.1 --steps 2 --observables y1":
+        "bac27d644c8c6f18eb504fcdb3113ab1bf9cc579441ebb052220cb11b4a457a5",
+    "heisenberg --lx 3 --tau 0.1 --steps 1 --order 2":
+        "e9a6182f8aa9ed8d1cc6585c6bdc5a19d8587542d3b2b583df3e0f7a43621908",
+    "hubbard-spectrum --lx 2 --ly 1 --spinful true --u 4 --encoding both":
+        "3d40de68edf094a46105d0eec1b8386d6ce969e8a6040fa204dde227ad1f979f",
+    "hubbard-spectrum --lx 2 --ly 2 --encoding jw":
+        "5c107f99927bed9705506d03f23d114318293f6e91c206c5fd44f8cd7de7d739",
+    "hubbard-spectrum --lx 2 --ly 2 --encoding fock":
+        "ac1f0b2fbc43c7cb729914c7a4d7af16cef4a33f81897ae1aa468bc0bfbbca97",
+    "hubbard-spectrum --lx 2 --ly 2 --encoding local":
+        "44097a2297d4f8902a6924c9edf725be83b20fb7e86bb09703caebda200972f0",
+    "gate-fidelity --durations 13.1 --blockade 20":
+        "725205460fd71e8a4ccc24cab1f7e46172c09ff4c5dd15eec40061f8829aad43",
+    "dump-hamiltonian --model toric --lx 2 --ly 2":
+        "8302dfa3b6fe42ab1aac429c36ab46dd33eeba66f6c53c0fde489a94217c2cbb",
+    "dump-hamiltonian --model heisenberg --lx 3 --ly 2":
+        "e63329b3436c5148be8ee564f416bc1f006986ea1b04dcae01d2eb2cb6f067d2",
+    "dump-hamiltonian --model hubbard-jw --lx 2 --ly 2 --spinful true":
+        "f6ba5b15b3056f2f4b3212f4ebf35e3ef9a80466a98dcf741346ac742402fc9c",
+    "dump-hamiltonian --model hubbard-local --lx 2 --ly 2":
+        "4bd1f0246948deb60298f41b5f82018906b9d2650838917fbc5a4886246567b4",
+    "dump-hamiltonian --model aux --lx 2 --ly 2":
+        "e444e5118d02a9cee161de972e2d8800ada6e4dc707036bcd90757ce6115fdf4",
+    "gate-fidelity --config {config}":
+        "cdf19cb7a31b10ee6f00f5f5c9a899ee701a20c5b855944eaf373e33d4c0a05a",
+    "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130":
+        "e1eb0ad8e824e71f45003e341b2d8c81627a069f8d1e3291c17bfd4dab405687",
+    "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 4 --trajectories 130":
+        "bee98b7d83401ddaac7be19faad54053ff8bebb876300e22e9998fc7c383c65e",
+}
+
+#: thread-count variables of the BLAS libraries numpy may load
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CONFIG = "command = gate-fidelity\ndurations = 13.1, 26.2\nblockade = inf\n"
 
 SCRIPT = """
-import json, os, sys
-package, lines, out = json.loads(sys.argv[1])
+import hashlib, json, os, sys
+package, lines, worker_lines, out = json.loads(sys.argv[1])
 called = set()
 
 def profile(frame, event, arg):
     if event == "call" and frame.f_code.co_filename.startswith(package):
         called.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
 
+def run(lines, tag):
+    paths = [os.path.join(out, "%s%d.csv" % (tag, k)) for k in range(len(lines))]
+    return [rydsim.cli.main(line.split() + ["--out", path])
+            for line, path in zip(lines, paths)], paths
+
 os.environ["RYDSIM_WORKERS"] = "1"
 sys.setprofile(profile)
 import rydsim.cli
-statuses = [rydsim.cli.main(line.split() + ["--out", os.path.join(out, "%d.csv" % k)])
-            for k, line in enumerate(lines)]
+statuses, paths = run(lines, "")
 sys.setprofile(None)
-print(json.dumps({"statuses": statuses, "called": sorted(called)}))
+os.environ["RYDSIM_WORKERS"] = "2"
+worker_statuses, worker_paths = run(worker_lines, "w")
+
+def digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+print(json.dumps({"statuses": statuses, "called": sorted(called),
+                  "digests": [digest(path) for path in paths],
+                  "worker_statuses": worker_statuses,
+                  "worker_digests": [digest(path) for path in worker_paths]}))
 """
 
 
@@ -117,9 +192,12 @@ def profile_lines(package: Path, tmp_path: Path) -> dict:
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG)
     lines = [line.format(config=config) for line in LINES]
-    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    # one BLAS thread: a threaded eigensolver may round differently, and the
+    # digests pin every byte
+    env = dict(os.environ, PYTHONPATH=str(package.parent), **dict.fromkeys(BLAS_THREADS, "1"))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([str(package), lines, str(tmp_path)])],
+        [sys.executable, "-c", SCRIPT,
+         json.dumps([str(package), lines, WORKER_LINES, str(tmp_path)])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -157,3 +235,15 @@ def test_allowed_names_are_defined():
 def test_every_function_runs_in_a_command(report):
     missing = unreached(PACKAGE, report)
     assert not missing, f"defined in src/rydsim but run by no command: {missing}"
+
+
+def test_every_output_has_its_pinned_digest(report):
+    changed = [line for line, digest in zip(LINES, report["digests"])
+               if DIGESTS.get(line) != digest]
+    assert not changed, f"outputs whose sha256 is not the pinned one: {changed}"
+
+
+def test_multi_block_outputs_are_independent_of_workers(report):
+    assert report["worker_statuses"] == [0] * len(WORKER_LINES)
+    assert report["worker_digests"] == [report["digests"][LINES.index(line)]
+                                        for line in WORKER_LINES]
