@@ -13,27 +13,21 @@
   trajectories reduce exactly to this process, trajectory by trajectory,
   which :func:`equivalence_check` certifies.
 
-A run is one :class:`CoolingParams`; both stochastic engines take its
-``thetas`` whole and return one :class:`Trace` per theta from one fan-out.
-
 One cooling cycle flips a violated stabilizer with probability
 sin^2(theta/2), which no energy scale enters, and leaves the ground sector
 exactly invariant; energies are in units of the stabilizer coupling E0 = 1.
 A sweep is each kind of cell in turn, plaquettes then stars; :func:`_kinds`
-is the one description of what a cycle acts on, per kind, and every engine
-reads it.
+is the one description of what a cycle acts on, per kind, for every engine.
 
-Both stochastic engines draw block b of :data:`BLOCK` trajectories of a
-run with seed s from one stream, ``SeedSequence(entropy=s, spawn_key=(0,
-b))``: its start syndromes (:func:`_sample_bits`), then per sweep and kind
-a visit time, uniform u and edge pick per (row, cell) (:func:`_draws`).
-A row visits its cells in increasing time, a uniformly random order, and
-a visit flips iff u < sin^2(theta/2) on an excited cell.  A run's thetas
-share these draws and advance together; work splits over processes in
-whole blocks, so results depend on neither the worker count, the batch
-size nor the other thetas.  The Monte Carlo solves each kind's sweep whole
-over the excited cells (:func:`_sweep`); the quantum trajectories advance
-a block's live (theta, row) states together, visit by visit.
+A run is one :class:`CoolingParams`.  Both stochastic engines take its
+``thetas`` whole, advance them together and return one :class:`Trace` per
+theta from one fan-out.  They read each random number as a pure function
+of its counter (:func:`_draws`, SplitMix64; Salmon et al., SC'11): sweep 0
+holds a trajectory's start syndromes (:func:`_sample_bits`), each later
+sweep a visit time, flip uniform u and edge pick per (trajectory, cell), so
+results depend on neither the worker count, the batch size nor the other
+thetas.  A row visits its cells in increasing time, a uniformly random
+order; a visit flips iff u < sin^2(theta/2) on an excited cell.
 """
 
 from __future__ import annotations
@@ -63,16 +57,16 @@ LINDBLAD_SUBSTEP_CAP = 10**5
 #: trajectory cap on the system register, the qubits the engine holds
 TRAJECTORY_QUBIT_CAP = 12
 
-#: trajectories per RNG stream, for both stochastic engines
+#: trajectories the trajectory engine advances together; fewest per process
 BLOCK = 64
 
 #: largest per-trajectory energy difference :func:`equivalence_check` passes
 MAX_ABS_DELTA = 1e-9
 
 #: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
-#: int8 bits (1 MB); a sweep from q_init 0.5 peaks near 34 bytes per
-#: row-cell at one theta and 19 at two, with the batch's buffers
-#: (tracemalloc, 64x64 torus, a full batch)
+#: int8 bits (1 MB); a sweep from q_init 0.5 peaks near 54 bytes per
+#: row-cell at one theta and 33 at two, its draws and indices at the flips
+#: counted (tracemalloc, 64x64 torus, a full batch)
 BATCH_ROW_CELLS = 1 << 20
 
 
@@ -136,13 +130,31 @@ class EquivalenceReport:
         return np.where(diff <= MAX_ABS_DELTA, 0.0, diff / np.maximum(sigma, 1e-300))
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, index)))
+def _draws(seed: int, lane: int, index: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1): the top 53 bits of SplitMix64's output from state
+    ``seed`` at counters ``3 * index + lane``, mix(seed + (counter + 1)
+    gamma) mod 2^64, an affine state in ``index`` (int64 >= 0).  Lanes 0-2
+    are a visit time, u and a pick; at sweep 0, a start uniform and, at a
+    kind's cell 0, its parity-repair pick."""
+    gamma = 0x9E3779B97F4A7C15  # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+    z = np.multiply(index.view(np.uint64), np.uint64(3 * gamma % 2**64))
+    z += np.uint64((seed + (lane + 1) * gamma) % 2**64)
+    spare = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=spare)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=spare)
+    z >>= np.uint64(11)
+    return np.multiply(z.view(np.int64), 2.0**-53, out=spare.view(float))
 
 
-def _block_rows(params: CoolingParams, blocks) -> list[int]:
-    """Trajectories in each of ``blocks`` (the last block may be partial)."""
-    return [min(BLOCK, params.n_trajectories - BLOCK * int(b)) for b in blocks]
+def _index(kinds, params: CoolingParams, rows: range, sweep=0) -> np.ndarray:
+    """(..., rows, cells) draw indices of trajectories ``rows`` at ``sweep``
+    (one or an array): cell c of a kind of ``count`` cells at ``offset`` in
+    trajectory t is at (sweep * cells + offset) * trajectories + t * count + c."""
+    cells, t = kinds[-1].offset + len(kinds[-1].cells), np.arange(rows.start, rows.stop)[:, None]
+    return np.concatenate([(sweep * cells + kind.offset) * params.n_trajectories + t * len(
+        kind.cells) + np.arange(len(kind.cells)) for kind in kinds], axis=-1)
 
 
 # ---------------------------------------------------------------------
@@ -164,12 +176,7 @@ def jump_operator(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
     return (0.5 * (OperatorSum.from_string(pump) @ interrogate)).normalized()
 
 
-def lindblad_integrate(
-    jumps,
-    gamma: float,
-    rho0: DensityMatrix,
-    t: float,
-) -> DensityMatrix:
+def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Integrate d rho/dt = gamma sum_k (c rho c+ - {c+c, rho}/2), H = 0.
 
     rho(t) = exp(t L) rho0, by the Taylor series of each of the fewest equal
@@ -183,9 +190,7 @@ def lindblad_integrate(
     if any(op.n_qubits != rho0.n_qubits for op in jumps):
         raise DimensionMismatchError("jump operators and state differ in qubit count")
     if rho0.n_qubits > LINDBLAD_QUBIT_CAP:
-        raise CapExceededError(
-            f"density-matrix integration capped at {LINDBLAD_QUBIT_CAP} qubits"
-        )
+        raise CapExceededError(f"density-matrix integration capped at {LINDBLAD_QUBIT_CAP} qubits")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError("gamma must be finite and non-negative")
     if not (math.isfinite(t) and t >= 0.0):
@@ -198,10 +203,8 @@ def lindblad_integrate(
     norms = sum(np.linalg.norm(c, 2) ** 2 for c in cs) + 2.0 * np.linalg.norm(anti, 2)
     bound = gamma * float(norms)  # a Python float: t * bound may overflow to inf
     if t * bound > LINDBLAD_SUBSTEP_CAP:
-        raise CapExceededError(
-            f"Lindblad integration needs {t * bound:.3g} substeps, "
-            f"capped at {LINDBLAD_SUBSTEP_CAP}"
-        )
+        raise CapExceededError(f"Lindblad integration needs {t * bound:.3g} substeps, "
+                               f"capped at {LINDBLAD_SUBSTEP_CAP}")
     substeps = max(1, math.ceil(t * bound))
     scale = gamma * t / substeps
     rho = rho0.matrix
@@ -248,115 +251,108 @@ def _kinds(lattice: ToricLattice) -> tuple[_Kind, ...]:
     return tuple(kinds)
 
 
-def _sample_bits(kinds, q_init: float, rngs, sizes) -> np.ndarray:
-    """(rows, cells) int8 rows of +-1 start syndromes, one column block per
-    kind, a block of ``sizes`` rows per generator: each bit i.i.d. excited
-    with probability q_init, then parity repaired by flipping one uniformly
-    chosen bit per violated product (both products are +1 on the torus)."""
-
-    def sample(rng, rows, count):
-        bits = np.where(rng.random((rows, count)) < q_init, -1, 1).astype(np.int8)
-        odd = np.flatnonzero((bits < 0).sum(axis=1) % 2)
-        bits[odd, rng.integers(count, size=len(odd))] *= -1
-        return bits
-
-    return np.vstack([np.hstack([sample(rng, rows, len(kind.cells)) for kind in kinds])
-                      for rng, rows in zip(rngs, sizes)])
-
-
-def _draws(count, rngs, sizes, out=None):
-    """One sweep's draws for a kind of ``count`` cells, a block of ``sizes``
-    rows per generator, each (rows, count), column c for cell c: visit times
-    and flip uniforms, one ``(2, rows, count)`` draw (into ``out`` if given),
-    then edge picks.  A row visits its cells by time, a tie to the lower cell."""
-    size = 2 * sum(sizes) * count
-    times, u = (np.empty(size) if out is None else out[:size]).reshape(2, -1, count)
-    for rng, first, last in zip(rngs, np.cumsum([0, *sizes]), np.cumsum(sizes)):
-        for half in (times, u):  # drawn in turn, a block's halves are its (2, rows, count) draw
-            rng.random(out=half[first:last])
-    picks = [rng.integers(0, 4, (rows, count)) for rng, rows in zip(rngs, sizes)]
-    return times, u, picks[0] if len(picks) == 1 else np.concatenate(picks)
-
-
-def _tables(kinds, rows: int, n_theta: int):
-    """:func:`_sweep`'s draws buffer and four int8 flags per (theta, row, cell)."""
-    size = rows * max(len(kind.cells) for kind in kinds)
-    return kinds, np.empty(2 * size), np.zeros((4, n_theta * size), dtype=np.int8)
-
-
-def _sweep(bits, tables, prob, rngs, sizes):
-    """One sweep of every row of ``bits``, a block of ``sizes`` rows per
-    generator, with its batch's :func:`_tables`; ``bits`` stacks a
-    ``sum(sizes)``-row slice per ``prob`` (a scalar or one per theta).
-
-    Per kind, for all (theta, row, cell) entries at once: a visit flips iff
-    it is a candidate (u < prob) and its cell reads excited, its start value
-    toggled by every flip visited before it (by time, then cell) whose picked
-    edge's other end it is.  The sequential sweep's flips are its unique fixed point.
-    From "candidate and excited at the start", each round re-reads the cells
-    the last round's changed flips toggle, settling one more link of the
-    longest chain; toggles are int8 counts (fast ``np.add.at``) read by parity.
-    """
-    kinds, draws, flags = tables
-    probs, n, one = np.atleast_1d(prob)[:, None], sum(sizes), np.int8(1)
+def _sample_bits(kinds, params: CoolingParams, rows: range) -> np.ndarray:
+    """(rows, cells) int8 +-1 start syndromes of trajectories ``rows``: each
+    excited iff its sweep-0 uniform is below q_init, then per kind parity
+    repaired by flipping the bit at floor(u count), u the kind's pick
+    uniform (both products are +1 on the torus)."""
+    index = _index(kinds, params, rows)
+    bits = np.where(_draws(params.seed, 0, index) < params.q_init, np.int8(-1), np.int8(1))
     for kind in kinds:
-        other, count = kind.other.ravel(), len(kind.other)
-        size, col = n * count, bits[:, kind.offset:kind.offset + count]  # size: entries per theta
-        times, u, pick = (d.ravel() for d in _draws(count, rngs, sizes, draws))
-        reads, cand, flips, moves = flags[:, :len(probs) * size]  # reads: start, then toggles
-        np.less(col, 0, out=reads.view(bool).reshape(col.shape))
-        np.less(u, probs, out=cand.view(bool).reshape(len(probs), size))
-        np.bitwise_and(cand, reads, out=flips)
-
-        def spread(at):  # ``at`` start or stop flipping: the later candidates they toggle
-            cell, draw = at % count, at % size
-            shift = other[4 * cell + pick[draw]] - cell
-            end = at + shift
-            np.add.at(moves, end, one)
-            then, now = times[draw + shift], times[draw]
-            return np.compress(((then > now) | ((then == now) & (shift > 0))) & cand[end], end)
-
-        hit = spread(np.flatnonzero(flips.view(bool)))
-        for _ in range(count + 1):
-            if not len(hit):
-                break
-            np.add.at(reads, hit, one)
-            hit = np.sort(hit)  # distinct, as np.unique is, without its slower hashing
-            hit = np.compress(np.concatenate(([True], hit[1:] != hit[:-1])), hit)
-            hit = np.compress((reads[hit] ^ flips[hit]) & one, hit)
-            flips[hit] ^= one
-            hit = spread(hit)
-        else:
-            raise RuntimeError("syndrome sweep did not reach its fixed point")
-        moves += flips  # a cell moves iff its own flip plus its toggles is odd
-        np.bitwise_and(moves, one, out=moves)
-        np.multiply(moves, -2, out=moves)  # 0 or -2, and x ^ -2 = -x for x = +-1
-        np.bitwise_xor(col, moves.reshape(col.shape), out=col)
-        moves.fill(0)
+        count = len(kind.cells)
+        odd = np.flatnonzero((bits[:, kind.offset:kind.offset + count] < 0).sum(axis=1) % 2)
+        pick = (_draws(params.seed, 1, index[odd, kind.offset]) * count).astype(np.int64)
+        bits[odd, kind.offset + pick] *= -1
+    return bits
 
 
-def _mc_energies(lattice, params, blocks):
-    """(thetas, rows, steps + 1) energies, each minus its row's syndrome sum:
-    each batch's initial bits are sampled once and swept at every theta on
-    the same draws."""
+def _tables(kinds, params: CoolingParams, rows: int, probs):
+    """:func:`_sweep`'s tables for ``rows`` trajectories at ``probs``: per
+    column, the shift to the other end of each pick, its draw index in
+    trajectory 0 and the step to the next; per row, its trajectory and flip
+    probability; and three int8 flags per (theta, trajectory, cell)."""
+    (lead, ahead), cells = _index(kinds, params, range(2)), len(kinds[-1].cells) + kinds[-1].offset
+    shift = np.concatenate([k.other.ravel() + k.offset for k in kinds]) - np.arange(cells).repeat(4)
+    return (shift, lead, ahead - lead, np.tile(np.arange(rows), len(probs)),
+            np.repeat(probs, rows), np.zeros((3, len(probs) * rows * cells), dtype=np.int8))
+
+
+def _sweep(bits, tables, params, sweep, first):
+    """Sweep ``sweep`` of ``bits``, a row per (theta, trajectory ``first``
+    on) of its batch's :func:`_tables`.  A flip toggles cells of its own kind
+    only, so all kinds are solved at once over the (theta, row, cell)
+    entries: a visit flips iff it is a candidate (u < prob) and its cell
+    reads excited, its start value toggled by every flip visited before it
+    (by time, then cell) whose picked edge's other end it is.  From
+    "candidate and excited at the start", each round re-reads the cells the
+    last round's changed flips toggle, settling one more link of the longest
+    chain until the flips are the sequential sweep's, the unique fixed point;
+    toggles are int8 counts read by parity.  Only u at excited and toggled
+    entries, times and picks at flips and times at their toggles are drawn.
+    """
+    shift, lead, width, row, prob, (reads, flips, moves) = tables
+    cells, seed, one = bits.shape[1], params.seed, np.int8(1)
+    lead = lead + first * width + sweep * cells * params.n_trajectories
+
+    def at(entries):  # (row of bits, column, draw index) of flat entries of bits
+        q = entries // cells  # floor division by a scalar is cheap, % is not
+        c = entries - q * cells
+        return q, c, lead[c] + row[q] * width[c]
+
+    def spread(start, q, c, index):  # flips that start or stop: the later candidates they toggle
+        step = shift[4 * c + (4.0 * _draws(seed, 2, index)).astype(np.int64)]
+        end, index = start + step, np.concatenate((index + step, index))
+        np.add.at(moves, end, one)
+        times = _draws(seed, 0, index)
+        then, now = times[:len(end)], times[len(end):]
+        later = (then > now) | ((then == now) & (step > 0))
+        end, q, index = (np.compress(later, a) for a in (end, q, index[:len(end)]))
+        return np.compress(_draws(seed, 1, index) < prob[q], end)  # u < prob
+
+    np.less(bits, 0, out=reads.view(bool).reshape(bits.shape))  # reads: start, then toggles
+    hit = np.flatnonzero(reads.view(bool))
+    q, c, index = at(hit)
+    keep = _draws(seed, 1, index) < prob[q]  # the first flips: excited candidates
+    hit, q, c, index = (np.compress(keep, a) for a in (hit, q, c, index))
+    flips[hit] = one
+    hit = spread(hit, q, c, index)
+    for _ in range(cells + 1):
+        if not len(hit):
+            break
+        np.add.at(reads, hit, one)
+        hit = np.sort(hit)  # distinct, as np.unique is, without its slower hashing
+        hit = np.compress(np.concatenate(([True], hit[1:] != hit[:-1])), hit)
+        hit = np.compress((reads[hit] ^ flips[hit]) & one, hit)
+        flips[hit] ^= one
+        hit = spread(hit, *at(hit))
+    else:
+        raise RuntimeError("syndrome sweep did not reach its fixed point")
+    moves += flips  # a cell moves iff its own flip plus its toggles is odd
+    np.bitwise_and(moves, one, out=moves)
+    np.multiply(moves, -2, out=moves)  # 0 or -2, and x ^ -2 = -x for x = +-1
+    np.bitwise_xor(bits, moves.reshape(bits.shape), out=bits)
+    moves.fill(0)
+    flips.fill(0)
+
+
+def _mc_energies(lattice, params, rows):
+    """(thetas, rows, steps + 1) energies of the trajectories ``rows``, each
+    minus its row's syndrome sum: each batch's initial bits are sampled once
+    and swept at every theta on the same draws."""
     kinds = _kinds(lattice)
-    probs = [flip_probability(theta) for theta in params.thetas]
-    per_batch = max(1, BATCH_ROW_CELLS
-                    // (len(probs) * BLOCK * sum(len(kind.cells) for kind in kinds)))
-    parts = []
-    for start in range(0, len(blocks), per_batch):
-        batch = blocks[start:start + per_batch]
-        rngs = [_stream(params.seed, int(b)) for b in batch]
-        rows = _block_rows(params, batch)
-        bits = np.tile(_sample_bits(kinds, params.q_init, rngs, rows), (len(probs), 1))
-        tables = _tables(kinds, sum(rows), len(probs))
-        out = np.empty((len(bits), params.n_steps + 1))
-        out[:, 0] = bits.sum(axis=1)
-        for step in range(1, params.n_steps + 1):
-            _sweep(bits, tables, probs, rngs, rows)
-            out[:, step] = bits.sum(axis=1)
-        parts.append(-out.reshape(len(probs), -1, params.n_steps + 1))
-    return np.concatenate(parts, axis=1)
+    probs = np.array([flip_probability(theta) for theta in params.thetas])
+    per_batch = max(1, BATCH_ROW_CELLS // (len(probs) * sum(len(k.cells) for k in kinds)))
+    out = np.empty((len(probs), len(rows), params.n_steps + 1))
+    for first in range(rows.start, rows.stop, per_batch):
+        batch = range(first, min(first + per_batch, rows.stop))
+        bits = np.tile(_sample_bits(kinds, params, batch), (len(probs), 1))
+        tables, at = _tables(kinds, params, len(batch), probs), first - rows.start
+        for step in range(params.n_steps + 1):
+            if step:
+                _sweep(bits, tables, params, step, first)
+            out[:, at:at + len(batch), step] = -bits.sum(axis=1, dtype=np.int32).reshape(
+                len(probs), -1)
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -391,8 +387,7 @@ def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
     lattice.
     """
     bits = np.asarray(bits)
-    signed = (bits == 1) | (bits == -1)
-    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not signed.all():
+    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not np.isin(bits, (1, -1)).all():
         raise ValueError("need one syndrome of +1 or -1 per plaquette and per star")
     amps, chains = _chains(lattice)
     for kind, chain in chains:
@@ -413,9 +408,8 @@ def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float
     qubit, |0>-prepared), apply the controlled pump flip on one of the four
     spins (uniformly random), unmap, measure the ancilla, pump it to |0>.
     Ground-sector states are exact fixed points; a violated stabilizer
-    flips with probability sin^2(theta/2).  The oracle of the trajectories.
-
-    Returns ``(state, flipped)``.
+    flips with probability sin^2(theta/2).  The oracle of the trajectories;
+    returns ``(state, flipped)``.
     """
     qubits = tuple(stabilizer_qubits)
     if len(qubits) != 4:
@@ -446,10 +440,11 @@ def _energies(psi, ham, acc, buf):
     return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
 
 
-def _trajectory_energies(lattice, params, blocks):
-    """(thetas, rows, steps + 1) energies of :func:`trajectory_run`.  Per block,
-    the rows start in the eigenstates of the Monte Carlo's start sampler and
-    advance on its sweep draws: at each position, its cell, pump pick and
+def _trajectory_energies(lattice, params, rows):
+    """(thetas, rows, steps + 1) energies of :func:`trajectory_run` for the
+    trajectories ``rows``.  Per block, the rows start in the eigenstates of
+    the Monte Carlo's start sampler and advance on its sweep draws, read for
+    a chunk of sweeps at once: at each position, its cell, pump pick and
     readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
 
@@ -469,13 +464,14 @@ def _trajectory_energies(lattice, params, blocks):
     pump_idx, pump_factor = tables([PauliString.single(n, e, kind.pump)
                                     for kind, cell in cells for e in cell], 4)
     steps, n_theta = params.n_steps, len(params.thetas)
-    rows = _block_rows(params, blocks)
-    out = np.empty((n_theta, sum(rows), steps + 1))
-    for b, size, first in zip(blocks, rows, np.cumsum([0] + rows)):
-        rng = _stream(params.seed, int(b))
+    out = np.empty((n_theta, len(rows), steps + 1))
+    for first in range(rows.start, rows.stop, BLOCK):
+        size = min(BLOCK, rows.stop - first)
+        # a chunk of sweeps reads at most 2^11 (sweep, row, cell) draws: tens of kB
+        chunk = max(1, (BATCH_ROW_CELLS >> 9) // (size * len(cells)))
         # theta-major rows in preallocated buffers, and no BLAS call, whose
         # blocking could make a row's bits depend on the other rows
-        starts = _sample_bits(kinds, params.q_init, [rng], [size])
+        starts = _sample_bits(kinds, params, range(first, first + size))
         psi = np.tile([state_from_config(lattice, row).amps for row in starts], (n_theta, 1))
         spare, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
         base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
@@ -495,42 +491,47 @@ def _trajectory_energies(lattice, params, blocks):
                 now = _energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
                 energy[live, step:] = now[:, None]  # carried forward until it next changes
             if step == steps or not len(psi):
-                break  # a block with no live row stops drawing: its stream is its own
+                break  # a block with no live row reads no further draws
+            if step % chunk == 0:  # each row's cells in visit order, kind by kind
+                at = _index(kinds, params, range(first, first + size),
+                            np.arange(step + 1, min(step + chunk, steps) + 1)[:, None, None])
+                times, u, pick = (_draws(params.seed, lane, at) for lane in range(3))
+                order = np.concatenate([kind.offset + np.argsort(  # a tie to the lower cell
+                    times[..., kind.offset:kind.offset + len(kind.cells)], axis=-1, kind="stable")
+                    for kind in kinds], axis=-1)
+                u, pick = (np.take_along_axis(d, order, axis=-1) for d in (u, pick))
+                visits = order, (4.0 * pick).astype(np.int64), u
             twice, image, at, start = (a[:len(psi)] for a in (spare, gathered, index, base))
             moved = np.zeros(len(psi), dtype=bool)
-            for kind in kinds:
-                times, u, pick = (d[live % size] for d in _draws(len(kind.cells), [rng], [size]))
-                order = np.argsort(times, axis=1, kind="stable")  # a tie to the lower cell
-                u, pick = (np.take_along_axis(d, order, axis=1).T for d in (u, pick))
-                for cell, edge, v in zip(kind.offset + order.T, pick, u):
-                    np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
-                    np.take(psi, at, out=image, mode="clip")
-                    image *= np.take(stab_factor, cell, axis=0, out=twice, mode="clip")
-                    np.subtract(psi, image, out=twice)  # 2 P- psi
-                    norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
-                    act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
-                    if not len(act):
-                        continue
-                    moved[act] = True
-                    jump = v[act] < flip[act] * (0.25 * norm[act])  # the Monte Carlo's rule
-                    # in the buffers: K1 up to its phase -i on the rows that jump, then K0
-                    # (complex by real on the float view) on those that stay, each over its
-                    # own norm; over sqrt(1 - p_flip), a norm rounded off 1 would grow by
-                    # 1 / cos^2(theta/2) at each stay on an excited cell
-                    stay, jumped = act[~jump], act[jump]
-                    go, to = (cell[jumped], edge[jumped]), at[:len(jumped)]
-                    kick = np.take(twice, np.add(pump_idx[go], start[jumped], out=to),
-                                   out=image[:len(jumped)], mode="clip")
-                    kick *= pump_factor[go]
-                    psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
-                                            out=kick.view(float)).view(complex)
-                    kept, rows = image[:len(stay)].view(float), twice[:len(stay)]
-                    np.take(twice, stay, axis=0, out=kept.view(complex), mode="clip")
-                    kept *= shrink[stay]
-                    kept += np.take(psi, stay, axis=0, out=rows, mode="clip").view(float)
-                    kept /= np.sqrt(np.square(kept, out=rows.view(float)).sum(axis=1))[:, None]
-                    psi[stay] = kept.view(complex)
-        out[:, first:first + size] = energy.reshape(n_theta, size, -1)
+            for cell, edge, v in zip(*(d[step % chunk, live % size].T for d in visits)):
+                np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
+                np.take(psi, at, out=image, mode="clip")
+                image *= np.take(stab_factor, cell, axis=0, out=twice, mode="clip")
+                np.subtract(psi, image, out=twice)  # 2 P- psi
+                norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
+                act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
+                if not len(act):
+                    continue
+                moved[act] = True
+                jump = v[act] < flip[act] * (0.25 * norm[act])  # the Monte Carlo's rule
+                # in the buffers: K1 up to its phase -i on the rows that jump, then K0
+                # (complex by real on the float view) on those that stay, each over its
+                # own norm; over sqrt(1 - p_flip), a norm rounded off 1 would grow by
+                # 1 / cos^2(theta/2) at each stay on an excited cell
+                stay, jumped = act[~jump], act[jump]
+                go, to = (cell[jumped], edge[jumped]), at[:len(jumped)]
+                kick = np.take(twice, np.add(pump_idx[go], start[jumped], out=to),
+                               out=image[:len(jumped)], mode="clip")
+                kick *= pump_factor[go]
+                psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
+                                        out=kick.view(float)).view(complex)
+                kept, held = image[:len(stay)].view(float), twice[:len(stay)]
+                np.take(twice, stay, axis=0, out=kept.view(complex), mode="clip")
+                kept *= shrink[stay]
+                kept += np.take(psi, stay, axis=0, out=held, mode="clip").view(float)
+                kept /= np.sqrt(np.square(kept, out=held.view(float)).sum(axis=1))[:, None]
+                psi[stay] = kept.view(complex)
+        out[:, first - rows.start:][:, :size] = energy.reshape(n_theta, size, -1)
     return out
 
 
@@ -539,15 +540,21 @@ def _trajectory_energies(lattice, params, blocks):
 # ---------------------------------------------------------------------
 
 def _fan_out(energies, lattice, params, workers):
-    """``energies(lattice, params, blocks)`` over all RNG blocks of the run,
-    split in whole blocks over up to ``workers`` processes, one per chunk."""
+    """``energies(lattice, params, rows)`` over the run's trajectories, split
+    in equal contiguous ranges over up to ``workers`` processes, at most one
+    per :data:`BLOCK` trajectories.  ``CapExceededError`` if a draw counter
+    would reach 2^63."""
+    n = params.n_trajectories
+    counters = 3 * (params.n_steps + 1) * (lattice.n_plaquettes + lattice.n_stars) * n
+    if counters >= 1 << 63:
+        raise CapExceededError(f"a run needs {counters} draw counters, capped at 2^63")
     run = partial(energies, lattice, params)
-    blocks = np.arange(-(-params.n_trajectories // BLOCK))
-    if workers <= 1 or len(blocks) < 2 or params.n_trajectories < 4 * workers:
-        return run(blocks)
+    chunks = min(workers, -(-n // BLOCK))
+    if chunks < 2:
+        return run(range(n))
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    chunks = [chunk for chunk in np.array_split(blocks, workers) if len(chunk)]
+    chunks = [range(n * k // chunks, n * (k + 1) // chunks) for k in range(chunks)]
     try:
         # under fork a pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -573,10 +580,8 @@ def trajectory_run(lattice: ToricLattice, params: CoolingParams, workers: int = 
 
     Each cycle applies its two-outcome map on the 2^n_edges system register
     (oracle: the circuit-level :func:`cooling_cycle_trajectory`), which must
-    fit :data:`TRAJECTORY_QUBIT_CAP` (up to the 3x2 torus).  A trajectory
-    starts in the stabilizer eigenstate of its sampled start syndromes
-    (:func:`state_from_config`).
-
+    fit :data:`TRAJECTORY_QUBIT_CAP` (up to the 3x2 torus), from the
+    eigenstate of its sampled start syndromes (:func:`state_from_config`).
     Per block, the live (theta, row) states advance together, each row in
     its visit order; only rows with P- psi != 0 apply K0 or K1.  A row in the
     ground sector, a fixed point of every later cycle, leaves with its
@@ -598,13 +603,12 @@ def equivalence_check(lattice: ToricLattice, params: CoolingParams,
     one report per theta: :func:`syndrome_mc_run` and :func:`trajectory_run`
     on the same ``params``.
 
-    The engines draw each trajectory from one stream and flip by one rule,
-    and a syndrome-definite state stays so, so each trajectory's energy at
-    each step must be the Monte Carlo's: a report passes iff none differs by
-    more than :data:`MAX_ABS_DELTA`.  Only rounding separates them.
+    The engines read the same draws and flip by one rule, and a
+    syndrome-definite state stays so, so each trajectory's energy at each
+    step must be the Monte Carlo's: a report passes iff none differs by more
+    than :data:`MAX_ABS_DELTA`.  Only rounding separates them.
     """
-    # the trajectory engine runs first: its cap fails the check before any
-    # MC work, and each engine opens its own generators, so order is free
+    # the trajectory engine runs first: its cap fails the check before any MC work
     trajectories = trajectory_run(lattice, params, workers)
     return [EquivalenceReport(mc, qt)
             for mc, qt in zip(syndrome_mc_run(lattice, params, workers), trajectories)]
@@ -621,13 +625,8 @@ def lindblad_reference_trace(theta: float, n_steps: int, q_init: float = 0.5) ->
     a_p = PauliString.from_label("XXXX")
     jump = jump_operator(a_p, PauliString.single(4, 0, "Z"))
     h_local = OperatorSum.from_string(a_p, -1.0)
-
-    a_mat = a_p.to_matrix()
-    proj_minus = 0.5 * (np.eye(16) - a_mat)
-    proj_plus = 0.5 * (np.eye(16) + a_mat)
-    rho0 = DensityMatrix(
-        q_init * proj_minus / 8.0 + (1.0 - q_init) * proj_plus / 8.0, copy=False
-    )
+    a, one = a_p.to_matrix(), np.eye(16)  # q_init P- / 8 + (1 - q_init) P+ / 8
+    rho0 = DensityMatrix((q_init * (one - a) + (1.0 - q_init) * (one + a)) / 16.0, copy=False)
     gamma = flip_probability(theta)
     rho, energies = rho0, [rho0.expectation(h_local)]
     for _ in range(n_steps):

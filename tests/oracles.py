@@ -151,81 +151,110 @@ def visit_order(times) -> np.ndarray:
     return np.lexsort((cells, times), axis=-1)
 
 
-def syndrome_mc_reference(lattice, params, indices, tag=0, clock=None):
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int, counter: int) -> int:
+    """SplitMix64's output at ``counter`` (0 is the first) from ``state``:
+    the mix of state + (counter + 1) * 0x9E3779B97F4A7C15, all mod 2^64
+    (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (state + (counter + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def cooling_draw(lattice, seed, trajectories, trajectory, sweep, kind, cell, lane):
+    """The uniform in [0, 1) a cooling run reads: the top 53 bits of
+    SplitMix64's output from state ``seed`` at counter ((sweep * cells +
+    offset) * trajectories + trajectory * count + cell) * 3 + lane, for
+    ``kind`` 0 (plaquettes, offset 0) or 1 (stars, after the plaquettes).
+    Lanes: 0 a visit time, 1 a flip uniform, 2 an edge pick; at sweep 0, 0
+    a start uniform and 1, at cell 0, the kind's parity-repair pick."""
+    cells = lattice.n_plaquettes + lattice.n_stars
+    offset, count = ((0, lattice.n_plaquettes) if kind == 0
+                     else (lattice.n_plaquettes, lattice.n_stars))
+    counter = ((sweep * cells + offset) * trajectories + trajectory * count + cell) * 3 + lane
+    return (splitmix64(seed, counter) >> 11) * 2.0**-53
+
+
+def _cooling_kinds(lattice):
+    """Per kind, plaquettes then stars: its cells' edges and each edge's two cells."""
+    return [(np.asarray(cells, dtype=np.int64), edge_cells(cells))
+            for cells in (lattice.plaquettes, lattice.stars)]
+
+
+def start_syndromes(lattice, params, trajectory, clock=None):
+    """One kind's +-1 start syndromes after the other, as int8: each excited
+    iff its start uniform is below q_init, then, if the kind's product is
+    -1, the syndrome at floor(u * count) flipped, u the kind's pick uniform.
+    ``clock``, if given, maps each lane-0 uniform to the one used."""
+    clock = clock or (lambda t: t)
+    rows = []
+    for kind, (cells, _) in enumerate(_cooling_kinds(lattice)):
+        def draw(cell, lane):
+            return cooling_draw(lattice, params.seed, params.n_trajectories, trajectory, 0,
+                                kind, cell, lane)
+        bits = [-1 if clock(draw(c, 0)) < params.q_init else 1 for c in range(len(cells))]
+        if bits.count(-1) % 2:
+            bits[int(draw(0, 1) * len(cells))] *= -1
+        rows += bits
+    return np.array(rows, dtype=np.int8)
+
+
+def sweep_draws(lattice, seed, trajectories, trajectory, sweep, kind, clock=None):
+    """One kind's draws for a trajectory at a sweep, one per cell: the cells
+    in :func:`visit_order` of their times (``clock``, if given, maps the
+    times to the ones used), and each cell's flip uniform and edge pick."""
+    count = lattice.n_plaquettes if kind == 0 else lattice.n_stars
+    times, u, pick = ([cooling_draw(lattice, seed, trajectories, trajectory, sweep, kind, c, lane)
+                       for c in range(count)] for lane in range(3))
+    times = np.array(times if clock is None else [clock(t) for t in times])
+    return visit_order(times), u, [int(4.0 * p) for p in pick]
+
+
+def syndrome_mc_reference(lattice, params, indices, clock=None):
     """Per-trajectory energies of the syndrome Monte Carlo, one scalar cell
-    visit at a time; trajectory k draws from stream ``(tag, k)``.  Per sweep
-    and kind of cell it draws a visit time and a flip uniform per cell (one
-    ``(2, cells)`` draw), then an edge pick per cell.  ``clock``, if given,
-    maps the drawn times to the ones used, so that a test can make them tie."""
-    p_edges = np.asarray(lattice.plaquettes, dtype=np.int64)
-    edge_pl = edge_cells(lattice.plaquettes)
-    s_edges = np.asarray(lattice.stars, dtype=np.int64)
-    edge_st = edge_cells(lattice.stars)
+    visit at a time, every draw from :func:`cooling_draw`: a trajectory's
+    :func:`start_syndromes`, then per sweep and kind its
+    :func:`sweep_draws`.  A visit to a cell reading -1 with u < p_flip flips
+    its picked edge, toggling both cells of it.  ``clock``, if given, maps
+    each lane-0 uniform to the one used, so that a test can make them tie."""
     (theta,) = params.thetas
     prob = math.sin(theta / 2.0) ** 2
-
-    def sample(rng, count):
-        bits = np.where(rng.random(count) < params.q_init, -1, 1).astype(np.int8)
-        if int(np.prod(bits)) == -1:
-            k = rng.integers(count)
-            bits[k] = -bits[k]
-        return bits
-
-    def sweep(pbits, sbits, rng):
-        for bits, cells, edge_cells in ((pbits, p_edges, edge_pl), (sbits, s_edges, edge_st)):
-            count = len(bits)
-            times, u = rng.random((2, count))
-            pick = rng.integers(0, 4, count)
-            for cell in visit_order(times if clock is None else clock(times)):
-                if bits[cell] < 0 and u[cell] < prob:
-                    e = cells[cell, pick[cell]]
-                    a, b = edge_cells[e]
-                    bits[a] = -bits[a]
-                    bits[b] = -bits[b]
-
+    kinds = _cooling_kinds(lattice)
     out = np.empty((len(indices), params.n_steps + 1))
     for row, k in enumerate(indices):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=params.seed, spawn_key=(tag, int(k)))
-        )
-        pbits = sample(rng, lattice.n_plaquettes)
-        sbits = sample(rng, lattice.n_stars)
-        out[row, 0] = -(pbits.sum() + sbits.sum())
+        bits = start_syndromes(lattice, params, int(k), clock)
+        parts = np.split(bits, [lattice.n_plaquettes])  # views: a kind's syndromes
+        out[row, 0] = -bits.sum()
         for step in range(1, params.n_steps + 1):
-            sweep(pbits, sbits, rng)
-            out[row, step] = -(pbits.sum() + sbits.sum())
+            for kind, (part, (cells, holders)) in enumerate(zip(parts, kinds)):
+                order, u, pick = sweep_draws(lattice, params.seed, params.n_trajectories,
+                                             int(k), step, kind, clock)
+                for cell in order:
+                    if part[cell] < 0 and u[cell] < prob:
+                        for end in holders[cells[cell, pick[cell]]]:
+                            part[end] = -part[end]
+            out[row, step] = -bits.sum()
     return out
 
 
-def sweep_loop_reference(lattice, bits, prob, rngs, sizes):
-    """One Monte Carlo sweep of every row of the (rows, cells) int8 ``bits``
-    (plaquette columns, then star columns), a block of ``sizes`` rows per
-    generator, resolved one visit of the sweep at a time.
-
-    Per block and kind the draws are a visit time and a flip uniform per
-    (row, cell), one ``(2, rows, cells)`` draw, then an edge pick per (row,
-    cell).  The k-th visit of a row (:func:`visit_order`) flips its cell's
-    picked edge iff the cell reads -1 then and its u < prob, toggling both
-    cells of that edge.
-    """
-    flat = bits.reshape(-1)
-    base = np.arange(bits.shape[0]) * bits.shape[1]
-    rows_at = np.arange(bits.shape[0])
-    n_p = lattice.n_plaquettes
-    for offset, cells in ((0, lattice.plaquettes), (n_p, lattice.stars)):
-        count = len(cells)
-        # both cells of a cell's pick-th edge, as columns of ``bits``
-        ends = offset + edge_cells(cells)[np.asarray(cells)]
-        draws = [(*rng.random((2, rows, count)), rng.integers(0, 4, (rows, count)))
-                 for rng, rows in zip(rngs, sizes)]
-        times, u, pick = (np.vstack(d) for d in zip(*draws))
-        order = visit_order(times)
-        for k in range(count):
-            cell = order[:, k]
-            hit = np.flatnonzero((flat[base + offset + cell] < 0) & (u[rows_at, cell] < prob))
-            # rows are disjoint and an edge's two cells differ: no repeated index
-            toggled = (base[hit, None] + ends[cell[hit], pick[hit, cell[hit]]]).ravel()
-            flat[toggled] = -flat[toggled]
+def sweep_loop_reference(lattice, bits, prob, seed, trajectories, sweep, first):
+    """Sweep ``sweep`` of the (rows, cells) int8 ``bits`` of trajectories
+    ``first`` on (plaquette columns, then star columns), each row one cell
+    visit at a time in the order of its :func:`sweep_draws`: a visit flips
+    its cell's picked edge iff the cell reads -1 then and its u < prob,
+    toggling both cells of that edge."""
+    offsets = (0, lattice.n_plaquettes)
+    for row, syndromes in enumerate(bits):
+        for kind, (offset, (cells, holders)) in enumerate(zip(offsets, _cooling_kinds(lattice))):
+            part = syndromes[offset:offset + len(cells)]
+            order, u, pick = sweep_draws(lattice, seed, trajectories, first + row, sweep, kind)
+            for cell in order:
+                if part[cell] < 0 and u[cell] < prob:
+                    for end in holders[cells[cell, pick[cell]]]:
+                        part[end] = -part[end]
 
 
 def syndrome_chain_exact(lattice, theta, q_init, steps):
@@ -290,19 +319,15 @@ class ScriptedRng:
         return self.u
 
 
-def trajectory_energies_reference(lattice, params, blocks):
+def trajectory_energies_reference(lattice, params, indices):
     """Per-trajectory energies of the circuit-level quantum trajectories.
 
     The register holds the system plus one ancilla (the top qubit), and
-    every cycle is one ``cooling_cycle_trajectory`` call.  Block b (64
-    trajectories, the last block partial) draws on stream ``(0, b)`` for all
-    its rows at once.  Per kind of cell, plaquettes then stars, a row's start
-    syndromes are i.i.d. excited with probability q_init, then one uniformly
-    chosen one is flipped if their product is -1.  Then per sweep and kind
-    come the visit times and the readout uniforms, one (2, rows, cells)
-    draw, and the pump picks, (rows, cells); a row visits its cells in
-    :func:`visit_order`, and the cycle at cell c reads the row's pick and
-    uniform u of c through a :class:`ScriptedRng`.  The cycle's measurement reads
+    every cycle is one ``cooling_cycle_trajectory`` call.  Trajectory k
+    starts in the eigenstate of its :func:`start_syndromes`; per sweep and
+    kind of cell, plaquettes then stars, it visits the cells in the order of
+    its :func:`sweep_draws`, and the cycle at cell c reads c's pick and
+    uniform u through a :class:`ScriptedRng`.  The cycle's measurement reads
     the ancilla 0 iff its uniform is below that outcome's probability, so the
     script hands it 1 - u, and the ancilla reads 1 (a flip) iff u < p_flip,
     up to ties.
@@ -317,28 +342,16 @@ def trajectory_energies_reference(lattice, params, blocks):
                      for c, s in build_toric(lattice.lx, lattice.ly)[0]], n)
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
     out = []
-    for b in blocks:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=params.seed, spawn_key=(0, int(b)))
-        )
-        rows, starts = min(64, params.n_trajectories - 64 * int(b)), []
-        for cells, _ in sweep:
-            bits = np.where(rng.random((rows, len(cells))) < params.q_init, -1, 1)
-            odd = np.flatnonzero((bits < 0).sum(axis=1) % 2)
-            bits[odd, rng.integers(len(cells), size=len(odd))] *= -1
-            starts.append(bits)
-        states = [with_ancilla(state_from_config(lattice, row)) for row in np.hstack(starts)]
-        energies = [[state.expectation(h)] for state in states]
-        for _ in range(params.n_steps):
-            for cells, kind in sweep:
-                count = len(cells)
-                times, u = rng.random((2, rows, count))
-                pick = rng.integers(0, 4, (rows, count))
-                for r, state in enumerate(states):
-                    for c in visit_order(times[r]):
-                        cooling_cycle_trajectory(state, cells[c], theta,
-                                                 ScriptedRng(pick[r, c], 1.0 - u[r, c]), kind=kind)
-            for state, row in zip(states, energies):
-                row.append(state.expectation(h))
-        out += energies
+    for k in indices:
+        state = with_ancilla(state_from_config(lattice, start_syndromes(lattice, params, int(k))))
+        energies = [state.expectation(h)]
+        for step in range(1, params.n_steps + 1):
+            for kind, (cells, name) in enumerate(sweep):
+                order, u, pick = sweep_draws(lattice, params.seed, params.n_trajectories,
+                                             int(k), step, kind)
+                for c in order:
+                    cooling_cycle_trajectory(state, cells[c], theta,
+                                             ScriptedRng(pick[c], 1.0 - u[c]), kind=name)
+            energies.append(state.expectation(h))
+        out.append(energies)
     return np.array(out)

@@ -342,7 +342,7 @@ def test_compare_exits_1_when_the_engines_differ(monkeypatch, capsys):
 
 
 def test_compare_csv_is_independent_of_workers(tmp_path, monkeypatch):
-    # 150 trajectories: two full blocks and a partial one, split over processes
+    # 150 trajectories: two processes take 75 each
     text = {}
     for workers in ("1", "2"):
         monkeypatch.setenv("RYDSIM_WORKERS", workers)
@@ -355,7 +355,7 @@ def test_compare_csv_is_independent_of_workers(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("engine", ["compare", "trajectory"])
 def test_quantum_engine_csv_is_independent_of_workers(tmp_path, monkeypatch, engine):
-    # 130 trajectories: three RNG blocks, whose live sets shrink apart, split
+    # 130 trajectories: blocks of 64 whose live sets shrink apart, split 65/65
     # over two processes
     text = {}
     for workers in ("1", "2"):
@@ -524,7 +524,7 @@ def test_lindblad_engine_rejects_more_trajectories(capsys, trajectories):
 
 
 def test_syndrome_csv_independent_of_workers(monkeypatch, tmp_path):
-    # 150 trajectories span three RNG blocks, so two workers split them
+    # 150 trajectories: two workers take 75 each
     args = ["toric-cool", "--lx", "3", "--ly", "3", "--theta", "pi,pi/4",
             "--steps", "4", "--trajectories", "150", "--engine", "syndrome",
             "--seed", "5"]
@@ -538,7 +538,7 @@ def test_syndrome_csv_independent_of_workers(monkeypatch, tmp_path):
 
 
 def test_trajectory_csv_independent_of_workers(monkeypatch, tmp_path):
-    # 130 trajectories span three RNG blocks, so two workers split them
+    # 130 trajectories: two workers take 65 each
     args = ["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi,pi/2",
             "--steps", "2", "--trajectories", "130", "--engine", "trajectory",
             "--seed", "5"]

@@ -28,17 +28,23 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import (ScriptedRng, lindblad_reference, random_label, sweep_loop_reference,
-                     syndrome_chain_exact, syndrome_mc_reference, trajectory_energies_reference,
-                     with_ancilla)
+from oracles import (ScriptedRng, cooling_draw, lindblad_reference, random_label,
+                     splitmix64, start_syndromes, sweep_loop_reference, syndrome_chain_exact,
+                     syndrome_mc_reference, trajectory_energies_reference, with_ancilla)
 
 
 LATTICE = ToricLattice.build(2, 2)
 H_TORIC, _ = build_toric(2, 2)
 
 
+def _seeded(rng, theta=np.pi, q_init=0.5):
+    # one trajectory of one sweep, at a seed drawn from ``rng``
+    return CoolingParams(thetas=(theta,), n_steps=1, n_trajectories=1, q_init=q_init,
+                         seed=int(rng.integers(1 << 63)))
+
+
 def sample_syndrome_config(lattice, q_init, rng):
-    return cooling._sample_bits(cooling._kinds(lattice), q_init, [rng], [1])[0]
+    return cooling._sample_bits(cooling._kinds(lattice), _seeded(rng, q_init=q_init), range(1))[0]
 
 
 def _parity_ok(bits, lattice=LATTICE):
@@ -321,10 +327,10 @@ def test_sampled_config_parity():
 
 
 def _one_row_sweep(lattice, config, theta, rng):
-    # one Monte Carlo sweep of a single row of syndrome bits on ``rng``
-    bits = config.copy()[None]
-    cooling._sweep(bits, cooling._tables(cooling._kinds(lattice), 1, 1),
-                   flip_probability(theta), [rng], [1])
+    # one Monte Carlo sweep of a single row of syndrome bits, at a seed from ``rng``
+    bits, params = config.copy()[None], _seeded(rng, theta)
+    tables = cooling._tables(cooling._kinds(lattice), params, 1, [flip_probability(theta)])
+    cooling._sweep(bits, tables, params, 1, 0)
     return bits[0]
 
 
@@ -451,7 +457,7 @@ def test_trajectory_ground_start_flat():
     assert np.allclose(trace.mean_energy, -8.0, atol=1e-9)
 
 
-def _rows_per_energy_call(monkeypatch, lattice, params, blocks):
+def _rows_per_energy_call(monkeypatch, lattice, params, rows):
     """The trajectory energies, and the row count of each ``_energies`` call:
     the start, then after each sweep the rows that acted in it, which are
     the rows the next sweep runs."""
@@ -461,21 +467,25 @@ def _rows_per_energy_call(monkeypatch, lattice, params, blocks):
         counts.append(len(psi))
         return energies(psi, *args)
     monkeypatch.setattr(cooling, "_energies", counted)
-    return cooling._trajectory_energies(lattice, params, blocks), counts
+    return cooling._trajectory_energies(lattice, params, rows), counts
 
 
 def test_ground_start_makes_no_sweep_draws(monkeypatch):
     # a ground-sector row reads P- psi = 0 at every position, so it never
-    # acts: a q_init = 0 start enters no live set, each block makes its start
-    # draws (two calls per kind) and no sweep draw, and each energy is
-    # carried forward bit for bit
-    stream, calls = cooling._stream, []
-    monkeypatch.setattr(cooling, "_stream", lambda *key: _CountingRng(stream(*key), calls))
+    # acts: a q_init = 0 start enters no live set, each block reads its start
+    # draws and no sweep draw, and each energy is carried forward bit for bit
+    draws, read = cooling._draws, []
+
+    def logged(seed, lane, index):
+        read.append(index)
+        return draws(seed, lane, index)
+    monkeypatch.setattr(cooling, "_draws", logged)
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=70,
                            q_init=0.0, seed=9)
-    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(2))
+    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, range(70))
     assert counts == [128, 12]
-    assert calls == ["random", "integers"] * 2 * 2
+    # sweep 0's indices are those below cells * trajectories
+    assert read and max(index.max(initial=0) for index in read) < 8 * 70
     assert np.array_equal(energies, np.broadcast_to(energies[..., :1], energies.shape))
     assert np.allclose(energies, -8.0, atol=1e-12)
 
@@ -487,8 +497,8 @@ def test_live_rows_follow_the_monte_carlo_energies(monkeypatch, seed):
     # for exactly the rows whose Monte Carlo energy after sweep t - 1 is above
     # -8, over both thetas, and for none once no row is left
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50, seed=seed)
-    mc = cooling._mc_energies(LATTICE, params, np.arange(1))
-    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, np.arange(1))
+    mc = cooling._mc_energies(LATTICE, params, range(50))
+    energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, range(50))
     excited = [int((mc[..., t] > -8.0).sum()) for t in range(20)]
     assert counts == [100] + [count for count in excited if count]
     assert np.max(np.abs(energies - mc)) <= 1e-9
@@ -520,7 +530,7 @@ def test_compare_cap_fails_before_any_engine_runs(monkeypatch):
 
 
 def test_trajectory_independent_of_workers():
-    # 150 trajectories: two full RNG blocks of 64 and a partial one
+    # 150 trajectories: three workers take 50 each, two blocks of 64 and 22 serially
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=2, n_trajectories=150,
                            q_init=0.5, seed=23)
     serial = trajectory_run(LATTICE, params, workers=1)[0]
@@ -531,7 +541,7 @@ def test_trajectory_independent_of_workers():
 
 def test_fan_out_starts_one_process_per_chunk(monkeypatch):
     # under fork the first submit starts every worker a pool may have, so the
-    # pool is sized to its chunks: 256 trajectories are 4 blocks, not 64 tasks
+    # pool is sized to its chunks: 256 trajectories are 4 chunks of 64, not 64 tasks
     import concurrent.futures
     sizes = []
 
@@ -553,7 +563,7 @@ def test_fan_out_starts_one_process_per_chunk(monkeypatch):
                            q_init=0.5, seed=4)
     pooled = cooling._fan_out(cooling._mc_energies, LATTICE, params, workers=64)
     assert sizes == [4]
-    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, params, np.arange(4)))
+    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, params, range(256)))
 
 
 def test_trajectory_matches_lindblad_small_theta():
@@ -593,13 +603,12 @@ def _q_init_id(q_init):
 @pytest.mark.parametrize("theta", [np.pi, np.pi / 2, 0.3])
 @pytest.mark.parametrize("q_init", [0.5, 0.3, 0.0, 1.0], ids=_q_init_id)
 def test_trajectory_engine_matches_circuit_oracle(theta, q_init):
-    # 130 trajectories: two full RNG blocks and a partial one; the system-
-    # register engine must make the circuit's draws and flip decisions
+    # 130 trajectories: two full blocks and a partial one; the system-
+    # register engine must read the circuit's draws and make its flip decisions
     params = CoolingParams(thetas=(theta,), n_steps=5, n_trajectories=130,
                            q_init=q_init, seed=19)
-    blocks = np.arange(3)
-    engine = cooling._trajectory_energies(LATTICE, params, blocks)[0]
-    oracle = trajectory_energies_reference(LATTICE, params, blocks)
+    engine = cooling._trajectory_energies(LATTICE, params, range(130))[0]
+    oracle = trajectory_energies_reference(LATTICE, params, range(130))
     assert engine.shape == oracle.shape == (130, 6)
     assert np.max(np.abs(engine - oracle)) <= 1e-9
 
@@ -609,9 +618,8 @@ def test_trajectory_engine_matches_circuit_oracle_on_3x2():
     lattice = ToricLattice.build(3, 2)
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=3, n_trajectories=5,
                            q_init=0.5, seed=19)
-    blocks = np.arange(1)
-    engine = cooling._trajectory_energies(lattice, params, blocks)[0]
-    oracle = trajectory_energies_reference(lattice, params, blocks)
+    engine = cooling._trajectory_energies(lattice, params, range(5))[0]
+    oracle = trajectory_energies_reference(lattice, params, range(5))
     assert engine.shape == oracle.shape == (5, 4)
     assert np.max(np.abs(engine - oracle)) <= 1e-9
 
@@ -625,60 +633,41 @@ def test_batched_thetas_match_circuit_oracle_per_theta(n_trajectories, n_steps, 
     # one-row batch, 65 a full block plus a one-row partial block
     params = CoolingParams(thetas=(np.pi, np.pi / 2, 0.3), n_steps=n_steps,
                            n_trajectories=n_trajectories, q_init=q_init, seed=37)
-    blocks = np.arange(-(-n_trajectories // cooling.BLOCK))
-    engine = cooling._trajectory_energies(LATTICE, params, blocks)
+    rows = range(n_trajectories)
+    engine = cooling._trajectory_energies(LATTICE, params, rows)
     assert engine.shape == (3, n_trajectories, n_steps + 1)
     for got, theta in zip(engine, params.thetas):
-        want = trajectory_energies_reference(LATTICE, replace(params, thetas=(theta,)), blocks)
+        want = trajectory_energies_reference(LATTICE, replace(params, thetas=(theta,)), rows)
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("q_init", [0.5, 0.3, 1.0])
 @pytest.mark.parametrize("n_trajectories", [1, 64, 65])
 def test_trajectory_start_is_the_mc_start_sampler(q_init, n_trajectories):
-    # per block, each row's step-0 energy is that of the start syndromes the
-    # Monte Carlo's sampler draws first from the block's stream, the Monte
-    # Carlo's own
+    # each row's step-0 energy is that of the start syndromes the Monte
+    # Carlo's sampler reads for its trajectory, the Monte Carlo's own
     params = CoolingParams(thetas=(np.pi, 0.3), n_steps=2, n_trajectories=n_trajectories,
                            q_init=q_init, seed=43)
-    blocks = np.arange(-(-n_trajectories // cooling.BLOCK))
-    rows = cooling._block_rows(params, blocks)
-    want = np.concatenate([
-        -cooling._sample_bits(cooling._kinds(LATTICE), q_init,
-                              [cooling._stream(params.seed, int(b))], [size]).sum(axis=1)
-        for b, size in zip(blocks, rows)])
-    energies = cooling._trajectory_energies(LATTICE, params, blocks)
+    rows = range(n_trajectories)
+    want = -cooling._sample_bits(cooling._kinds(LATTICE), params, rows).sum(axis=1)
+    energies = cooling._trajectory_energies(LATTICE, params, rows)
     for theta_rows in energies:
         assert np.max(np.abs(theta_rows[:, 0] - want)) <= 1e-9
 
 
-class _CountingRng:
-    """Passes every call on to a Generator and counts it."""
-
-    def __init__(self, rng, counts):
-        self.rng, self.counts = rng, counts
-
-    def __getattr__(self, name):
-        method = getattr(self.rng, name)
-
-        def counted(*args, **kwargs):
-            self.counts.append(name)
-            return method(*args, **kwargs)
-        return counted
-
-
-def test_trajectory_block_draws_do_not_grow_with_its_rows(monkeypatch):
-    # one Generator call per draw array: a block of 64 rows makes the calls
-    # of a block of 1, so no draw loops over the trajectories
-    stream, calls = cooling._stream, {1: [], 64: []}
-    for rows, log in calls.items():
-        monkeypatch.setattr(cooling, "_stream",
-                            lambda *key, log=log: _CountingRng(stream(*key), log))
-        params = CoolingParams(thetas=(np.pi / 2,), n_steps=3, n_trajectories=rows,
-                               q_init=0.5, seed=47)
-        cooling._trajectory_energies(LATTICE, params, np.arange(1))
-    # per kind, two start calls, then three per sweep
-    assert calls[1] == calls[64] and len(calls[1]) == 2 * 2 + 3 * 2 * 3
+@pytest.mark.parametrize("engine", ["_mc_energies", "_trajectory_energies"])
+def test_a_rows_energies_do_not_depend_on_the_other_rows(engine):
+    # a draw is a function of its trajectory's counters alone: any range of
+    # rows gives each of its rows the energies of the whole run, bit for bit
+    params = CoolingParams(thetas=(np.pi / 2, np.pi), n_steps=6, n_trajectories=150,
+                           q_init=0.5, seed=47)
+    energies = getattr(cooling, engine)
+    whole = energies(LATTICE, params, range(150))
+    for rows in (range(1), range(149, 150), range(37, 101), range(60, 150)):
+        assert np.array_equal(energies(LATTICE, params, rows), whole[:, rows.start:rows.stop])
+    # and nothing else than its draws: the same rows at another seed differ
+    other = energies(LATTICE, replace(params, seed=48), range(150))
+    assert not np.array_equal(other, whole)
 
 
 @pytest.mark.parametrize("q_init", [0.5, 0.3])
@@ -689,7 +678,7 @@ def test_trajectory_energies_are_syndrome_levels(q_init):
     # leaves that set
     params = CoolingParams(thetas=(np.pi, np.pi / 2, 0.3), n_steps=6, n_trajectories=130,
                            q_init=q_init, seed=41)
-    energies = cooling._trajectory_energies(LATTICE, params, np.arange(3))
+    energies = cooling._trajectory_energies(LATTICE, params, range(130))
     levels = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
     assert np.max(np.min(np.abs(energies[..., None] - levels), axis=-1)) <= 1e-12
 
@@ -750,8 +739,8 @@ def test_trajectory_stays_keep_the_norm(monkeypatch):
     # renormalized back; dividing by sqrt(1 - p_flip) instead of the state's
     # own norm would double the norm's rounding error at every visit
     draws = cooling._draws
-    monkeypatch.setattr(cooling, "_draws", lambda *args: [
-        np.full_like(d, 0.9) if k == 1 else d for k, d in enumerate(draws(*args))])
+    monkeypatch.setattr(cooling, "_draws", lambda seed, lane, index: (
+        np.full(index.shape, 0.9) if lane == 1 else draws(seed, lane, index)))
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=10, n_trajectories=3, q_init=1.0)
     report = equivalence_check(LATTICE, params)[0]
     assert np.all(report.mc.energies == 8.0)
@@ -823,8 +812,8 @@ def test_cooling_params_rejects_one_bad_theta(thetas):
 
 @pytest.mark.parametrize("q_init", [0.5, 0.3])
 def test_trajectory_thetas_match_independent_runs(q_init):
-    # 70 trajectories (a full RNG block and a partial one) on two workers:
-    # each theta of one run replays the streams of its own single-theta run
+    # 70 trajectories (a full block and a partial one) on two workers:
+    # each theta of one run reads the draws of its own single-theta run
     params = CoolingParams(thetas=(np.pi / 2, np.pi), n_steps=3, n_trajectories=70,
                            q_init=q_init, seed=31)
     together = trajectory_run(LATTICE, params, workers=2)
@@ -884,10 +873,10 @@ def test_trajectory_run_matches_exact_chain():
     1e-3 / 44, so the family-wise false-alarm rate on correct code is at
     most 1e-3.
 
-    On correct code the worst mean reads 0.42 of its cut (0.34 at seed 42).
-    Flip probability x0.95, injected with K0 rescaled to match, reads 0.76
-    (0.95 at seed 42): not caught at this size, where the exact means put it
-    at 0.68 of the cut (1.0 at 4000 trajectories).  x0.90 reads 1.56 (1.59
+    On correct code the worst mean reads 0.44 of its cut (0.54 at seed 42).
+    Flip probability x0.95, injected with K0 rescaled to match, reads 0.84
+    (0.81 at seed 42): not caught at this size, where the exact means put it
+    at 0.68 of the cut (1.0 at 4000 trajectories).  x0.90 reads 1.43 (1.46
     at seed 42) and is caught.
     """
     n, seed, worst = 2000, 41, 0.0
@@ -899,55 +888,54 @@ def test_trajectory_run_matches_exact_chain():
     assert worst <= 1.0
 
 
-# -- batched Monte Carlo on RNG blocks ----------------------------------------
+# -- batched Monte Carlo and its counter-based draws ----------------------------
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)])
 @pytest.mark.parametrize("theta", [np.pi, np.pi / 2, np.pi / 4])
 @pytest.mark.parametrize("q_init", [0.0, 0.3, 0.5])
-def test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init):
-    # one trajectory per block: the batched sampler and sweep must make the
-    # per-trajectory draws and moves of the scalar loop, bit for bit
-    monkeypatch.setattr(cooling, "BLOCK", 1)
+def test_batched_mc_matches_scalar_oracle(shape, theta, q_init):
+    # the batched sampler and sweep must read the per-trajectory draws and
+    # make the moves of the scalar loop, bit for bit
     lattice = ToricLattice.build(*shape)
     params = CoolingParams(thetas=(theta,), n_steps=12, n_trajectories=25,
                            q_init=q_init, seed=13)
-    blocks = np.arange(params.n_trajectories)
-    assert np.array_equal(cooling._mc_energies(lattice, params, blocks)[0],
-                          syndrome_mc_reference(lattice, params, blocks))
+    rows = range(params.n_trajectories)
+    assert np.array_equal(cooling._mc_energies(lattice, params, rows)[0],
+                          syndrome_mc_reference(lattice, params, rows))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4)])
 @pytest.mark.parametrize("grid", [1, 4])
 def test_tied_visit_times_go_to_the_lower_cell(monkeypatch, shape, grid):
-    # visit times cut to ``grid`` values (1: all equal) tie often: the Monte
-    # Carlo must make the moves of the scalar loop that visits tied cells
-    # lowest first, bit for bit, and the trajectory engine must follow it
+    # lane 0 cut to ``grid`` values (1: all equal) makes visit times tie
+    # often: the Monte Carlo must make the moves of the scalar loop that
+    # visits tied cells lowest first, bit for bit, and the trajectory engine
+    # must follow it
     def clock(times):
         return np.floor(times * grid) / grid
 
     draws = cooling._draws
-    monkeypatch.setattr(cooling, "_draws", lambda *args: [
-        clock(d) if k == 0 else d for k, d in enumerate(draws(*args))])
-    monkeypatch.setattr(cooling, "BLOCK", 1)
+    monkeypatch.setattr(cooling, "_draws", lambda seed, lane, index: (
+        clock(draws(seed, lane, index)) if lane == 0 else draws(seed, lane, index)))
     lattice = ToricLattice.build(*shape)
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=20,
                            q_init=0.5, seed=53)
-    blocks = np.arange(params.n_trajectories)
-    mc = cooling._mc_energies(lattice, params, blocks)[0]
-    assert np.array_equal(mc, syndrome_mc_reference(lattice, params, blocks, clock=clock))
+    rows = range(params.n_trajectories)
+    mc = cooling._mc_energies(lattice, params, rows)[0]
+    assert np.array_equal(mc, syndrome_mc_reference(lattice, params, rows, clock=clock))
     if shape == (2, 2):
-        trajectories = cooling._trajectory_energies(lattice, params, blocks)[0]
+        trajectories = cooling._trajectory_energies(lattice, params, rows)[0]
         assert np.max(np.abs(trajectories - mc)) <= 1e-9
 
 
 def test_mc_independent_of_workers_and_batch_size(monkeypatch):
-    # 150 trajectories: two full blocks of 64 and a partial one
+    # 150 trajectories, split 50/50/50 over three workers
     lattice = ToricLattice.build(3, 3)
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=150,
                            q_init=0.5, seed=21)
     serial = syndrome_mc_run(lattice, params, workers=1)[0]
     runs = [syndrome_mc_run(lattice, params, workers=3)[0]]
-    monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", 1)  # one block per batch
+    monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", 1)  # one trajectory per batch
     runs.append(syndrome_mc_run(lattice, params, workers=1)[0])
     for run in runs:
         assert np.array_equal(run.mean_energy, serial.mean_energy)
@@ -956,9 +944,8 @@ def test_mc_independent_of_workers_and_batch_size(monkeypatch):
 
 @pytest.mark.parametrize("workers,batch_row_cells", [(1, None), (3, None), (1, 1)])
 def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells):
-    # unsorted thetas with a duplicate on 150 trajectories (two full blocks
-    # and a partial one): sweeping them together on one set of draws must
-    # give each theta's own run, made on fresh streams, bit for bit
+    # unsorted thetas with a duplicate on 150 trajectories: sweeping them
+    # together on one set of draws must give each theta's own run, bit for bit
     lattice = ToricLattice.build(3, 3)
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=150,
                            q_init=0.5, seed=23)
@@ -978,6 +965,64 @@ def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells)
         assert np.array_equal(got.stderr, want.stderr)
 
 
+def test_draws_are_splitmix64_bit_for_bit():
+    # the vectorized draws are the top 53 bits of the scalar SplitMix64 at
+    # counter 3 * index + lane, whose first output from state 0 is the
+    # published 0xE220A8397B1DCDAF
+    assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
+    first = cooling._draws(0, 0, np.zeros(1, dtype=np.int64))[0]
+    assert first == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+    rng = np.random.default_rng(61)
+    index = np.concatenate([np.arange(50), rng.integers(0, (1 << 63) // 3, 200)])
+    for seed in (0, 7, -1, (1 << 64) - 1, 1 << 70):
+        for lane in range(3):
+            want = [(splitmix64(seed, 3 * int(i) + lane) >> 11) * 2.0**-53 for i in index]
+            assert np.array_equal(cooling._draws(seed, lane, index), want)
+
+
+@pytest.mark.parametrize("q_init", [0.3, 0.5, 1.0])
+def test_start_syndromes_are_the_oracles(q_init):
+    # rows 10 to 69 of a run of 70 trajectories on the 3x2 torus
+    lattice = ToricLattice.build(3, 2)
+    params = CoolingParams(thetas=(np.pi,), n_steps=3, n_trajectories=70, q_init=q_init, seed=67)
+    got = cooling._sample_bits(cooling._kinds(lattice), params, range(10, 70))
+    assert np.array_equal(got, [start_syndromes(lattice, params, k) for k in range(10, 70)])
+    assert cooling_draw(lattice, 67, 70, 69, 0, 1, 5, 0) == cooling._draws(
+        67, 0, np.array([6 * 70 + 69 * 6 + 5]))[0]  # the last star's start uniform
+
+
+def test_draw_counters_stay_below_2_63():
+    # a run reads (steps + 1) * cells * trajectories * 3 counters; one that
+    # reaches 2^63 is refused before any engine allocates, the largest below runs
+    def rows(lattice, params, rows):
+        return rows
+
+    most = ((1 << 63) - 1) // (3 * 8)
+    assert cooling._fan_out(rows, LATTICE, CoolingParams((np.pi,), 0, most), 1) == range(most)
+    params = CoolingParams(thetas=(np.pi,), n_steps=0, n_trajectories=most + 1)
+    with pytest.raises(CapExceededError, match="capped at 2\\^63"):
+        cooling._fan_out(rows, LATTICE, params, 1)
+    many = CoolingParams(thetas=(np.pi,), n_steps=1 << 40, n_trajectories=1 << 20)
+    for run in (syndrome_mc_run, trajectory_run, equivalence_check):
+        with pytest.raises(CapExceededError):
+            run(LATTICE, many, 2)
+
+
+@pytest.mark.parametrize("engine", [syndrome_mc_run, trajectory_run])
+def test_energies_independent_of_workers_and_batches(monkeypatch, engine):
+    # 150 trajectories: two workers take 75 each, the trajectory engine's
+    # blocks start at 0, 64 and 128 serially and at 0, 64, 75 and 139 on two
+    # workers, and Monte Carlo batches of 37 trajectories end inside them
+    params = CoolingParams(thetas=(np.pi, 0.3), n_steps=6, n_trajectories=150, seed=71)
+    serial = engine(LATTICE, params, workers=1)
+    runs = [engine(LATTICE, params, workers=2)]
+    monkeypatch.setattr(cooling, "BATCH_ROW_CELLS", 37 * 2 * 8)
+    runs.append(engine(LATTICE, params, workers=1))
+    for run in runs:
+        for got, want in zip(run, serial):
+            assert np.array_equal(got.energies, want.energies)
+
+
 @pytest.mark.parametrize("thetas", [(), np.empty(0)])
 def test_mc_scan_rejects_empty_thetas(thetas):
     with pytest.raises(ValueError, match="at least one theta"):
@@ -988,8 +1033,8 @@ def test_batched_sampler_uniform_over_even_patterns():
     # at q = 1/2 the parity repair maps the 16 patterns of a kind's four bits
     # uniformly onto the 8 even ones; a chi-square test with 7 degrees of
     # freedom per kind at 5e-4 each (false-alarm rate 1e-3 for the pair)
-    rngs = [cooling._stream(17, b) for b in range(125)]
-    bits = cooling._sample_bits(cooling._kinds(LATTICE), 0.5, rngs, [64] * 125)
+    params = CoolingParams(thetas=(np.pi,), n_steps=0, n_trajectories=8000, seed=17)
+    bits = cooling._sample_bits(cooling._kinds(LATTICE), params, range(8000))
     assert bits.shape == (8000, 8)
     even = [c for c in range(16) if bin(c).count("1") % 2 == 0]
     limit = stats.chi2.ppf(1.0 - 5e-4, 7)
@@ -1004,12 +1049,12 @@ def test_batched_sampler_uniform_over_even_patterns():
 def test_batched_sampler_ground_and_parity(shape):
     lattice = ToricLattice.build(*shape)
     n_p = lattice.n_plaquettes
-    rngs = [cooling._stream(5, b) for b in range(3)]
     kinds = cooling._kinds(lattice)
-    assert np.all(cooling._sample_bits(kinds, 0.0, rngs, [64, 64, 22]) == 1)
-    for q in (0.3, 1.0):
-        bits = cooling._sample_bits(kinds, q, rngs, [64, 64, 22])
+    for q in (0.0, 0.3, 1.0):
+        params = CoolingParams(thetas=(np.pi,), n_steps=0, n_trajectories=150, q_init=q, seed=5)
+        bits = cooling._sample_bits(kinds, params, range(150))
         assert bits.shape == (150, 2 * n_p)
+        assert np.all(bits == 1) or q
         for row in bits:
             assert _parity_ok(row, lattice)
 
@@ -1017,25 +1062,42 @@ def test_batched_sampler_ground_and_parity(shape):
 @pytest.mark.parametrize("shape", [(5, 3), (8, 8)])
 @pytest.mark.parametrize("theta", [np.pi, np.pi / 2, np.pi / 4])
 @pytest.mark.parametrize("q_init", [0.3, 1.0])
-def test_batched_mc_matches_scalar_oracle_wider(monkeypatch, shape, theta, q_init):
+def test_batched_mc_matches_scalar_oracle_wider(shape, theta, q_init):
     # a non-square and a larger torus, with longer chains of flips in a sweep
-    test_batched_mc_matches_scalar_oracle(monkeypatch, shape, theta, q_init)
+    test_batched_mc_matches_scalar_oracle(shape, theta, q_init)
+
+
+def _eager_sweeps(monkeypatch, lattice, params, rows):
+    """The Monte Carlo energies of ``rows``, then those with each sweep made
+    by the eager visit loop of the oracle, every draw read."""
+    solved = cooling._mc_energies(lattice, params, rows)
+    (prob,) = [flip_probability(theta) for theta in params.thetas]
+    monkeypatch.setattr(cooling, "_sweep", lambda bits, _tables, params, sweep, first:
+                        sweep_loop_reference(lattice, bits, prob, params.seed,
+                                             params.n_trajectories, sweep, first))
+    return solved, cooling._mc_energies(lattice, params, rows)
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (2, 5), (5, 2)])
 @pytest.mark.parametrize("theta", [np.pi, np.pi / 4])
 @pytest.mark.parametrize("q_init", [0.5, 1.0])
 def test_sweep_matches_position_loop(monkeypatch, shape, theta, q_init):
-    # 130 trajectories on the real blocks (two full, one partial); on the
-    # thin tori both x-edges or both y-edges of a cell reach one neighbour
+    # 40 trajectories of 130, from row 50; on the thin tori both x-edges or
+    # both y-edges of a cell reach one neighbour
     lattice = ToricLattice.build(*shape)
-    params = CoolingParams(thetas=(theta,), n_steps=6, n_trajectories=130,
+    params = CoolingParams(thetas=(theta,), n_steps=4, n_trajectories=130,
                            q_init=q_init, seed=37)
-    blocks = np.arange(3)
-    solved = cooling._mc_energies(lattice, params, blocks)
-    monkeypatch.setattr(cooling, "_sweep", lambda bits, _tables, prob, rngs, sizes:
-                        sweep_loop_reference(lattice, bits, prob, rngs, sizes))
-    assert np.array_equal(solved, cooling._mc_energies(lattice, params, blocks))
+    solved, eager = _eager_sweeps(monkeypatch, lattice, params, range(50, 90))
+    assert np.array_equal(solved, eager)
+
+
+@pytest.mark.parametrize("theta", [np.pi, np.pi / 4])
+def test_lazy_sweep_matches_position_loop_on_64x64(monkeypatch, theta):
+    # 8192 cells a row: long chains of flips, each draw read only where needed
+    lattice = ToricLattice.build(64, 64)
+    params = CoolingParams(thetas=(theta,), n_steps=2, n_trajectories=3, seed=59)
+    solved, eager = _eager_sweeps(monkeypatch, lattice, params, range(3))
+    assert np.array_equal(solved, eager)
 
 
 @pytest.mark.parametrize("kind", ["plaquettes", "Star"])

@@ -34,7 +34,7 @@ LAZY = {
     "hubbard-spectrum": ["hubbard-spectrum", "--lx", "2", "--ly", "2", "--encoding", "both"],
     "dump-hamiltonian": ["dump-hamiltonian", "--model", "toric", "--lx", "2", "--ly", "2"],
 }
-#: three RNG blocks, split over two workers
+#: 130 trajectories, split over two workers
 POOLED = ["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
           "--steps", "2", "--trajectories", "130"]
 

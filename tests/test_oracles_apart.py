@@ -2,8 +2,9 @@
 
 An oracle that reads a private ``rydsim`` name (one that starts with ``_``)
 reuses the implementation it should check.  The three syndrome-chain
-oracles go further and read nothing from ``rydsim`` at all: they rebuild
-the chain from the lattice's cell lists.  The scan is static: it parses
+oracles, and the scalar SplitMix64 draws they read, go further and read
+nothing from ``rydsim`` at all: they rebuild the chain from the lattice's
+cell lists.  The scan is static: it parses
 ``tests/oracles.py`` and counts as read every name imported from
 ``rydsim`` and every attribute read off a name bound to ``rydsim``.
 """
@@ -13,8 +14,10 @@ from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
-#: oracles that must import nothing from rydsim
-SELF_CONTAINED = ("syndrome_mc_reference", "sweep_loop_reference", "syndrome_chain_exact")
+#: oracles that must import nothing from rydsim, with the draws they read
+SELF_CONTAINED = ("syndrome_mc_reference", "sweep_loop_reference", "syndrome_chain_exact",
+                  "splitmix64", "cooling_draw", "start_syndromes", "sweep_draws",
+                  "_cooling_kinds")
 
 
 def _is_rydsim(module) -> bool:

@@ -64,7 +64,7 @@ LINES = [
     "dump-hamiltonian --model hubbard-local --lx 2 --ly 2",
     "dump-hamiltonian --model aux --lx 2 --ly 2",
     "gate-fidelity --config {config}",
-    # three RNG blocks each: run again at two workers, where they split
+    # 130 trajectories each: run again at two workers, which take 65 each
     "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130",
     "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 4 --trajectories 130",
 ]
@@ -75,11 +75,11 @@ WORKER_LINES = LINES[-2:]
 #: sha256 of each line's output at --seed 0 (the default) and one worker
 DIGESTS = {
     "toric-cool --engine syndrome --lx 3 --ly 2 --theta pi,pi/2 --steps 3 --trajectories 70":
-        "f56d55438795a2a3ec3860f944cb6fb2e32ac953b42a1f5124dfa32c07b3cc6c",
+        "b1a68848ca13b1f7db6fe9762344d999c15eeec3e2b3e2dc96c9ebbc05001626",
     "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 2 --trajectories 3":
-        "a68401e3ae5b2122e2390eaacca2a24f97b4f935b654068930a11926b4b66ceb",
+        "9a1394ced8b1dc40314cf22986e234314d2d77b813a900d1ca06c7f649902b94",
     "toric-cool --engine compare --lx 2 --ly 2 --theta pi --steps 2 --trajectories 4":
-        "69c2f4c22da0e1131bdba111f5c870bda288a63f5d07f64872ad5281cd917a3b",
+        "47bc36f8378de504c491ca8cfbe504efcc7c2d01f90de1d24145093d5162a194",
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
         "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
@@ -113,9 +113,9 @@ DIGESTS = {
     "gate-fidelity --config {config}":
         "cdf19cb7a31b10ee6f00f5f5c9a899ee701a20c5b855944eaf373e33d4c0a05a",
     "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130":
-        "e1eb0ad8e824e71f45003e341b2d8c81627a069f8d1e3291c17bfd4dab405687",
+        "9c42c99ebdd416344697ede89bdb8315440fd530da60c8da4fc1f77977367146",
     "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 4 --trajectories 130":
-        "bee98b7d83401ddaac7be19faad54053ff8bebb876300e22e9998fc7c383c65e",
+        "58a800446c0693ae2491e8efecb6f140fbb9ed64e220cc75a33424ac4d281f17",
 }
 
 #: thread-count variables of the BLAS libraries numpy may load
