@@ -268,10 +268,11 @@ def _resolve_values(command: str, file_values: dict, flag_values: dict) -> dict:
 # ---------------------------------------------------------------------
 
 def _workers() -> int:
-    """Worker count from RYDSIM_WORKERS; default: machine parallelism."""
+    """Worker count from RYDSIM_WORKERS; default: the CPUs this process may run on."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+    if not raw:  # cpu_count() would also count CPUs outside the affinity mask
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+            os.cpu_count() or 1)
     try:
         workers = int(raw)
     except ValueError:
@@ -486,7 +487,7 @@ def _write_output(header, rows, path: str):
             fh.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:  # with command, its parser only
     parser = argparse.ArgumentParser(
         prog="rydsim",
         description="Digital simulation experiments: Trotterized lattice models, "
@@ -494,19 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, params in COMMANDS.items():
-        p = sub.add_parser(command, help=f"run the {command} experiment")
+    for name in [command] if command else COMMANDS:
+        p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None,
                        help="key = value file; flags override file values")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        for param in params:
+        for param in COMMANDS[name]:
             p.add_argument(f"--{param.name}", default=None, dest=param.name,
                            help=param.help or param.name, metavar=param.kind.upper())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

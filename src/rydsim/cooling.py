@@ -49,9 +49,9 @@ from .statevec import DensityMatrix, StateVector, measure_projector
 #: density-matrix integration cap
 LINDBLAD_QUBIT_CAP = 6
 
-#: substeps one lindblad_integrate call runs at most; at the qubit cap a
+#: substeps one lindblad_integrate step runs at most; at the qubit cap a
 #: substep took 1.7 ms with one jump and 2.7 ms with two on a 2-vCPU VM, so
-#: a capped call runs at most about 170 s and 270 s
+#: a capped step runs at most about 170 s and 270 s
 LINDBLAD_SUBSTEP_CAP = 10**5
 
 #: trajectory cap on the system register, the qubits the engine holds
@@ -176,15 +176,16 @@ def jump_operator(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
     return (0.5 * (OperatorSum.from_string(pump) @ interrogate)).normalized()
 
 
-def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Integrate d rho/dt = gamma sum_k (c rho c+ - {c+c, rho}/2), H = 0.
+def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps=1) -> list:
+    """Integrate d rho/dt = gamma sum_k (c rho c+ - {c+c, rho}/2), H = 0: the
+    validated states at t, 2 t, ..., steps t, from one setup.
 
     rho(t) = exp(t L) rho0, by the Taylor series of each of the fewest equal
     substeps on which t ||L|| <= 1, with ||L|| <= gamma (sum ||c||^2 +
     ||sum c+c||) in spectral norms; a series ends at its first term below
     1e-17.  Every ground-sector state is a fixed point.  ``ValueError``
     unless gamma and t are finite and non-negative; ``CapExceededError``
-    past :data:`LINDBLAD_SUBSTEP_CAP` substeps.
+    past :data:`LINDBLAD_SUBSTEP_CAP` substeps per step.
     """
     jumps = list(jumps)
     if any(op.n_qubits != rho0.n_qubits for op in jumps):
@@ -196,7 +197,7 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float) -> De
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and non-negative")
     if gamma == 0.0 or t == 0.0 or not jumps:
-        return DensityMatrix(rho0.matrix, validate=False)
+        return [DensityMatrix(rho0.matrix, validate=False) for _ in range(steps)]
     cs = [op.to_matrix() for op in jumps]
     cdags = [c.conj().T for c in cs]
     anti = 0.5 * sum(cd @ c for c, cd in zip(cs, cdags))
@@ -207,8 +208,8 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float) -> De
                                f"capped at {LINDBLAD_SUBSTEP_CAP}")
     substeps = max(1, math.ceil(t * bound))
     scale = gamma * t / substeps
-    rho = rho0.matrix
-    for _ in range(substeps):
+    rho, states = rho0.matrix, []
+    for done in range(1, steps * substeps + 1):
         term, out = rho, rho.copy()
         for k in range(1, 20):  # |term| <= 1/k! in trace norm: 1/19! < 1e-17
             half = anti @ term  # {c+c, term}/2 = half + half+, as term is Hermitian
@@ -220,7 +221,9 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float) -> De
         # the series takes rho Hermitian (half + half+): drop rounding's
         # anti-Hermitian part, which it would otherwise amplify
         rho = 0.5 * (out + out.conj().T)
-    return DensityMatrix(rho, validate=True, copy=False)
+        if done % substeps == 0:
+            states.append(DensityMatrix(rho, validate=True, copy=False))
+    return states
 
 
 # ---------------------------------------------------------------------
@@ -338,20 +341,21 @@ def _sweep(bits, tables, params, sweep, first):
 def _mc_energies(lattice, params, rows):
     """(thetas, rows, steps + 1) energies of the trajectories ``rows``, each
     minus its row's syndrome sum: each batch's initial bits are sampled once
-    and swept at every theta on the same draws."""
-    kinds = _kinds(lattice)
+    and swept at every theta on the same draws until all are in the ground sector."""
+    kinds, cells = _kinds(lattice), lattice.n_plaquettes + lattice.n_stars
     probs = np.array([flip_probability(theta) for theta in params.thetas])
-    per_batch = max(1, BATCH_ROW_CELLS // (len(probs) * sum(len(k.cells) for k in kinds)))
+    per_batch = max(1, BATCH_ROW_CELLS // (len(probs) * cells))
     out = np.empty((len(probs), len(rows), params.n_steps + 1))
-    for first in range(rows.start, rows.stop, per_batch):
-        batch = range(first, min(first + per_batch, rows.stop))
+    for at in range(0, len(rows), per_batch):
+        batch = rows[at:at + per_batch]
         bits = np.tile(_sample_bits(kinds, params, batch), (len(probs), 1))
-        tables, at = _tables(kinds, params, len(batch), probs), first - rows.start
+        tables, energy = _tables(kinds, params, len(batch), probs), out[:, at:at + per_batch]
         for step in range(params.n_steps + 1):
-            if step:
-                _sweep(bits, tables, params, step, first)
-            out[:, at:at + len(batch), step] = -bits.sum(axis=1, dtype=np.int32).reshape(
-                len(probs), -1)
+            energy[..., step] = now = -bits.sum(axis=1, dtype=np.int32).reshape(len(probs), -1)
+            if step == params.n_steps or now.max() == -cells:  # the ground sector is a fixed point
+                energy[..., step:] = now[..., None]
+                break
+            _sweep(bits, tables, params, step + 1, batch.start)
     return out
 
 
@@ -361,7 +365,7 @@ def _mc_energies(lattice, params, rows):
 
 @cache
 def _chains(lattice: ToricLattice):
-    """:func:`state_from_config`'s ground state, and per kind each cell's chain."""
+    """:func:`state_from_config`'s ground state, as one row, and per kind each cell's chain."""
     chains = []
     for kind in _kinds(lattice):
         order, path = [0], {0: 0}  # breadth first from the root; tree paths
@@ -371,33 +375,36 @@ def _chains(lattice: ToricLattice):
                     path[end] = path[cell] ^ (1 << edge)
                     order.append(end)
         chains.append((kind, np.array([path[cell] for cell in range(len(kind.cells))])))
-    return toric_ground_state(lattice).amps, chains
+    return toric_ground_state(lattice).amps[None], chains
 
 
-def state_from_config(lattice: ToricLattice, bits: np.ndarray) -> StateVector:
-    """A stabilizer eigenstate with exactly the syndromes ``bits``, one +-1
-    per plaquette, then per star (a row of :func:`_sample_bits`).
+def state_from_config(lattice: ToricLattice, bits) -> np.ndarray:
+    """(rows, 2^n_edges) amplitudes of stabilizer eigenstates, row r with
+    exactly the syndromes ``bits[r]``, one +-1 per plaquette, then per star
+    (rows of :func:`_sample_bits`); the block is validated once.
 
     Per kind, a cell's chain is the mask of the pump edges on its path in a
     breadth-first spanning tree of the toggle graph (cells joined through
     ``other``) rooted at the kind's first cell: it toggles the cell and the
-    root.  The excited cells' chains, an even number, multiply to one string
-    with exactly their syndromes, applied to :func:`toric_ground_state` as
-    one Pauli gather.  The ground state and the chains are built once per
-    lattice.
+    root.  A row's excited cells' chains, an even number, multiply to one
+    string with exactly their syndromes, applied to :func:`toric_ground_state`
+    in one stacked Pauli gather per kind.
     """
-    bits = np.asarray(bits)
-    if bits.shape != (lattice.n_plaquettes + lattice.n_stars,) or not np.isin(bits, (1, -1)).all():
+    bits = np.asarray(bits)  # a ragged block raises ValueError here
+    if (bits.ndim != 2 or bits.shape[1] != lattice.n_plaquettes + lattice.n_stars
+            or not ((bits == 1) | (bits == -1)).all()):
         raise ValueError("need one syndrome of +1 or -1 per plaquette and per star")
     amps, chains = _chains(lattice)
     for kind, chain in chains:
-        excited = bits[kind.offset:kind.offset + len(chain)] < 0
-        if excited.sum() % 2:
+        excited = bits[:, kind.offset:kind.offset + len(chain)] < 0
+        if (excited.sum(axis=1) % 2).any():
             raise ValueError("syndrome parity violated; cannot realize state")
-        mask = int(np.bitwise_xor.reduce(chain[excited]))
-        idx, factor = pauli_action(lattice.n_edges, *((mask, 0) if kind.pump == "X" else (0, mask)))
-        amps = factor * amps[idx]  # a new array: the cached ground state stays
-    return StateVector(amps, copy=False)
+        masks, row = np.unique(np.bitwise_xor.reduce(np.where(excited, chain, 0), axis=1),
+                               return_inverse=True)
+        idx, factor = (np.stack(a)[row] for a in zip(*(pauli_action(
+            lattice.n_edges, *((m, 0) if kind.pump == "X" else (0, m))) for m in masks.tolist())))
+        amps = factor * np.take_along_axis(amps, idx, axis=1)
+    return amps
 
 
 def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float,
@@ -435,8 +442,9 @@ def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float
 def _energies(psi, ham, acc, buf):
     """Re <psi|H psi> of each row of ``psi``; H psi accumulates in ``acc``."""
     acc.fill(0.0)
-    for idx, factor in ham:
-        acc += np.multiply(np.take(psi, idx, axis=1, out=buf, mode="clip"), factor, out=buf)
+    for idx, factor, same, unit in ham:
+        term = psi if same else np.take(psi, idx, axis=1, out=buf, mode="clip")
+        acc += term if unit else np.multiply(term, factor, out=buf)
     return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
 
 
@@ -448,31 +456,35 @@ def _trajectory_energies(lattice, params, rows):
     readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
 
-    def tables(strings, *shape):  # pauli_action gather indices and factors, stacked
-        pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for s in strings]
-        return [np.reshape(a, (-1, *shape, 1 << n)) for a in zip(*pairs)]
+    def skips(idx, factor):  # whether a gather is the identity and a factor +1
+        return bool((idx == np.arange(1 << n)).all()), bool((factor == 1).all())
 
     ham = {}  # H psi = sum over x masks of factor * psi[idx]; a mask's terms share idx
     for c, s in build_toric(lattice.lx, lattice.ly)[0].normalized():
         idx, factor = pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)
         ham[s.x_mask] = (idx, ham.get(s.x_mask, (idx, 0.0))[1] + c * factor)
-    ham = list(ham.values())
-    # every cell of every kind: its stabilizer, and the pump on each of its edges
-    cells = [(kind, cell) for kind in kinds for cell in kind.cells.tolist()]
-    stab_idx, stab_factor = tables([PauliString.from_sites(n, dict.fromkeys(cell, kind.letter))
-                                    for kind, cell in cells])
-    pump_idx, pump_factor = tables([PauliString.single(n, e, kind.pump)
-                                    for kind, cell in cells for e in cell], 4)
+    ham = [(*pair, *skips(*pair)) for pair in ham.values()]
+    # every cell of every kind: its stabilizer, then the pump on each of its edges
+    pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for kind in kinds
+             for cell in kind.cells.tolist() for s in (
+                 PauliString.from_sites(n, dict.fromkeys(cell, kind.letter)),
+                 *(PauliString.single(n, e, kind.pump) for e in cell))]
+    idx, factor = (np.reshape(a, (-1, 5, 1 << n)) for a in zip(*pairs))
+    (stab_idx, pump_idx), (stab_factor, pump_factor) = ((a[:, 0], a[:, 1:]) for a in (idx, factor))
+    # per position (kind-major), which gathers and multiplies it skips, decided per kind
+    rules = [rule for kind in kinds for at in [slice(kind.offset, kind.offset + len(kind.cells))]
+             for rule in [skips(idx[at, 0], factor[at, 0]) + skips(idx[at, 1:], factor[at, 1:])]
+             for _ in kind.cells]
     steps, n_theta = params.n_steps, len(params.thetas)
     out = np.empty((n_theta, len(rows), steps + 1))
     for first in range(rows.start, rows.stop, BLOCK):
         size = min(BLOCK, rows.stop - first)
         # a chunk of sweeps reads at most 2^11 (sweep, row, cell) draws: tens of kB
-        chunk = max(1, (BATCH_ROW_CELLS >> 9) // (size * len(cells)))
+        chunk = max(1, (BATCH_ROW_CELLS >> 9) // (size * len(rules)))
         # theta-major rows in preallocated buffers, and no BLAS call, whose
         # blocking could make a row's bits depend on the other rows
         starts = _sample_bits(kinds, params, range(first, first + size))
-        psi = np.tile([state_from_config(lattice, row).amps for row in starts], (n_theta, 1))
+        psi = np.tile(state_from_config(lattice, starts), (n_theta, 1))
         spare, gathered, index = np.empty_like(psi), np.empty_like(psi), np.empty(psi.shape, int)
         base = np.arange(0, psi.size, psi.shape[1])[:, None]  # flat start of each row
         flip = np.repeat([flip_probability(t) for t in params.thetas], size)
@@ -503,11 +515,15 @@ def _trajectory_energies(lattice, params, rows):
                 visits = order, (4.0 * pick).astype(np.int64), u
             twice, image, at, start = (a[:len(psi)] for a in (spare, gathered, index, base))
             moved = np.zeros(len(psi), dtype=bool)
-            for cell, edge, v in zip(*(d[step % chunk, live % size].T for d in visits)):
-                np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
-                np.take(psi, at, out=image, mode="clip")
-                image *= np.take(stab_factor, cell, axis=0, out=twice, mode="clip")
-                np.subtract(psi, image, out=twice)  # 2 P- psi
+            for (same, unit, pump_same, pump_unit), cell, edge, v in zip(
+                    rules, *(d[step % chunk, live % size].T for d in visits)):
+                if not same:  # S psi, by its kind's rule
+                    np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
+                flipped = psi if same else np.take(psi, at, out=image, mode="clip")
+                if not unit:
+                    flipped = np.multiply(flipped, np.take(
+                        stab_factor, cell, axis=0, out=twice, mode="clip"), out=image)
+                np.subtract(psi, flipped, out=twice)  # 2 P- psi
                 norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
                 act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
                 if not len(act):
@@ -519,10 +535,11 @@ def _trajectory_energies(lattice, params, rows):
                 # own norm; over sqrt(1 - p_flip), a norm rounded off 1 would grow by
                 # 1 / cos^2(theta/2) at each stay on an excited cell
                 stay, jumped = act[~jump], act[jump]
-                go, to = (cell[jumped], edge[jumped]), at[:len(jumped)]
-                kick = np.take(twice, np.add(pump_idx[go], start[jumped], out=to),
-                               out=image[:len(jumped)], mode="clip")
-                kick *= pump_factor[go]
+                go, kick, to = (cell[jumped], edge[jumped]), image[:len(jumped)], at[:len(jumped)]
+                to = jumped if pump_same else np.add(pump_idx[go], start[jumped], out=to)
+                np.take(twice, to, axis=0 if pump_same else None, out=kick, mode="clip")
+                if not pump_unit:
+                    kick *= pump_factor[go]
                 psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
                                         out=kick.view(float)).view(complex)
                 kept, held = image[:len(stay)].view(float), twice[:len(stay)]
@@ -627,9 +644,5 @@ def lindblad_reference_trace(theta: float, n_steps: int, q_init: float = 0.5) ->
     h_local = OperatorSum.from_string(a_p, -1.0)
     a, one = a_p.to_matrix(), np.eye(16)  # q_init P- / 8 + (1 - q_init) P+ / 8
     rho0 = DensityMatrix((q_init * (one - a) + (1.0 - q_init) * (one + a)) / 16.0, copy=False)
-    gamma = flip_probability(theta)
-    rho, energies = rho0, [rho0.expectation(h_local)]
-    for _ in range(n_steps):
-        rho = lindblad_integrate([jump], gamma, rho, 1.0)
-        energies.append(rho.expectation(h_local))
-    return Trace(np.array([energies]), theta, "lindblad")
+    states = [rho0, *lindblad_integrate([jump], flip_probability(theta), rho0, 1.0, n_steps)]
+    return Trace(np.array([[rho.expectation(h_local) for rho in states]]), theta, "lindblad")

@@ -129,6 +129,15 @@ def with_ancilla(state):
     return StateVector(np.concatenate([state.amps, np.zeros_like(state.amps)]), copy=False)
 
 
+def eigenstate(lattice, config):
+    """The state of one row of syndromes ``config``: a one-row block of
+    ``state_from_config``."""
+    from rydsim.cooling import state_from_config
+    from rydsim.statevec import StateVector
+
+    return StateVector(state_from_config(lattice, np.asarray(config)[None])[0], copy=False)
+
+
 def random_label(rng, n_qubits: int) -> str:
     return "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
 
@@ -332,7 +341,7 @@ def trajectory_energies_reference(lattice, params, indices):
     script hands it 1 - u, and the ancilla reads 1 (a flip) iff u < p_flip,
     up to ties.
     """
-    from rydsim.cooling import cooling_cycle_trajectory, state_from_config
+    from rydsim.cooling import cooling_cycle_trajectory
     from rydsim.models import build_toric
     from rydsim.pauli import OperatorSum, PauliString
 
@@ -343,7 +352,7 @@ def trajectory_energies_reference(lattice, params, indices):
     sweep = ((lattice.plaquettes, "plaquette"), (lattice.stars, "star"))
     out = []
     for k in indices:
-        state = with_ancilla(state_from_config(lattice, start_syndromes(lattice, params, int(k))))
+        state = with_ancilla(eigenstate(lattice, start_syndromes(lattice, params, int(k))))
         energies = [state.expectation(h)]
         for step in range(1, params.n_steps + 1):
             for kind, (cells, name) in enumerate(sweep):

@@ -253,7 +253,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
     gamma = 0.9
     lindblad_err = 0.0
     for t in (0.5, 2.0):
-        rho_t = lindblad_integrate([jump], gamma, rho0, t)
+        (rho_t,) = lindblad_integrate([jump], gamma, rho0, t)
         pop = float(np.trace(proj_minus @ rho_t.matrix).real)
         lindblad_err = max(lindblad_err, abs(pop - math.exp(-gamma * t)))
 

@@ -28,7 +28,7 @@ from rydsim.models import ToricLattice, build_toric, toric_ground_state
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import DensityMatrix, StateVector
 
-from oracles import (ScriptedRng, cooling_draw, lindblad_reference, random_label,
+from oracles import (ScriptedRng, cooling_draw, eigenstate, lindblad_reference, random_label,
                      splitmix64, start_syndromes, sweep_loop_reference, syndrome_chain_exact,
                      syndrome_mc_reference, trajectory_energies_reference, with_ancilla)
 
@@ -118,7 +118,7 @@ def test_lindblad_closed_form_decay():
     rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
     gamma = 0.7
     for t in (0.5, 1.5, 3.0):
-        rho = lindblad_integrate([jump], gamma, rho0, t)
+        (rho,) = lindblad_integrate([jump], gamma, rho0, t)
         pop = float(np.trace(proj_minus @ rho.matrix).real)
         assert abs(pop - np.exp(-gamma * t)) < 1e-6
         assert rho.trace() == pytest.approx(1.0, abs=1e-8)
@@ -127,7 +127,7 @@ def test_lindblad_closed_form_decay():
 def test_lindblad_gamma_zero_constant():
     jump, proj_minus = _single_plaquette_setup()
     rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
-    rho = lindblad_integrate([jump], 0.0, rho0, 4.0)
+    (rho,) = lindblad_integrate([jump], 0.0, rho0, 4.0)
     assert np.allclose(rho.matrix, rho0.matrix)
 
 
@@ -135,14 +135,14 @@ def test_lindblad_ground_sector_stationary():
     jump, proj_minus = _single_plaquette_setup()
     proj_plus = np.eye(16) - proj_minus
     rho0 = DensityMatrix(proj_plus / 8.0, copy=False)
-    rho = lindblad_integrate([jump], 1.0, rho0, 2.0)
+    (rho,) = lindblad_integrate([jump], 1.0, rho0, 2.0)
     assert np.max(np.abs(rho.matrix - rho0.matrix)) < 1e-8
 
 
 def test_lindblad_long_time_support_in_ground_sector():
     jump, proj_minus = _single_plaquette_setup()
     rho0 = DensityMatrix(np.eye(16) / 16.0, copy=False)
-    rho = lindblad_integrate([jump], 1.0, rho0, 40.0)
+    (rho,) = lindblad_integrate([jump], 1.0, rho0, 40.0)
     assert float(np.trace(proj_minus @ rho.matrix).real) < 1e-6
     assert rho.trace() == pytest.approx(1.0, abs=1e-8)
 
@@ -213,7 +213,7 @@ def test_lindblad_series_matches_dop853(n_qubits, count):
     jumps = _random_jumps(rng, n_qubits, count)
     rho0 = _random_density(rng, n_qubits)
     gamma, t = rng.uniform(0.2, 2.0), rng.uniform(0.3, 3.0)
-    got = lindblad_integrate(jumps, gamma, DensityMatrix(rho0), t).matrix
+    got = lindblad_integrate(jumps, gamma, DensityMatrix(rho0), t)[0].matrix
     want = lindblad_reference([op.to_matrix() for op in jumps], gamma, rho0, t)
     assert np.abs(got - want).max() < 1e-9
 
@@ -222,7 +222,7 @@ def test_lindblad_series_matches_dop853_at_the_cap():
     rng = np.random.default_rng(11)
     jumps = _random_jumps(rng, LINDBLAD_QUBIT_CAP, 2)
     rho0 = _random_density(rng, LINDBLAD_QUBIT_CAP)
-    got = lindblad_integrate(jumps, 0.6, DensityMatrix(rho0), 1.3).matrix
+    got = lindblad_integrate(jumps, 0.6, DensityMatrix(rho0), 1.3)[0].matrix
     want = lindblad_reference([op.to_matrix() for op in jumps], 0.6, rho0, 1.3)
     assert np.abs(got - want).max() < 1e-9
 
@@ -239,9 +239,21 @@ def test_lindblad_rejects_jumps_of_another_size():
 def test_lindblad_reads_a_generator_of_jumps_once():
     jump, proj_minus = _single_plaquette_setup()
     rho0 = DensityMatrix(proj_minus / 8.0, copy=False)
-    want = lindblad_integrate([jump], 0.7, rho0, 1.5)
-    got = lindblad_integrate((c for c in [jump]), 0.7, rho0, 1.5)
+    (want,) = lindblad_integrate([jump], 0.7, rho0, 1.5)
+    (got,) = lindblad_integrate((c for c in [jump]), 0.7, rho0, 1.5)
     assert np.array_equal(got.matrix, want.matrix)
+
+
+def test_lindblad_steps_equal_chained_calls():
+    # one setup for all steps: each state is bit for bit the one a call per
+    # step reaches, and each is validated
+    jump, proj_minus = _single_plaquette_setup()
+    rho = DensityMatrix(np.eye(16) / 16.0, copy=False)
+    states = lindblad_integrate([jump], 0.7, rho, 1.0, steps=3)
+    for state in states:
+        (rho,) = lindblad_integrate([jump], 0.7, rho, 1.0)
+        assert state.matrix.tobytes() == rho.matrix.tobytes()
+    assert len(states) == 3 and len(lindblad_integrate([jump], 0.0, rho, 1.0, steps=2)) == 2
 
 
 def test_small_theta_rate_scales_as_theta_squared():
@@ -284,7 +296,7 @@ def test_theta_pi_flips_excited_plaquette_with_certainty():
     rng = np.random.default_rng(1)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
     config[0] = config[1] = -1  # plaquettes 0 and 1
-    state = with_ancilla(state_from_config(LATTICE, config))
+    state = with_ancilla(eigenstate(LATTICE, config))
     _, flipped = cooling_cycle_trajectory(
         state, LATTICE.plaquettes[0], np.pi, rng, kind="plaquette"
     )
@@ -302,7 +314,7 @@ def test_cycle_flip_frequency_binomial():
     p_flip = flip_probability(theta)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
     config[0] = config[1] = -1  # plaquettes 0 and 1
-    base = with_ancilla(state_from_config(LATTICE, config))
+    base = with_ancilla(eigenstate(LATTICE, config))
     n_cycles = 10_000
     flips = 0
     for _ in range(n_cycles):
@@ -367,7 +379,7 @@ def test_state_from_config_realizes_syndromes():
     h = H_TORIC
     for _ in range(25):
         config = sample_syndrome_config(LATTICE, 0.5, rng)
-        state = state_from_config(LATTICE, config)
+        state = eigenstate(LATTICE, config)
         assert state.expectation(h) == pytest.approx(-float(config.sum()), abs=1e-9)
         for p in range(4):
             assert state.expectation_string(
@@ -387,7 +399,7 @@ def test_state_from_config_realizes_syndromes_non_square(shape):
     n_p = lattice.n_plaquettes
     for _ in range(10):
         config = sample_syndrome_config(lattice, 0.5, rng)
-        state = state_from_config(lattice, config)
+        state = eigenstate(lattice, config)
         assert state.expectation(h) == pytest.approx(-float(config.sum()), abs=1e-9)
         for p in range(n_p):
             assert state.expectation_string(
@@ -405,7 +417,31 @@ def test_state_from_config_realizes_syndromes_non_square(shape):
 ])
 def test_state_from_config_rejects_a_row_not_of_signed_syndromes(bits):
     with pytest.raises(ValueError, match=r"\+1 or -1 per plaquette and per star"):
-        state_from_config(LATTICE, np.array(bits, dtype=np.int8))
+        state_from_config(LATTICE, np.array([bits], dtype=np.int8))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+def test_state_from_config_block_equals_its_rows(shape):
+    # one stacked gather per kind realizes each row exactly as a block of one does
+    lattice = ToricLattice.build(*shape)
+    params = CoolingParams(thetas=(np.pi,), n_steps=0, n_trajectories=40, seed=3)
+    bits = cooling._sample_bits(cooling._kinds(lattice), params, range(40))
+    block = state_from_config(lattice, bits)
+    assert block.shape == (40, 1 << lattice.n_edges)
+    rows = np.concatenate([state_from_config(lattice, row[None]) for row in bits])
+    assert block.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("bad,match", [
+    ([1] * 9, None),  # one syndrome too many: numpy refuses the ragged block
+    ([1, 1, 1, 1, 1, 1, 1, 0], r"\+1 or -1 per plaquette and per star"),
+    ([1, 1, 1, 1, 1, 1, 1, 2], r"\+1 or -1 per plaquette and per star"),
+    ([1, 1, 1, 1, -1, 1, 1, 1], "parity"),  # one excited star
+])
+def test_state_from_config_rejects_a_block_with_one_bad_row(bad, match):
+    rows = [[1, -1, -1, 1, 1, 1, 1, 1], bad, [1] * 8]
+    with pytest.raises(ValueError, match=match):
+        state_from_config(LATTICE, rows)
 
 
 def test_mc_run_ground_start_is_flat():
@@ -488,6 +524,26 @@ def test_ground_start_makes_no_sweep_draws(monkeypatch):
     assert read and max(index.max(initial=0) for index in read) < 8 * 70
     assert np.array_equal(energies, np.broadcast_to(energies[..., :1], energies.shape))
     assert np.allclose(energies, -8.0, atol=1e-12)
+
+
+def test_mc_stops_sweeping_at_the_ground_sector(monkeypatch):
+    # the ground sector is a fixed point of every sweep: a batch whose rows all
+    # read -8 sweeps no more and carries its energies forward, so a q_init = 0
+    # start never sweeps and the compare size stops at its first all-ground step
+    sweep, calls = cooling._sweep, []
+
+    def counted(bits, tables, params, step, first):
+        calls.append(step)
+        return sweep(bits, tables, params, step, first)
+    monkeypatch.setattr(cooling, "_sweep", counted)
+    ground = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50,
+                           q_init=0.0, seed=7)
+    assert np.array_equal(cooling._mc_energies(LATTICE, ground, range(50)),
+                          np.full((2, 50, 21), -8.0))
+    assert calls == []
+    energies = cooling._mc_energies(LATTICE, replace(ground, q_init=0.5), range(50))
+    settled = int(np.argmax((energies == -8.0).all(axis=(0, 1))))
+    assert 0 < settled < 20 and calls == list(range(1, settled + 1))
 
 
 @pytest.mark.parametrize("seed", [7, 26])
@@ -575,7 +631,7 @@ def test_trajectory_matches_lindblad_small_theta():
     rng = np.random.default_rng(rng_master)
     config = sample_syndrome_config(LATTICE, 0.0, rng)
     config[0] = config[1] = -1  # plaquettes 0 and 1
-    base = with_ancilla(state_from_config(LATTICE, config))
+    base = with_ancilla(eigenstate(LATTICE, config))
     excited = np.zeros(n_cycles + 1)
     excited[0] = n_traj
     for k in range(n_traj):
