@@ -214,15 +214,17 @@ COMMANDS: dict[str, tuple[Param, ...]] = {
 
 
 def _parse_config_text(text: str) -> dict:
-    out = {}
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"config field {key!r} set twice: lines {first[key]} and {lineno}")
+        out[key], first[key] = value, lineno
     return out
 
 

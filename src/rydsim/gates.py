@@ -4,8 +4,8 @@ the two-qubit Heisenberg step, the syndrome map and the controlled pump
 flips used by the cooling protocol, plus the coherent gate-error model,
 whose generator is given on the gate's targets (its qubit j on target j).
 
-Rotation conventions: ``rot_x(state, q, phi)`` applies exp(i phi X_q) (and
-analogously for Y/Z); ``controlled_flip`` applies exp(i theta P/2) on the
+Rotation conventions: ``rot(state, q, letter, phi)`` applies exp(i phi P_q)
+for the Pauli letter P; ``controlled_flip`` applies exp(i theta P/2) on the
 |1> branch of the control, so a full cooling cycle flips a violated
 stabilizer with probability sin^2(theta/2).  All gate functions mutate the
 state in place and return it.
@@ -85,17 +85,24 @@ def faulty_gate(state: StateVector, spec: GateSpec) -> StateVector:
     return state
 
 
-def rot_x(state: StateVector, qubit: int, phi: float) -> StateVector:
-    """exp(i phi X_q); the single-qubit rotation sandwiched between gates."""
-    return state.apply_exp_pauli(PauliString.single(state.n_qubits, qubit, "X"), phi)
+def rot(state: StateVector, qubit: int, letter: str, phi: float) -> StateVector:
+    """exp(i phi P_q) for the Pauli letter P; the single-qubit rotation
+    sandwiched between gates."""
+    return state.apply_exp_pauli(PauliString.single(state.n_qubits, qubit, letter), phi)
 
 
-def rot_y(state: StateVector, qubit: int, phi: float) -> StateVector:
-    return state.apply_exp_pauli(PauliString.single(state.n_qubits, qubit, "Y"), phi)
+def _quarter_frame(state: StateVector, letter: str, qubits, step, *args) -> StateVector:
+    """``step(state, *args)`` conjugated by exp(i pi/4 P) on each qubit.
 
-
-def rot_z(state: StateVector, qubit: int, phi: float) -> StateVector:
-    return state.apply_exp_pauli(PauliString.single(state.n_qubits, qubit, "Z"), phi)
+    A Z quarter turn takes X to Y and a Y quarter turn takes X to Z, so
+    the frame carries an X-based sequence over to the other axis.
+    """
+    for q in qubits:
+        rot(state, q, letter, math.pi / 4.0)
+    step(state, *args)
+    for q in qubits:
+        rot(state, q, letter, -math.pi / 4.0)
+    return state
 
 
 def hadamard(state: StateVector, qubit: int) -> StateVector:
@@ -117,7 +124,7 @@ def plaquette_step(state: StateVector, plaquette, phi: float) -> StateVector:
         raise ValueError("plaquette must list four distinct qubits")
     control, targets = plaquette[0], plaquette[1:]
     cnot_n(state, control, targets)
-    rot_x(state, control, phi)
+    rot(state, control, "X", phi)
     cnot_n(state, control, targets)
     return state
 
@@ -157,32 +164,22 @@ def heisenberg_xx_step(state: StateVector, i: int, j: int, theta: float) -> Stat
     """
     if i == j:
         raise ValueError("Heisenberg step needs two distinct qubits")
-    rot_y(state, i, math.pi / 4.0)
+    rot(state, i, "Y", math.pi / 4.0)
     # |0><0| (x) 1 + |1><1| (x) exp(-i theta X_j): full flip at theta = pi
     _controlled_exp(state, i, PauliString.single(state.n_qubits, j, "X"), -theta)
-    rot_x(state, j, theta / 2.0)
-    rot_y(state, i, -math.pi / 4.0)
+    rot(state, j, "X", theta / 2.0)
+    rot(state, i, "Y", -math.pi / 4.0)
     return state
 
 
 def heisenberg_yy_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
     """exp(i theta Y_i Y_j / 2); Z-rotation conjugation of the XX step."""
-    for q in (i, j):
-        rot_z(state, q, math.pi / 4.0)
-    heisenberg_xx_step(state, i, j, theta)
-    for q in (i, j):
-        rot_z(state, q, -math.pi / 4.0)
-    return state
+    return _quarter_frame(state, "Z", (i, j), heisenberg_xx_step, i, j, theta)
 
 
 def heisenberg_zz_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
     """exp(i theta Z_i Z_j / 2); Y-rotation conjugation of the XX step."""
-    for q in (i, j):
-        rot_y(state, q, math.pi / 4.0)
-    heisenberg_xx_step(state, i, j, theta)
-    for q in (i, j):
-        rot_y(state, q, -math.pi / 4.0)
-    return state
+    return _quarter_frame(state, "Y", (i, j), heisenberg_xx_step, i, j, theta)
 
 
 def hopping_step(
@@ -192,23 +189,19 @@ def hopping_step(
 
     Realized as U^H_k G U^x_c(phi) G U^H_k with the first hop site as the
     control of the three-atom gate; the "y" variant conjugates the hop
-    sites with Z rotations that swap X and Y.
+    sites with Z quarter turns around the "x" sequence.
     """
     if len({i, j, string_site}) != 3:
         raise ValueError("hopping step needs three distinct qubits")
     if basis not in ("x", "y"):
         raise ValueError("basis must be 'x' or 'y'")
     if basis == "y":
-        for q in (i, j):
-            rot_z(state, q, math.pi / 4.0)
+        return _quarter_frame(state, "Z", (i, j), hopping_step, i, j, string_site, phi)
     hadamard(state, string_site)
     cnot_n(state, i, (j, string_site))
-    rot_x(state, i, phi)
+    rot(state, i, "X", phi)
     cnot_n(state, i, (j, string_site))
     hadamard(state, string_site)
-    if basis == "y":
-        for q in (i, j):
-            rot_z(state, q, -math.pi / 4.0)
     return state
 
 
@@ -230,9 +223,9 @@ def syndrome_map(state: StateVector, control: int, stabilizer: PauliString) -> S
     Ry_c(pi/2)^-1 . (controlled stabilizer) . Ry_c(pi/2): eigenvalue +1
     leaves the control in |0>, eigenvalue -1 flips it to |1>.  Involutive.
     """
-    rot_y(state, control, -math.pi / 4.0)
+    rot(state, control, "Y", -math.pi / 4.0)
     controlled_string(state, control, stabilizer)
-    rot_y(state, control, math.pi / 4.0)
+    rot(state, control, "Y", math.pi / 4.0)
     return state
 
 

@@ -7,7 +7,9 @@
 * Fermi-Hubbard model, both as the direct Jordan-Wigner spin image (snake
   site enumeration; horizontal bonds 2-local, vertical bonds carry strings)
   and in the auxiliary-fermion local form that trades the strings for
-  at-most-six-body terms (Verstraete-Cirac construction).
+  at-most-six-body terms (Verstraete-Cirac construction).  The local form
+  is the direct encoding on a doubled chain: direct mode m is chain mode
+  2m and its auxiliary partner 2m + 1.
 
 Site enumeration lives here: fermionic modes are numbered along the snake,
 and :mod:`rydsim.fock` reuses the same numbering so spectra compare sector
@@ -157,16 +159,18 @@ def build_heisenberg(adjacency, jx: float, jy: float, jz: float, h: float,
     return OperatorSum(terms, n_qubits).normalized()
 
 
+def _grid_bonds(lx: int, ly: int) -> list:
+    """Bonds of the open lx x ly grid as ``((x, y), neighbour, kind)``, row
+    by row: the right neighbour (kind "h"), then the upper one ("v")."""
+    return [((x, y), nb, kind) for y in range(ly) for x in range(lx)
+            for nb, kind in (((x + 1, y), "h"), ((x, y + 1), "v"))
+            if nb[0] < lx and nb[1] < ly]
+
+
 def grid_adjacency(lx: int, ly: int) -> list[tuple[int, int]]:
     """Open-boundary square grid, sites numbered along the snake."""
     pos = _snake_positions(lx, ly)
-    edges = []
-    for (x, y), k in pos.items():
-        if x + 1 < lx:
-            edges.append(tuple(sorted((k, pos[(x + 1, y)]))))
-        if y + 1 < ly:
-            edges.append(tuple(sorted((k, pos[(x, y + 1)]))))
-    return sorted(set(edges))
+    return sorted({tuple(sorted((pos[a], pos[b]))) for a, b, _ in _grid_bonds(lx, ly)})
 
 
 # ---------------------------------------------------------------------
@@ -215,9 +219,7 @@ def hubbard_mode(spec: HubbardSpec, x: int, y: int, spin=None) -> int:
     hopping strings of one species never leave its block.
     """
     pos = _snake_positions(spec.lx, spec.ly)[(x, y)]
-    if not spec.spinful:
-        return pos
-    return pos + (0 if spin == "up" else spec.n_sites)
+    return pos + (spec.n_sites if spec.spinful and spin != "up" else 0)
 
 
 def hubbard_bonds(spec: HubbardSpec):
@@ -227,44 +229,31 @@ def hubbard_bonds(spec: HubbardSpec):
     ``(mode_a, mode_b, kind)`` with kind "h"/"v" and pairs lists the
     (up, down) mode tuples carrying the U term.
     """
-    hops = []
-    for spin in spec.spins:
-        for y in range(spec.ly):
-            for x in range(spec.lx):
-                if x + 1 < spec.lx:
-                    hops.append(
-                        (hubbard_mode(spec, x, y, spin),
-                         hubbard_mode(spec, x + 1, y, spin), "h")
-                    )
-                if y + 1 < spec.ly:
-                    hops.append(
-                        (hubbard_mode(spec, x, y, spin),
-                         hubbard_mode(spec, x, y + 1, spin), "v")
-                    )
-    pairs = []
-    if spec.spinful:
-        pairs = [
-            (hubbard_mode(spec, x, y, "up"), hubbard_mode(spec, x, y, "down"))
-            for y in range(spec.ly)
-            for x in range(spec.lx)
-        ]
+    hops = [(hubbard_mode(spec, *a, spin), hubbard_mode(spec, *b, spin), kind)
+            for spin in spec.spins for a, b, kind in _grid_bonds(spec.lx, spec.ly)]
+    pairs = [(hubbard_mode(spec, x, y, "up"), hubbard_mode(spec, x, y, "down"))
+             for y in range(spec.ly) for x in range(spec.lx)] if spec.spinful else []
     return hops, pairs
-
-
-def _hop_image(a: int, b: int, n: int) -> OperatorSum:
-    """Spin image of c^dag_a c_b + c^dag_b c_a (modes 0-based)."""
-    return (jw_creator(a + 1, n) @ jw_annihilator(b + 1, n)) + (
-        jw_creator(b + 1, n) @ jw_annihilator(a + 1, n)
-    )
-
-
-def _onsite(spec: HubbardSpec, up: int, down: int, n: int) -> OperatorSum:
-    return spec.u * (jw_number(up + 1, n) @ jw_number(down + 1, n))
 
 
 def _sum_pieces(pieces, n: int) -> OperatorSum:
     """Sum of normalized pieces, normalized once (linear in the term count)."""
     return OperatorSum([t for piece in pieces for t in piece], n).normalized()
+
+
+def _hubbard_pieces(spec: HubbardSpec, n: int, stride: int, arrows: dict) -> list:
+    """Hopping and on-site pieces with direct mode m on chain mode stride*m
+    (Jordan-Wigner site stride*m + 1), in the order of :func:`hubbard_bonds`;
+    a vertical hop whose lower mode has an arrow operator is multiplied by it."""
+    hops, pairs = hubbard_bonds(spec)
+    pieces = []
+    for a, b, kind in hops:
+        hop = jw_creator(stride * a + 1, n) @ jw_annihilator(stride * b + 1, n)
+        image = hop + hop.adjoint()  # c^dag_a c_b + c^dag_b c_a
+        pieces.append((-spec.t_hop) * (image @ arrows[a] if kind == "v" and arrows else image))
+    pieces += [spec.u * (jw_number(stride * up + 1, n) @ jw_number(stride * down + 1, n))
+               for up, down in pairs]
+    return pieces
 
 
 def build_hubbard_jw(spec: HubbardSpec) -> OperatorSum:
@@ -273,11 +262,7 @@ def build_hubbard_jw(spec: HubbardSpec) -> OperatorSum:
     Horizontal bonds are 2-local; vertical bonds carry a Z string across
     one snake row.  The spectrum equals the Fock-space spectrum exactly.
     """
-    n = spec.n_modes
-    hops, pairs = hubbard_bonds(spec)
-    pieces = [(-spec.t_hop) * _hop_image(a, b, n) for a, b, _ in hops]
-    pieces += [_onsite(spec, up, down, n) for up, down in pairs]
-    return _sum_pieces(pieces, n)
+    return _sum_pieces(_hubbard_pieces(spec, spec.n_modes, 1, {}), spec.n_modes)
 
 
 # -- auxiliary-fermion local form --------------------------------------
@@ -293,49 +278,32 @@ def vc_n_qubits(spec: HubbardSpec) -> int:
     return 2 * spec.n_modes
 
 
-def _vc_mode(spec: HubbardSpec, x: int, y: int, layer: str, spin=None) -> int:
-    """Mode index in the enlarged chain: system and auxiliary modes of each
-    site interleave along the snake, one block per spin species."""
-    pos = _snake_positions(spec.lx, spec.ly)[(x, y)]
-    base = 2 * pos + (0 if layer == "s" else 1)
-    if not spec.spinful:
-        return base
-    return base + (0 if spin == "up" else 2 * spec.n_sites)
+def _arrows(spec: HubbardSpec) -> dict:
+    """Arrow operator of each vertical bond, keyed by the direct mode of its
+    lower site; spin blocks in turn, columns left to right, rows upward.
 
-
-def _vc_arrows(spec: HubbardSpec, spin=None):
-    """Directed pairing of auxiliary sites: one arrow per vertical bond,
-    columns oriented alternately so each Majorana is used exactly once."""
-    arrows = {}
-    for x in range(spec.lx):
-        for y in range(spec.ly - 1):
-            tail, head = ((x, y), (x, y + 1)) if x % 2 == 0 else ((x, y + 1), (x, y))
-            arrows[(x, y)] = (
-                _vc_mode(spec, *tail, "a", spin),
-                _vc_mode(spec, *head, "a", spin),
-            )
-    return arrows
-
-
-def _arrow_operator(spec: HubbardSpec, tail: int, head: int) -> OperatorSum:
+    An arrow pairs the auxiliary Majoranas of its bond's two sites, columns
+    oriented alternately so each Majorana is used exactly once.
+    """
+    _check_vc_geometry(spec)
     n = vc_n_qubits(spec)
-    alpha = jw_annihilator(tail + 1, n) + jw_creator(tail + 1, n)
-    beta = jw_annihilator(head + 1, n) - jw_creator(head + 1, n)
-    return alpha @ beta
+    arrows = {}
+    for spin in spec.spins:
+        for x in range(spec.lx):
+            for y in range(spec.ly - 1):
+                lower, upper = (hubbard_mode(spec, x, y + dy, spin) for dy in (0, 1))
+                tail, head = (lower, upper) if x % 2 == 0 else (upper, lower)
+                # auxiliary mode 2m + 1 is Jordan-Wigner site 2m + 2
+                alpha = jw_annihilator(2 * tail + 2, n) + jw_creator(2 * tail + 2, n)
+                beta = jw_annihilator(2 * head + 2, n) - jw_creator(2 * head + 2, n)
+                arrows[lower] = alpha @ beta
+    return arrows
 
 
 def aux_stabilizers(spec: HubbardSpec) -> list[PauliString]:
     """The commuting +-1 operators whose joint +1 eigenspace carries the
     physical sector of the local encoding; one per vertical bond and spin."""
-    _check_vc_geometry(spec)
-    stabs = []
-    for spin in spec.spins:
-        arrows = _vc_arrows(spec, spin)
-        for x in range(spec.lx):
-            for y in range(spec.ly - 1):
-                tail, head = arrows[(x, y)]
-                stabs.append(_arrow_operator(spec, tail, head).single_string())
-    return stabs
+    return [arrow.single_string() for arrow in _arrows(spec).values()]
 
 
 def aux_pair_count(spec: HubbardSpec) -> int:
@@ -352,17 +320,12 @@ def build_aux_hamiltonian(spec: HubbardSpec) -> OperatorSum:
     spin operator; the all-+1 stabilizer sector is a ground sector with
     energy -V * aux_pair_count(spec).
     """
-    _check_vc_geometry(spec)
-    n = vc_n_qubits(spec)
-    pieces = []
-    for spin in spec.spins:
-        arrows = _vc_arrows(spec, spin)
-        for x in range(0, spec.lx - 1, 2):
-            for y in range(spec.ly - 1):
-                pa = _arrow_operator(spec, *arrows[(x, y)])
-                pb = _arrow_operator(spec, *arrows[(x + 1, y)])
-                pieces.append((-spec.v_aux) * (pa @ pb))
-    return _sum_pieces(pieces, n)
+    arrows = _arrows(spec)
+    pieces = [(-spec.v_aux) * (arrows[hubbard_mode(spec, x, y, spin)]
+                               @ arrows[hubbard_mode(spec, x + 1, y, spin)])
+              for spin in spec.spins for x in range(0, spec.lx - 1, 2)
+              for y in range(spec.ly - 1)]
+    return _sum_pieces(pieces, vc_n_qubits(spec))
 
 
 def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
@@ -374,28 +337,8 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
     :func:`aux_stabilizers`, the spectrum equals :func:`build_hubbard_jw`
     shifted by the constant -V * aux_pair_count(spec).
     """
-    _check_vc_geometry(spec)
     n = vc_n_qubits(spec)
-    pieces = []
-    for spin in spec.spins:
-        arrows = _vc_arrows(spec, spin)
-        for y in range(spec.ly):
-            for x in range(spec.lx):
-                if x + 1 < spec.lx:
-                    a = _vc_mode(spec, x, y, "s", spin)
-                    b = _vc_mode(spec, x + 1, y, "s", spin)
-                    pieces.append((-spec.t_hop) * _hop_image(a, b, n))
-                if y + 1 < spec.ly:
-                    a = _vc_mode(spec, x, y, "s", spin)
-                    b = _vc_mode(spec, x, y + 1, "s", spin)
-                    p_arrow = _arrow_operator(spec, *arrows[(x, y)])
-                    pieces.append((-spec.t_hop) * (_hop_image(a, b, n) @ p_arrow))
-    if spec.spinful:
-        for y in range(spec.ly):
-            for x in range(spec.lx):
-                up = _vc_mode(spec, x, y, "s", "up")
-                down = _vc_mode(spec, x, y, "s", "down")
-                pieces.append(_onsite(spec, up, down, n))
+    pieces = _hubbard_pieces(spec, n, 2, _arrows(spec))
     pieces.append(build_aux_hamiltonian(spec))
     return _sum_pieces(pieces, n)
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
-_CODE_LETTER = np.frombuffer(b"IXZY", np.uint8)  # by site code x_bit | z_bit << 1
+_LETTERS = "IXZY"  # by site code x_bit | z_bit << 1
+_CODE_LETTER = np.frombuffer(_LETTERS.encode(), np.uint8)
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_LABELS = ("+", "+i", "-", "-i")
 
@@ -85,15 +84,7 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str, phase=1) -> "PauliString":
         """Build from a word like ``"IXYZ"`` (leftmost letter = qubit 0)."""
-        x = z = 0
-        for k, letter in enumerate(label):
-            try:
-                xb, zb = _LETTER_BITS[letter.upper()]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {letter!r}") from None
-            x |= xb << k
-            z |= zb << k
-        return cls(len(label), x, z, _phase_to_exp(phase))
+        return cls.from_sites(len(label), dict(enumerate(label)), phase)
 
     @classmethod
     def from_sites(cls, n_qubits: int, sites, phase=1) -> "PauliString":
@@ -102,9 +93,11 @@ class PauliString:
         for q, letter in dict(sites).items():
             if not 0 <= q < n_qubits:
                 raise IndexError(f"qubit {q} outside register of {n_qubits}")
-            xb, zb = _LETTER_BITS[letter.upper()]
-            x |= xb << q
-            z |= zb << q
+            code = _LETTERS.find(letter.upper()) if len(letter) == 1 else -1
+            if code < 0:
+                raise ValueError(f"invalid Pauli letter {letter!r}")
+            x |= (code & 1) << q
+            z |= (code >> 1) << q
         return cls(n_qubits, x, z, _phase_to_exp(phase))
 
     @classmethod
@@ -118,7 +111,7 @@ class PauliString:
         return _PHASE_VALUES[self.phase_exp]
 
     def letter(self, qubit: int) -> str:
-        return _BITS_LETTER[(self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1]
+        return _LETTERS[(self.x_mask >> qubit) & 1 | ((self.z_mask >> qubit) & 1) << 1]
 
     def to_label(self) -> str:
         size = (self.n_qubits + 7) // 8  # little-endian bytes: bit k is site k

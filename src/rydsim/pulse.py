@@ -198,7 +198,7 @@ def calibrate_area(profile: PulseProfile) -> PulseProfile:
     |x_max| = sqrt(8 pi / (3 T Omega_c^2/4Delta)); the sign of x_max stays."""
     area = raman_area(profile)
     if area <= 0.0:
-        raise ValueError("cannot calibrate a pulse with zero area")
+        raise ValueError(f"cannot calibrate a pulse whose Raman area {area:.6g} is not positive")
     return replace(profile, x_max=profile.x_max * math.sqrt(math.pi / area))
 
 
@@ -206,7 +206,7 @@ def calibrate_duration(profile: PulseProfile) -> PulseProfile:
     """The pulse stretched in time to Raman area pi, keeping the amplitude."""
     area = raman_area(profile)
     if area <= 0.0:
-        raise ValueError("cannot calibrate a pulse with zero area")
+        raise ValueError(f"cannot calibrate a pulse whose Raman area {area:.6g} is not positive")
     return replace(profile, duration=profile.duration * math.pi / area)
 
 

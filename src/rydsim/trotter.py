@@ -17,16 +17,20 @@ from .errors import UnmappedTermError
 from .pauli import OperatorSum, PauliString
 from .statevec import StateVector
 
-_KIND_RANK = {
-    "plaquette": 0,
-    "star": 1,
-    "xx": 2,
-    "yy": 3,
-    "zz": 4,
-    "hop_xxz": 5,
-    "hop_yyz": 6,
-    "exp_pauli": 7,
+#: by the sorted letters of a term: its gate kind, the kind's rank in a
+#: step, the gate angle per unit of -tau * coefficient, and the gate call.
+#: A term of any other letters is a generic Pauli exponential (key None).
+_KINDS = {
+    "XXXX": ("plaquette", 0, 1.0, lambda st, g: _g.plaquette_step(st, g.qubits, g.param)),
+    "ZZZZ": ("star", 1, 1.0, lambda st, g: _g.star_step(st, g.qubits, g.param)),
+    "XX": ("xx", 2, 2.0, lambda st, g: _g.heisenberg_xx_step(st, *g.qubits, g.param)),
+    "YY": ("yy", 3, 2.0, lambda st, g: _g.heisenberg_yy_step(st, *g.qubits, g.param)),
+    "ZZ": ("zz", 4, 2.0, lambda st, g: _g.heisenberg_zz_step(st, *g.qubits, g.param)),
+    "XXZ": ("hop_xxz", 5, 1.0, lambda st, g: _g.hopping_step(st, *g.qubits, g.param, "x")),
+    "YYZ": ("hop_yyz", 6, 1.0, lambda st, g: _g.hopping_step(st, *g.qubits, g.param, "y")),
+    None: ("exp_pauli", 7, 1.0, lambda st, g: st.apply_exp_pauli(g.string, g.param)),
 }
+_BY_KIND = {row[0]: row for row in _KINDS.values()}
 
 
 @dataclass(frozen=True)
@@ -51,21 +55,14 @@ def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
         raise UnmappedTermError(
             f"term {string.to_label()} has non-real coefficient {coeff}"
         )
-    c = coeff.real
     support = string.support()
-    letters = "".join(string.letter(q) for q in support)
-    if letters == "XXXX":
-        return Gate("plaquette", support, -tau * c)
-    if letters == "ZZZZ":
-        return Gate("star", support, -tau * c)
-    if letters in ("XX", "YY", "ZZ"):
-        return Gate(letters.lower(), support, -2.0 * tau * c)
-    if len(letters) == 3 and sorted(letters) in (["X", "X", "Z"], ["Y", "Y", "Z"]):
-        z_site = support[letters.index("Z")]
-        hop = tuple(q for q in support if q != z_site)
-        kind = "hop_xxz" if "X" in letters else "hop_yyz"
-        return Gate(kind, (*hop, z_site), -tau * c)
-    return Gate("exp_pauli", support, -tau * c, string=string)
+    letters = "".join(sorted(string.letter(q) for q in support))
+    kind, _, scale, _ = _KINDS.get(letters, _KINDS[None])
+    if kind == "exp_pauli":
+        return Gate(kind, support, -scale * tau * coeff.real, string=string)
+    # a hopping term's string site goes last; no other kind mixes letters
+    qubits = tuple(sorted(support, key=lambda q: string.letter(q) == "Z"))
+    return Gate(kind, qubits, -scale * tau * coeff.real)
 
 
 def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
@@ -77,29 +74,11 @@ def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 are supported")
-    terms = [
-        (c, s) for c, s in h.normalized() if not s.is_identity()
-    ]  # a global phase is not observable; identity terms are dropped
-    if order == 1:
-        step = [_term_to_gate(c, s, tau) for c, s in terms]
-        step.sort(key=lambda g: (_KIND_RANK[g.kind], g.qubits))
-    else:
-        half = [_term_to_gate(c, s, tau / 2.0) for c, s in terms]
-        half.sort(key=lambda g: (_KIND_RANK[g.kind], g.qubits))
-        step = half + half[::-1]
-    return Circuit(h.n_qubits, tuple(step))
-
-
-_DISPATCH = {
-    "plaquette": lambda st, g: _g.plaquette_step(st, g.qubits, g.param),
-    "star": lambda st, g: _g.star_step(st, g.qubits, g.param),
-    "xx": lambda st, g: _g.heisenberg_xx_step(st, *g.qubits, g.param),
-    "yy": lambda st, g: _g.heisenberg_yy_step(st, *g.qubits, g.param),
-    "zz": lambda st, g: _g.heisenberg_zz_step(st, *g.qubits, g.param),
-    "hop_xxz": lambda st, g: _g.hopping_step(st, *g.qubits, g.param, basis="x"),
-    "hop_yyz": lambda st, g: _g.hopping_step(st, *g.qubits, g.param, basis="y"),
-    "exp_pauli": lambda st, g: st.apply_exp_pauli(g.string, g.param),
-}
+    part = tau if order == 1 else tau / 2.0
+    # a global phase is not observable; identity terms are dropped
+    step = sorted((_term_to_gate(c, s, part) for c, s in h.normalized() if not s.is_identity()),
+                  key=lambda g: (_BY_KIND[g.kind][1], g.qubits))
+    return Circuit(h.n_qubits, tuple(step if order == 1 else step + step[::-1]))
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
@@ -108,5 +87,5 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
         raise ValueError("circuit and state sizes differ")
     state = initial.copy()
     for gate in circuit.gates:
-        _DISPATCH[gate.kind](state, gate)
+        _BY_KIND[gate.kind][3](state, gate)
     return state

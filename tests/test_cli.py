@@ -486,6 +486,28 @@ def test_config_command_must_match_subcommand(tmp_path, capsys):
     assert main(["toric-cool", "--config", str(cfg), "--out", "-"]) == 0
 
 
+@pytest.mark.parametrize("text,field,lines", [
+    ("command = toric-evolve\nlx = 2\nly = 2\nlx = 3\n", "lx", (2, 4)),
+    ("command = toric-evolve\nlx = 2\n# again\ncommand = toric-evolve\nly = 2\n",
+     "command", (1, 4)),
+])
+def test_config_field_set_twice_is_usage_error(tmp_path, capsys, text, field, lines):
+    # the second value would otherwise win silently
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = ["toric-evolve", "--config", str(cfg), "--tau", "0.1", "--steps", "1", "--out", "-"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"rydsim: error: config field {field!r} set twice: "
+                                       f"lines {lines[0]} and {lines[1]}\n")
+
+
+def test_gate_fidelity_negative_area_is_usage_error(capsys):
+    # Raman area (omega_c^2 / 4 delta) * 3 T / 8 at omega_c = 2, delta = -1, T = 13.1
+    argv = ["gate-fidelity", "--durations", "13.1", "--delta", "-1", "--out", "-"]
+    assert main(argv) == 2
+    assert "Raman area -4.9125 is not positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
 def test_bad_workers_env_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("RYDSIM_WORKERS", value)

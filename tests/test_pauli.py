@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,25 @@ def test_to_label_matches_per_site_letters():
             s = PauliString(n, x, z, phase_exp)
             assert s.to_label() == "".join(s.letter(k) for k in range(n))
     assert PauliString(3, 0b011, 0b110).to_label() == "XYZ"
+
+
+@pytest.mark.parametrize("build,letter", [
+    (lambda: PauliString.single(3, 0, "Q"), "Q"),
+    (lambda: PauliString.from_sites(3, {1: "w"}), "w"),
+    (lambda: PauliString.from_label("XQ"), "Q"),
+    (lambda: PauliString.from_sites(3, {1: "XZ"}), "XZ"),
+    (lambda: PauliString.from_sites(3, {1: ""}), ""),
+], ids=["single", "from_sites", "from_label", "two_letters", "empty"])
+def test_invalid_letter_is_named_as_given(build, letter):
+    with pytest.raises(ValueError, match=re.escape(f"invalid Pauli letter {letter!r}")):
+        build()
+
+
+def test_letters_read_in_either_case():
+    want = PauliString(4, 0b0110, 0b1100)
+    assert PauliString.from_label("ixYz") == want
+    assert PauliString.from_sites(4, {1: "x", 2: "Y", 3: "z"}) == want
+    assert [want.letter(q) for q in range(4)] == list("IXYZ")
 
 
 def test_format_parse_round_trip():

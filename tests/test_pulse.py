@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,8 +110,18 @@ def test_calibrate_duration_keeps_amplitude():
 
 @pytest.mark.parametrize("calibrate", [calibrate_area, calibrate_duration])
 def test_calibration_rejects_zero_area(calibrate):
-    with pytest.raises(ValueError, match="zero area"):
+    with pytest.raises(ValueError, match="Raman area 0 is not positive"):
         calibrate(PulseProfile(0.0, 10.0))
+
+
+@pytest.mark.parametrize("calibrate", [calibrate_area, calibrate_duration])
+def test_calibration_names_a_negative_area(calibrate):
+    # a negative detuning makes the Raman prefactor, and so the area, negative
+    prof = PulseProfile(1.0, 13.1, delta=-1.0)
+    assert raman_area(prof) < 0.0
+    with pytest.raises(ValueError, match=re.escape(
+            f"Raman area {raman_area(prof):.6g} is not positive")):
+        calibrate(prof)
 
 
 def test_profile_edge_validation():

@@ -63,6 +63,12 @@ LINES = [
     "dump-hamiltonian --model hubbard-jw --lx 2 --ly 2 --spinful true",
     "dump-hamiltonian --model hubbard-local --lx 2 --ly 2",
     "dump-hamiltonian --model aux --lx 2 --ly 2",
+    # past the 2x2 lines: several arrows per column, a spinful local encoding,
+    # and wider grid walks
+    "dump-hamiltonian --model hubbard-local --lx 4 --ly 4 --spinful true",
+    "dump-hamiltonian --model aux --lx 4 --ly 2 --spinful true",
+    "dump-hamiltonian --model heisenberg --lx 4 --ly 3",
+    "hubbard-spectrum --lx 5 --ly 2 --encoding both",
     "gate-fidelity --config {config}",
     # 130 trajectories each: run again at two workers, which take 65 each
     "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130",
@@ -110,6 +116,14 @@ DIGESTS = {
         "4bd1f0246948deb60298f41b5f82018906b9d2650838917fbc5a4886246567b4",
     "dump-hamiltonian --model aux --lx 2 --ly 2":
         "e444e5118d02a9cee161de972e2d8800ada6e4dc707036bcd90757ce6115fdf4",
+    "dump-hamiltonian --model hubbard-local --lx 4 --ly 4 --spinful true":
+        "2ae456fe5cbef0e64cf29982e32bcca74a60c0f578b35f7202997a7a465424e2",
+    "dump-hamiltonian --model aux --lx 4 --ly 2 --spinful true":
+        "92f5f78e227f713be81afd6841ea95fa30160f798e5251a0352450019526da2c",
+    "dump-hamiltonian --model heisenberg --lx 4 --ly 3":
+        "cc35a7640042b33436448eb5515c3597baf040ab166c5ee10feb61b2aa7b2105",
+    "hubbard-spectrum --lx 5 --ly 2 --encoding both":
+        "c7f14b1d7ef73566e5ce3ddc3d0e12d00c86383f139480f77355250d93fa1bc5",
     "gate-fidelity --config {config}":
         "cdf19cb7a31b10ee6f00f5f5c9a899ee701a20c5b855944eaf373e33d4c0a05a",
     "toric-cool --engine syndrome --lx 3 --ly 3 --theta pi,pi/4 --steps 6 --trajectories 130":
