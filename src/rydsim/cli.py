@@ -404,15 +404,18 @@ def _run_hubbard_spectrum(cfg: dict):
         return header, rows, f"max_abs_delta={max((row[3] for row in rows), default=0.0):.3e}", 0
     blocks = sectors(spec)  # checks the Fock mode cap before any matrix
     encodings = ("jw", "fock") if encoding == "both" else (encoding,)
-    matrices = [build_hubbard_jw(spec).to_matrix() if e == "jw" else hubbard_matrix(spec)
-                for e in encodings]
+    columns = []  # per encoding, its sector spectra: one dense matrix held at a time
+    for e in encodings:
+        matrix = build_hubbard_jw(spec).to_matrix() if e == "jw" else hubbard_matrix(spec)
+        columns.append([spectrum(matrix, indices) for _, indices in blocks])
+        del matrix
     header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)]
     if encoding == "both":
         header.append("abs_delta")
     rows = []
     worst = 0.0
-    for label, indices in blocks:
-        for vals in zip(*(spectrum(m, indices) for m in matrices)):
+    for k, (label, _) in enumerate(blocks):
+        for vals in zip(*(column[k] for column in columns)):
             row = [len(rows), label, *vals]
             if encoding == "both":
                 delta = abs(vals[0] - vals[1])

@@ -4,6 +4,10 @@ the two-qubit Heisenberg step, the syndrome map and the controlled pump
 flips used by the cooling protocol, plus the coherent gate-error model,
 whose generator is given on the gate's targets (its qubit j on target j).
 
+Every many-body phase step is one core, G . exp(i phi X_c) . G, which gives
+exp(i phi X...X); other axes come from quarter-turn frames exp(i pi/4 P)
+around it (Z takes X to Y, Y takes X to -Z), with no Hadamard.
+
 Rotation conventions: ``rot(state, q, letter, phi)`` applies exp(i phi P_q)
 for the Pauli letter P; ``controlled_flip`` applies exp(i theta P/2) on the
 |1> branch of the control, so a full cooling cycle flips a violated
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,16 +58,20 @@ class GateSpec:
             raise ValueError("fault generator must be Hermitian")
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _x_targets(n_qubits: int, control: int, targets: tuple) -> PauliString:
+    """:func:`cnot_n`'s X string on the targets, its geometry checked; built
+    once per argument tuple, and a call that raises caches nothing."""
+    GateSpec(control, targets)  # geometry validation
+    for q in (control, *targets):
+        if not 0 <= q < n_qubits:
+            raise IndexError(f"qubit {q} out of range")
+    return PauliString(n_qubits, sum(1 << q for q in targets), 0)
+
+
 def cnot_n(state: StateVector, control: int, targets) -> StateVector:
     """Controlled-NOT^N: X on every target when the control is |1>."""
-    targets = tuple(targets)
-    GateSpec(control, targets)  # geometry validation
-    n = state.n_qubits
-    for q in (control, *targets):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range")
-    x_targets = PauliString(n, sum(1 << q for q in targets), 0)
-    state.amps = x_targets.act(state.amps, control)
+    state.amps = _x_targets(state.n_qubits, control, tuple(targets)).act(state.amps, control)
     return state
 
 
@@ -94,7 +103,7 @@ def rot(state: StateVector, qubit: int, letter: str, phi: float) -> StateVector:
 def _quarter_frame(state: StateVector, letter: str, qubits, step, *args) -> StateVector:
     """``step(state, *args)`` conjugated by exp(i pi/4 P) on each qubit.
 
-    A Z quarter turn takes X to Y and a Y quarter turn takes X to Z, so
+    A Z quarter turn takes X to Y and a Y quarter turn takes X to -Z, so
     the frame carries an X-based sequence over to the other axis.
     """
     for q in qubits:
@@ -105,41 +114,34 @@ def _quarter_frame(state: StateVector, letter: str, qubits, step, *args) -> Stat
     return state
 
 
-def hadamard(state: StateVector, qubit: int) -> StateVector:
-    """(X_q + Z_q)/sqrt2."""
-    x = PauliString.single(state.n_qubits, qubit, "X")
-    z = PauliString.single(state.n_qubits, qubit, "Z")
-    state.amps = (x.act(state.amps) + z.act(state.amps)) * math.sqrt(0.5)
-    return state
-
-
-def plaquette_step(state: StateVector, plaquette, phi: float) -> StateVector:
-    """exp(i phi XXXX) on four spins, as gate-conjugated control rotation.
-
-    The first listed spin takes the role of the control; the sequence
-    G . exp(i phi X_c) . G realizes the four-body phase exactly.
-    """
-    plaquette = tuple(plaquette)
-    if len(plaquette) != 4 or len(set(plaquette)) != 4:
-        raise ValueError("plaquette must list four distinct qubits")
-    control, targets = plaquette[0], plaquette[1:]
+def _core(state: StateVector, qubits: tuple, phi: float) -> StateVector:
+    """exp(i phi X...X) on ``qubits`` as G . exp(i phi X_c) . G, with G the
+    gate from the first qubit c to the rest: the core of every many-body step."""
+    control, targets = qubits[0], qubits[1:]
     cnot_n(state, control, targets)
     rot(state, control, "X", phi)
     cnot_n(state, control, targets)
     return state
 
 
+def _four(qubits, what: str) -> tuple:
+    qubits = tuple(qubits)
+    if len(qubits) != 4 or len(set(qubits)) != 4:
+        raise ValueError(f"{what} must list four distinct qubits")
+    return qubits
+
+
+def plaquette_step(state: StateVector, plaquette, phi: float) -> StateVector:
+    """exp(i phi XXXX) on four spins, exactly, by the core with the first
+    listed spin as the control."""
+    return _core(state, _four(plaquette, "plaquette"), phi)
+
+
 def star_step(state: StateVector, star, phi: float) -> StateVector:
-    """exp(i phi ZZZZ), via Hadamard conjugation of the plaquette step."""
-    star = tuple(star)
-    if len(star) != 4 or len(set(star)) != 4:
-        raise ValueError("star must list four distinct qubits")
-    for q in star:
-        hadamard(state, q)
-    plaquette_step(state, star, phi)
-    for q in star:
-        hadamard(state, q)
-    return state
+    """exp(i phi ZZZZ): the core in Y quarter-turn frames, which carry XXXX
+    to (-Z)^4 = ZZZZ."""
+    star = _four(star, "star")
+    return _quarter_frame(state, "Y", star, _core, star, phi)
 
 
 def _controlled_exp(state: StateVector, control: int, p: PauliString,
@@ -187,9 +189,9 @@ def hopping_step(
 ) -> StateVector:
     """exp(i phi X_i X_j Z_k) (basis "x") or exp(i phi Y_i Y_j Z_k) ("y").
 
-    Realized as U^H_k G U^x_c(phi) G U^H_k with the first hop site as the
-    control of the three-atom gate; the "y" variant conjugates the hop
-    sites with Z quarter turns around the "x" sequence.
+    Realized as the core on (i, j, k) at -phi with the string site k in a
+    Y quarter-turn frame, which takes X_k to -Z_k; the "y" variant
+    conjugates the hop sites with Z quarter turns around that sequence.
     """
     if len({i, j, string_site}) != 3:
         raise ValueError("hopping step needs three distinct qubits")
@@ -197,12 +199,7 @@ def hopping_step(
         raise ValueError("basis must be 'x' or 'y'")
     if basis == "y":
         return _quarter_frame(state, "Z", (i, j), hopping_step, i, j, string_site, phi)
-    hadamard(state, string_site)
-    cnot_n(state, i, (j, string_site))
-    rot(state, i, "X", phi)
-    cnot_n(state, i, (j, string_site))
-    hadamard(state, string_site)
-    return state
+    return _quarter_frame(state, "Y", (string_site,), _core, (i, j, string_site), -phi)
 
 
 def controlled_string(state: StateVector, control: int, p: PauliString) -> StateVector:

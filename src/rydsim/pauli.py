@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,7 +102,9 @@ class PauliString:
         return cls(n_qubits, x, z, _phase_to_exp(phase))
 
     @classmethod
+    @lru_cache(maxsize=1024, typed=True)
     def single(cls, n_qubits: int, qubit: int, letter: str, phase=1) -> "PauliString":
+        """One letter on one qubit, built once per argument tuple."""
         return cls.from_sites(n_qubits, {qubit: letter}, phase)
 
     # -- inspection ---------------------------------------------------

@@ -3,7 +3,7 @@
 Each Hamiltonian term exp(-i tau c P) is mapped to the gate primitive that
 realizes it: four-body X/Z terms become plaquette/star steps (gate-framed
 control rotations), two-body XX/YY/ZZ terms become Heisenberg steps,
-three-body hopping terms become the Hadamard-framed gate sequence, and
+three-body hopping terms become the quarter-turn-framed gate sequence, and
 anything else falls back to a generic Pauli exponential.  Gates inside a
 step are emitted in a fixed deterministic order and run sequentially.
 """

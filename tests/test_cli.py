@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ def test_hubbard_spectrum_both(tmp_path):
     deltas = [float(line.split(",")[-1]) for line in lines[1:]]
     assert max(deltas) < 1e-8
     assert len(deltas) == 16
+
+
+def test_hubbard_spectrum_holds_one_dense_matrix(tmp_path):
+    # 10 modes: one 1024^2 float64 matrix is 8 MB, so two at once exceed the bound
+    out = tmp_path / "sp.csv"
+    tracemalloc.start()
+    try:
+        status = main(["hubbard-spectrum", "--lx", "5", "--ly", "2", "--encoding", "both",
+                       "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 12e6
 
 
 def test_hubbard_spectrum_local(tmp_path):

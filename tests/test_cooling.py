@@ -998,6 +998,20 @@ def test_mc_independent_of_workers_and_batch_size(monkeypatch):
         assert np.array_equal(run.stderr, serial.stderr)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_mc_chunked_first_flips_match_one_pass(monkeypatch, chunk):
+    # 2 theta x 150 trajectories x 18 cells = 5400 entries per sweep, one
+    # pass at the default chunk; a small chunk splits every sweep's first
+    # flips, which must move no energy
+    lattice = ToricLattice.build(3, 3)
+    params = CoolingParams(thetas=(np.pi / 3, np.pi), n_steps=8, n_trajectories=150,
+                           q_init=0.5, seed=29)
+    whole = syndrome_mc_run(lattice, params)
+    monkeypatch.setattr(cooling, "SWEEP_CHUNK", chunk)
+    for got, want in zip(syndrome_mc_run(lattice, params), whole):
+        assert np.array_equal(got.energies, want.energies)
+
+
 @pytest.mark.parametrize("workers,batch_row_cells", [(1, None), (3, None), (1, 1)])
 def test_mc_scan_matches_independent_runs(monkeypatch, workers, batch_row_cells):
     # unsorted thetas with a duplicate on 150 trajectories: sweeping them

@@ -8,7 +8,6 @@ from rydsim.gates import (
     controlled_string,
     faulty_gate,
     flip_probability,
-    hadamard,
     heisenberg_xx_step,
     heisenberg_yy_step,
     heisenberg_zz_step,
@@ -71,13 +70,19 @@ def test_cnot_n_involution_and_conjugation_identity():
 
 
 def test_cnot_n_geometry_errors():
-    state = StateVector.zero_state(3)
-    with pytest.raises(ValueError):
-        cnot_n(state, 0, (0, 1))
-    with pytest.raises(ValueError):
-        cnot_n(state, 0, ())
-    with pytest.raises(ValueError):
-        cnot_n(state, 0, (1, 1))
+    state = StateVector.basis_state(3, "110")
+    start = state.amps.copy()
+    bad = [(0, (0, 1), ValueError), (0, (), ValueError), (0, (1, 1), ValueError),
+           (2, [1, 2], ValueError), (0, (1, 3), IndexError), (3, (0, 1), IndexError),
+           (-1, (0,), IndexError)]
+    # target strings are built once per argument tuple, but a call that raises
+    # caches nothing: each raises again, also right after valid calls
+    for _ in range(2):
+        for control, targets, error in bad:
+            cnot_n(cnot_n(state, 0, (1, 2)), 0, (1, 2))
+            with pytest.raises(error):
+                cnot_n(state, control, targets)
+            assert np.array_equal(state.amps, start)
 
 
 # -- plaquette / star steps ----------------------------------------------
@@ -91,7 +96,7 @@ def test_plaquette_step_equals_four_body_exponential(phi):
 
 def test_star_step_equals_four_body_exponential():
     rng = np.random.default_rng(1)
-    for phi in rng.uniform(0, 2 * np.pi, 5):
+    for phi in [*rng.uniform(0, 2 * np.pi, 5), -0.8, -2.9, 11.0, -37.5]:
         got = op_matrix(lambda s: star_step(s, (0, 1, 2, 3), phi), 4)
         want = expm_hermitian(label_matrix("ZZZZ"), 1j * phi)
         assert np.linalg.norm(got - want) < 1e-10
@@ -240,7 +245,7 @@ def test_xx_step_rejects_same_qubit():
 
 def test_hopping_step_matrices():
     rng = np.random.default_rng(7)
-    for phi in rng.uniform(-2, 2, 4):
+    for phi in [*rng.uniform(-2, 2, 4), -0.6, -3.1, 11.0, -37.5]:
         xxz = op_matrix(lambda s: hopping_step(s, 0, 1, 2, phi, "x"), 3)
         yyz = op_matrix(lambda s: hopping_step(s, 0, 1, 2, phi, "y"), 3)
         assert np.linalg.norm(xxz - expm_hermitian(label_matrix("XXZ"), 1j * phi)) < 1e-10
@@ -345,12 +350,3 @@ def test_controlled_flip_matches_kron_oracle(axis, control, target):
         got = op_matrix(lambda s: controlled_flip(s, control, target, theta, axis), n)
         want = _controlled(control, n, expm_hermitian(sigma, 0.5j * theta))
         assert np.allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("qubit", [0, 1, 3])
-def test_hadamard_matches_kron_oracle(qubit):
-    n = 4
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    want = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), h), np.eye(1 << qubit))
-    got = op_matrix(lambda s: hadamard(s, qubit), n)
-    assert np.allclose(got, want, atol=1e-12)

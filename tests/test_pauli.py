@@ -323,6 +323,19 @@ def test_invalid_letter_is_named_as_given(build, letter):
         build()
 
 
+@pytest.mark.parametrize("qubit,letter,error", [
+    (1, "Q", ValueError), (1, "", ValueError), (3, "X", IndexError), (-1, "Z", IndexError),
+])
+def test_single_raises_after_a_cached_hit(qubit, letter, error):
+    # single is built once per argument tuple; a call that raises caches nothing
+    hit = PauliString.single(3, 1, "X")
+    assert PauliString.single(3, 1, "X") is hit
+    for _ in range(2):
+        with pytest.raises(error):
+            PauliString.single(3, qubit, letter)
+        assert PauliString.single(3, 1, "X") is hit
+
+
 def test_letters_read_in_either_case():
     want = PauliString(4, 0b0110, 0b1100)
     assert PauliString.from_label("ixYz") == want

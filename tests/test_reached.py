@@ -38,7 +38,7 @@ ALLOWED = {
     # calibration), with their helpers
     "gates.faulty_gate", "statevec.StateVector.apply_operator",
     "pulse.calibrate_duration",
-    # the Hadamard-framed hopping sequence, until lattice fermions are Trotterized
+    # the quarter-turn-framed hopping sequence, until lattice fermions are Trotterized
     "gates.hopping_step",
     # read by bench/checks.py for its dump round trip
     "pauli.parse_operator",
@@ -89,9 +89,9 @@ DIGESTS = {
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
         "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
-        "e3a15cefb82c0781229334f6cc19a5ec3748f3a7356aa214dc4392613143aa8f",
+        "d676283374682a619200d14ab9d751ff9b7e8844cc21ec42d48874fc47a4f4e1",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2":
-        "16e935236e263deadbc1c013f142733de6b9e178bb93836b13ac23fe09474857",
+        "1b6956cb9984bb2e05a221005cb366859adc3e68d010611b177028b905bbf20a",
     "heisenberg --lx 3 --ly 2 --jz 0.5 --field 0.3 --tau 0.1 --steps 2 --observables y1":
         "bac27d644c8c6f18eb504fcdb3113ab1bf9cc579441ebb052220cb11b4a457a5",
     "heisenberg --lx 3 --tau 0.1 --steps 1 --order 2":
