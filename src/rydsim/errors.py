@@ -14,7 +14,7 @@ class UnsupportedGeometryError(ValueError):
 
 
 class UnmappedTermError(ValueError):
-    """Hamiltonian term has no gate-level realization."""
+    """Hamiltonian term has a non-real coefficient: no unitary Trotter factor."""
 
 
 class IntegrationError(RuntimeError):

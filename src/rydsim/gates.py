@@ -1,12 +1,12 @@
 """Circuit-level mesoscopic Rydberg gate and the composite sequences built
-from it: the many-target controlled flip, the plaquette/star phase steps,
-the two-qubit Heisenberg step, the syndrome map and the controlled pump
-flips used by the cooling protocol, plus the coherent gate-error model,
-whose generator is given on the gate's targets (its qubit j on target j).
+from it: the Pauli-string step that realizes every Trotter term, the
+syndrome map and controlled pump flips of the cooling protocol, and the
+coherent gate-error model, whose generator is given on the gate's targets
+(its qubit j on target j).
 
-Every many-body phase step is one core, G . exp(i phi X_c) . G, which gives
-exp(i phi X...X); other axes come from quarter-turn frames exp(i pi/4 P)
-around it (Z takes X to Y, Y takes X to -Z), with no Hadamard.
+:func:`pauli_step` is the one many-body step: the core G . exp(i phi X_c) . G,
+which gives exp(i phi X...X), in per-site quarter-turn frames exp(i pi/4 F)
+(a Z turn takes X to Y, a Y turn takes X to -Z), with no Hadamard.
 
 Rotation conventions: ``rot(state, q, letter, phi)`` applies exp(i phi P_q)
 for the Pauli letter P; ``controlled_flip`` applies exp(i theta P/2) on the
@@ -100,106 +100,78 @@ def rot(state: StateVector, qubit: int, letter: str, phi: float) -> StateVector:
     return state.apply_exp_pauli(PauliString.single(state.n_qubits, qubit, letter), phi)
 
 
-def _quarter_frame(state: StateVector, letter: str, qubits, step, *args) -> StateVector:
-    """``step(state, *args)`` conjugated by exp(i pi/4 P) on each qubit.
+@lru_cache(maxsize=1024, typed=True)
+def _frames(p: PauliString) -> tuple:
+    """:func:`pauli_step`'s plan for the string P: its support, the
+    quarter-turn frame ``(qubit, letter)`` of every Y site (a Z turn) and Z
+    site (a Y turn), and the sign (-1)^(#Z + phase/2) by which those frames
+    carry X...X to P.  Built once per string; a call that raises caches
+    nothing."""
+    if not p.is_hermitian():
+        raise ValueError("pauli_step requires a Hermitian string (phase +-1)")
+    support = p.support()
+    frames = tuple((q, "Z" if p.letter(q) == "Y" else "Y")
+                   for q in support if p.letter(q) != "X")
+    flips = (p.z_mask & ~p.x_mask).bit_count() + p.phase_exp // 2
+    return support, frames, -1.0 if flips % 2 else 1.0
 
-    A Z quarter turn takes X to Y and a Y quarter turn takes X to -Z, so
-    the frame carries an X-based sequence over to the other axis.
-    """
-    for q in qubits:
+
+def pauli_step(state: StateVector, p: PauliString, phi: float) -> StateVector:
+    """exp(i phi P) for a Hermitian Pauli string P: on two or more sites the
+    core, with the first support site as the gate's control, inside the
+    frames and at the sign of :func:`_frames`; on one site one rotation."""
+    support, frames, sign = _frames(p)
+    if len(support) < 2:
+        return state.apply_exp_pauli(p, phi)
+    for q, letter in frames:
         rot(state, q, letter, math.pi / 4.0)
-    step(state, *args)
-    for q in qubits:
+    control, targets = support[0], support[1:]
+    cnot_n(state, control, targets)
+    rot(state, control, "X", sign * phi)
+    cnot_n(state, control, targets)
+    for q, letter in frames:
         rot(state, q, letter, -math.pi / 4.0)
     return state
 
 
-def _core(state: StateVector, qubits: tuple, phi: float) -> StateVector:
-    """exp(i phi X...X) on ``qubits`` as G . exp(i phi X_c) . G, with G the
-    gate from the first qubit c to the rest: the core of every many-body step."""
-    control, targets = qubits[0], qubits[1:]
-    cnot_n(state, control, targets)
-    rot(state, control, "X", phi)
-    cnot_n(state, control, targets)
-    return state
-
-
-def _four(qubits, what: str) -> tuple:
-    qubits = tuple(qubits)
-    if len(qubits) != 4 or len(set(qubits)) != 4:
-        raise ValueError(f"{what} must list four distinct qubits")
-    return qubits
-
-
 def plaquette_step(state: StateVector, plaquette, phi: float) -> StateVector:
-    """exp(i phi XXXX) on four spins, exactly, by the core with the first
-    listed spin as the control."""
-    return _core(state, _four(plaquette, "plaquette"), phi)
+    """exp(i phi XXXX) on four distinct spins."""
+    sites = dict.fromkeys(plaquette, "X")
+    if len(sites) != 4 or len(plaquette) != 4:
+        raise ValueError("plaquette must list four distinct qubits")
+    return pauli_step(state, PauliString.from_sites(state.n_qubits, sites), phi)
 
 
 def star_step(state: StateVector, star, phi: float) -> StateVector:
-    """exp(i phi ZZZZ): the core in Y quarter-turn frames, which carry XXXX
-    to (-Z)^4 = ZZZZ."""
-    star = _four(star, "star")
-    return _quarter_frame(state, "Y", star, _core, star, phi)
-
-
-def _controlled_exp(state: StateVector, control: int, p: PauliString,
-                    phi: float) -> StateVector:
-    """exp(i phi P) on the |1> branch of the control, for a Hermitian P:
-    cos(phi) psi + i sin(phi) P psi on that half, psi on the other."""
-    image = p.act(state.amps, control)
-    half = (-1, 2, 1 << control)  # [:, 1] is the control-1 half
-    amps = state.amps.copy()
-    one = amps.reshape(half)[:, 1]
-    one *= math.cos(phi)
-    one += (1j * math.sin(phi)) * image.reshape(half)[:, 1]
-    state.amps = amps
-    return state
+    """exp(i phi ZZZZ) on four distinct spins."""
+    sites = dict.fromkeys(star, "Z")
+    if len(sites) != 4 or len(star) != 4:
+        raise ValueError("star must list four distinct qubits")
+    return pauli_step(state, PauliString.from_sites(state.n_qubits, sites), phi)
 
 
 def heisenberg_xx_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
-    """exp(i theta X_i X_j / 2) from rotations and a controlled partial flip.
-
-    Sequence (right to left): Ry_i(pi/2), controlled partial flip of atom j
-    on the |1> branch of atom i, X rotation on j, inverse Ry on i.
-    """
+    """exp(i theta X_i X_j / 2)."""
     if i == j:
         raise ValueError("Heisenberg step needs two distinct qubits")
-    rot(state, i, "Y", math.pi / 4.0)
-    # |0><0| (x) 1 + |1><1| (x) exp(-i theta X_j): full flip at theta = pi
-    _controlled_exp(state, i, PauliString.single(state.n_qubits, j, "X"), -theta)
-    rot(state, j, "X", theta / 2.0)
-    rot(state, i, "Y", -math.pi / 4.0)
-    return state
+    xx = PauliString.from_sites(state.n_qubits, {i: "X", j: "X"})
+    return pauli_step(state, xx, theta / 2.0)
 
 
 def heisenberg_yy_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
-    """exp(i theta Y_i Y_j / 2); Z-rotation conjugation of the XX step."""
-    return _quarter_frame(state, "Z", (i, j), heisenberg_xx_step, i, j, theta)
+    """exp(i theta Y_i Y_j / 2)."""
+    if i == j:
+        raise ValueError("Heisenberg step needs two distinct qubits")
+    yy = PauliString.from_sites(state.n_qubits, {i: "Y", j: "Y"})
+    return pauli_step(state, yy, theta / 2.0)
 
 
 def heisenberg_zz_step(state: StateVector, i: int, j: int, theta: float) -> StateVector:
-    """exp(i theta Z_i Z_j / 2); Y-rotation conjugation of the XX step."""
-    return _quarter_frame(state, "Y", (i, j), heisenberg_xx_step, i, j, theta)
-
-
-def hopping_step(
-    state: StateVector, i: int, j: int, string_site: int, phi: float, basis: str = "x"
-) -> StateVector:
-    """exp(i phi X_i X_j Z_k) (basis "x") or exp(i phi Y_i Y_j Z_k) ("y").
-
-    Realized as the core on (i, j, k) at -phi with the string site k in a
-    Y quarter-turn frame, which takes X_k to -Z_k; the "y" variant
-    conjugates the hop sites with Z quarter turns around that sequence.
-    """
-    if len({i, j, string_site}) != 3:
-        raise ValueError("hopping step needs three distinct qubits")
-    if basis not in ("x", "y"):
-        raise ValueError("basis must be 'x' or 'y'")
-    if basis == "y":
-        return _quarter_frame(state, "Z", (i, j), hopping_step, i, j, string_site, phi)
-    return _quarter_frame(state, "Y", (string_site,), _core, (i, j, string_site), -phi)
+    """exp(i theta Z_i Z_j / 2)."""
+    if i == j:
+        raise ValueError("Heisenberg step needs two distinct qubits")
+    zz = PauliString.from_sites(state.n_qubits, {i: "Z", j: "Z"})
+    return pauli_step(state, zz, theta / 2.0)
 
 
 def controlled_string(state: StateVector, control: int, p: PauliString) -> StateVector:
@@ -229,13 +201,16 @@ def syndrome_map(state: StateVector, control: int, stabilizer: PauliString) -> S
 def controlled_flip(
     state: StateVector, control: int, target: int, theta: float, axis: str = "z"
 ) -> StateVector:
-    """exp(i theta sigma^axis_target / 2) on the |1> branch of the control."""
+    """exp(i theta sigma^axis_target / 2) on the |1> branch of the control:
+    exp(i theta sigma/4) . exp(-i theta Z_c sigma/4), as |1><1|_c = (1 - Z_c)/2."""
     if control == target:
         raise ValueError("control and target must differ")
     if axis not in ("z", "x"):
         raise ValueError("axis must be 'z' or 'x'")
-    sigma = PauliString.single(state.n_qubits, target, axis.upper())
-    return _controlled_exp(state, control, sigma, theta / 2.0)
+    sigma = axis.upper()
+    pauli_step(state, PauliString.single(state.n_qubits, target, sigma), theta / 4.0)
+    return pauli_step(state, PauliString.from_sites(state.n_qubits, {control: "Z", target: sigma}),
+                      -theta / 4.0)
 
 
 def flip_probability(theta: float) -> float:

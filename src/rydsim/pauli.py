@@ -445,12 +445,9 @@ def jw_number(i: int, n: int) -> OperatorSum:
 # -- textual round-trip format ----------------------------------------
 
 def format_operator(op: OperatorSum) -> str:
-    """One term per line: ``<re> <im> <pauli-word>`` (normalized form)."""
-    lines = [
-        f"{c.real:.17g} {c.imag:.17g} {s.to_label()}"
-        for c, s in op.normalized()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One term per line: ``<re> <im> <pauli-word>`` (normalized form),
+    each line ending in a newline, joined once."""
+    return "".join([f"{c.real:.17g} {c.imag:.17g} {s.to_label()}\n" for c, s in op.normalized()])
 
 
 def parse_operator(text: str, n_qubits: int | None = None) -> OperatorSum:

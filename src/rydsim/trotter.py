@@ -1,46 +1,32 @@
 """Suzuki-Trotter compilation of operator sums into gate-level circuits.
 
-Each Hamiltonian term exp(-i tau c P) is mapped to the gate primitive that
-realizes it: four-body X/Z terms become plaquette/star steps (gate-framed
-control rotations), two-body XX/YY/ZZ terms become Heisenberg steps,
-three-body hopping terms become the quarter-turn-framed gate sequence, and
-anything else falls back to a generic Pauli exponential.  Gates inside a
-step are emitted in a fixed deterministic order and run sequentially.
+Each Hamiltonian term exp(-i tau c P) is one gate exp(i phi P) with
+phi = -tau c, which :func:`rydsim.gates.pauli_step` realizes as the
+mesoscopic core in per-site quarter-turn frames (a one-site term is one
+rotation).  Gates inside a step are emitted in a fixed deterministic order
+and run sequentially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gates as _g
 from .errors import UnmappedTermError
+from .gates import pauli_step
 from .pauli import OperatorSum, PauliString
 from .statevec import StateVector
 
-#: by the sorted letters of a term: its gate kind, the kind's rank in a
-#: step, the gate angle per unit of -tau * coefficient, and the gate call.
-#: A term of any other letters is a generic Pauli exponential (key None).
-_KINDS = {
-    "XXXX": ("plaquette", 0, 1.0, lambda st, g: _g.plaquette_step(st, g.qubits, g.param)),
-    "ZZZZ": ("star", 1, 1.0, lambda st, g: _g.star_step(st, g.qubits, g.param)),
-    "XX": ("xx", 2, 2.0, lambda st, g: _g.heisenberg_xx_step(st, *g.qubits, g.param)),
-    "YY": ("yy", 3, 2.0, lambda st, g: _g.heisenberg_yy_step(st, *g.qubits, g.param)),
-    "ZZ": ("zz", 4, 2.0, lambda st, g: _g.heisenberg_zz_step(st, *g.qubits, g.param)),
-    "XXZ": ("hop_xxz", 5, 1.0, lambda st, g: _g.hopping_step(st, *g.qubits, g.param, "x")),
-    "YYZ": ("hop_yyz", 6, 1.0, lambda st, g: _g.hopping_step(st, *g.qubits, g.param, "y")),
-    None: ("exp_pauli", 7, 1.0, lambda st, g: st.apply_exp_pauli(g.string, g.param)),
-}
-_BY_KIND = {row[0]: row for row in _KINDS.values()}
+#: a step's term order by sorted letters: plaquettes, stars, the XX, YY and
+#: ZZ bonds, the two hopping words, then every other word
+_ORDER = ("XXXX", "ZZZZ", "XX", "YY", "ZZ", "XXZ", "YYZ")
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application; ``param`` is the primitive's own angle."""
+    """exp(i phi P) for one Hermitian Pauli string P."""
 
-    kind: str
-    qubits: tuple[int, ...]
-    param: float
-    string: PauliString | None = None
+    string: PauliString
+    phi: float
 
 
 @dataclass(frozen=True)
@@ -55,14 +41,17 @@ def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
         raise UnmappedTermError(
             f"term {string.to_label()} has non-real coefficient {coeff}"
         )
-    support = string.support()
-    letters = "".join(sorted(string.letter(q) for q in support))
-    kind, _, scale, _ = _KINDS.get(letters, _KINDS[None])
-    if kind == "exp_pauli":
-        return Gate(kind, support, -scale * tau * coeff.real, string=string)
-    # a hopping term's string site goes last; no other kind mixes letters
-    qubits = tuple(sorted(support, key=lambda q: string.letter(q) == "Z"))
-    return Gate(kind, qubits, -scale * tau * coeff.real)
+    return Gate(string, -tau * coeff.real)
+
+
+def _order(gate: Gate) -> tuple:
+    """Rank of the gate's sorted letters in :data:`_ORDER`, then its qubits:
+    ascending, but a ranked word's Z sites (a hopping string site) last."""
+    s = gate.string
+    letters = "".join(sorted(s.letter(q) for q in s.support()))
+    rank = _ORDER.index(letters) if letters in _ORDER else len(_ORDER)
+    return rank, tuple(sorted(s.support(),
+                              key=lambda q: rank < len(_ORDER) and s.letter(q) == "Z"))
 
 
 def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
@@ -77,7 +66,7 @@ def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
     part = tau if order == 1 else tau / 2.0
     # a global phase is not observable; identity terms are dropped
     step = sorted((_term_to_gate(c, s, part) for c, s in h.normalized() if not s.is_identity()),
-                  key=lambda g: (_BY_KIND[g.kind][1], g.qubits))
+                  key=_order)
     return Circuit(h.n_qubits, tuple(step if order == 1 else step + step[::-1]))
 
 
@@ -87,5 +76,5 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
         raise ValueError("circuit and state sizes differ")
     state = initial.copy()
     for gate in circuit.gates:
-        _BY_KIND[gate.kind][3](state, gate)
+        pauli_step(state, gate.string, gate.phi)
     return state

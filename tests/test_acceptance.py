@@ -97,7 +97,7 @@ def test_criterion_03_heisenberg_step_and_trotter_exponents():
     xx = label_matrix("XX")
     worst = 0.0
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 10):
-        got = circuit_matrix(Circuit(2, (Gate("xx", (0, 1), theta),)))
+        got = circuit_matrix(Circuit(2, (Gate(PauliString.from_label("XX"), theta / 2),)))
         worst = max(worst, np.linalg.norm(got - expm_hermitian(xx, 0.5j * theta), 2))
     h = build_heisenberg(grid_adjacency(4, 1), 1.0, 0.8, 0.6, 0.3, n_qubits=4)
     taus = [0.2, 0.1, 0.05, 0.025]

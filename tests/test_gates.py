@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from rydsim.gates import (
     heisenberg_xx_step,
     heisenberg_yy_step,
     heisenberg_zz_step,
-    hopping_step,
+    pauli_step,
     plaquette_step,
     star_step,
     syndrome_map,
@@ -113,6 +115,14 @@ def test_plaquette_star_steps_commute_on_overlap():
     ab = op_matrix(lambda s: st(pq(s) or s) or s, 6)
     ba = op_matrix(lambda s: pq(st(s) or s) or s, 6)
     assert np.allclose(ab, ba, atol=1e-12)
+
+
+def test_plaquette_star_steps_need_four_distinct_qubits():
+    state = StateVector.zero_state(6)
+    for step in (plaquette_step, star_step):
+        for qubits in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="four distinct qubits"):
+                step(state, qubits, 0.1)
 
 
 def test_zero_angle_steps_are_identity():
@@ -243,13 +253,25 @@ def test_xx_step_rejects_same_qubit():
         heisenberg_xx_step(StateVector.zero_state(2), 1, 1, 0.1)
 
 
-def test_hopping_step_matrices():
-    rng = np.random.default_rng(7)
-    for phi in [*rng.uniform(-2, 2, 4), -0.6, -3.1, 11.0, -37.5]:
-        xxz = op_matrix(lambda s: hopping_step(s, 0, 1, 2, phi, "x"), 3)
-        yyz = op_matrix(lambda s: hopping_step(s, 0, 1, 2, phi, "y"), 3)
-        assert np.linalg.norm(xxz - expm_hermitian(label_matrix("XXZ"), 1j * phi)) < 1e-10
-        assert np.linalg.norm(yyz - expm_hermitian(label_matrix("YYZ"), 1j * phi)) < 1e-10
+# -- the Pauli-string step -------------------------------------------------
+
+def test_pauli_step_matches_expm_on_every_word():
+    # every word on 1-3 qubits, identity included, at both signs, against
+    # negative and large angles
+    for n in (1, 2, 3):
+        for word in map("".join, itertools.product("IXYZ", repeat=n)):
+            for phase in (1, -1):
+                p = PauliString.from_label(word, phase)
+                for phi in (0.37, -1.9, 41.3):
+                    got = op_matrix(lambda s: pauli_step(s, p, phi), n)
+                    want = expm_hermitian(phase * label_matrix(word), 1j * phi)
+                    assert np.linalg.norm(got - want) < 1e-12, (word, phase, phi)
+
+
+def test_pauli_step_rejects_non_hermitian_string():
+    for _ in range(2):  # a call that raises caches nothing
+        with pytest.raises(ValueError, match="Hermitian"):
+            pauli_step(StateVector.zero_state(2), PauliString.from_label("XZ", 1j), 0.1)
 
 
 # -- syndrome map and controlled flips -------------------------------------

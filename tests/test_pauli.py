@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,24 @@ def test_format_parse_round_trip():
     ).normalized()
     back = parse_operator(format_operator(op))
     assert all(abs(c) <= 1e-15 for c, _ in (back - op).normalized())
+
+
+def test_format_holds_the_dump_text_about_twice():
+    # 4.2 MB of text for the 32x32 toric code: one list of lines that carry
+    # their own newline, joined once, peaks near twice that; a join of bare
+    # lines plus a final newline held it three times (12 MB)
+    from rydsim.models import build_toric
+
+    h = build_toric(32, 32)[0].normalized()
+    tracemalloc.start()
+    try:
+        text = format_operator(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4206592 and text.endswith("\n")
+    assert peak < 10e6, peak
+    assert format_operator(OperatorSum([], 2)) == ""
 
 
 def test_parse_rejects_ragged_words():

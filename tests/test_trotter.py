@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rydsim.errors import UnmappedTermError
-from rydsim.gates import hopping_step
 from rydsim.models import build_heisenberg, build_toric, grid_adjacency
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import StateVector
@@ -46,10 +45,50 @@ def test_toric_evolution_is_exact():
             assert np.linalg.norm(digital.amps - u_exact @ state.amps) < 1e-10
 
 
+def words(circuit):
+    """Each gate's sorted letters, in circuit order."""
+    return ["".join(sorted(g.string.letter(q) for q in g.string.support()))
+            for g in circuit.gates]
+
+
 def test_toric_circuit_uses_gate_primitives():
+    # four plaquette steps, then four star steps, each at phi = -tau * coeff
     h, _ = build_toric(2, 2)
-    kinds = {g.kind for g in trotterize(h, 0.3).gates}
-    assert kinds == {"plaquette", "star"}
+    circuit = trotterize(h, 0.3)
+    assert words(circuit) == ["XXXX"] * 4 + ["ZZZZ"] * 4
+    coeffs = {s: c.real for c, s in h.normalized()}
+    assert all(g.phi == -0.3 * coeffs[g.string] for g in circuit.gates)
+
+
+def act_calls(monkeypatch, circuit, state):
+    """``PauliString.act`` calls made by one run of the circuit."""
+    calls = []
+    act = PauliString.act
+    monkeypatch.setattr(PauliString, "act",
+                        lambda self, *args, **kw: calls.append(self) or act(self, *args, **kw))
+    run(circuit, state)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_kernel_budget_of_one_step(monkeypatch):
+    # XX bond 3 (gate, X rotation, gate), YY and ZZ 3 + 4 frame turns, field 1
+    h = build_heisenberg(grid_adjacency(3, 2), 1.0, 0.8, 0.6, 0.3, n_qubits=6)
+    assert act_calls(monkeypatch, trotterize(h, 0.1), StateVector.zero_state(6)) == 125
+    # plaquette 3, star 3 + 8 frame turns
+    toric, _ = build_toric(2, 2)
+    assert act_calls(monkeypatch, trotterize(toric, 0.3), StateVector.zero_state(8)) == 56
+
+
+def test_compiled_term_order():
+    # blocks XX, YY, ZZ, then the field; bonds ascending inside each
+    edges = sorted(grid_adjacency(3, 2))
+    h = build_heisenberg(grid_adjacency(3, 2), 1.0, 0.8, 0.6, 0.3, n_qubits=6)
+    circuit = trotterize(h, 0.1)
+    assert words(circuit) == ["XX"] * 7 + ["YY"] * 7 + ["ZZ"] * 7 + ["Z"] * 6
+    qubits = [g.string.support() for g in circuit.gates]
+    assert qubits == [*edges * 3, *((q,) for q in range(6))]
+    assert trotterize(h, 0.2, order=2).gates == circuit.gates + circuit.gates[::-1]
 
 
 def test_commuting_groups_tau_exact_second_order():
@@ -131,7 +170,8 @@ def test_non_hermitian_term_rejected():
 
 def hopping_circuit(phi):
     """exp(i phi X0 X1 Z2) exp(i phi Y0 Y1 Z2), the gates trotterize emits."""
-    return Circuit(3, (Gate("hop_xxz", (0, 1, 2), phi), Gate("hop_yyz", (0, 1, 2), phi)))
+    return Circuit(3, (Gate(PauliString.from_label("XXZ"), phi),
+                       Gate(PauliString.from_label("YYZ"), phi)))
 
 
 def test_compile_hopping_zero_phase_identity():
@@ -159,17 +199,11 @@ def test_hopping_factors_commute():
     assert np.allclose(circuit_matrix(fwd), circuit_matrix(rev), atol=1e-12)
 
 
-def test_hopping_needs_distinct_qubits():
-    with pytest.raises(ValueError):
-        hopping_step(StateVector.zero_state(3), 0, 0, 1, 0.1)
-
-
 def test_hubbard_local_terms_all_compile():
     from rydsim.models import HubbardSpec, build_hubbard_local
 
     h = build_hubbard_local(HubbardSpec(2, 2, t_hop=1.0, v_aux=0.8))
     circuit = trotterize(h, 0.05)
-    kinds = {g.kind for g in circuit.gates}
-    assert "hop_xxz" in kinds and "hop_yyz" in kinds
+    assert {"XXZ", "YYZ"} <= set(words(circuit))
     got = circuit_matrix(circuit)
     assert np.allclose(got @ got.conj().T, np.eye(1 << h.n_qubits), atol=1e-10)
