@@ -43,8 +43,8 @@ import numpy as np
 from .errors import CapExceededError, DimensionMismatchError
 from .gates import controlled_flip, flip_probability, syndrome_map
 from .models import ToricLattice, build_toric, toric_ground_state
-from .pauli import OperatorSum, PauliString, pauli_action
-from .statevec import DensityMatrix, StateVector, measure_projector
+from .pauli import OperatorSum, PauliString, pauli_action, sum_action
+from .statevec import DensityMatrix, StateVector, measure_projector, row_energies
 
 #: density-matrix integration cap
 LINDBLAD_QUBIT_CAP = 6
@@ -415,9 +415,10 @@ def state_from_config(lattice: ToricLattice, bits) -> np.ndarray:
             raise ValueError("syndrome parity violated; cannot realize state")
         masks, row = np.unique(np.bitwise_xor.reduce(np.where(excited, chain, 0), axis=1),
                                return_inverse=True)
-        idx, factor = (np.stack(a)[row] for a in zip(*(pauli_action(
-            lattice.n_edges, *((m, 0) if kind.pump == "X" else (0, m))) for m in masks.tolist())))
-        amps = factor * np.take_along_axis(amps, idx, axis=1)
+        x = kind.pump == "X"  # an X chain only gathers, a Z chain only multiplies
+        table = np.stack([pauli_action(lattice.n_edges, *((m, 0) if x else (0, m)))[not x]
+                          for m in masks.tolist()])[row]
+        amps = np.take_along_axis(amps, table, axis=1) if x else amps * table
     return amps
 
 
@@ -453,15 +454,6 @@ def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float
     return state, flipped
 
 
-def _energies(psi, ham, acc, buf):
-    """Re <psi|H psi> of each row of ``psi``; H psi accumulates in ``acc``."""
-    acc.fill(0.0)
-    for idx, factor, same, unit in ham:
-        term = psi if same else np.take(psi, idx, axis=1, out=buf, mode="clip")
-        acc += term if unit else np.multiply(term, factor, out=buf)
-    return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
-
-
 def _trajectory_energies(lattice, params, rows):
     """(thetas, rows, steps + 1) energies of :func:`trajectory_run` for the
     trajectories ``rows``.  Per block, the rows start in the eigenstates of
@@ -469,15 +461,7 @@ def _trajectory_energies(lattice, params, rows):
     a chunk of sweeps at once: at each position, its cell, pump pick and
     readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
-
-    def skips(idx, factor):  # whether a gather is the identity and a factor +1
-        return bool((idx == np.arange(1 << n)).all()), bool((factor == 1).all())
-
-    ham = {}  # H psi = sum over x masks of factor * psi[idx]; a mask's terms share idx
-    for c, s in build_toric(lattice.lx, lattice.ly)[0].normalized():
-        idx, factor = pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)
-        ham[s.x_mask] = (idx, ham.get(s.x_mask, (idx, 0.0))[1] + c * factor)
-    ham = [(*pair, *skips(*pair)) for pair in ham.values()]
+    ham = sum_action(build_toric(lattice.lx, lattice.ly)[0])
     # every cell of every kind: its stabilizer, then the pump on each of its edges
     pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for kind in kinds
              for cell in kind.cells.tolist() for s in (
@@ -485,10 +469,10 @@ def _trajectory_energies(lattice, params, rows):
                  *(PauliString.single(n, e, kind.pump) for e in cell))]
     idx, factor = (np.reshape(a, (-1, 5, 1 << n)) for a in zip(*pairs))
     (stab_idx, pump_idx), (stab_factor, pump_factor) = ((a[:, 0], a[:, 1:]) for a in (idx, factor))
-    # per position (kind-major), which gathers and multiplies it skips, decided per kind
-    rules = [rule for kind in kinds for at in [slice(kind.offset, kind.offset + len(kind.cells))]
-             for rule in [skips(idx[at, 0], factor[at, 0]) + skips(idx[at, 1:], factor[at, 1:])]
-             for _ in kind.cells]
+    # per position (kind-major), which gathers and multiplies it skips: a Z
+    # string gathers by the identity and an X string's factors are all +1
+    rules = [(kind.letter == "Z", kind.letter == "X", kind.pump == "Z", kind.pump == "X")
+             for kind in kinds for _ in kind.cells]
     steps, n_theta = params.n_steps, len(params.thetas)
     out = np.empty((n_theta, len(rows), steps + 1))
     for first in range(rows.start, rows.stop, BLOCK):
@@ -504,7 +488,8 @@ def _trajectory_energies(lattice, params, rows):
         flip = np.repeat([flip_probability(t) for t in params.thetas], size)
         # K0 psi = psi + (cos(theta/2) - 1) P- psi, with the 1/2 of P- moved here
         shrink = np.repeat([0.5 * (math.cos(t / 2.0) - 1.0) for t in params.thetas], size)[:, None]
-        energy = np.repeat(_energies(psi, ham, spare, gathered)[:, None], steps + 1, axis=1)
+        energy = row_energies(psi[:size], ham, spare[:size], gathered[:size])  # start rows
+        energy = np.repeat(np.tile(energy, n_theta)[:, None], steps + 1, axis=1)  # theta copies
         live = np.arange(len(psi))  # the (theta, row) state of each row of psi
         moved = np.tile((starts < 0).any(axis=1), n_theta)  # a ground-sector start never acts
         for step in range(steps + 1):
@@ -514,7 +499,7 @@ def _trajectory_energies(lattice, params, rows):
             psi, spare = np.take(psi, keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
             live, flip, shrink = live[keep], flip[keep], shrink[keep]
             if step and len(psi):
-                now = _energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
+                now = row_energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
                 energy[live, step:] = now[:, None]  # carried forward until it next changes
             if step == steps or not len(psi):
                 break  # a block with no live row reads no further draws

@@ -15,9 +15,10 @@ Conventions used throughout the package:
 * dense matrices are ``kron(P_{n-1}, ..., P_1, P_0)``, which makes the two
   conventions consistent.
 
-:func:`pauli_action` is the single place that turns the bitmask form into
-an action on basis amplitudes; state-vector operations, the gates and the
-dense realization all go through it.
+:func:`pauli_action` turns a string into an action on basis amplitudes,
+for state-vector operations and gates; :func:`sum_action` turns a sum into
+one such action per X mask, for every expectation and dense realization.
+Both keep their tables in one cache under :data:`ACTION_CACHE_BYTES`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ MATRIX_QUBIT_CAP = 12
 #: coefficients below this magnitude are dropped during normalization
 COEFF_EPS = 1e-12
 
-#: bytes of gather tables :func:`pauli_action` keeps, 24 * 2^n per entry
+#: bytes of tables kept, 24 * 2^n per string or X-mask group (16 * 2^n diagonal)
 ACTION_CACHE_BYTES = 64 << 20
 
 
@@ -164,8 +165,21 @@ class PauliString:
         return f"PauliString({_PHASE_LABELS[self.phase_exp]}{self.to_label()})"
 
 
-_actions: OrderedDict = OrderedDict()  # pauli_action's tables, least recently used first
+_actions: OrderedDict = OrderedDict()  # string and sum tables, least recently used first
 _action_bytes = 0
+
+
+def _cached(build, *key):
+    """``build(*key)``, kept until the kept tables exceed :data:`ACTION_CACHE_BYTES`."""
+    global _action_bytes
+    if key in _actions:
+        _actions.move_to_end(key)
+        return _actions[key]
+    tables = _actions[key] = build(*key)
+    _action_bytes += sum(a.nbytes for a in tables if a is not None)
+    while _action_bytes > ACTION_CACHE_BYTES:
+        _action_bytes -= sum(a.nbytes for a in _actions.popitem(last=False)[1] if a is not None)
+    return tables
 
 
 def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
@@ -176,21 +190,28 @@ def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
     with the sign (-1)**parity(z_mask & j) and the Y phases i**#Y.  With a
     control qubit the pair is the identity wherever the control bit is 0,
     i.e. it realizes ``|0><0|_c (x) 1 + |1><1|_c (x) P``.  Both arrays are
-    read-only and shared between calls: the least recently used pairs are
-    dropped once the kept ones exceed :data:`ACTION_CACHE_BYTES`.
+    read-only and shared between calls, kept under the one byte budget.
     """
-    global _action_bytes
-    key = (n_qubits, x_mask, z_mask, phase_exp, control)
-    pair = _actions.get(key)
-    if pair is not None:
-        _actions.move_to_end(key)
-        return pair
-    pair = _actions[key] = _action_tables(*key)
-    _action_bytes += pair[0].nbytes + pair[1].nbytes
-    while _action_bytes > ACTION_CACHE_BYTES:
-        idx, factor = _actions.popitem(last=False)[1]
-        _action_bytes -= idx.nbytes + factor.nbytes
-    return pair
+    return _cached(_action_tables, n_qubits, x_mask, z_mask, phase_exp, control)
+
+
+def sum_action(op: OperatorSum) -> list:
+    """``op``'s plan, ``op|psi> = sum factor * psi[..., idx]`` over one read-only
+    pair per X mask of its normalized terms, in their order; ``idx`` is None for
+    the diagonal group, and a factor sums coefficient times string factor."""
+    groups: dict[int, list] = {}
+    for c, s in op.normalized():
+        groups.setdefault(s.x_mask, []).append((s.z_mask, c))
+    return [_cached(_group_tables, op.n_qubits, x, tuple(terms)) for x, terms in groups.items()]
+
+
+def _group_tables(n_qubits, x_mask, terms):
+    factor = np.zeros(1 << n_qubits, dtype=complex)
+    for z_mask, c in terms:  # in normalized order, as to_matrix sums an entry
+        idx, string = _action_tables(n_qubits, x_mask, z_mask, 0, None)
+        factor += c * string
+    factor.setflags(write=False)
+    return (idx if x_mask else None), factor
 
 
 def _action_tables(n_qubits, x_mask, z_mask, phase_exp, control):
@@ -402,15 +423,13 @@ def to_matrix(op: OperatorSum) -> np.ndarray:
             f"dense matrix for {n_qubits} qubits exceeds the "
             f"{MATRIX_QUBIT_CAP}-qubit cap"
         )
-    terms = op.normalized().terms
     real = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
-               for c, s in terms)
+               for c, s in op.normalized())
     dim = 1 << n_qubits
     mat = np.zeros((dim, dim), dtype=float if real else complex)
     rows = np.arange(dim)
-    for c, s in terms:
-        idx, factor = pauli_action(n_qubits, s.x_mask, s.z_mask)
-        mat[rows, idx] += c.real * factor.real if real else c * factor
+    for idx, factor in sum_action(op):
+        mat[rows, rows if idx is None else idx] = factor.real if real else factor
     return mat
 
 

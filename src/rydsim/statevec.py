@@ -5,7 +5,8 @@ bit k of the index; a dense operator on listed qubits reads ``qubits[j]``
 as bit j of its own index.  Operations mutate the state buffer in place
 and return the instance; use :meth:`StateVector.copy` to branch.  Every stochastic
 operation takes an explicit ``numpy.random.Generator`` so identical seeds
-give identical trajectories.
+give identical trajectories.  Both backends read an operator sum through its
+:func:`~rydsim.pauli.sum_action` plan, a state's through :func:`row_energies`.
 
 Units: hbar = 1 and the toric coupling E0 = 1, so times are in hbar/E0.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pauli import OperatorSum, PauliString, pauli_action
+from .pauli import OperatorSum, PauliString, sum_action
 
 
 class StateVector:
@@ -26,7 +27,7 @@ class StateVector:
     def __init__(self, amplitudes, copy: bool = True):
         amps = (np.array(amplitudes, dtype=complex) if copy
                 else np.asarray(amplitudes, dtype=complex))
-        if amps.ndim != 1 or amps.size & (amps.size - 1):
+        if amps.ndim != 1 or not amps.size or amps.size & (amps.size - 1):
             raise ValueError("amplitude array length must be a power of two")
         self.n_qubits = int(amps.size.bit_length() - 1)
         self.amps = amps
@@ -67,17 +68,11 @@ class StateVector:
         self.amps /= n
         return self
 
-    def _check(self, n: int):
-        if n != self.n_qubits:
-            raise DimensionMismatchError(
-                f"operator on {n} qubits applied to {self.n_qubits}-qubit state"
-            )
-
     # -- operations ---------------------------------------------------
 
     def apply_string(self, p: PauliString) -> "StateVector":
         """|psi> -> P|psi> (norm preserving; involutive up to phase^2)."""
-        self._check(p.n_qubits)
+        _check(p.n_qubits, self.n_qubits)
         self.amps = p.act(self.amps)
         return self
 
@@ -86,7 +81,7 @@ class StateVector:
 
         Requires a Hermitian string (phase +-1), for which P^2 = 1.
         """
-        self._check(p.n_qubits)
+        _check(p.n_qubits, self.n_qubits)
         if not p.is_hermitian():
             raise ValueError("exp_pauli requires a Hermitian string (phase +-1)")
         image = p.act(self.amps)
@@ -122,19 +117,39 @@ class StateVector:
         return self
 
     def expectation_string(self, p: PauliString) -> complex:
-        self._check(p.n_qubits)
+        _check(p.n_qubits, self.n_qubits)
         return complex(np.vdot(self.amps, p.act(self.amps)))
 
     def expectation(self, h: OperatorSum) -> float:
-        """<psi|H|psi> for Hermitian H; bounded by sum |coefficients|."""
-        self._check(h.n_qubits)
-        if not h.is_hermitian():
-            raise ValueError("expectation requires a Hermitian operator sum")
-        value = sum(c * self.expectation_string(s) for c, s in h.normalized())
-        return float(value.real)
+        """<psi|H|psi> for Hermitian H: the row kernel :func:`row_energies` on one row."""
+        psi, plan = self.amps[None], _plan(h, self.n_qubits)
+        return float(row_energies(psi, plan, np.empty_like(psi), np.empty_like(psi))[0])
 
     def __repr__(self):
         return f"StateVector(n={self.n_qubits}, norm={self.norm():.6f})"
+
+
+def _check(n: int, n_qubits: int):
+    if n != n_qubits:
+        raise DimensionMismatchError(f"operator on {n} qubits applied to a {n_qubits}-qubit state")
+
+
+def _plan(h: OperatorSum, n_qubits: int) -> list:
+    """:func:`sum_action` of a Hermitian ``h``, read on ``n_qubits`` qubits."""
+    _check(h.n_qubits, n_qubits)
+    if not h.is_hermitian():
+        raise ValueError("expectation requires a Hermitian operator sum")
+    return sum_action(h)
+
+
+def row_energies(psi: np.ndarray, plan, acc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Re <psi|H psi> of each row of ``psi``, H given by its :func:`sum_action`
+    plan: H psi accumulates in ``acc``, and ``buf`` takes each group's term."""
+    acc.fill(0.0)
+    for idx, factor in plan:
+        term = psi if idx is None else np.take(psi, idx, axis=1, out=buf, mode="clip")
+        acc += np.multiply(term, factor, out=buf)
+    return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
 
 
 def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generator):
@@ -170,7 +185,7 @@ class DensityMatrix:
         mat = (np.array(matrix, dtype=complex) if copy
                else np.asarray(matrix, dtype=complex))
         dim = mat.shape[0]
-        if mat.ndim != 2 or mat.shape != (dim, dim) or dim & (dim - 1):
+        if mat.ndim != 2 or mat.shape != (dim, dim) or not dim or dim & (dim - 1):
             raise ValueError("density matrix must be square with 2^n rows")
         self.n_qubits = int(dim.bit_length() - 1)
         self.matrix = mat
@@ -189,18 +204,10 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def expectation(self, h: OperatorSum) -> float:
-        """tr(H rho) = sum_terms c sum_k f_k rho[idx_k, k], P[k, idx_k] = f_k."""
-        if not h.is_hermitian():
-            raise ValueError("expectation requires a Hermitian operator sum")
-        n = self.n_qubits
-        if h.n_qubits != n:
-            raise DimensionMismatchError(f"operator on {h.n_qubits} qubits, state on {n}")
-        cols = np.arange(1 << n)
-        value = 0.0
-        for c, s in h.normalized():
-            idx, factor = pauli_action(n, s.x_mask, s.z_mask)
-            value += c * np.dot(factor, self.matrix[idx, cols])
-        return float(value.real)
+        """tr(H rho) = sum_k f_k rho[idx_k, k] over H's X-mask groups, H[k, idx_k] = f_k."""
+        rows = np.arange(1 << self.n_qubits)
+        return float(sum(np.dot(factor, self.matrix[rows if idx is None else idx, rows])
+                         for idx, factor in _plan(h, self.n_qubits)).real)
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n_qubits}, trace={self.trace():.6f})"

@@ -494,15 +494,15 @@ def test_trajectory_ground_start_flat():
 
 
 def _rows_per_energy_call(monkeypatch, lattice, params, rows):
-    """The trajectory energies, and the row count of each ``_energies`` call:
-    the start, then after each sweep the rows that acted in it, which are
-    the rows the next sweep runs."""
-    energies, counts = cooling._energies, []
+    """The trajectory energies, and the row count of each ``row_energies`` call:
+    a block's start rows, once for all thetas, then after each sweep the
+    rows that acted in it, which are the rows the next sweep runs."""
+    energies, counts = cooling.row_energies, []
 
     def counted(psi, *args):
         counts.append(len(psi))
         return energies(psi, *args)
-    monkeypatch.setattr(cooling, "_energies", counted)
+    monkeypatch.setattr(cooling, "row_energies", counted)
     return cooling._trajectory_energies(lattice, params, rows), counts
 
 
@@ -519,7 +519,7 @@ def test_ground_start_makes_no_sweep_draws(monkeypatch):
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=70,
                            q_init=0.0, seed=9)
     energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, range(70))
-    assert counts == [128, 12]
+    assert counts == [64, 6]
     # sweep 0's indices are those below cells * trajectories
     assert read and max(index.max(initial=0) for index in read) < 8 * 70
     assert np.array_equal(energies, np.broadcast_to(energies[..., :1], energies.shape))
@@ -551,12 +551,13 @@ def test_live_rows_follow_the_monte_carlo_energies(monkeypatch, seed):
     # the benchmark's compare size: a row acts in a sweep iff it starts the
     # sweep off the ground sector, so after sweep t the energies are computed
     # for exactly the rows whose Monte Carlo energy after sweep t - 1 is above
-    # -8, over both thetas, and for none once no row is left
+    # -8, over both thetas, and for none once no row is left; the start
+    # energies are computed once for both thetas
     params = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=20, n_trajectories=50, seed=seed)
     mc = cooling._mc_energies(LATTICE, params, range(50))
     energies, counts = _rows_per_energy_call(monkeypatch, LATTICE, params, range(50))
     excited = [int((mc[..., t] > -8.0).sum()) for t in range(20)]
-    assert counts == [100] + [count for count in excited if count]
+    assert counts == [50] + [count for count in excited if count]
     assert np.max(np.abs(energies - mc)) <= 1e-9
 
 

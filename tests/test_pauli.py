@@ -1,11 +1,13 @@
 import re
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from rydsim import pauli
 from rydsim.errors import CapExceededError, DimensionMismatchError
+from rydsim.models import build_heisenberg, grid_adjacency
 from rydsim.pauli import (
     OperatorSum,
     PauliString,
@@ -17,8 +19,10 @@ from rydsim.pauli import (
     parse_operator,
     pauli_action,
     pauli_mul,
+    sum_action,
     to_matrix,
 )
+from rydsim.statevec import StateVector
 
 from oracles import label_matrix, sum_matrix
 
@@ -180,8 +184,13 @@ def test_matrix_cap():
 
 def test_action_cache_stays_within_its_byte_budget():
     # a 16-qubit pair of tables holds 1.5 MB, so 64 strings overrun the budget;
-    # the least recently used pairs go first, and a dropped pair is rebuilt
+    # the least recently used pairs go first, and a dropped pair is rebuilt;
+    # a sum's group tables (a diagonal group keeps no index) share the budget
     n = 16
+    field = OperatorSum([(0.5, PauliString.single(n, 0, "Z"))])
+    groups = sum_action(field) + sum_action(OperatorSum(
+        [(1.0, PauliString.single(n, 1, "X")), (0.5, PauliString.single(n, 1, "Y"))]))
+    assert [idx is None for idx, _ in groups] == [True, False]
     first = pauli_action(n, 0, 1)
     for x in range(1, 64):
         pauli_action(n, x, 0)
@@ -193,6 +202,27 @@ def test_action_cache_stays_within_its_byte_budget():
     assert (n, 1, 0, 0, None) not in pauli._actions
     idx, factor = pauli_action(n, 1, 0)
     assert np.array_equal(idx, np.arange(1 << n) ^ 1) and np.all(factor == 1.0)
+    assert all(len(key) == 5 for key in pauli._actions)  # no group table is kept
+    idx, factor = sum_action(field)[0]
+    assert idx is None and factor is not groups[0][1]
+    assert np.array_equal(factor, np.where(np.arange(1 << n) & 1, -0.5, 0.5))
+    kept = pauli._actions.values()
+    assert pauli._action_bytes == sum(a.nbytes for pair in kept for a in pair if a is not None)
+    assert pauli._action_bytes <= pauli.ACTION_CACHE_BYTES
+
+
+def test_an_energy_reads_one_table_per_x_mask(monkeypatch):
+    # Heisenberg 4x3 has 63 terms: 17 bonds of XX and YY, which share their
+    # bond's X mask, and 17 ZZ bonds and 12 fields, all diagonal; so its
+    # energy builds 18 tables from an empty cache, and a second call none
+    monkeypatch.setattr(pauli, "_actions", OrderedDict())
+    monkeypatch.setattr(pauli, "_action_bytes", 0)
+    h = build_heisenberg(grid_adjacency(4, 3), 1.0, 1.0, 0.5, 0.3, n_qubits=12)
+    assert len(h.normalized()) == 63
+    state = StateVector((1, 1j) @ np.random.default_rng(3).normal(size=(2, 1 << 12))).normalize()
+    energy = state.expectation(h)
+    assert len(pauli._actions) == 18
+    assert state.expectation(h) == energy and len(pauli._actions) == 18
 
 
 # -- operator sums ------------------------------------------------------

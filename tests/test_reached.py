@@ -87,11 +87,11 @@ DIGESTS = {
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
         "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
-        "d676283374682a619200d14ab9d751ff9b7e8844cc21ec42d48874fc47a4f4e1",
+        "1b4b8e6614ed63c2c0cf0b2be2dc6d9709687b9dd1c8990772963ca43225009d",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2":
-        "1b6956cb9984bb2e05a221005cb366859adc3e68d010611b177028b905bbf20a",
+        "1a14ea6321db2fbbf27cb63d6798e4955221e13a6abb3adaa198d873a0416bb6",
     "heisenberg --lx 3 --ly 2 --jz 0.5 --field 0.3 --tau 0.1 --steps 2 --observables y1":
-        "20a9b8a65fcb81b6fa7e73653c8679bb640e76cb3fc1ed44dad9c2812a12c30d",
+        "f412aed9d73ed57dfdccf5332b87d10e31970e0b172f20a1e1f6313ac0ae92f6",
     "heisenberg --lx 3 --tau 0.1 --steps 1 --order 2":
         "e0aaaa21ffc6fbfdf9d867f2bea02fe3cbcd063cde1c745be8772766f93d216a",
     "hubbard-spectrum --lx 2 --ly 1 --spinful true --u 4 --encoding both":

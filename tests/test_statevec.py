@@ -3,7 +3,7 @@ import pytest
 
 from rydsim.errors import DimensionMismatchError
 from rydsim.models import build_toric, toric_ground_state
-from rydsim.pauli import OperatorSum, PauliString
+from rydsim.pauli import COEFF_EPS, OperatorSum, PauliString, to_matrix
 from rydsim.statevec import (
     DensityMatrix,
     StateVector,
@@ -193,6 +193,42 @@ def test_expectation_bounded_by_coefficient_norm():
         assert abs(state.expectation(op)) <= bound + 1e-12
 
 
+def _hermitian_sum_terms(rng, n):
+    """(coeff, label) pairs of a Hermitian sum on n qubits: random words, a
+    variant of the first with the same X mask (I <-> Z and X <-> Y on each
+    site), one with a Y on qubit 0 and two diagonal words, all with real
+    coefficients, and the first word again, which merges into one term."""
+    words = [random_label(rng, n) for _ in range(4)]
+    words.append(words[0].translate(str.maketrans("IZXY", "ZIYX")))
+    words.append("Y" + random_label(rng, n - 1))
+    words += ["".join(rng.choice(list("IZ")) for _ in range(n)) for _ in range(2)]
+    words.append(words[0])
+    return [(float(rng.normal()), word) for word in words]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_sum_reader_matches_the_kron_oracle(n):
+    # <psi|H psi>, tr(H rho) and the dense H all read the one per-X-mask
+    # plan; each is checked against the kron-built matrix, not against the
+    # others, and a sum whose coefficients all drop reads exactly 0
+    rng = np.random.default_rng(40 + n)
+    states = [StateVector((1, 1j) @ rng.normal(size=(2, 1 << n))).normalize() for _ in range(2)]
+    rho = DensityMatrix(0.6 * np.outer(states[0].amps, states[0].amps.conj())
+                        + 0.4 * np.outer(states[1].amps, states[1].amps.conj()))
+    for _ in range(3):
+        terms = _hermitian_sum_terms(rng, n)
+        h = OperatorSum([(c, PauliString.from_label(word)) for c, word in terms])
+        want = sum_matrix(terms, n)
+        assert np.max(np.abs(to_matrix(h) - want)) <= 1e-12
+        psi = states[0].amps
+        assert abs(states[0].expectation(h) - np.vdot(psi, want @ psi).real) <= 1e-12
+        assert abs(rho.expectation(h) - np.trace(want @ rho.matrix).real) <= 1e-12
+    dropped = OperatorSum([(0.5 * COEFF_EPS, PauliString.from_label("X" * n)),
+                           (-0.5 * COEFF_EPS, PauliString.from_label("Z" * n))])
+    assert states[0].expectation(dropped) == 0.0 and rho.expectation(dropped) == 0.0
+    assert not to_matrix(dropped).any()
+
+
 def test_expectation_rejects_non_hermitian():
     state = StateVector.zero_state(2)
     op = OperatorSum([(1j, PauliString.from_label("XI"))])
@@ -296,6 +332,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_an_empty_array_is_no_state():
+    # zero amplitudes, or a 0 x 0 matrix, are no register of -1 qubits
+    with pytest.raises(ValueError, match="power of two"):
+        StateVector(np.zeros(0))
+    with pytest.raises(ValueError, match="2\\^n rows"):
+        DensityMatrix(np.zeros((0, 0)), validate=False)
 
 
 def test_density_matrix_from_state_expectation():
