@@ -33,10 +33,11 @@ order; a visit flips iff u < sin^2(theta/2) on an excited cell.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -136,22 +137,32 @@ class EquivalenceReport:
         return np.where(diff <= MAX_ABS_DELTA, 0.0, diff / np.maximum(sigma, 1e-300))
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+_STRIDE, _S30, _F1, _S27, _F2, _S31, _S11 = (np.uint64(a) for a in (
+    3 * _GAMMA % 2**64, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11))
+_offset = cache(lambda seed, lane: np.uint64((seed + (lane + 1) * _GAMMA) % 2**64))
+
+
 def _draws(seed: int, lane: int, index: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1): the top 53 bits of SplitMix64's output from state
-    ``seed`` at counters ``3 * index + lane``, mix(seed + (counter + 1)
-    gamma) mod 2^64, an affine state in ``index`` (int64 >= 0).  Lanes 0-2
-    are a visit time, u and a pick; at sweep 0, a start uniform and, at a
-    kind's cell 0, its parity-repair pick."""
-    gamma = 0x9E3779B97F4A7C15  # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
-    z = np.multiply(index.view(np.uint64), np.uint64(3 * gamma % 2**64))
-    z += np.uint64((seed + (lane + 1) * gamma) % 2**64)
+    """int64 k in [0, 2^53), the uniform u = k 2^-53: the top 53 bits of
+    SplitMix64's output from state ``seed`` at counters ``3 * index + lane``,
+    mix(seed + (counter + 1) gamma) mod 2^64, an affine state in ``index``
+    (int64 >= 0).  Lanes 0-2 are a visit time, u and a pick (k >> 51); at
+    sweep 0, a start uniform and, at a kind's cell 0, its parity-repair pick."""
+    z = np.multiply(index.view(np.uint64), _STRIDE)
+    z += _offset(seed, lane)
     spare = np.empty_like(z)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= np.right_shift(z, np.uint64(shift), out=spare)
-        z *= np.uint64(factor)
-    z ^= np.right_shift(z, np.uint64(31), out=spare)
-    z >>= np.uint64(11)
-    return np.multiply(z.view(np.int64), 2.0**-53, out=spare.view(float))
+    for shift, factor in ((_S30, _F1), (_S27, _F2)):
+        z ^= np.right_shift(z, shift, out=spare)
+        z *= factor
+    z ^= np.right_shift(z, _S31, out=spare)
+    z >>= _S11
+    return z.view(np.int64)
+
+
+def _below(p) -> np.ndarray:
+    """ceil(p 2^53) as int64, so that k < _below(p) iff k 2^-53 < p, p in [0, 1]."""
+    return np.ceil(np.multiply(p, 2.0**53)).astype(np.int64)
 
 
 def _index(kinds, params: CoolingParams, rows: range, sweep=0) -> np.ndarray:
@@ -266,11 +277,11 @@ def _sample_bits(kinds, params: CoolingParams, rows: range) -> np.ndarray:
     repaired by flipping the bit at floor(u count), u the kind's pick
     uniform (both products are +1 on the torus)."""
     index = _index(kinds, params, rows)
-    bits = np.where(_draws(params.seed, 0, index) < params.q_init, np.int8(-1), np.int8(1))
+    bits = np.where(_draws(params.seed, 0, index) < _below(params.q_init), np.int8(-1), np.int8(1))
     for kind in kinds:
         count = len(kind.cells)
         odd = np.flatnonzero((bits[:, kind.offset:kind.offset + count] < 0).sum(axis=1) % 2)
-        pick = (_draws(params.seed, 1, index[odd, kind.offset]) * count).astype(np.int64)
+        pick = (_draws(params.seed, 1, index[odd, kind.offset]) * 2.0**-53 * count).astype(np.int64)
         bits[odd, kind.offset + pick] *= -1
     return bits
 
@@ -279,11 +290,11 @@ def _tables(kinds, params: CoolingParams, rows: int, probs):
     """:func:`_sweep`'s tables for ``rows`` trajectories at ``probs``: per
     column, the shift to the other end of each pick, its draw index in
     trajectory 0 and the step to the next; per row, its trajectory and flip
-    probability; and three int8 flags per (theta, trajectory, cell)."""
+    bound (:func:`_below`); and three int8 flags per (theta, trajectory, cell)."""
     (lead, ahead), cells = _index(kinds, params, range(2)), len(kinds[-1].cells) + kinds[-1].offset
     shift = np.concatenate([k.other.ravel() + k.offset for k in kinds]) - np.arange(cells).repeat(4)
     return (shift, lead, ahead - lead, np.tile(np.arange(rows), len(probs)),
-            np.repeat(probs, rows), np.zeros((3, len(probs) * rows * cells), dtype=np.int8))
+            np.repeat(_below(probs), rows), np.zeros((3, len(probs) * rows * cells), dtype=np.int8))
 
 
 def _sweep(bits, tables, params, sweep, first):
@@ -309,14 +320,14 @@ def _sweep(bits, tables, params, sweep, first):
         return q, c, lead[c] + row[q] * width[c]
 
     def spread(start, q, c, index):  # flips that start or stop: the later candidates they toggle
-        step = shift[4 * c + (4.0 * _draws(seed, 2, index)).astype(np.int64)]
+        step = shift[4 * c + (_draws(seed, 2, index) >> 51)]
         end, index = start + step, np.concatenate((index + step, index))
         np.add.at(moves, end, one)
         times = _draws(seed, 0, index)
         then, now = times[:len(end)], times[len(end):]
         later = (then > now) | ((then == now) & (step > 0))
-        end, q, index = (np.compress(later, a) for a in (end, q, index[:len(end)]))
-        return np.compress(_draws(seed, 1, index) < prob[q], end)  # u < prob
+        end, q, index = (a.compress(later) for a in (end, q, index[:len(end)]))
+        return end.compress(_draws(seed, 1, index) < prob[q])  # u < prob
 
     def starts(lo, hi):  # the first flips among entries [lo, hi): excited candidates
         hit = np.flatnonzero(excited[lo:hi])
@@ -324,7 +335,7 @@ def _sweep(bits, tables, params, sweep, first):
             hit += lo
         q, c, index = at(hit)
         keep = _draws(seed, 1, index) < prob[q]
-        hit, q, c, index = (np.compress(keep, a) for a in (hit, q, c, index))
+        hit, q, c, index = (a.compress(keep) for a in (hit, q, c, index))
         flips[hit] = one
         return spread(hit, q, c, index)
 
@@ -338,8 +349,8 @@ def _sweep(bits, tables, params, sweep, first):
             break
         np.add.at(reads, hit, one)
         hit = np.sort(hit)  # distinct, as np.unique is, without its slower hashing
-        hit = np.compress(np.concatenate(([True], hit[1:] != hit[:-1])), hit)
-        hit = np.compress((reads[hit] ^ flips[hit]) & one, hit)
+        hit = hit.compress(np.concatenate(([True], hit[1:] != hit[:-1])))
+        hit = hit.compress((reads[hit] ^ flips[hit]) & one)
         flips[hit] ^= one
         hit = spread(hit, *at(hit))
     else:
@@ -376,6 +387,12 @@ def _mc_energies(lattice, params, rows):
 # ---------------------------------------------------------------------
 # quantum trajectories
 # ---------------------------------------------------------------------
+
+def _read(n: int, letter: str, masks: np.ndarray) -> np.ndarray:
+    """Per mask, the half of its string's action that is read: X's index, Z's factors."""
+    return np.array([pauli_action(n, *((m, 0) if letter == "X" else (0, m)))[letter != "X"]
+                     for m in masks.ravel().tolist()]).reshape(*masks.shape, -1)
+
 
 @cache
 def _chains(lattice: ToricLattice):
@@ -415,10 +432,8 @@ def state_from_config(lattice: ToricLattice, bits) -> np.ndarray:
             raise ValueError("syndrome parity violated; cannot realize state")
         masks, row = np.unique(np.bitwise_xor.reduce(np.where(excited, chain, 0), axis=1),
                                return_inverse=True)
-        x = kind.pump == "X"  # an X chain only gathers, a Z chain only multiplies
-        table = np.stack([pauli_action(lattice.n_edges, *((m, 0) if x else (0, m)))[not x]
-                          for m in masks.tolist()])[row]
-        amps = np.take_along_axis(amps, table, axis=1) if x else amps * table
+        table = _read(lattice.n_edges, kind.pump, masks)[row]
+        amps = np.take_along_axis(amps, table, axis=1) if kind.pump == "X" else amps * table
     return amps
 
 
@@ -462,23 +477,18 @@ def _trajectory_energies(lattice, params, rows):
     readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
     ham = sum_action(build_toric(lattice.lx, lattice.ly)[0])
-    # every cell of every kind: its stabilizer, then the pump on each of its edges
-    pairs = [pauli_action(n, s.x_mask, s.z_mask, s.phase_exp) for kind in kinds
-             for cell in kind.cells.tolist() for s in (
-                 PauliString.from_sites(n, dict.fromkeys(cell, kind.letter)),
-                 *(PauliString.single(n, e, kind.pump) for e in cell))]
-    idx, factor = (np.reshape(a, (-1, 5, 1 << n)) for a in zip(*pairs))
-    (stab_idx, pump_idx), (stab_factor, pump_factor) = ((a[:, 0], a[:, 1:]) for a in (idx, factor))
-    # per position (kind-major), which gathers and multiplies it skips: a Z
-    # string gathers by the identity and an X string's factors are all +1
-    rules = [(kind.letter == "Z", kind.letter == "X", kind.pump == "Z", kind.pump == "X")
-             for kind in kinds for _ in kind.cells]
+    # per position (kind-major): whether its stabilizer and pumps gather, and their tables
+    rules, offsets = [], np.repeat([k.offset for k in kinds], [len(k.cells) for k in kinds])
+    for kind in kinds:
+        pumps = 1 << kind.cells  # a cell's stabilizer mask is the sum of its pumps'
+        rules += [(kind.letter == "X", kind.pump == "X", _read(n, kind.letter, pumps.sum(axis=1)),
+                   _read(n, kind.pump, pumps))] * len(pumps)
     steps, n_theta = params.n_steps, len(params.thetas)
     out = np.empty((n_theta, len(rows), steps + 1))
     for first in range(rows.start, rows.stop, BLOCK):
         size = min(BLOCK, rows.stop - first)
         # a chunk of sweeps reads at most 2^11 (sweep, row, cell) draws: tens of kB
-        chunk = max(1, (BATCH_ROW_CELLS >> 9) // (size * len(rules)))
+        chunk = max(1, (1 << 11) // (size * len(rules)))
         # theta-major rows in preallocated buffers, and no BLAS call, whose
         # blocking could make a row's bits depend on the other rows
         starts = _sample_bits(kinds, params, range(first, first + size))
@@ -503,26 +513,24 @@ def _trajectory_energies(lattice, params, rows):
                 energy[live, step:] = now[:, None]  # carried forward until it next changes
             if step == steps or not len(psi):
                 break  # a block with no live row reads no further draws
-            if step % chunk == 0:  # each row's cells in visit order, kind by kind
+            if step % chunk == 0:  # each row's cells (within their kind) in visit order
                 at = _index(kinds, params, range(first, first + size),
                             np.arange(step + 1, min(step + chunk, steps) + 1)[:, None, None])
                 times, u, pick = (_draws(params.seed, lane, at) for lane in range(3))
-                order = np.concatenate([kind.offset + np.argsort(  # a tie to the lower cell
-                    times[..., kind.offset:kind.offset + len(kind.cells)], axis=-1, kind="stable")
-                    for kind in kinds], axis=-1)
+                # kind-major (times are below 2^53), a tie to the lower cell
+                order = np.argsort(times + (offsets << 53), axis=-1, kind="stable")
                 u, pick = (np.take_along_axis(d, order, axis=-1) for d in (u, pick))
-                visits = order, (4.0 * pick).astype(np.int64), u
+                visits = order - offsets, pick >> 51, u * 2.0**-53
             twice, image, at, start = (a[:len(psi)] for a in (spare, gathered, index, base))
             moved = np.zeros(len(psi), dtype=bool)
-            for (same, unit, pump_same, pump_unit), cell, edge, v in zip(
+            for (gathers, pump_gathers, stab, pump), cell, edge, v in zip(
                     rules, *(d[step % chunk, live % size].T for d in visits)):
-                if not same:  # S psi, by its kind's rule
-                    np.add(np.take(stab_idx, cell, axis=0, out=at, mode="clip"), start, out=at)
-                flipped = psi if same else np.take(psi, at, out=image, mode="clip")
-                if not unit:
-                    flipped = np.multiply(flipped, np.take(
-                        stab_factor, cell, axis=0, out=twice, mode="clip"), out=image)
-                np.subtract(psi, flipped, out=twice)  # 2 P- psi
+                table = np.take(stab, cell, axis=0, out=at if gathers else twice, mode="clip")
+                if gathers:  # S psi, in image
+                    np.take(psi, np.add(table, start, out=at), out=image, mode="clip")
+                else:
+                    np.multiply(psi, table, out=image)
+                np.subtract(psi, image, out=twice)  # 2 P- psi
                 norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
                 act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
                 if not len(act):
@@ -535,10 +543,11 @@ def _trajectory_energies(lattice, params, rows):
                 # 1 / cos^2(theta/2) at each stay on an excited cell
                 stay, jumped = act[~jump], act[jump]
                 go, kick, to = (cell[jumped], edge[jumped]), image[:len(jumped)], at[:len(jumped)]
-                to = jumped if pump_same else np.add(pump_idx[go], start[jumped], out=to)
-                np.take(twice, to, axis=0 if pump_same else None, out=kick, mode="clip")
-                if not pump_unit:
-                    kick *= pump_factor[go]
+                if pump_gathers:
+                    np.take(twice, np.add(pump[go], start[jumped], out=to), out=kick, mode="clip")
+                else:
+                    np.take(twice, jumped, axis=0, out=kick, mode="clip")
+                    kick *= pump[go]
                 psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
                                         out=kick.view(float)).view(complex)
                 kept, held = image[:len(stay)].view(float), twice[:len(stay)]
@@ -558,29 +567,45 @@ def _trajectory_energies(lattice, params, rows):
 def _fan_out(energies, lattice, params, workers):
     """``energies(lattice, params, rows)`` over the run's trajectories, split
     in equal contiguous ranges over up to ``workers`` processes, at most one
-    per :data:`BLOCK` trajectories.  ``CapExceededError`` if a draw counter
-    would reach 2^63."""
+    per :data:`BLOCK` trajectories, each a forked child that fills its rows of
+    one shared map; the parent computes none, reaps all, and raises a failed
+    child's message as ``RuntimeError``.  Serial where ``os.fork`` is missing
+    or fails.  ``CapExceededError`` if a draw counter would reach 2^63."""
     n = params.n_trajectories
     counters = 3 * (params.n_steps + 1) * (lattice.n_plaquettes + lattice.n_stars) * n
     if counters >= 1 << 63:
         raise CapExceededError(f"a run needs {counters} draw counters, capped at 2^63")
-    run = partial(energies, lattice, params)
     chunks = min(workers, -(-n // BLOCK))
     if chunks < 2:
-        return run(range(n))
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+        return energies(lattice, params, range(n))
+    import mmap
     chunks = [range(n * k // chunks, n * (k + 1) // chunks) for k in range(chunks)]
+    shape, pids = (len(params.thetas), n, params.n_steps + 1), []
+    shared = mmap.mmap(-1, 8 * math.prod(shape) + 1024 * len(chunks))
+    out = np.ndarray(shape, buffer=shared)
+    notes = np.ndarray(len(chunks), "S1024", shared, out.nbytes)  # each child's error
     try:
-        # under fork a pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-    except (OSError, PermissionError, BrokenProcessPool) as exc:
-        # sandboxed environments may forbid subprocesses; fall back serially
-        print(f"[rydsim] process pool unavailable ({exc}); running serially",
-              file=sys.stderr)
-        parts = [run(chunk) for chunk in chunks]
-    return np.concatenate(parts, axis=-2)
+        for k, rows in enumerate(chunks):
+            pids.append(os.fork())
+            if not pids[-1]:  # the child fills its rows and never returns
+                try:
+                    out[:, rows.start:rows.stop] = energies(lattice, params, rows)
+                    os._exit(0)
+                except BaseException as exc:
+                    notes[k] = f"{type(exc).__name__}: {exc}".encode()  # cut to 1024 bytes
+                finally:
+                    os._exit(1)
+    except (AttributeError, OSError) as exc:  # no os.fork, or no process to be had
+        print(f"[rydsim] process pool unavailable ({exc}); running serially", file=sys.stderr)
+        for rows in chunks[len(pids):]:
+            out[:, rows.start:rows.stop] = energies(lattice, params, rows)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for note, status in zip(notes, statuses):
+        if status:
+            raise RuntimeError("a worker failed: " + (note.decode(errors="replace") or
+                               f"exit status {os.waitstatus_to_exitcode(status)}"))
+    return out
 
 
 def syndrome_mc_run(lattice: ToricLattice, params: CoolingParams, workers: int = 1) -> list[Trace]:
@@ -604,7 +629,7 @@ def trajectory_run(lattice: ToricLattice, params: CoolingParams, workers: int = 
     energy: at once if its start syndromes are all +1, else after a sweep in
     which it acted nowhere.  A block with no live row stops.  A block holds
     four (thetas * rows, 2^n_edges) buffers; a full block at two thetas
-    peaks at 2.4 MB on the 2x2 torus and 40 MB on 3x2 (tracemalloc).
+    peaks at 2.3 MB on the 2x2 torus and 36 MB on 3x2 (tracemalloc).
     """
     if lattice.n_edges > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "

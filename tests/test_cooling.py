@@ -1,13 +1,17 @@
 import contextlib
 import math
+import os
 import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rydsim import cooling
+from rydsim.cli import main
 from rydsim.cooling import (
     LINDBLAD_QUBIT_CAP,
     CoolingParams,
@@ -596,31 +600,61 @@ def test_trajectory_independent_of_workers():
     assert np.array_equal(pooled.stderr, serial.stderr)
 
 
-def test_fan_out_starts_one_process_per_chunk(monkeypatch):
-    # under fork the first submit starts every worker a pool may have, so the
-    # pool is sized to its chunks: 256 trajectories are 4 chunks of 64, not 64 tasks
-    import concurrent.futures
-    sizes = []
+def _pids(lattice, params, rows):
+    # every energy of a row reads the id of the process that filled it
+    return np.full((len(params.thetas), len(rows), params.n_steps + 1), float(os.getpid()))
 
-    class Recorder:  # runs in this process and starts none
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+def _fails_past_row_0(lattice, params, rows):
+    if rows.start:
+        raise ValueError(f"rows from {rows.start} refused")
+    return np.zeros((len(params.thetas), len(rows), params.n_steps + 1))
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+FAN_OUT = CoolingParams(thetas=(np.pi, np.pi / 2), n_steps=1, n_trajectories=256, seed=4)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    params = CoolingParams(thetas=(np.pi,), n_steps=1, n_trajectories=256,
-                           q_init=0.5, seed=4)
-    pooled = cooling._fan_out(cooling._mc_energies, LATTICE, params, workers=64)
-    assert sizes == [4]
-    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, params, range(256)))
+
+def test_fan_out_starts_one_process_per_chunk():
+    # at most one process per BLOCK trajectories: 256 trajectories are 4 chunks
+    # of 64, each filled by its own child and none by this process
+    pids = cooling._fan_out(_pids, LATTICE, FAN_OUT, workers=64)
+    firsts = pids[0, ::64, 0]
+    assert len(set(pids.ravel().tolist())) == 4 and os.getpid() not in firsts
+    assert np.array_equal(pids, np.repeat(firsts, 64)[None, :, None].repeat(2, 0).repeat(2, 2))
+    pooled = cooling._fan_out(cooling._mc_energies, LATTICE, FAN_OUT, workers=64)
+    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, FAN_OUT, range(256)))
+
+
+def test_a_failing_child_fails_the_run_and_leaves_no_process():
+    with pytest.raises(RuntimeError, match="ValueError: rows from 128 refused"):
+        cooling._fan_out(_fails_past_row_0, LATTICE, FAN_OUT, workers=2)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_child_exits_the_cli_with_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cooling, "_mc_energies", _fails_past_row_0)
+    monkeypatch.setenv("RYDSIM_WORKERS", "2")
+    argv = ["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
+            "--steps", "1", "--trajectories", "256", "--out", str(tmp_path / "cool.csv")]
+    assert main(argv) == 1
+    assert "ValueError: rows from 128 refused" in capsys.readouterr().err
+    assert not (tmp_path / "cool.csv").exists()
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_fan_out_runs_serially_without_fork(monkeypatch, capsys, missing):
+    def refused():
+        raise OSError("fork refused")
+    if missing:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", refused)
+    pooled = cooling._fan_out(cooling._mc_energies, LATTICE, FAN_OUT, workers=2)
+    assert np.array_equal(pooled, cooling._mc_energies(LATTICE, FAN_OUT, range(256)))
+    assert "process pool unavailable" in capsys.readouterr().err
+    assert np.array_equal(cooling._fan_out(_pids, LATTICE, FAN_OUT, workers=2),
+                          np.full((2, 256, 2), float(os.getpid())))
 
 
 def test_trajectory_matches_lindblad_small_theta():
@@ -795,9 +829,9 @@ def test_trajectory_stays_keep_the_norm(monkeypatch):
     # excited start ever flips: each visit is a stay of weight cos^2(theta/2),
     # renormalized back; dividing by sqrt(1 - p_flip) instead of the state's
     # own norm would double the norm's rounding error at every visit
-    draws = cooling._draws
+    draws = cooling._draws  # k = round(0.9 2^53), a uniform of 0.9
     monkeypatch.setattr(cooling, "_draws", lambda seed, lane, index: (
-        np.full(index.shape, 0.9) if lane == 1 else draws(seed, lane, index)))
+        np.full(index.shape, round(0.9 * 2**53)) if lane == 1 else draws(seed, lane, index)))
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=10, n_trajectories=3, q_init=1.0)
     report = equivalence_check(LATTICE, params)[0]
     assert np.all(report.mc.energies == 8.0)
@@ -971,9 +1005,10 @@ def test_tied_visit_times_go_to_the_lower_cell(monkeypatch, shape, grid):
     def clock(times):
         return np.floor(times * grid) / grid
 
-    draws = cooling._draws
+    draws = cooling._draws  # the seam returns k, the uniform u = k 2^-53: clock u, return its k
     monkeypatch.setattr(cooling, "_draws", lambda seed, lane, index: (
-        clock(draws(seed, lane, index)) if lane == 0 else draws(seed, lane, index)))
+        (clock(draws(seed, lane, index) * 2.0**-53) * 2.0**53).astype(np.int64) if lane == 0
+        else draws(seed, lane, index)))
     lattice = ToricLattice.build(*shape)
     params = CoolingParams(thetas=(np.pi / 2,), n_steps=8, n_trajectories=20,
                            q_init=0.5, seed=53)
@@ -1041,14 +1076,31 @@ def test_draws_are_splitmix64_bit_for_bit():
     # counter 3 * index + lane, whose first output from state 0 is the
     # published 0xE220A8397B1DCDAF
     assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
-    first = cooling._draws(0, 0, np.zeros(1, dtype=np.int64))[0]
-    assert first == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+    first = cooling._draws(0, 0, np.zeros(1, dtype=np.int64))
+    assert first.dtype == np.int64 and first[0] == 0xE220A8397B1DCDAF >> 11
     rng = np.random.default_rng(61)
     index = np.concatenate([np.arange(50), rng.integers(0, (1 << 63) // 3, 200)])
     for seed in (0, 7, -1, (1 << 64) - 1, 1 << 70):
         for lane in range(3):
-            want = [(splitmix64(seed, 3 * int(i) + lane) >> 11) * 2.0**-53 for i in index]
+            want = [splitmix64(seed, 3 * int(i) + lane) >> 11 for i in index]
             assert np.array_equal(cooling._draws(seed, lane, index), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.floats(0.0, 1.0), st.integers(0, 1 << 53).map(lambda k: k * 2.0**-53)))
+@example(0.0)
+@example(1.0)
+@example(5e-324)
+@example(2.0**-53)
+@example(float(np.nextafter(1.0, 0.0)))
+def test_an_integer_draw_is_below_p_iff_its_uniform_is(p):
+    # k < ceil(p 2^53) iff k 2^-53 < p, for the k next to the bound and at the
+    # ends of [0, 2^53); an array of p gives the scalar's bound per entry
+    bound = int(cooling._below(p))
+    k = np.array(sorted({min(max(bound + d, 0), (1 << 53) - 1) for d in range(-2, 3)}
+                        | {0, (1 << 53) - 1}), dtype=np.int64)
+    assert np.array_equal(k < cooling._below(p), k * 2.0**-53 < p)
+    assert np.array_equal(cooling._below(np.array([p, 0.5, p])), [bound, 1 << 52, bound])
 
 
 @pytest.mark.parametrize("q_init", [0.3, 0.5, 1.0])
@@ -1059,7 +1111,7 @@ def test_start_syndromes_are_the_oracles(q_init):
     got = cooling._sample_bits(cooling._kinds(lattice), params, range(10, 70))
     assert np.array_equal(got, [start_syndromes(lattice, params, k) for k in range(10, 70)])
     assert cooling_draw(lattice, 67, 70, 69, 0, 1, 5, 0) == cooling._draws(
-        67, 0, np.array([6 * 70 + 69 * 6 + 5]))[0]  # the last star's start uniform
+        67, 0, np.array([6 * 70 + 69 * 6 + 5]))[0] * 2.0**-53  # the last star's start uniform
 
 
 def test_draw_counters_stay_below_2_63():

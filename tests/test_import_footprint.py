@@ -1,10 +1,12 @@
-"""No command loads scipy, and only a multi-worker run loads the process pool.
+"""No command loads scipy or a process pool, and only a multi-worker run loads mmap.
 
 ``import rydsim.cli`` loads numpy and rydsim's own modules; pulses and the
-master equation integrate in numpy, so no subcommand loads scipy.  The pool
-loads at the first multi-worker fan-out, which the probe's last run makes:
-seeing it load shows that the probe sees what a run loads.  The checks run
-in a fresh interpreter, since this test process has long since loaded both.
+master equation integrate in numpy, so no subcommand loads scipy.  A
+multi-worker fan-out forks its workers itself, so no run loads
+``multiprocessing`` or ``concurrent.futures``; it imports ``mmap`` for the
+map its workers fill, at the probe's last run: seeing that load shows that
+the probe sees what a run loads.  The checks run in a fresh interpreter,
+since this test process has long since loaded all of them.
 """
 
 import json
@@ -18,8 +20,10 @@ import pytest
 import rydsim
 from rydsim.cli import main
 
-#: module prefixes only a pool fan-out may load
-HEAVY = ("scipy", "multiprocessing", "concurrent.futures.process")
+#: module prefixes no run loads
+HEAVY = ("scipy", "multiprocessing", "concurrent.futures")
+#: the module a multi-worker fan-out loads, and nothing before it
+WITNESS = "mmap"
 
 SERIAL = ["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
           "--steps", "4", "--trajectories", "20"]
@@ -66,7 +70,8 @@ def fresh(tmp_path_factory):
     out = tmp_path_factory.mktemp("fresh")
     env = dict(os.environ, PYTHONPATH=str(Path(rydsim.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([HEAVY, SERIAL, LAZY, POOLED, str(out)])],
+        [sys.executable, "-c", SCRIPT,
+         json.dumps([HEAVY + (WITNESS,), SERIAL, LAZY, POOLED, str(out)])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1]), out
@@ -92,8 +97,7 @@ def test_cold_lazy_import_writes_the_warm_csv(fresh, tmp_path, name):
     assert (out / f"{name}.csv").read_text() == warm.read_text()
 
 
-def test_pooled_run_loads_the_pool_and_no_scipy(fresh):
+def test_pooled_run_loads_no_pool_and_no_scipy(fresh):
     report, _ = fresh
     assert report["pooled_status"] == 0
-    assert "concurrent.futures.process" in report["pooled"]  # the probe sees what a run loads
-    assert not any(m == "scipy" or m.startswith("scipy.") for m in report["pooled"])
+    assert report["pooled"] == [WITNESS]  # the probe sees what a run loads

@@ -5,7 +5,7 @@ encoding and model, plus ``--init``, ``--observables`` and ``--config``,
 runs through ``rydsim.cli.main`` in a fresh interpreter under a call
 profile (``sys.setprofile``).  The profile is installed before ``import
 rydsim``, so calls made at import time count too.  The runs use one
-worker, since calls made inside pool children are invisible to the
+worker, since calls made inside forked workers are invisible to the
 profile.  A ``def`` in ``src/rydsim/*.py``, at any nesting, that no line
 calls fails the test, named by module and qualified name, unless
 :data:`ALLOWED` or the benchmark's traced targets cover it.  Such code is
