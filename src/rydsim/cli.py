@@ -397,8 +397,7 @@ def _run_hubbard_spectrum(cfg: dict):
         w_local = constrained_local_spectrum(spec)
         if len(w_local) % len(w_jw):
             raise RuntimeError("constrained sector dimension mismatch")
-        free = len(w_local) // len(w_jw)
-        dedup = w_local[::free]
+        dedup = w_local[::len(w_local) // len(w_jw)]  # one of each multiplet
         header = ["index", "eigenvalue_jw", "eigenvalue_local_shifted", "abs_delta"]
         rows = [[k, a, b, abs(a - b)] for k, (a, b) in enumerate(zip(w_jw, dedup - shift))]
         return header, rows, f"max_abs_delta={max((row[3] for row in rows), default=0.0):.3e}", 0

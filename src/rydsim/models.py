@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedGeometryError
-from .pauli import OperatorSum, PauliString, jw_annihilator, jw_creator, jw_number
+from .pauli import OperatorSum, PauliString, commutes, jw_annihilator, jw_creator, jw_number
 from .statevec import StateVector
 
 
@@ -309,8 +309,7 @@ def aux_stabilizers(spec: HubbardSpec) -> list[PauliString]:
 def aux_pair_count(spec: HubbardSpec) -> int:
     """Number of stabilizer pair terms in the auxiliary Hamiltonian."""
     _check_vc_geometry(spec)
-    per_species = (spec.lx // 2) * (spec.ly - 1)
-    return per_species * len(spec.spins)
+    return (spec.lx // 2) * (spec.ly - 1) * len(spec.spins)
 
 
 def build_aux_hamiltonian(spec: HubbardSpec) -> OperatorSum:
@@ -343,19 +342,41 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
     return _sum_pieces(pieces, n)
 
 
+def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliString]]:
+    """``h`` on the joint +1 eigenspace of the commuting ``stabilizers`` (Bravyi et al.,
+    arXiv:1701.08213), and the sigma that takes each one's place: the first X or Z on a
+    candidate qubit that anticommutes with its stabilizer S alone, earlier sigmas included.
+    (sigma + S)/sqrt(2) maps a term P to sigma S P if P anticommutes with sigma, else to P;
+    sigma then reads +1, and its qubit leaves the masks, the others keeping their order.
+    """
+    n, terms, sigmas = h.n_qubits, h.normalized().terms, []
+    for s in stabilizers:
+        if not all(commutes(s, p) for p in [*stabilizers, *(p for _, p in terms)]):
+            raise ValueError(f"stabilizer {s} anticommutes with another or with a term")
+        fits = [c for q in qubits for a in "XZ" for c in [PauliString.single(n, q, a)]
+                if [t for t in [*stabilizers, *sigmas] if not commutes(c, t)] == [s]]
+        if not fits:
+            raise ValueError(f"no X or Z on a candidate qubit anticommutes with {s} alone")
+        sigmas.append(fits[0])
+        terms = [(c, p if commutes(fits[0], p) else fits[0] * s * p) for c, p in terms]
+    kept = sorted(set(range(n)).difference(t.support()[0] for t in sigmas))
+    return OperatorSum([(c * p.phase, PauliString.from_label("".join(p.letter(q) for q in kept)))
+                        for c, p in terms], len(kept)).normalized(), sigmas
+
+
 def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:
     """Spectrum of the local encoding inside the all-+1 stabilizer sector.
 
     Sorted eigenvalues; each direct-encoding eigenvalue appears with
     multiplicity 2**(n_aux_modes - n_stabilizers), shifted by the constant
-    -V * aux_pair_count(spec).  Dense: capped by the matrix qubit limit.
+    -V * aux_pair_count(spec).  The sector is :func:`taper`'s on the auxiliary qubits,
+    diagonalized by direct-mode number block; dense, so at most 12 qubits once tapered.
     """
-    h = build_hubbard_local(spec)
-    dim = 1 << h.n_qubits
+    n = vc_n_qubits(spec)
+    h, sigmas = taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
+    kept = sorted(set(range(n)).difference(s.support()[0] for s in sigmas))
+    number = sum((np.arange(1 << len(kept)) >> k) & 1 for k, q in enumerate(kept) if q % 2 == 0)
     mat = h.to_matrix()
-    proj = np.eye(dim)
-    for s in aux_stabilizers(spec):
-        proj = proj @ (np.eye(dim) + s.to_matrix()) / 2.0
-    w, v = np.linalg.eigh(proj)
-    sector = v[:, w > 0.5]
-    return np.sort(np.linalg.eigvalsh(sector.conj().T @ mat @ sector))
+    blocks = [np.flatnonzero(number == k) for k in range(spec.n_modes + 1)]
+    assert np.count_nonzero(mat) == sum(np.count_nonzero(mat[np.ix_(b, b)]) for b in blocks)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks]))

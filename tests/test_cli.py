@@ -211,6 +211,22 @@ def test_hubbard_spectrum_local(tmp_path):
     assert max(deltas) < 1e-8
 
 
+def test_hubbard_spectrum_local_spinful(tmp_path):
+    # 16 qubits before tapering, 12 after: past the dense cap until tapered
+    out = tmp_path / "lp.csv"
+    assert main(["hubbard-spectrum", "--lx", "2", "--ly", "2", "--spinful", "true",
+                 "--u", "4", "--encoding", "local", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 256
+    assert max(float(line.split(",")[-1]) for line in lines[1:]) <= 1e-12
+
+
+def test_hubbard_spectrum_local_past_the_cap_exits_1(tmp_path, capsys):
+    assert main(["hubbard-spectrum", "--lx", "4", "--ly", "4", "--encoding", "local",
+                 "--out", str(tmp_path / "lp.csv")]) == 1
+    assert "exceeds the 12-qubit cap" in capsys.readouterr().err
+
+
 def test_gate_fidelity_sweep(tmp_path):
     out = tmp_path / "gf.csv"
     assert main(["gate-fidelity", "--durations", "30,60", "--out", str(out)]) == 0

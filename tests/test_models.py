@@ -18,6 +18,7 @@ from rydsim.models import (
     grid_adjacency,
     hubbard_bonds,
     snake_ordering,
+    taper,
     toric_ground_state,
     vc_n_qubits,
 )
@@ -214,6 +215,18 @@ def test_aux_stabilizer_algebra():
             assert commutes(stabs[i], stabs[j])
 
 
+def _stabilized_sector(spec):
+    """Orthonormal columns spanning the all-+1 sector of the auxiliary
+    stabilizers, from dense projector products (1 + S)/2: the oracle that
+    :func:`taper` replaces in the library."""
+    dim = 1 << vc_n_qubits(spec)
+    proj = np.eye(dim)
+    for s in aux_stabilizers(spec):
+        proj = proj @ (np.eye(dim) + s.to_matrix()) / 2.0
+    w, v = np.linalg.eigh(proj)
+    return v[:, w > 0.5]
+
+
 def test_aux_hamiltonian_ground_sector():
     spec = HubbardSpec(2, 2, v_aux=0.9)
     h_aux = build_aux_hamiltonian(spec)
@@ -222,15 +235,10 @@ def test_aux_hamiltonian_ground_sector():
     w = np.linalg.eigvalsh(mat)
     assert w[0] == pytest.approx(-0.9 * aux_pair_count(spec))
     # the all-+1 stabilizer sector is non-empty and sits at that energy
-    dim = 1 << vc_n_qubits(spec)
-    proj = np.eye(dim)
-    for s in aux_stabilizers(spec):
-        proj = proj @ (np.eye(dim) + s.to_matrix()) / 2.0
-    sector_dim = int(round(np.trace(proj).real))
-    assert sector_dim > 0
-    in_sector = proj @ mat @ proj
-    vals = np.linalg.eigvalsh(in_sector)
-    assert np.sum(np.abs(vals + 0.9 * aux_pair_count(spec)) < 1e-9) == sector_dim
+    sector = _stabilized_sector(spec)
+    assert sector.shape[1] > 0
+    vals = np.linalg.eigvalsh(sector.conj().T @ mat @ sector)
+    assert np.all(np.abs(vals + 0.9 * aux_pair_count(spec)) < 1e-9)
 
 
 def test_aux_terms_are_six_body():
@@ -275,12 +283,88 @@ def test_stabilizers_commute_with_local_hamiltonian():
             assert commutes(stab, term)
 
 
-def test_constrained_sector_matches_direct_encoding():
-    spec = HubbardSpec(2, 2, t_hop=1.0, v_aux=1.3)
+LOCAL_SPECS = {
+    "2x2": HubbardSpec(2, 2, t_hop=1.0, v_aux=1.3),
+    "2x2-spinful-u4": HubbardSpec(2, 2, u=4.0, spinful=True),
+    "4x2": HubbardSpec(4, 2),
+}
+
+
+@pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
+def test_constrained_sector_matches_direct_encoding(spec):
     w_jw = np.sort(np.linalg.eigvalsh(build_hubbard_jw(spec).to_matrix()))
     w_local = constrained_local_spectrum(spec)
     shift = -spec.v_aux * aux_pair_count(spec)
     free = len(w_local) // len(w_jw)
     assert free * len(w_jw) == len(w_local)
     expected = np.sort(np.repeat(w_jw + shift, free))
-    assert np.max(np.abs(w_local - expected)) < 1e-8
+    assert np.max(np.abs(w_local - expected)) < 1e-12
+
+
+def _tapered(spec):
+    n = vc_n_qubits(spec)
+    return taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
+
+
+@pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
+def test_each_sigma_anticommutes_with_its_stabilizer_alone(spec):
+    stabs = aux_stabilizers(spec)
+    h, sigmas = _tapered(spec)
+    assert h.n_qubits == vc_n_qubits(spec) - len(stabs)
+    assert len({sigma.support() for sigma in sigmas}) == len(stabs)
+    for i, sigma in enumerate(sigmas):
+        (qubit,) = sigma.support()
+        assert qubit % 2 == 1  # an auxiliary mode's qubit
+        assert sigma.letter(qubit) in "XZ" and sigma.is_hermitian()
+        assert [not commutes(sigma, s) for s in stabs] == [k == i for k in range(len(stabs))]
+
+
+@pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
+def test_tapered_terms_conserve_the_direct_mode_number(spec):
+    # [H, sum Z] has one group of strings per X mask of H, so it vanishes
+    # exactly when each group of H's terms keeps the number of direct modes
+    h, sigmas = _tapered(spec)
+    dropped = {sigma.support()[0] for sigma in sigmas}
+    kept = [q for q in range(vc_n_qubits(spec)) if q not in dropped]
+    z = OperatorSum([(1.0, PauliString.single(h.n_qubits, k, "Z"))
+                     for k, q in enumerate(kept) if q % 2 == 0], h.n_qubits)
+    assert len(z) == spec.n_modes
+    assert len(h @ z - z @ h) == 0
+
+
+def test_tapered_spectrum_is_the_dense_projector_spectrum():
+    spec = LOCAL_SPECS["2x2"]
+    sector = _stabilized_sector(spec)
+    mat = build_hubbard_local(spec).to_matrix()
+    expected = np.sort(np.linalg.eigvalsh(sector.conj().T @ mat @ sector))
+    assert np.max(np.abs(constrained_local_spectrum(spec) - expected)) < 1e-12
+
+
+def test_taper_of_a_bell_pair():
+    # ZZ = XX = +1 is the Bell state (|00> + |11>)/sqrt(2): H reads 2 + Z_2 there,
+    # and qubit 2 is qubit 0 once the sigmas' qubits 0 and 1 are dropped
+    h = OperatorSum([(1.0, PauliString.from_label(w)) for w in ("ZZI", "XXI", "IIZ")])
+    stabs = [PauliString.from_label("ZZI"), PauliString.from_label("XXI")]
+    tapered, sigmas = taper(h, stabs, [0, 1])
+    assert sigmas == [PauliString.from_label("XII"), PauliString.from_label("IZI")]
+    two_plus_z = OperatorSum([(2.0, PauliString.from_label("I")),
+                              (1.0, PauliString.from_label("Z"))])
+    assert len(tapered - two_plus_z) == 0
+    # qubit 0 cannot serve both: Z_0 would anticommute with sigma X_0
+    with pytest.raises(ValueError, match="anticommutes with .* alone"):
+        taper(h, stabs, [0])
+
+
+def test_taper_refuses_a_stabilizer_that_anticommutes_with_a_term():
+    h = build_hubbard_local(LOCAL_SPECS["2x2"])
+    stray = PauliString.single(h.n_qubits, 0, "X")  # against the Y_0 of a hopping
+    with pytest.raises(ValueError, match="anticommutes with another or with a term"):
+        taper(h, [stray], range(1, h.n_qubits, 2))
+
+
+def test_taper_refuses_a_stabilizer_listed_twice():
+    spec = LOCAL_SPECS["2x2"]
+    stab = aux_stabilizers(spec)[0]
+    h = build_hubbard_local(spec)
+    with pytest.raises(ValueError, match="anticommutes with .* alone"):
+        taper(h, [stab, stab], range(1, h.n_qubits, 2))

@@ -55,6 +55,8 @@ LINES = [
     "hubbard-spectrum --lx 2 --ly 2 --encoding jw",
     "hubbard-spectrum --lx 2 --ly 2 --encoding fock",
     "hubbard-spectrum --lx 2 --ly 2 --encoding local",
+    "hubbard-spectrum --lx 2 --ly 2 --spinful true --u 4 --encoding local",
+    "hubbard-spectrum --lx 4 --ly 2 --encoding local",
     "gate-fidelity --durations 13.1 --blockade 20",
     "dump-hamiltonian --model toric --lx 2 --ly 2",
     "dump-hamiltonian --model heisenberg --lx 3 --ly 2",
@@ -101,7 +103,11 @@ DIGESTS = {
     "hubbard-spectrum --lx 2 --ly 2 --encoding fock":
         "ac1f0b2fbc43c7cb729914c7a4d7af16cef4a33f81897ae1aa468bc0bfbbca97",
     "hubbard-spectrum --lx 2 --ly 2 --encoding local":
-        "44097a2297d4f8902a6924c9edf725be83b20fb7e86bb09703caebda200972f0",
+        "65bf310c7c89605188bcd4035d3aaee33bbb89d9c25edeb07e7cd09efb3c9cdc",
+    "hubbard-spectrum --lx 2 --ly 2 --spinful true --u 4 --encoding local":
+        "f55572128726f110544576c0b0766e631649a91b732d5b9237c7e615230eb634",
+    "hubbard-spectrum --lx 4 --ly 2 --encoding local":
+        "26288857ee1a07d1c0c6e9f1deb9c4a35fec03fedbda15abd81400775462fd7f",
     "gate-fidelity --durations 13.1 --blockade 20":
         "725205460fd71e8a4ccc24cab1f7e46172c09ff4c5dd15eec40061f8829aad43",
     "dump-hamiltonian --model toric --lx 2 --ly 2":
@@ -259,3 +265,17 @@ def test_multi_block_outputs_are_independent_of_workers(report):
     assert report["worker_statuses"] == [0] * len(WORKER_LINES)
     assert report["worker_digests"] == [report["digests"][LINES.index(line)]
                                         for line in WORKER_LINES]
+
+
+def test_local_line_is_independent_of_blas_threads(tmp_path):
+    # once tapered, this line diagonalizes number blocks of at most 24 states
+    line = "hubbard-spectrum --lx 2 --ly 2 --encoding local".split()
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
+                   **dict.fromkeys(BLAS_THREADS, threads))
+        subprocess.run([sys.executable, "-m", "rydsim.cli", *line, "--out", str(out)],
+                       env=env, capture_output=True, timeout=60, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
