@@ -2,12 +2,13 @@
 seeded reproducibility, CSV emission.
 
 Every run is fully determined by its configuration and seed; identical
-config+seed gives byte-identical CSV.  Timestamps and wall time go to
-stderr only.  Exit codes: 0 success, 1 runtime or statistical failure,
-2 usage/configuration error, also when a runner finds it.  The environment
-variable ``RYDSIM_WORKERS`` sets the worker count of both the quantum
-trajectory and the syndrome Monte Carlo engines (default: machine
-parallelism).
+config+seed gives byte-identical CSV, for the eigensolver command
+``hubbard-spectrum`` at a fixed BLAS thread count, as a threaded eigensolver
+rounds differently.  Timestamps and wall time go to stderr only.  Exit codes:
+0 success, 1 runtime or statistical failure, 2 usage/configuration error,
+also when a runner finds it.  The environment variable ``RYDSIM_WORKERS``
+sets the worker count of both the quantum trajectory and the syndrome Monte
+Carlo engines (default: machine parallelism).
 
 Angles are accepted as multiples of pi ("pi", "pi/2", "0.25pi", "3pi/4")
 or as raw radians.

@@ -8,6 +8,7 @@
   reads 0) or K1 = -i sin(theta/2) sigma_pump P- (reads 1), with
   P+- = (1 +- S)/2 for the cycle's stabilizer S.  The circuit-level cycle
   with its ancilla, :func:`cooling_cycle_trajectory`, is model and oracle.
+  The engine's rows are float64: every state and map it holds is real (K1 up to -i).
 * :func:`syndrome_mc_run`: classical Monte Carlo on stabilizer eigenvalues
   at any lattice size.  For syndrome-definite initial states the quantum
   trajectories reduce exactly to this process, trajectory by trajectory,
@@ -389,8 +390,8 @@ def _mc_energies(lattice, params, rows):
 # ---------------------------------------------------------------------
 
 def _read(n: int, letter: str, masks: np.ndarray) -> np.ndarray:
-    """Per mask, the half of its string's action that is read: X's index, Z's factors."""
-    return np.array([pauli_action(n, *((m, 0) if letter == "X" else (0, m)))[letter != "X"]
+    """Per mask, the half of its string's action that is read: X's index, Z's real factors."""
+    return np.array([pauli_action(n, m, 0)[0] if letter == "X" else pauli_action(n, 0, m)[1].real
                      for m in masks.ravel().tolist()]).reshape(*masks.shape, -1)
 
 
@@ -406,11 +407,11 @@ def _chains(lattice: ToricLattice):
                     path[end] = path[cell] ^ (1 << edge)
                     order.append(end)
         chains.append((kind, np.array([path[cell] for cell in range(len(kind.cells))])))
-    return toric_ground_state(lattice).amps[None], chains
+    return toric_ground_state(lattice).amps.real[None], chains
 
 
 def state_from_config(lattice: ToricLattice, bits) -> np.ndarray:
-    """(rows, 2^n_edges) amplitudes of stabilizer eigenstates, row r with
+    """(rows, 2^n_edges) real amplitudes of stabilizer eigenstates, row r with
     exactly the syndromes ``bits[r]``, one +-1 per plaquette, then per star
     (rows of :func:`_sample_bits`); the block is validated once.
 
@@ -476,7 +477,7 @@ def _trajectory_energies(lattice, params, rows):
     a chunk of sweeps at once: at each position, its cell, pump pick and
     readout uniform u, the row jumping iff u < p_flip."""
     n, kinds = lattice.n_edges, _kinds(lattice)
-    ham = sum_action(build_toric(lattice.lx, lattice.ly)[0])
+    ham = [(idx, f.real) for idx, f in sum_action(build_toric(lattice.lx, lattice.ly)[0])]
     # per position (kind-major): whether its stabilizer and pumps gather, and their tables
     rules, offsets = [], np.repeat([k.offset for k in kinds], [len(k.cells) for k in kinds])
     for kind in kinds:
@@ -531,16 +532,15 @@ def _trajectory_energies(lattice, params, rows):
                 else:
                     np.multiply(psi, table, out=image)
                 np.subtract(psi, image, out=twice)  # 2 P- psi
-                norm = np.square(twice.view(float), out=image.view(float)).sum(axis=1)
+                norm = np.square(twice, out=image).sum(axis=1)
                 act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
                 if not len(act):
                     continue
                 moved[act] = True
                 jump = v[act] < flip[act] * (0.25 * norm[act])  # the Monte Carlo's rule
-                # in the buffers: K1 up to its phase -i on the rows that jump, then K0
-                # (complex by real on the float view) on those that stay, each over its
-                # own norm; over sqrt(1 - p_flip), a norm rounded off 1 would grow by
-                # 1 / cos^2(theta/2) at each stay on an excited cell
+                # in the buffers: K1 up to its phase -i on the rows that jump, then K0 on
+                # those that stay, each over its own norm; over sqrt(1 - p_flip), a norm
+                # rounded off 1 would grow by 1 / cos^2(theta/2) at each excited stay
                 stay, jumped = act[~jump], act[jump]
                 go, kick, to = (cell[jumped], edge[jumped]), image[:len(jumped)], at[:len(jumped)]
                 if pump_gathers:
@@ -548,14 +548,13 @@ def _trajectory_energies(lattice, params, rows):
                 else:
                     np.take(twice, jumped, axis=0, out=kick, mode="clip")
                     kick *= pump[go]
-                psi[jumped] = np.divide(kick.view(float), np.sqrt(norm[jumped])[:, None],
-                                        out=kick.view(float)).view(complex)
-                kept, held = image[:len(stay)].view(float), twice[:len(stay)]
-                np.take(twice, stay, axis=0, out=kept.view(complex), mode="clip")
+                psi[jumped] = np.divide(kick, np.sqrt(norm[jumped])[:, None], out=kick)
+                kept, held = image[:len(stay)], twice[:len(stay)]
+                np.take(twice, stay, axis=0, out=kept, mode="clip")
                 kept *= shrink[stay]
-                kept += np.take(psi, stay, axis=0, out=held, mode="clip").view(float)
-                kept /= np.sqrt(np.square(kept, out=held.view(float)).sum(axis=1))[:, None]
-                psi[stay] = kept.view(complex)
+                kept += np.take(psi, stay, axis=0, out=held, mode="clip")
+                kept /= np.sqrt(np.square(kept, out=held).sum(axis=1))[:, None]
+                psi[stay] = kept
         out[:, first - rows.start:][:, :size] = energy.reshape(n_theta, size, -1)
     return out
 
@@ -628,8 +627,8 @@ def trajectory_run(lattice: ToricLattice, params: CoolingParams, workers: int = 
     ground sector, a fixed point of every later cycle, leaves with its
     energy: at once if its start syndromes are all +1, else after a sweep in
     which it acted nowhere.  A block with no live row stops.  A block holds
-    four (thetas * rows, 2^n_edges) buffers; a full block at two thetas
-    peaks at 2.3 MB on the 2x2 torus and 36 MB on 3x2 (tracemalloc).
+    four (thetas * rows, 2^n_edges) float64 buffers; a full block at two
+    thetas peaks at 1.5 MB on the 2x2 torus and 21 MB on 3x2 (tracemalloc).
     """
     if lattice.n_edges > TRAJECTORY_QUBIT_CAP:
         raise CapExceededError(f"trajectory engine needs {lattice.n_edges} qubits, "

@@ -146,14 +146,9 @@ def build_heisenberg(adjacency, jx: float, jy: float, jz: float, h: float,
             raise ValueError(f"self-loop on site {i}")
     if n_qubits is None:
         n_qubits = max((max(e) for e in edges), default=-1) + 1
-    terms = []
-    for i, j in edges:
-        for coupling, letter in ((jx, "X"), (jy, "Y"), (jz, "Z")):
-            if coupling != 0.0:
-                terms.append(
-                    (-0.5 * coupling,
-                     PauliString.from_sites(n_qubits, {i: letter, j: letter}))
-                )
+    terms = [(-0.5 * coupling, PauliString.from_sites(n_qubits, {i: letter, j: letter}))
+             for i, j in edges for coupling, letter in ((jx, "X"), (jy, "Y"), (jz, "Z"))
+             if coupling != 0.0]
     if h != 0.0:
         terms += [(h, PauliString.single(n_qubits, i, "Z")) for i in range(n_qubits)]
     return OperatorSum(terms, n_qubits).normalized()
@@ -370,13 +365,12 @@ def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:
     Sorted eigenvalues; each direct-encoding eigenvalue appears with
     multiplicity 2**(n_aux_modes - n_stabilizers), shifted by the constant
     -V * aux_pair_count(spec).  The sector is :func:`taper`'s on the auxiliary qubits,
-    diagonalized by direct-mode number block; dense, so at most 12 qubits once tapered.
+    diagonalized by direct-mode number block, each realized alone by
+    :func:`~rydsim.pauli.to_matrix`; at most 12 qubits once tapered.
     """
     n = vc_n_qubits(spec)
     h, sigmas = taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
     kept = sorted(set(range(n)).difference(s.support()[0] for s in sigmas))
     number = sum((np.arange(1 << len(kept)) >> k) & 1 for k, q in enumerate(kept) if q % 2 == 0)
-    mat = h.to_matrix()
-    blocks = [np.flatnonzero(number == k) for k in range(spec.n_modes + 1)]
-    assert np.count_nonzero(mat) == sum(np.count_nonzero(mat[np.ix_(b, b)]) for b in blocks)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h.to_matrix(np.flatnonzero(number == k)))
+                                   for k in range(spec.n_modes + 1)]))

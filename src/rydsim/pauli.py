@@ -385,8 +385,8 @@ class OperatorSum:
             [(c.conjugate(), s.adjoint()) for c, s in self._terms], self._n_qubits
         ).normalized()
 
-    def to_matrix(self) -> np.ndarray:
-        return to_matrix(self)
+    def to_matrix(self, block=None) -> np.ndarray:
+        return to_matrix(self, block)
 
     def single_string(self) -> PauliString:
         """Collapse a sum that is exactly one unit-coefficient string.
@@ -411,25 +411,29 @@ class OperatorSum:
         return f"OperatorSum({' + '.join(parts) or '0'}, n={self._n_qubits})"
 
 
-def to_matrix(op: OperatorSum) -> np.ndarray:
-    """Dense 2^n x 2^n realization of an operator sum (n capped at 12).
+def to_matrix(op: OperatorSum, block=None) -> np.ndarray:
+    """Dense 2^n x 2^n realization of an operator sum (n capped at 12), or its block on
+    the basis states ``block``: ``ValueError`` if it maps a state of the block out of it.
 
     float64 when every normalized term has a real coefficient and an even
     number of Y sites, whose product i**#Y is then real; complex otherwise.
     """
     n_qubits = op.n_qubits
     if n_qubits > MATRIX_QUBIT_CAP:
-        raise CapExceededError(
-            f"dense matrix for {n_qubits} qubits exceeds the "
-            f"{MATRIX_QUBIT_CAP}-qubit cap"
-        )
+        raise CapExceededError(f"dense matrix for {n_qubits} qubits exceeds the "
+                               f"{MATRIX_QUBIT_CAP}-qubit cap")
     real = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
                for c, s in op.normalized())
-    dim = 1 << n_qubits
-    mat = np.zeros((dim, dim), dtype=float if real else complex)
-    rows = np.arange(dim)
-    for idx, factor in sum_action(op):
-        mat[rows, rows if idx is None else idx] = factor.real if real else factor
+    rows = np.arange(1 << n_qubits) if block is None else np.asarray(block)
+    place = np.full(1 << n_qubits, -1)  # each basis state's row and column, -1 off the block
+    place[rows] = np.arange(len(rows))
+    mat = np.zeros((len(rows), len(rows)), dtype=float if real else complex)
+    for idx, factor in sum_action(op):  # op[j, idx[j]] = factor[j]
+        cols, f = place[rows if idx is None else idx[rows]], factor[rows]
+        inside = cols >= 0
+        if f[~inside].any():
+            raise ValueError("the operator maps a state of the block out of the block")
+        mat[inside, cols[inside]] = f[inside].real if real else f[inside]
     return mat
 
 

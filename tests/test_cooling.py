@@ -29,7 +29,7 @@ from rydsim.cooling import (
 from rydsim.errors import CapExceededError, DimensionMismatchError
 from rydsim.gates import controlled_flip, flip_probability, syndrome_map
 from rydsim.models import ToricLattice, build_toric, toric_ground_state
-from rydsim.pauli import OperatorSum, PauliString
+from rydsim.pauli import OperatorSum, PauliString, pauli_action, sum_action
 from rydsim.statevec import DensityMatrix, StateVector
 
 from oracles import (ScriptedRng, cooling_draw, eigenstate, lindblad_reference, random_label,
@@ -434,6 +434,44 @@ def test_state_from_config_block_equals_its_rows(shape):
     assert block.shape == (40, 1 << lattice.n_edges)
     rows = np.concatenate([state_from_config(lattice, row[None]) for row in bits])
     assert block.tobytes() == rows.tobytes()
+
+
+def _even_configs(lattice):
+    """Every row of syndromes with an even number of excited cells per kind."""
+    cells = lattice.n_plaquettes + lattice.n_stars
+    rows = 1 - 2 * ((np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1)
+    return rows[[_parity_ok(row, lattice) for row in rows]].astype(np.int8)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+def test_trajectory_engine_reads_real_amplitudes_only(shape):
+    # the engine holds float64 rows, so every start row and every stabilizer,
+    # pump and energy table it reads must be real in the exact complex algebra:
+    # a Y pump, or a start with a complex phase, would lose its imaginary part
+    lattice = ToricLattice.build(*shape)
+    n = lattice.n_edges
+    for kind in cooling._kinds(lattice):
+        for edges in kind.cells.tolist():
+            strings = [PauliString.from_sites(n, dict.fromkeys(edges, kind.letter))]
+            strings += [PauliString.single(n, e, kind.pump) for e in edges]
+            for s in strings:
+                assert not pauli_action(n, s.x_mask, s.z_mask, s.phase_exp)[1].imag.any()
+    assert not any(factor.imag.any() for _, factor in sum_action(build_toric(*shape)[0]))
+    # every 2x2 syndrome row, 40 of the 1024 on 3x2: the row the engine starts
+    # from is the complex construction's real part, whose imaginary part is 0
+    configs = _even_configs(lattice) if shape == (2, 2) else cooling._sample_bits(
+        cooling._kinds(lattice), CoolingParams((np.pi,), 0, 40, seed=5), range(40))
+    rows = state_from_config(lattice, configs)
+    assert rows.dtype == np.float64
+    ground, (_, chains) = toric_ground_state(lattice).amps, cooling._chains(lattice)
+    for bits, row in zip(configs, rows):
+        state = ground
+        for kind, chain in chains:
+            mask = int(np.bitwise_xor.reduce(chain[bits[kind.offset:][:len(chain)] < 0]))
+            edges = [e for e in range(n) if mask >> e & 1]
+            state = PauliString.from_sites(n, dict.fromkeys(edges, kind.pump)).act(state)
+        assert not state.imag.any()
+        assert np.array_equal(state.real, row)  # exactly, up to the sign of a zero
 
 
 @pytest.mark.parametrize("bad,match", [

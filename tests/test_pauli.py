@@ -145,6 +145,25 @@ def test_to_matrix_matches_label_oracle():
         assert np.allclose(s.to_matrix(), s.phase * label_matrix(s.to_label()))
 
 
+def test_to_matrix_block_is_the_full_matrix_block():
+    # every term flips 0, 2 or 4 bits, so the even- and odd-weight blocks are
+    # closed; the weight-1 block is not, as XXXX takes it to weight 3
+    rng = np.random.default_rng(8)
+    n = 4
+    op = OperatorSum([(rng.normal(), PauliString.from_label(label))
+                      for label in ("XXII", "YYII", "IZZI", "XXXX", "ZIIZ")], n)
+    parity = np.array([bin(j).count("1") % 2 for j in range(1 << n)])
+    full = to_matrix(op)
+    for p in (0, 1):
+        block = np.flatnonzero(parity == p)[::-1]  # any order: rows and columns follow it
+        got = to_matrix(op, block)
+        assert got.dtype == full.dtype
+        assert got.tobytes() == full[np.ix_(block, block)].tobytes()
+    ones = np.flatnonzero([bin(j).count("1") == 1 for j in range(1 << n)])
+    with pytest.raises(ValueError, match="out of the block"):
+        to_matrix(op, ones)
+
+
 def test_plaquette_matrix_spectrum_eightfold():
     a_p = PauliString.from_label("XXXX")
     w = np.linalg.eigvalsh(a_p.to_matrix())

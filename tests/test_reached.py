@@ -46,6 +46,8 @@ LINES = [
     "toric-cool --engine syndrome --lx 3 --ly 2 --theta pi,pi/2 --steps 3 --trajectories 70",
     "toric-cool --engine trajectory --lx 2 --ly 2 --theta pi/2 --steps 2 --trajectories 3",
     "toric-cool --engine compare --lx 2 --ly 2 --theta pi --steps 2 --trajectories 4",
+    # 12 system qubits, where the trajectory kernel is limited by memory traffic
+    "toric-cool --engine compare --lx 3 --ly 2 --theta pi,pi/3 --steps 4 --trajectories 40",
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2",
@@ -86,6 +88,8 @@ DIGESTS = {
         "9a1394ced8b1dc40314cf22986e234314d2d77b813a900d1ca06c7f649902b94",
     "toric-cool --engine compare --lx 2 --ly 2 --theta pi --steps 2 --trajectories 4":
         "47bc36f8378de504c491ca8cfbe504efcc7c2d01f90de1d24145093d5162a194",
+    "toric-cool --engine compare --lx 3 --ly 2 --theta pi,pi/3 --steps 4 --trajectories 40":
+        "4d1eec8fe94c4009a881d2896d48fd74b3800232675adba74a292bf7361e9d05",
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
         "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
