@@ -404,25 +404,16 @@ def _run_hubbard_spectrum(cfg: dict):
         return header, rows, f"max_abs_delta={max((row[3] for row in rows), default=0.0):.3e}", 0
     blocks = sectors(spec)  # checks the Fock mode cap before any matrix
     encodings = ("jw", "fock") if encoding == "both" else (encoding,)
-    columns = []  # per encoding, its sector spectra: one dense matrix held at a time
-    for e in encodings:
-        matrix = build_hubbard_jw(spec).to_matrix() if e == "jw" else hubbard_matrix(spec)
-        columns.append([spectrum(matrix, indices) for _, indices in blocks])
-        del matrix
-    header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)]
-    if encoding == "both":
-        header.append("abs_delta")
-    rows = []
-    worst = 0.0
-    for k, (label, _) in enumerate(blocks):
-        for vals in zip(*(column[k] for column in columns)):
-            row = [len(rows), label, *vals]
-            if encoding == "both":
-                delta = abs(vals[0] - vals[1])
-                worst = max(worst, delta)
-                row.append(delta)
-            rows.append(row)
-    result = f"max_abs_delta={worst:.3e}" if encoding == "both" else f"levels={len(rows)}"
+    jw = build_hubbard_jw(spec) if "jw" in encodings else None  # realized one sector at a time
+    fock = hubbard_matrix(spec) if "fock" in encodings else None
+    columns = [[np.sort(np.linalg.eigvalsh(jw.to_matrix(indices))) if e == "jw"
+                else spectrum(fock, indices) for _, indices in blocks] for e in encodings]
+    both = encoding == "both"  # then each row ends in its abs_delta
+    header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)] + ["abs_delta"] * both
+    rows = [[label, *vals, *([abs(vals[0] - vals[1])] if both else [])]
+            for (label, _), *levels in zip(blocks, *columns) for vals in zip(*levels)]
+    rows = [[index, *row] for index, row in enumerate(rows)]
+    result = f"max_abs_delta={max(row[-1] for row in rows):.3e}" if both else f"levels={len(rows)}"
     return header, rows, result, 0
 
 

@@ -66,15 +66,15 @@ BLOCK = 64
 MAX_ABS_DELTA = 1e-9
 
 #: Monte Carlo row-cells per batch, theta replicas counted: it bounds the
-#: int8 bits (1 MB); a sweep from q_init 0.5 peaks near 26 bytes per
-#: row-cell at one theta and 16 at two, its draws and indices at the flips
-#: counted (tracemalloc, 64x64 torus, a full batch, SWEEP_CHUNK 2^17)
+#: int8 bits (1 MB); a sweep from q_init 0.5 peaks near 20 bytes per
+#: row-cell at theta pi and 12 at (pi, pi/4), its draws and indices at the
+#: flips counted (tracemalloc, 64x64 torus, a full batch, SWEEP_CHUNK 2^17)
 BATCH_ROW_CELLS = 1 << 20
 
 #: a :func:`_sweep` over more than twice this many entries (the benchmark's
-#: sweeps hold at most 204800) finds and spreads its first flips this many at
-#: a time, so the allocator reuses their temporaries (serial 64x64, 2 theta,
-#: 10^4 trajectories: 17.8 to 12.0 s, 1.74M to 0.50M minor faults)
+#: sweeps hold at most 204800) finds first flips in this many entries per theta
+#: block and spreads them this many at a time, reusing the temporaries (serial
+#: 64x64, 2 theta, 10^4 trajectories: 12.2 to 8.7 s, 1.85M to 0.48M minor faults)
 SWEEP_CHUNK = 1 << 17
 
 
@@ -288,14 +288,16 @@ def _sample_bits(kinds, params: CoolingParams, rows: range) -> np.ndarray:
 
 
 def _tables(kinds, params: CoolingParams, rows: int, probs):
-    """:func:`_sweep`'s tables for ``rows`` trajectories at ``probs``: per
-    column, the shift to the other end of each pick, its draw index in
-    trajectory 0 and the step to the next; per row, its trajectory and flip
-    bound (:func:`_below`); and three int8 flags per (theta, trajectory, cell)."""
+    """:func:`_sweep`'s tables for ``rows`` trajectories at ``probs`` (any 1
+    last): per column, the shift to the other end of each pick, its draw
+    index in trajectory 0 and the step to the next; per row, its trajectory;
+    per kind, its first column and count; per theta, its flip bound
+    (:func:`_below`); and three int8 flags per (theta, trajectory, cell)."""
     (lead, ahead), cells = _index(kinds, params, range(2)), len(kinds[-1].cells) + kinds[-1].offset
     shift = np.concatenate([k.other.ravel() + k.offset for k in kinds]) - np.arange(cells).repeat(4)
     return (shift, lead, ahead - lead, np.tile(np.arange(rows), len(probs)),
-            np.repeat(_below(probs), rows), np.zeros((3, len(probs) * rows * cells), dtype=np.int8))
+            [(k.offset, len(k.cells)) for k in kinds], _below(probs).tolist(),
+            np.zeros((3, len(probs) * rows * cells), dtype=np.int8))
 
 
 def _sweep(bits, tables, params, sweep, first):
@@ -304,56 +306,71 @@ def _sweep(bits, tables, params, sweep, first):
     only, so all kinds are solved at once over the (theta, row, cell)
     entries: a visit flips iff it is a candidate (u < prob) and its cell
     reads excited, its start value toggled by every flip visited before it
-    (by time, then cell) whose picked edge's other end it is.  From
-    "candidate and excited at the start", each round re-reads the cells the
-    last round's changed flips toggle, settling one more link of the longest
+    (by time, then cell) whose picked edge's other end it is.  The first
+    flips, excited candidates, are found per theta block and kind in
+    :data:`SWEEP_CHUNK` // cells rows at a time: a kind's excited entries
+    there, one strided slice, sit at their draw indices less a constant; u
+    is tested against the block's one bound, not drawn at pi (bound 2^53);
+    only candidates get a row and column.  Each round re-reads the cells the
+    last round's changed flips toggle (the first round spreads all blocks'
+    flips, SWEEP_CHUNK at a time), settling one more link of the longest
     chain until the flips are the sequential sweep's, the unique fixed point;
     toggles are int8 counts read by parity.  Only u at excited and toggled
-    entries, times and picks at flips and times at their toggles are drawn.
+    entries below pi, times and picks at flips and times at their toggles
+    are drawn.
     """
-    shift, lead, width, row, prob, (reads, flips, moves) = tables
-    cells, seed, one = bits.shape[1], params.seed, np.int8(1)
+    shift, lead, width, row, kinds, bounds, (reads, flips, moves) = tables
+    (size, cells), seed, one = bits.shape, params.seed, np.int8(1)
+    rows, drawn = size // len(bounds), [bound for bound in bounds if bound < 1 << 53]
     lead = lead + first * width + sweep * cells * params.n_trajectories
+    edges = np.arange(len(drawn) + 1) * (rows * cells)  # the blocks below pi, then pi's first entry
 
-    def at(entries):  # (row of bits, column, draw index) of flat entries of bits
-        q = entries // cells  # floor division by a scalar is cheap, % is not
-        c = entries - q * cells
-        return q, c, lead[c] + row[q] * width[c]
-
-    def spread(start, q, c, index):  # flips that start or stop: the later candidates they toggle
+    def spread(start, c, index):  # flips that start or stop: the later candidates they toggle
         step = shift[4 * c + (_draws(seed, 2, index) >> 51)]
         end, index = start + step, np.concatenate((index + step, index))
         np.add.at(moves, end, one)
         times = _draws(seed, 0, index)
-        then, now = times[:len(end)], times[len(end):]
-        later = (then > now) | ((then == now) & (step > 0))
-        end, q, index = (a.compress(later) for a in (end, q, index[:len(end)]))
-        return end.compress(_draws(seed, 1, index) < prob[q])  # u < prob
+        later = times[:len(end)] - times[len(end):] >= (step < 0)  # or tied, and to the right
+        end, index = end.compress(later), index[:len(end)].compress(later)
+        cut, keep = end.searchsorted(edges).tolist(), np.ones(len(end), dtype=bool)
+        if cut[-1]:  # u < prob, drawn below pi only; an end is in its start's theta block
+            u = _draws(seed, 1, index[:cut[-1]])
+            for lo, hi, bound in zip(cut, cut[1:], drawn):
+                np.less(u[lo:hi], bound, out=keep[lo:hi])
+        return end.compress(keep)
 
-    def starts(lo, hi):  # the first flips among entries [lo, hi): excited candidates
-        hit = np.flatnonzero(excited[lo:hi])
-        if lo:
-            hit += lo
-        q, c, index = at(hit)
-        keep = _draws(seed, 1, index) < prob[q]
-        hit, q, c, index = (a.compress(keep) for a in (hit, q, c, index))
+    excited = reads.view(bool).reshape(bits.shape)
+    np.less(bits, 0, out=excited)  # reads: start, then toggles
+    span = rows if reads.size <= 2 * SWEEP_CHUNK else max(1, SWEEP_CHUNK // cells)
+    bases, parts = lead[[offset for offset, _ in kinds]].tolist(), []
+    for lo in range(0, rows, span):  # rows lo.. of each block: per kind, (row - lo) * count + cell
+        found = [(b, offset, count, base + lo * count, excited[b * rows + lo:b * rows + min(
+            lo + span, rows), offset:offset + count].ravel().nonzero()[0])
+            for b in range(len(bounds)) for (offset, count), base in zip(kinds, bases)]
+        u = [pos + base for b, _, _, base, pos in found if b < len(drawn)]  # draw indices
+        u, hit, index = _draws(seed, 1, np.concatenate(u)) if u else None, [], []
+        for b, offset, count, base, pos in found:
+            if b < len(drawn):
+                pos, u = pos.compress(u[:len(pos)] < drawn[b]), u[len(pos):]
+            hit.append(pos // count * (cells - count) + pos + ((b * rows + lo) * cells + offset))
+            index.append(pos + base)
+        hit, index = np.concatenate(hit), np.concatenate(index)
         flips[hit] = one
-        return spread(hit, q, c, index)
-
-    excited = reads.view(bool)
-    np.less(bits, 0, out=excited.reshape(bits.shape))  # reads: start, then toggles
-    chunk = reads.size if reads.size <= 2 * SWEEP_CHUNK else SWEEP_CHUNK
-    parts = [starts(lo, lo + chunk) for lo in range(0, reads.size, chunk)]
-    hit = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        c = hit - hit // cells * cells
+        parts += [spread(hit[k:k + SWEEP_CHUNK], c[k:k + SWEEP_CHUNK], index[k:k + SWEEP_CHUNK])
+                  for k in range(0, len(hit), SWEEP_CHUNK)]
+    hit = parts[0] if len(parts) == 1 else np.concatenate([hit[:0], *parts])  # none: hit[:0]
     for _ in range(cells + 1):
         if not len(hit):
             break
         np.add.at(reads, hit, one)
-        hit = np.sort(hit)  # distinct, as np.unique is, without its slower hashing
+        hit.sort()  # in place (hit is fresh), then distinct: np.unique's hashing is slower
         hit = hit.compress(np.concatenate(([True], hit[1:] != hit[:-1])))
         hit = hit.compress((reads[hit] ^ flips[hit]) & one)
-        flips[hit] ^= one
-        hit = spread(hit, *at(hit))
+        np.bitwise_xor.at(flips, hit, one)
+        q = hit // cells  # floor division by a scalar is cheap, % is not
+        c = hit - q * cells
+        hit = spread(hit, c, lead[c] + row[q] * width[c])
     else:
         raise RuntimeError("syndrome sweep did not reach its fixed point")
     moves += flips  # a cell moves iff its own flip plus its toggles is odd
@@ -370,19 +387,20 @@ def _mc_energies(lattice, params, rows):
     and swept at every theta on the same draws until all are in the ground sector."""
     kinds, cells = _kinds(lattice), lattice.n_plaquettes + lattice.n_stars
     probs = np.array([flip_probability(theta) for theta in params.thetas])
+    order = np.argsort(probs == 1.0, kind="stable")  # theta = pi last, where _sweep draws no u
     per_batch = max(1, BATCH_ROW_CELLS // (len(probs) * cells))
     out = np.empty((len(probs), len(rows), params.n_steps + 1))
     for at in range(0, len(rows), per_batch):
         batch = rows[at:at + per_batch]
         bits = np.tile(_sample_bits(kinds, params, batch), (len(probs), 1))
-        tables, energy = _tables(kinds, params, len(batch), probs), out[:, at:at + per_batch]
+        tables, energy = _tables(kinds, params, len(batch), probs[order]), out[:, at:at + per_batch]
         for step in range(params.n_steps + 1):
             energy[..., step] = now = -bits.sum(axis=1, dtype=np.int32).reshape(len(probs), -1)
             if step == params.n_steps or now.max() == -cells:  # the ground sector is a fixed point
                 energy[..., step:] = now[..., None]
                 break
             _sweep(bits, tables, params, step + 1, batch.start)
-    return out
+    return out[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------
@@ -408,6 +426,18 @@ def _chains(lattice: ToricLattice):
                     order.append(end)
         chains.append((kind, np.array([path[cell] for cell in range(len(kind.cells))])))
     return toric_ground_state(lattice).amps.real[None], chains
+
+
+@cache
+def _plan(lattice: ToricLattice):
+    """Per lattice, :func:`_trajectory_energies`' energy plan and per-position gather
+    flags and tables, apart from :func:`_chains`, which :func:`state_from_config` reads."""
+    n, rules = lattice.n_edges, []
+    for kind in _kinds(lattice):
+        pumps = 1 << kind.cells  # a cell's stabilizer mask is the sum of its pumps'
+        rules += [(kind.letter == "X", kind.pump == "X", _read(n, kind.letter, pumps.sum(axis=1)),
+                   _read(n, kind.pump, pumps))] * len(pumps)
+    return [(idx, f.real) for idx, f in sum_action(build_toric(lattice.lx, lattice.ly)[0])], rules
 
 
 def state_from_config(lattice: ToricLattice, bits) -> np.ndarray:
@@ -476,14 +506,8 @@ def _trajectory_energies(lattice, params, rows):
     the Monte Carlo's start sampler and advance on its sweep draws, read for
     a chunk of sweeps at once: at each position, its cell, pump pick and
     readout uniform u, the row jumping iff u < p_flip."""
-    n, kinds = lattice.n_edges, _kinds(lattice)
-    ham = [(idx, f.real) for idx, f in sum_action(build_toric(lattice.lx, lattice.ly)[0])]
-    # per position (kind-major): whether its stabilizer and pumps gather, and their tables
-    rules, offsets = [], np.repeat([k.offset for k in kinds], [len(k.cells) for k in kinds])
-    for kind in kinds:
-        pumps = 1 << kind.cells  # a cell's stabilizer mask is the sum of its pumps'
-        rules += [(kind.letter == "X", kind.pump == "X", _read(n, kind.letter, pumps.sum(axis=1)),
-                   _read(n, kind.pump, pumps))] * len(pumps)
+    kinds, (ham, rules) = _kinds(lattice), _plan(lattice)
+    offsets = np.repeat([k.offset for k in kinds], [len(k.cells) for k in kinds])
     steps, n_theta = params.n_steps, len(params.thetas)
     out = np.empty((n_theta, len(rows), steps + 1))
     for first in range(rows.start, rows.stop, BLOCK):
@@ -506,8 +530,8 @@ def _trajectory_energies(lattice, params, rows):
         for step in range(steps + 1):
             # a row that acted nowhere is in the ground sector, where every later visit
             # reads P- psi = 0: it leaves, keeping its energy; the rest move to spare
-            keep = np.flatnonzero(moved)
-            psi, spare = np.take(psi, keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
+            keep = moved.nonzero()[0]
+            psi, spare = psi.take(keep, axis=0, out=spare[:len(keep)], mode="clip"), psi
             live, flip, shrink = live[keep], flip[keep], shrink[keep]
             if step and len(psi):
                 now = row_energies(psi, ham, spare[:len(psi)], gathered[:len(psi)])
@@ -526,14 +550,14 @@ def _trajectory_energies(lattice, params, rows):
             moved = np.zeros(len(psi), dtype=bool)
             for (gathers, pump_gathers, stab, pump), cell, edge, v in zip(
                     rules, *(d[step % chunk, live % size].T for d in visits)):
-                table = np.take(stab, cell, axis=0, out=at if gathers else twice, mode="clip")
+                table = stab.take(cell, axis=0, out=at if gathers else twice, mode="clip")
                 if gathers:  # S psi, in image
-                    np.take(psi, np.add(table, start, out=at), out=image, mode="clip")
+                    psi.take(np.add(table, start, out=at), out=image, mode="clip")
                 else:
                     np.multiply(psi, table, out=image)
                 np.subtract(psi, image, out=twice)  # 2 P- psi
                 norm = np.square(twice, out=image).sum(axis=1)
-                act = np.flatnonzero(norm)  # elsewhere K0 is the identity and p_flip = 0
+                act = norm.nonzero()[0]  # elsewhere K0 is the identity and p_flip = 0
                 if not len(act):
                     continue
                 moved[act] = True
@@ -544,15 +568,15 @@ def _trajectory_energies(lattice, params, rows):
                 stay, jumped = act[~jump], act[jump]
                 go, kick, to = (cell[jumped], edge[jumped]), image[:len(jumped)], at[:len(jumped)]
                 if pump_gathers:
-                    np.take(twice, np.add(pump[go], start[jumped], out=to), out=kick, mode="clip")
+                    twice.take(np.add(pump[go], start[jumped], out=to), out=kick, mode="clip")
                 else:
-                    np.take(twice, jumped, axis=0, out=kick, mode="clip")
+                    twice.take(jumped, axis=0, out=kick, mode="clip")
                     kick *= pump[go]
                 psi[jumped] = np.divide(kick, np.sqrt(norm[jumped])[:, None], out=kick)
                 kept, held = image[:len(stay)], twice[:len(stay)]
-                np.take(twice, stay, axis=0, out=kept, mode="clip")
+                twice.take(stay, axis=0, out=kept, mode="clip")
                 kept *= shrink[stay]
-                kept += np.take(psi, stay, axis=0, out=held, mode="clip")
+                kept += psi.take(stay, axis=0, out=held, mode="clip")
                 kept /= np.sqrt(np.square(kept, out=held).sum(axis=1))[:, None]
                 psi[stay] = kept
         out[:, first - rows.start:][:, :size] = energy.reshape(n_theta, size, -1)

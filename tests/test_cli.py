@@ -202,6 +202,29 @@ def test_hubbard_spectrum_holds_one_dense_matrix(tmp_path):
     assert peak < 12e6
 
 
+@pytest.mark.parametrize("lattice", [["--lx", "3", "--ly", "2"],
+                                     ["--lx", "2", "--ly", "2", "--spinful", "true", "--u", "4"]])
+def test_hubbard_spectrum_jw_realizes_one_sector_at_a_time(tmp_path, monkeypatch, lattice):
+    # the Jordan-Wigner spectrum realizes each number sector's block, never the
+    # whole 2^n matrix, and its levels are the Fock oracle's
+    from rydsim import pauli
+    whole = pauli.to_matrix
+
+    def blocks_only(op, block=None):
+        assert block is not None, "the whole Jordan-Wigner matrix was realized"
+        return whole(op, block)
+    levels = {}
+    for encoding in ("jw", "fock"):
+        out = tmp_path / f"{encoding}.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(pauli, "to_matrix", blocks_only)
+            assert main(["hubbard-spectrum", *lattice, "--encoding", encoding,
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        levels[encoding] = np.array([line.split(",")[2] for line in lines], dtype=float)
+    assert np.allclose(levels["jw"], levels["fock"], atol=1e-9)
+
+
 def test_hubbard_spectrum_local(tmp_path):
     out = tmp_path / "lp.csv"
     assert main(["hubbard-spectrum", "--lx", "2", "--ly", "2",

@@ -1072,18 +1072,74 @@ def test_mc_independent_of_workers_and_batch_size(monkeypatch):
         assert np.array_equal(run.stderr, serial.stderr)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 2700, 2701])
 def test_mc_chunked_first_flips_match_one_pass(monkeypatch, chunk):
-    # 2 theta x 150 trajectories x 18 cells = 5400 entries per sweep, one
-    # pass at the default chunk; a small chunk splits every sweep's first
-    # flips, which must move no energy
+    # 3 theta x 150 trajectories x 18 cells = 8100 entries per sweep, one
+    # pass at the default chunk; a small chunk splits every theta block's
+    # first flips into rows and spreads them in slices that straddle the
+    # blocks (2700 entries is exactly one block), which must move no energy
     lattice = ToricLattice.build(3, 3)
-    params = CoolingParams(thetas=(np.pi / 3, np.pi), n_steps=8, n_trajectories=150,
+    params = CoolingParams(thetas=(np.pi / 3, np.pi, np.pi / 5), n_steps=8, n_trajectories=150,
                            q_init=0.5, seed=29)
     whole = syndrome_mc_run(lattice, params)
     monkeypatch.setattr(cooling, "SWEEP_CHUNK", chunk)
     for got, want in zip(syndrome_mc_run(lattice, params), whole):
         assert np.array_equal(got.energies, want.energies)
+
+
+def test_trajectory_tables_are_built_once_per_lattice(monkeypatch):
+    # the energy plan and the per-position rules depend on the lattice alone:
+    # two runs on one lattice build them once and read the same energies
+    built = []
+    monkeypatch.setattr(cooling, "build_toric",
+                        lambda *shape: built.append(shape) or build_toric(*shape))
+    cooling._plan.cache_clear()
+    params = CoolingParams(thetas=(np.pi / 2, np.pi), n_steps=6, n_trajectories=20, seed=3)
+    first = cooling._trajectory_energies(LATTICE, params, range(20))
+    assert np.array_equal(cooling._trajectory_energies(LATTICE, params, range(20)), first)
+    assert built == [(2, 2)]
+
+
+def test_every_uniform_is_below_the_bound_at_pi():
+    # at theta = pi the flip bound is 2^53, above every draw, so every u passes
+    assert flip_probability(np.pi) == 1.0 and int(cooling._below(1.0)) == 2**53
+    k = cooling._draws(5, 1, np.arange(1 << 20))
+    assert k.min() >= 0 and k.max() < 2**53
+    assert int(np.uint64(2**64 - 1) >> cooling._S11) == 2**53 - 1  # the largest top-53-bit value
+
+
+def _u_drawn_in_sweeps(monkeypatch, params):
+    """The u (lane 1) values the Monte Carlo draws inside its sweeps, and the
+    lanes it draws there at all; sweep 0's parity-repair picks are outside."""
+    draws, sweep, inside, lanes = cooling._draws, cooling._sweep, [], {0: 0, 1: 0, 2: 0}
+
+    def logged(seed, lane, index):
+        if inside:
+            lanes[lane] += index.size
+        return draws(seed, lane, index)
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(cooling, "_draws", logged)
+    monkeypatch.setattr(cooling, "_sweep", marked)
+    cooling._mc_energies(ToricLattice.build(4, 4), params, range(params.n_trajectories))
+    monkeypatch.undo()
+    return lanes
+
+
+def test_mc_draws_no_uniform_at_pi(monkeypatch):
+    # every u passes at pi, so a pi run hashes none inside its sweeps, and a
+    # run with pi hashes exactly the u of its other thetas
+    params = CoolingParams(thetas=(np.pi,), n_steps=6, n_trajectories=200, q_init=0.5, seed=31)
+    lanes = _u_drawn_in_sweeps(monkeypatch, params)
+    assert lanes[1] == 0 and lanes[0] and lanes[2]
+    pair = _u_drawn_in_sweeps(monkeypatch, replace(params, thetas=(np.pi, np.pi / 4)))
+    alone = _u_drawn_in_sweeps(monkeypatch, replace(params, thetas=(np.pi / 4,)))
+    assert pair[1] == alone[1] > 0
 
 
 @pytest.mark.parametrize("workers,batch_row_cells", [(1, None), (3, None), (1, 1)])
