@@ -48,7 +48,7 @@ from .models import (
     constrained_local_spectrum,
     grid_adjacency,
 )
-from .pauli import OperatorSum, PauliString, format_operator
+from .pauli import OperatorSum, PauliString, format_operator, to_matrices
 from .pulse import PulseProfile, calibrate_area, gate_fidelity
 from .statevec import StateVector
 from .trotter import run as run_circuit
@@ -307,9 +307,9 @@ def _run_toric_cool(cfg: dict):
         header = ["step", "theta", "mean_syndrome", "stderr_syndrome",
                   "mean_trajectory", "stderr_trajectory", "z"]
         reports = equivalence_check(lattice, params, workers)
-        rows = [[rep.mc.steps[k], rep.mc.theta, rep.mc.mean_energy[k], rep.mc.stderr[k],
-                 rep.trajectory.mean_energy[k], rep.trajectory.stderr[k], rep.z_scores[k]]
-                for rep in reports for k in range(len(rep.mc.steps))]
+        rows = [[step, rep.mc.theta, *values] for rep in reports for step, *values in zip(
+            rep.mc.steps, rep.mc.mean_energy, rep.mc.stderr, rep.trajectory.mean_energy,
+            rep.trajectory.stderr, rep.z_scores)]
         status = 0 if all(rep.passed for rep in reports) else 1
         worst = max(rep.max_abs_delta for rep in reports)
         result = f"max_abs_delta={worst:.3e} ({'ok' if status == 0 else 'the engines differ'})"
@@ -406,8 +406,8 @@ def _run_hubbard_spectrum(cfg: dict):
     encodings = ("jw", "fock") if encoding == "both" else (encoding,)
     jw = build_hubbard_jw(spec) if "jw" in encodings else None  # realized one sector at a time
     fock = hubbard_matrix(spec) if "fock" in encodings else None
-    columns = [[np.sort(np.linalg.eigvalsh(jw.to_matrix(indices))) if e == "jw"
-                else spectrum(fock, indices) for _, indices in blocks] for e in encodings]
+    columns = [[np.sort(np.linalg.eigvalsh(m)) for m in to_matrices(jw, [i for _, i in blocks])]
+               if e == "jw" else [spectrum(fock, i) for _, i in blocks] for e in encodings]
     both = encoding == "both"  # then each row ends in its abs_delta
     header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)] + ["abs_delta"] * both
     rows = [[label, *vals, *([abs(vals[0] - vals[1])] if both else [])]

@@ -46,14 +46,14 @@ from .errors import CapExceededError, DimensionMismatchError
 from .gates import controlled_flip, flip_probability, syndrome_map
 from .models import ToricLattice, build_toric, toric_ground_state
 from .pauli import OperatorSum, PauliString, pauli_action, sum_action
-from .statevec import DensityMatrix, StateVector, measure_projector, row_energies
+from .statevec import DensityMatrix, StateVector, density_energies, measure_projector, row_energies
 
 #: density-matrix integration cap
 LINDBLAD_QUBIT_CAP = 6
 
-#: substeps one lindblad_integrate step runs at most; at the qubit cap a
-#: substep took 1.7 ms with one jump and 2.7 ms with two on a 2-vCPU VM, so
-#: a capped step runs at most about 170 s and 270 s
+#: substeps one lindblad_integrate step runs at most; at the qubit cap a substep took
+#: 1.4 and 2.3 ms with one and two jumps in complex128, 0.42 and 0.66 ms in float64
+#: (a pure start, 2-vCPU VM), so a capped step runs at most about 140 s and 230 s
 LINDBLAD_SUBSTEP_CAP = 10**5
 
 #: trajectory cap on the system register, the qubits the engine holds
@@ -201,9 +201,11 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
     rho(t) = exp(t L) rho0, by the Taylor series of each of the fewest equal
     substeps on which t ||L|| <= 1, with ||L|| <= gamma (sum ||c||^2 +
     ||sum c+c||) in spectral norms; a series ends at its first term below
-    1e-17.  Every ground-sector state is a fixed point.  ``ValueError``
-    unless gamma and t are finite and non-negative; ``CapExceededError``
-    past :data:`LINDBLAD_SUBSTEP_CAP` substeps per step.
+    1e-17.  The series runs in float64 when no jump matrix nor rho0 has an
+    imaginary part (every toric problem), else in complex128, and the states
+    are validated together.  Every ground-sector state is a fixed point.
+    ``ValueError`` unless gamma and t are finite and non-negative;
+    ``CapExceededError`` past :data:`LINDBLAD_SUBSTEP_CAP` substeps per step.
     """
     jumps = list(jumps)
     if any(op.n_qubits != rho0.n_qubits for op in jumps):
@@ -227,6 +229,8 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
     substeps = max(1, math.ceil(t * bound))
     scale = gamma * t / substeps
     rho, states = rho0.matrix, []
+    if not any(np.imag(m).any() for m in (*cs, rho)):  # a real problem runs in float64
+        cs, cdags, (anti, rho) = ([m.real.copy() for m in ms] for ms in (cs, cdags, (anti, rho)))
     for done in range(1, steps * substeps + 1):
         term, out = rho, rho.copy()
         for k in range(1, 20):  # |term| <= 1/k! in trace norm: 1/19! < 1e-17
@@ -240,8 +244,8 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
         # anti-Hermitian part, which it would otherwise amplify
         rho = 0.5 * (out + out.conj().T)
         if done % substeps == 0:
-            states.append(DensityMatrix(rho, validate=True, copy=False))
-    return states
+            states.append(rho)
+    return DensityMatrix.validated(np.stack(states))
 
 
 # ---------------------------------------------------------------------
@@ -692,4 +696,4 @@ def lindblad_reference_trace(theta: float, n_steps: int, q_init: float = 0.5) ->
     a, one = a_p.to_matrix(), np.eye(16)  # q_init P- / 8 + (1 - q_init) P+ / 8
     rho0 = DensityMatrix((q_init * (one - a) + (1.0 - q_init) * (one + a)) / 16.0, copy=False)
     states = [rho0, *lindblad_integrate([jump], flip_probability(theta), rho0, 1.0, n_steps)]
-    return Trace(np.array([[rho.expectation(h_local) for rho in states]]), theta, "lindblad")
+    return Trace(density_energies(states, h_local)[None], theta, "lindblad")

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedGeometryError
-from .pauli import OperatorSum, PauliString, commutes, jw_annihilator, jw_creator, jw_number
+from .pauli import (OperatorSum, PauliString, commutes, jw_annihilator, jw_creator, jw_number,
+                    to_matrices)
 from .statevec import StateVector
 
 
@@ -366,11 +367,11 @@ def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:
     multiplicity 2**(n_aux_modes - n_stabilizers), shifted by the constant
     -V * aux_pair_count(spec).  The sector is :func:`taper`'s on the auxiliary qubits,
     diagonalized by direct-mode number block, each realized alone by
-    :func:`~rydsim.pauli.to_matrix`; at most 12 qubits once tapered.
+    :func:`~rydsim.pauli.to_matrices`; at most 12 qubits once tapered.
     """
     n = vc_n_qubits(spec)
     h, sigmas = taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
     kept = sorted(set(range(n)).difference(s.support()[0] for s in sigmas))
     number = sum((np.arange(1 << len(kept)) >> k) & 1 for k, q in enumerate(kept) if q % 2 == 0)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(h.to_matrix(np.flatnonzero(number == k)))
-                                   for k in range(spec.n_modes + 1)]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in to_matrices(
+        h, [np.flatnonzero(number == k) for k in range(spec.n_modes + 1)])]))

@@ -412,8 +412,14 @@ class OperatorSum:
 
 
 def to_matrix(op: OperatorSum, block=None) -> np.ndarray:
-    """Dense 2^n x 2^n realization of an operator sum (n capped at 12), or its block on
-    the basis states ``block``: ``ValueError`` if it maps a state of the block out of it.
+    """Dense 2^n x 2^n realization of an operator sum, or its block: :func:`to_matrices`."""
+    return next(to_matrices(op, [block]))
+
+
+def to_matrices(op: OperatorSum, blocks):
+    """Dense realization of an operator sum (n capped at 12) on each block of ``blocks``,
+    the basis states it lists (all 2^n if None), with the per-operator work done once:
+    ``ValueError`` if the sum maps a state of a block out of that block.
 
     float64 when every normalized term has a real coefficient and an even
     number of Y sites, whose product i**#Y is then real; complex otherwise.
@@ -422,19 +428,21 @@ def to_matrix(op: OperatorSum, block=None) -> np.ndarray:
     if n_qubits > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"dense matrix for {n_qubits} qubits exceeds the "
                                f"{MATRIX_QUBIT_CAP}-qubit cap")
-    real = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
-               for c, s in op.normalized())
-    rows = np.arange(1 << n_qubits) if block is None else np.asarray(block)
+    real, plan = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
+                     for c, s in op.normalized()), sum_action(op)
     place = np.full(1 << n_qubits, -1)  # each basis state's row and column, -1 off the block
-    place[rows] = np.arange(len(rows))
-    mat = np.zeros((len(rows), len(rows)), dtype=float if real else complex)
-    for idx, factor in sum_action(op):  # op[j, idx[j]] = factor[j]
-        cols, f = place[rows if idx is None else idx[rows]], factor[rows]
-        inside = cols >= 0
-        if f[~inside].any():
-            raise ValueError("the operator maps a state of the block out of the block")
-        mat[inside, cols[inside]] = f[inside].real if real else f[inside]
-    return mat
+    for block in blocks:
+        rows = np.arange(1 << n_qubits) if block is None else np.asarray(block)
+        place[rows] = np.arange(len(rows))
+        mat = np.zeros((len(rows), len(rows)), dtype=float if real else complex)
+        for idx, factor in plan:  # op[j, idx[j]] = factor[j]
+            cols, f = place[rows if idx is None else idx[rows]], factor[rows]
+            inside = cols >= 0
+            if f[~inside].any():
+                raise ValueError("the operator maps a state of the block out of the block")
+            mat[inside, cols[inside]] = f[inside].real if real else f[inside]
+        place[rows] = -1
+        yield mat
 
 
 # -- Jordan-Wigner images ---------------------------------------------

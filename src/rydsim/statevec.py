@@ -6,7 +6,7 @@ as bit j of its own index.  Operations mutate the state buffer in place
 and return the instance; use :meth:`StateVector.copy` to branch.  Every stochastic
 operation takes an explicit ``numpy.random.Generator`` so identical seeds
 give identical trajectories.  Both backends read an operator sum through its
-:func:`~rydsim.pauli.sum_action` plan, a state's through :func:`row_energies`.
+:func:`~rydsim.pauli.sum_action` plan, in :func:`row_energies` and :func:`density_energies`.
 
 Units: hbar = 1 and the toric coupling E0 = 1, so times are in hbar/E0.
 """
@@ -147,7 +147,7 @@ def row_energies(psi: np.ndarray, plan, acc: np.ndarray, buf: np.ndarray) -> np.
     plan: H psi accumulates in ``acc``, and ``buf`` takes each group's term."""
     acc.fill(0.0)
     for idx, factor in plan:
-        term = psi if idx is None else np.take(psi, idx, axis=1, out=buf, mode="clip")
+        term = psi if idx is None else psi.take(idx, axis=1, out=buf, mode="clip")
         acc += np.multiply(term, factor, out=buf)
     return np.multiply(psi.view(float), acc.view(float), out=buf.view(float)).sum(axis=1)
 
@@ -200,14 +200,30 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(self.matrix)[0]) < self.POSITIVITY_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
+    @classmethod
+    def validated(cls, stack: np.ndarray) -> list:
+        """One state per matrix of a ``(states, 2^n, 2^n)`` stack, each check of :meth:`validate`
+        made over the stack at once: a matrix that fails one is validated alone, to raise."""
+        skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        failed = ((skew > cls.HERMITICITY_TOL) | (np.abs(traces - 1.0) > cls.TRACE_TOL)
+                  | (np.linalg.eigvalsh(stack)[:, 0] < cls.POSITIVITY_TOL))
+        return [cls(m, validate=bad, copy=False) for m, bad in zip(stack, failed.tolist())]
+
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
     def expectation(self, h: OperatorSum) -> float:
-        """tr(H rho) = sum_k f_k rho[idx_k, k] over H's X-mask groups, H[k, idx_k] = f_k."""
-        rows = np.arange(1 << self.n_qubits)
-        return float(sum(np.dot(factor, self.matrix[rows if idx is None else idx, rows])
-                         for idx, factor in _plan(h, self.n_qubits)).real)
+        """tr(H rho): :func:`density_energies` of this one state."""
+        return float(density_energies([self], h)[0])
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n_qubits}, trace={self.trace():.6f})"
+
+
+def density_energies(states, h: OperatorSum) -> np.ndarray:
+    """tr(H rho) = sum_k f_k rho[idx_k, k] of each of ``states``, H[k, idx_k] = f_k: per X-mask
+    group of one plan, a ``np.dot`` per state on its gather in C order (a stride moves the sum)."""
+    stack, rows = np.stack([rho.matrix for rho in states]), np.arange(1 << states[0].n_qubits)
+    return sum((np.array([np.dot(f, g) for g in stack[:, rows if ix is None else ix, rows].copy()])
+                for ix, f in _plan(h, states[0].n_qubits)), np.zeros(len(states))).real

@@ -231,6 +231,39 @@ def test_lindblad_series_matches_dop853_at_the_cap():
     assert np.abs(got - want).max() < 1e-9
 
 
+def _series_dtype(monkeypatch):
+    # the dtype of each call's validated stack, which the series ran in
+    seen, validated = [], DensityMatrix.validated
+    monkeypatch.setattr(DensityMatrix, "validated",
+                        lambda stack: (seen.append(stack.dtype), validated(stack))[1])
+    return seen
+
+
+def test_a_real_lindblad_problem_runs_in_float64(monkeypatch):
+    # the toric jump Z0 (1 - XXXX)/2 realizes as complex with no imaginary part
+    seen = _series_dtype(monkeypatch)
+    jump, proj_minus = _single_plaquette_setup()
+    rho0 = 0.3 * proj_minus / 8.0 + 0.7 * (np.eye(16) - proj_minus) / 8.0
+    assert jump.to_matrix().dtype == complex
+    (got,) = lindblad_integrate([jump], 0.9, DensityMatrix(rho0), 1.7)
+    want = lindblad_reference([jump.to_matrix()], 0.9, rho0, 1.7)
+    assert seen == [np.float64] and np.abs(got.matrix - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("start", ["real", "complex"])
+def test_a_complex_jump_or_start_runs_in_complex128(monkeypatch, start):
+    seen = _series_dtype(monkeypatch)
+    a_p = PauliString.from_label("XXXX")
+    jumps = ([jump_operator(a_p, PauliString.single(4, 0, "Y"))] if start == "real"
+             else [_single_plaquette_setup()[0]])
+    rho0 = np.eye(16, dtype=complex) / 16.0
+    if start == "complex":
+        rho0 += 0.01j * (a_p.to_matrix() @ PauliString.single(4, 0, "Z").to_matrix())
+    got = lindblad_integrate(jumps, 0.9, DensityMatrix(rho0), 1.7)[0].matrix
+    want = lindblad_reference([op.to_matrix() for op in jumps], 0.9, rho0, 1.7)
+    assert seen == [np.complex128] and np.abs(got - want).max() < 1e-9
+
+
 def test_lindblad_rejects_jumps_of_another_size():
     # a smaller jump operator is not padded with identities, whatever the rate
     jump, proj_minus = _single_plaquette_setup()

@@ -20,6 +20,7 @@ from rydsim.pauli import (
     pauli_action,
     pauli_mul,
     sum_action,
+    to_matrices,
     to_matrix,
 )
 from rydsim.statevec import StateVector
@@ -162,6 +163,22 @@ def test_to_matrix_block_is_the_full_matrix_block():
     ones = np.flatnonzero([bin(j).count("1") == 1 for j in range(1 << n)])
     with pytest.raises(ValueError, match="out of the block"):
         to_matrix(op, ones)
+
+
+def test_to_matrices_is_to_matrix_on_each_block():
+    # one plan for all blocks: each block's bytes are its own call's, and a
+    # block after a closed one still fails when it is not closed
+    rng = np.random.default_rng(9)
+    n = 4
+    op = OperatorSum([(rng.normal(), PauliString.from_label(label))
+                      for label in ("XXII", "YYII", "IZZI", "XXXX", "ZIIZ")], n)
+    weight = np.array([bin(j).count("1") for j in range(1 << n)])
+    blocks = [np.flatnonzero(weight % 2 == 1), None, np.flatnonzero(weight % 2 == 0)[::-1]]
+    for got, block in zip(to_matrices(op, blocks), blocks, strict=True):
+        assert got.tobytes() == to_matrix(op, block).tobytes()
+    ones = np.flatnonzero(weight == 1)
+    with pytest.raises(ValueError, match="out of the block"):
+        list(to_matrices(op, [np.flatnonzero(weight % 2 == 1), ones]))
 
 
 def test_plaquette_matrix_spectrum_eightfold():

@@ -49,6 +49,9 @@ LINES = [
     # 12 system qubits, where the trajectory kernel is limited by memory traffic
     "toric-cool --engine compare --lx 3 --ly 2 --theta pi,pi/3 --steps 4 --trajectories 40",
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1",
+    # theta pi takes two substeps a step, the others one
+    "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4,pi/2,pi --steps 20 --trajectories 1 "
+    "--q-init 0.3",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2",
     "heisenberg --lx 3 --ly 2 --jz 0.5 --field 0.3 --tau 0.1 --steps 2 --observables y1",
@@ -92,6 +95,9 @@ DIGESTS = {
         "4d1eec8fe94c4009a881d2896d48fd74b3800232675adba74a292bf7361e9d05",
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4 --steps 2 --trajectories 1":
         "4bca6c56d327c0cd42b974a1cfeebb4fa182a59c5387ab63404ba1126de65968",
+    "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4,pi/2,pi --steps 20 --trajectories 1 "
+    "--q-init 0.3":
+        "3f4529e6cacaed14c1d36f556548b3706cb3eeca2f32f5c28f65e2049aaad4a5",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
         "1b4b8e6614ed63c2c0cf0b2be2dc6d9709687b9dd1c8990772963ca43225009d",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2":

@@ -7,6 +7,7 @@ from rydsim.pauli import COEFF_EPS, OperatorSum, PauliString, to_matrix
 from rydsim.statevec import (
     DensityMatrix,
     StateVector,
+    density_energies,
     measure_projector,
 )
 
@@ -332,6 +333,47 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _defect(kind, size):
+    """A 4 x 4 matrix that is a state but for one defect of ``size``: an
+    anti-Hermitian part (max |rho - rho+| = size), a trace of 1 + size, or
+    an eigenvalue of -size."""
+    if kind == "eigenvalue":
+        return np.diag([0.5 + size, 0.5, 0.0, -size]).astype(complex)
+    rho = np.eye(4, dtype=complex) / 4.0
+    if kind == "hermitian":
+        rho[0, 1], rho[1, 0] = size / 2, -size / 2
+    else:
+        rho[0, 0] += size
+    return rho
+
+
+@pytest.mark.parametrize("kind, tol", [("hermitian", 1e-10), ("trace", 1e-8),
+                                       ("eigenvalue", 1e-8)])
+def test_stacked_validation_raises_what_one_state_raises(kind, tol):
+    # 2x the tolerance fails, in a stack as alone, with the same message;
+    # 0.9x passes
+    rng = np.random.default_rng(5)
+    good = [rho / np.trace(rho).real for rho in (a @ a.conj().T for a in (
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(4)))]
+    bad = _defect(kind, 2 * tol)
+    with pytest.raises(ValueError) as alone:
+        DensityMatrix(bad)
+    with pytest.raises(ValueError) as stacked:
+        DensityMatrix.validated(np.stack(good[:2] + [bad] + good[2:]))
+    assert str(stacked.value) == str(alone.value)
+    inside = _defect(kind, 0.9 * tol)
+    states = DensityMatrix.validated(np.stack(good[:2] + [inside] + good[2:]))
+    assert np.array_equal(states[2].matrix, inside) and len(states) == 5
+
+
+def test_density_energies_of_a_stack_are_each_states_expectation():
+    rng = np.random.default_rng(6)
+    h = OperatorSum([(rng.normal(), random_string(rng, 3, hermitian=True)) for _ in range(6)], 3)
+    states = [DensityMatrix(rho / np.trace(rho).real) for rho in (a @ a.conj().T for a in (
+        rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) for _ in range(5)))]
+    assert density_energies(states, h).tolist() == [rho.expectation(h) for rho in states]
 
 
 def test_an_empty_array_is_no_state():
