@@ -392,18 +392,10 @@ def _hubbard_spec(cfg: dict) -> HubbardSpec:
 def _run_hubbard_spectrum(cfg: dict):
     spec = _hubbard_spec(cfg)
     encoding = cfg["encoding"]
-    if encoding == "local":
-        shift = -spec.v_aux * _checked(aux_pair_count, spec)  # checks the aux geometry
-        w_jw = np.sort(np.linalg.eigvalsh(build_hubbard_jw(spec).to_matrix()))
-        w_local = constrained_local_spectrum(spec)
-        if len(w_local) % len(w_jw):
-            raise RuntimeError("constrained sector dimension mismatch")
-        dedup = w_local[::len(w_local) // len(w_jw)]  # one of each multiplet
-        header = ["index", "eigenvalue_jw", "eigenvalue_local_shifted", "abs_delta"]
-        rows = [[k, a, b, abs(a - b)] for k, (a, b) in enumerate(zip(w_jw, dedup - shift))]
-        return header, rows, f"max_abs_delta={max((row[3] for row in rows), default=0.0):.3e}", 0
+    if encoding == "local":  # the aux geometry, then the tapered 12-qubit cap, before the Fock cap
+        w_local = spec.v_aux * _checked(aux_pair_count, spec) + constrained_local_spectrum(spec)
     blocks = sectors(spec)  # checks the Fock mode cap before any matrix
-    encodings = ("jw", "fock") if encoding == "both" else (encoding,)
+    encodings = {"both": ("jw", "fock"), "local": ("jw",)}.get(encoding, (encoding,))
     jw = build_hubbard_jw(spec) if "jw" in encodings else None  # realized one sector at a time
     fock = hubbard_matrix(spec) if "fock" in encodings else None
     columns = [[np.sort(np.linalg.eigvalsh(m)) for m in to_matrices(jw, [i for _, i in blocks])]
@@ -412,8 +404,12 @@ def _run_hubbard_spectrum(cfg: dict):
     header = ["index", "sector", *(f"eigenvalue_{e}" for e in encodings)] + ["abs_delta"] * both
     rows = [[label, *vals, *([abs(vals[0] - vals[1])] if both else [])]
             for (label, _), *levels in zip(blocks, *columns) for vals in zip(*levels)]
+    if encoding == "local":  # each local level against its own Jordan-Wigner level, in order
+        header = ["index", "eigenvalue_jw", "eigenvalue_local_shifted", "abs_delta"]
+        rows = [[a, b, abs(a - b)] for a, b in zip(sorted(r[1] for r in rows), w_local, strict=True)]
     rows = [[index, *row] for index, row in enumerate(rows)]
-    result = f"max_abs_delta={max(row[-1] for row in rows):.3e}" if both else f"levels={len(rows)}"
+    result = (f"max_abs_delta={max(row[-1] for row in rows):.3e}" if header[-1] == "abs_delta"
+              else f"levels={len(rows)}")
     return header, rows, result, 0
 
 

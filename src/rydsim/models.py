@@ -276,18 +276,20 @@ def vc_n_qubits(spec: HubbardSpec) -> int:
 
 def _arrows(spec: HubbardSpec) -> dict:
     """Arrow operator of each vertical bond, keyed by the direct mode of its
-    lower site; spin blocks in turn, columns left to right, rows upward.
+    lower site; spin blocks in turn, columns left to right, rows upward, the
+    wrap-around bond (row ly - 1 to row 0) last in each column.
 
     An arrow pairs the auxiliary Majoranas of its bond's two sites, columns
-    oriented alternately so each Majorana is used exactly once.
+    oriented alternately so each Majorana is used exactly once.  No term
+    reads a wrap-around arrow: it fixes its column's two free Majoranas.
     """
     _check_vc_geometry(spec)
     n = vc_n_qubits(spec)
     arrows = {}
     for spin in spec.spins:
         for x in range(spec.lx):
-            for y in range(spec.ly - 1):
-                lower, upper = (hubbard_mode(spec, x, y + dy, spin) for dy in (0, 1))
+            for y in range(spec.ly):
+                lower, upper = (hubbard_mode(spec, x, (y + dy) % spec.ly, spin) for dy in (0, 1))
                 tail, head = (lower, upper) if x % 2 == 0 else (upper, lower)
                 # auxiliary mode 2m + 1 is Jordan-Wigner site 2m + 2
                 alpha = jw_annihilator(2 * tail + 2, n) + jw_creator(2 * tail + 2, n)
@@ -297,8 +299,8 @@ def _arrows(spec: HubbardSpec) -> dict:
 
 
 def aux_stabilizers(spec: HubbardSpec) -> list[PauliString]:
-    """The commuting +-1 operators whose joint +1 eigenspace carries the
-    physical sector of the local encoding; one per vertical bond and spin."""
+    """The commuting +-1 operators whose joint +1 eigenspace is one copy of the
+    physical sector of the local encoding; one per column, row and spin."""
     return [arrow.single_string() for arrow in _arrows(spec).values()]
 
 
@@ -339,21 +341,24 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
 
 
 def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliString]]:
-    """``h`` on the joint +1 eigenspace of the commuting ``stabilizers`` (Bravyi et al.,
-    arXiv:1701.08213), and the sigma that takes each one's place: the first X or Z on a
-    candidate qubit that anticommutes with its stabilizer S alone, earlier sigmas included.
-    (sigma + S)/sqrt(2) maps a term P to sigma S P if P anticommutes with sigma, else to P;
-    sigma then reads +1, and its qubit leaves the masks, the others keeping their order.
+    """``h`` on the joint +1 eigenspace of the commuting, independent ``stabilizers`` (Bravyi
+    et al., arXiv:1701.08213), and the sigma that takes each one's place, by elimination: each
+    generator S in turn takes the first X or Z on a candidate qubit that anticommutes with it
+    and commutes with the earlier sigmas, and each later generator anticommuting with that sigma
+    is multiplied by S, sign kept.  (sigma + S)/sqrt(2) maps a term P to sigma S P if P
+    anticommutes with sigma, else to P; sigma then reads +1, and its qubit leaves the masks,
+    the others keeping their order.
     """
-    n, terms, sigmas = h.n_qubits, h.normalized().terms, []
-    for s in stabilizers:
-        if not all(commutes(s, p) for p in [*stabilizers, *(p for _, p in terms)]):
+    n, terms, gens, sigmas = h.n_qubits, h.normalized().terms, list(stabilizers), []
+    for i, s in enumerate(gens):  # gens[i + 1:] is reduced in place as it goes
+        if not all(commutes(s, p) for p in [*gens, *(p for _, p in terms)]):
             raise ValueError(f"stabilizer {s} anticommutes with another or with a term")
         fits = [c for q in qubits for a in "XZ" for c in [PauliString.single(n, q, a)]
-                if [t for t in [*stabilizers, *sigmas] if not commutes(c, t)] == [s]]
+                if not commutes(c, s) and all(commutes(c, t) for t in sigmas)]
         if not fits:
             raise ValueError(f"no X or Z on a candidate qubit anticommutes with {s} alone")
         sigmas.append(fits[0])
+        gens[i + 1:] = [g if commutes(fits[0], g) else g * s for g in gens[i + 1:]]
         terms = [(c, p if commutes(fits[0], p) else fits[0] * s * p) for c, p in terms]
     kept = sorted(set(range(n)).difference(t.support()[0] for t in sigmas))
     return OperatorSum([(c * p.phase, PauliString.from_label("".join(p.letter(q) for q in kept)))
@@ -361,17 +366,15 @@ def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliS
 
 
 def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:
-    """Spectrum of the local encoding inside the all-+1 stabilizer sector.
+    """Spectrum of the local encoding inside the all-+1 stabilizer sector: each
+    direct-encoding eigenvalue once, sorted, shifted by -V * aux_pair_count(spec).
 
-    Sorted eigenvalues; each direct-encoding eigenvalue appears with
-    multiplicity 2**(n_aux_modes - n_stabilizers), shifted by the constant
-    -V * aux_pair_count(spec).  The sector is :func:`taper`'s on the auxiliary qubits,
-    diagonalized by direct-mode number block, each realized alone by
+    The sector is :func:`taper`'s on the auxiliary qubits, which leaves the direct
+    modes in order, diagonalized by number block, each realized alone by
     :func:`~rydsim.pauli.to_matrices`; at most 12 qubits once tapered.
     """
     n = vc_n_qubits(spec)
-    h, sigmas = taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
-    kept = sorted(set(range(n)).difference(s.support()[0] for s in sigmas))
-    number = sum((np.arange(1 << len(kept)) >> k) & 1 for k, q in enumerate(kept) if q % 2 == 0)
+    h, _ = taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
+    number = sum((np.arange(1 << h.n_qubits) >> k) & 1 for k in range(h.n_qubits))
     return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in to_matrices(
         h, [np.flatnonzero(number == k) for k in range(spec.n_modes + 1)])]))

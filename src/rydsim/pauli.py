@@ -385,8 +385,8 @@ class OperatorSum:
             [(c.conjugate(), s.adjoint()) for c, s in self._terms], self._n_qubits
         ).normalized()
 
-    def to_matrix(self, block=None) -> np.ndarray:
-        return to_matrix(self, block)
+    def to_matrix(self) -> np.ndarray:
+        return to_matrix(self)
 
     def single_string(self) -> PauliString:
         """Collapse a sum that is exactly one unit-coefficient string.
@@ -411,9 +411,9 @@ class OperatorSum:
         return f"OperatorSum({' + '.join(parts) or '0'}, n={self._n_qubits})"
 
 
-def to_matrix(op: OperatorSum, block=None) -> np.ndarray:
-    """Dense 2^n x 2^n realization of an operator sum, or its block: :func:`to_matrices`."""
-    return next(to_matrices(op, [block]))
+def to_matrix(op: OperatorSum) -> np.ndarray:
+    """Dense 2^n x 2^n realization of an operator sum: :func:`to_matrices` of all 2^n states."""
+    return next(to_matrices(op, [None]))
 
 
 def to_matrices(op: OperatorSum, blocks):

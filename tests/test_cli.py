@@ -205,24 +205,35 @@ def test_hubbard_spectrum_holds_one_dense_matrix(tmp_path):
 @pytest.mark.parametrize("lattice", [["--lx", "3", "--ly", "2"],
                                      ["--lx", "2", "--ly", "2", "--spinful", "true", "--u", "4"]])
 def test_hubbard_spectrum_jw_realizes_one_sector_at_a_time(tmp_path, monkeypatch, lattice):
-    # the Jordan-Wigner spectrum realizes each number sector's block, never the
-    # whole 2^n matrix, and its levels are the Fock oracle's
-    from rydsim import pauli
-    whole = pauli.to_matrix
+    # the Jordan-Wigner and (on even lattices) the tapered local spectra realize
+    # each number block alone, never a whole 2^n matrix, and their levels are the
+    # Fock oracle's
+    from rydsim import cli, models, pauli
+    whole = pauli.to_matrices
+    calls = []
 
-    def blocks_only(op, block=None):
-        assert block is not None, "the whole Jordan-Wigner matrix was realized"
-        return whole(op, block)
+    def blocks_only(op, blocks):
+        blocks = list(blocks)
+        for block in blocks:
+            assert block is not None and len(block) < 1 << op.n_qubits, "a whole matrix was realized"
+        calls.append(len(blocks))
+        return whole(op, blocks)
+    local = int(lattice[1]) % 2 == 0  # the local encoding needs even lx and ly
     levels = {}
-    for encoding in ("jw", "fock"):
+    for encoding in ("jw", "fock", "local")[:3 if local else 2]:
         out = tmp_path / f"{encoding}.csv"
+        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(pauli, "to_matrix", blocks_only)
+            for module in (cli, models, pauli):
+                patch.setattr(module, "to_matrices", blocks_only)
             assert main(["hubbard-spectrum", *lattice, "--encoding", encoding,
                          "--out", str(out)]) == 0
+        assert len(calls) == {"jw": 1, "fock": 0, "local": 2}[encoding]
         lines = out.read_text().splitlines()[1:]
         levels[encoding] = np.array([line.split(",")[2] for line in lines], dtype=float)
     assert np.allclose(levels["jw"], levels["fock"], atol=1e-9)
+    if local:  # the local rows are sorted, each level against its Jordan-Wigner level
+        assert np.allclose(levels["local"], np.sort(levels["jw"]), atol=1e-12)
 
 
 def test_hubbard_spectrum_local(tmp_path):
@@ -235,7 +246,7 @@ def test_hubbard_spectrum_local(tmp_path):
 
 
 def test_hubbard_spectrum_local_spinful(tmp_path):
-    # 16 qubits before tapering, 12 after: past the dense cap until tapered
+    # 16 qubits before tapering, 8 after: past the dense cap until tapered
     out = tmp_path / "lp.csv"
     assert main(["hubbard-spectrum", "--lx", "2", "--ly", "2", "--spinful", "true",
                  "--u", "4", "--encoding", "local", "--out", str(out)]) == 0

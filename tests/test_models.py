@@ -206,7 +206,7 @@ def test_direct_encoding_weight_grows_with_width():
 def test_aux_stabilizer_algebra():
     spec = HubbardSpec(2, 2)
     stabs = aux_stabilizers(spec)
-    assert len(stabs) == spec.lx * (spec.ly - 1)
+    assert len(stabs) == spec.lx * spec.ly  # the wrap-around arrow of each column included
     for s in stabs:
         assert s.is_hermitian()
         assert (s * s).is_identity()
@@ -287,18 +287,18 @@ LOCAL_SPECS = {
     "2x2": HubbardSpec(2, 2, t_hop=1.0, v_aux=1.3),
     "2x2-spinful-u4": HubbardSpec(2, 2, u=4.0, spinful=True),
     "4x2": HubbardSpec(4, 2),
+    "2x4": HubbardSpec(2, 4),
 }
 
 
 @pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
 def test_constrained_sector_matches_direct_encoding(spec):
+    # one local level per Jordan-Wigner level: the sector is one copy of the physical space
     w_jw = np.sort(np.linalg.eigvalsh(build_hubbard_jw(spec).to_matrix()))
     w_local = constrained_local_spectrum(spec)
     shift = -spec.v_aux * aux_pair_count(spec)
-    free = len(w_local) // len(w_jw)
-    assert free * len(w_jw) == len(w_local)
-    expected = np.sort(np.repeat(w_jw + shift, free))
-    assert np.max(np.abs(w_local - expected)) < 1e-12
+    assert len(w_local) == len(w_jw) == 1 << spec.n_modes
+    assert np.max(np.abs(w_local - (w_jw + shift))) < 1e-12
 
 
 def _tapered(spec):
@@ -306,17 +306,38 @@ def _tapered(spec):
     return taper(build_hubbard_local(spec), aux_stabilizers(spec), range(1, n, 2))
 
 
-@pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
-def test_each_sigma_anticommutes_with_its_stabilizer_alone(spec):
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit rows given as ints."""
+    rank, rows = 0, list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+@pytest.mark.parametrize("spec", [*LOCAL_SPECS.values(), HubbardSpec(6, 2),
+                                  HubbardSpec(4, 4, spinful=True)],
+                         ids=[*LOCAL_SPECS.keys(), "6x2", "4x4-spinful"])
+def test_sigmas_fix_the_stabilizers_over_gf2(spec):
+    # each sigma is X or Z on its own auxiliary qubit and they commute pairwise, so
+    # they fix a sector of their own; the sigma-stabilizer anticommutation matrix is
+    # invertible over GF(2), so products of the stabilizers pair with the sigmas one
+    # to one and the tapered sector is the stabilizers' all-+1 sector
     stabs = aux_stabilizers(spec)
     h, sigmas = _tapered(spec)
-    assert h.n_qubits == vc_n_qubits(spec) - len(stabs)
+    assert len(sigmas) == len(stabs) == spec.n_modes
+    assert h.n_qubits == vc_n_qubits(spec) - len(stabs) == spec.n_modes
     assert len({sigma.support() for sigma in sigmas}) == len(stabs)
-    for i, sigma in enumerate(sigmas):
+    for sigma in sigmas:
         (qubit,) = sigma.support()
         assert qubit % 2 == 1  # an auxiliary mode's qubit
         assert sigma.letter(qubit) in "XZ" and sigma.is_hermitian()
-        assert [not commutes(sigma, s) for s in stabs] == [k == i for k in range(len(stabs))]
+    assert all(commutes(a, b) for a in sigmas for b in sigmas)
+    rows = [sum((not commutes(sigma, s)) << k for k, s in enumerate(stabs)) for sigma in sigmas]
+    assert _gf2_rank(rows) == len(stabs)
 
 
 @pytest.mark.parametrize("spec", LOCAL_SPECS.values(), ids=LOCAL_SPECS.keys())
@@ -368,3 +389,13 @@ def test_taper_refuses_a_stabilizer_listed_twice():
     h = build_hubbard_local(spec)
     with pytest.raises(ValueError, match="anticommutes with .* alone"):
         taper(h, [stab, stab], range(1, h.n_qubits, 2))
+
+
+def test_taper_refuses_a_stabilizer_that_is_a_product_of_two_others():
+    # elimination reduces the product to the identity, which no sigma anticommutes
+    # with, while six auxiliary qubits are still free
+    spec = LOCAL_SPECS["4x2"]
+    stabs = aux_stabilizers(spec)
+    h = build_hubbard_local(spec)
+    with pytest.raises(ValueError, match=r"anticommutes with PauliString\(\+I+\) alone"):
+        taper(h, [stabs[0], stabs[1], stabs[0] * stabs[1], *stabs[2:]], range(1, h.n_qubits, 2))

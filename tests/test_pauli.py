@@ -157,25 +157,27 @@ def test_to_matrix_block_is_the_full_matrix_block():
     full = to_matrix(op)
     for p in (0, 1):
         block = np.flatnonzero(parity == p)[::-1]  # any order: rows and columns follow it
-        got = to_matrix(op, block)
+        (got,) = to_matrices(op, [block])
         assert got.dtype == full.dtype
         assert got.tobytes() == full[np.ix_(block, block)].tobytes()
     ones = np.flatnonzero([bin(j).count("1") == 1 for j in range(1 << n)])
     with pytest.raises(ValueError, match="out of the block"):
-        to_matrix(op, ones)
+        list(to_matrices(op, [ones]))
 
 
 def test_to_matrices_is_to_matrix_on_each_block():
-    # one plan for all blocks: each block's bytes are its own call's, and a
-    # block after a closed one still fails when it is not closed
+    # one plan for all blocks: each block's bytes are the whole matrix's block
+    # (None: the whole matrix), and a block after a closed one still fails when
+    # it is not closed
     rng = np.random.default_rng(9)
     n = 4
     op = OperatorSum([(rng.normal(), PauliString.from_label(label))
                       for label in ("XXII", "YYII", "IZZI", "XXXX", "ZIIZ")], n)
     weight = np.array([bin(j).count("1") for j in range(1 << n)])
     blocks = [np.flatnonzero(weight % 2 == 1), None, np.flatnonzero(weight % 2 == 0)[::-1]]
+    full = to_matrix(op)
     for got, block in zip(to_matrices(op, blocks), blocks, strict=True):
-        assert got.tobytes() == to_matrix(op, block).tobytes()
+        assert got.tobytes() == (full if block is None else full[np.ix_(block, block)]).tobytes()
     ones = np.flatnonzero(weight == 1)
     with pytest.raises(ValueError, match="out of the block"):
         list(to_matrices(op, [np.flatnonzero(weight % 2 == 1), ones]))

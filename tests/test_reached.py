@@ -62,6 +62,9 @@ LINES = [
     "hubbard-spectrum --lx 2 --ly 2 --encoding local",
     "hubbard-spectrum --lx 2 --ly 2 --spinful true --u 4 --encoding local",
     "hubbard-spectrum --lx 4 --ly 2 --encoding local",
+    # several arrows per column; and number blocks of up to 924 states
+    "hubbard-spectrum --lx 2 --ly 4 --encoding local",
+    "hubbard-spectrum --lx 6 --ly 2 --encoding local",
     "gate-fidelity --durations 13.1 --blockade 20",
     "dump-hamiltonian --model toric --lx 2 --ly 2",
     "dump-hamiltonian --model heisenberg --lx 3 --ly 2",
@@ -113,11 +116,15 @@ DIGESTS = {
     "hubbard-spectrum --lx 2 --ly 2 --encoding fock":
         "ac1f0b2fbc43c7cb729914c7a4d7af16cef4a33f81897ae1aa468bc0bfbbca97",
     "hubbard-spectrum --lx 2 --ly 2 --encoding local":
-        "65bf310c7c89605188bcd4035d3aaee33bbb89d9c25edeb07e7cd09efb3c9cdc",
+        "3c6f91a448ef55378d393783e1c70ae2344bf633e733bd85c3b1f015a511a47e",
     "hubbard-spectrum --lx 2 --ly 2 --spinful true --u 4 --encoding local":
-        "f55572128726f110544576c0b0766e631649a91b732d5b9237c7e615230eb634",
+        "e98d0588e9fe978a3287378f505b437d9e916876f024a90e9f4eed75a1192a67",
     "hubbard-spectrum --lx 4 --ly 2 --encoding local":
-        "26288857ee1a07d1c0c6e9f1deb9c4a35fec03fedbda15abd81400775462fd7f",
+        "c8046dbe7cbdbc6cba9a044fb361323938a9dc6a99044baf024c6c7f3a3eaa4e",
+    "hubbard-spectrum --lx 2 --ly 4 --encoding local":
+        "1ce19dae5f46c73523542a6c182a99ebb04e074340b36b8ffe8beedbc7ec6123",
+    "hubbard-spectrum --lx 6 --ly 2 --encoding local":
+        "b5437a28f82f493d39d73f471ead087ae088354a8304aaac2f6b58d8992811aa",
     "gate-fidelity --durations 13.1 --blockade 20":
         "725205460fd71e8a4ccc24cab1f7e46172c09ff4c5dd15eec40061f8829aad43",
     "dump-hamiltonian --model toric --lx 2 --ly 2":
@@ -277,15 +284,21 @@ def test_multi_block_outputs_are_independent_of_workers(report):
                                         for line in WORKER_LINES]
 
 
-def test_local_line_is_independent_of_blas_threads(tmp_path):
-    # once tapered, this line diagonalizes number blocks of at most 24 states
-    line = "hubbard-spectrum --lx 2 --ly 2 --encoding local".split()
+@pytest.mark.parametrize("line", [
+    "hubbard-spectrum --lx 2 --ly 2 --encoding local",
+    "hubbard-spectrum --lx 2 --ly 2 --spinful true --u 4 --encoding local",
+    "hubbard-spectrum --lx 4 --ly 2 --encoding local",
+    "hubbard-spectrum --lx 2 --ly 4 --encoding local",
+], ids=["2x2", "2x2-spinful-u4", "4x2", "2x4"])
+def test_local_line_is_independent_of_blas_threads(tmp_path, line):
+    # once tapered to the direct modes, these lines diagonalize Jordan-Wigner
+    # sectors and local number blocks of at most 70 states
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
         env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
                    **dict.fromkeys(BLAS_THREADS, threads))
-        subprocess.run([sys.executable, "-m", "rydsim.cli", *line, "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "rydsim.cli", *line.split(), "--out", str(out)],
                        env=env, capture_output=True, timeout=60, check=True)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
