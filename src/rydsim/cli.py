@@ -442,7 +442,7 @@ def _run_dump_hamiltonian(cfg: dict):
         build = {"hubbard-jw": build_hubbard_jw, "hubbard-local": build_hubbard_local,
                  "aux": build_aux_hamiltonian}[model]
         h = _checked(build, _hubbard_spec(cfg))
-    return None, format_operator(h), f"terms={len(h.normalized())}", 0
+    return None, format_operator(h), f"terms={len(h)}", 0
 
 
 _RUNNERS = {

@@ -191,7 +191,7 @@ def jump_operator(stabilizer: PauliString, pump: PauliString) -> OperatorSum:
         raise ValueError("the pump commutes with the stabilizer, so it cannot flip it")
     n = stabilizer.n_qubits
     interrogate = OperatorSum.identity(n) - OperatorSum.from_string(stabilizer)
-    return (0.5 * (OperatorSum.from_string(pump) @ interrogate)).normalized()
+    return 0.5 * (OperatorSum.from_string(pump) @ interrogate)
 
 
 def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps=1) -> list:
@@ -201,9 +201,9 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
     rho(t) = exp(t L) rho0, by the Taylor series of each of the fewest equal
     substeps on which t ||L|| <= 1, with ||L|| <= gamma (sum ||c||^2 +
     ||sum c+c||) in spectral norms; a series ends at its first term below
-    1e-17.  The series runs in float64 when no jump matrix nor rho0 has an
-    imaginary part (every toric problem), else in complex128, and the states
-    are validated together.  Every ground-sector state is a fixed point.
+    1e-17.  The series runs in the dtype of its inputs: float64 when every
+    jump matrix and rho0 is real (every toric problem), else complex128; the
+    states are validated together.  Every ground-sector state is a fixed point.
     ``ValueError`` unless gamma and t are finite and non-negative;
     ``CapExceededError`` past :data:`LINDBLAD_SUBSTEP_CAP` substeps per step.
     """
@@ -228,15 +228,13 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
                                f"capped at {LINDBLAD_SUBSTEP_CAP}")
     substeps = max(1, math.ceil(t * bound))
     scale = gamma * t / substeps
-    rho, states = rho0.matrix, []
-    if not any(np.imag(m).any() for m in (*cs, rho)):  # a real problem runs in float64
-        cs, cdags, (anti, rho) = ([m.real.copy() for m in ms] for ms in (cs, cdags, (anti, rho)))
+    rho, states = rho0.matrix.astype(np.result_type(rho0.matrix, anti), copy=False), []
     for done in range(1, steps * substeps + 1):
         term, out = rho, rho.copy()
         for k in range(1, 20):  # |term| <= 1/k! in trace norm: 1/19! < 1e-17
             half = anti @ term  # {c+c, term}/2 = half + half+, as term is Hermitian
-            term = (scale / k) * (sum(c @ term @ cd for c, cd in zip(cs, cdags))
-                                  - half - half.conj().T)
+            jumped = [c @ term @ cd for c, cd in zip(cs, cdags)]
+            term = (scale / k) * (sum(jumped[1:], jumped[0]) - half - half.conj().T)
             out += term
             if np.abs(term).max() < 1e-17:
                 break

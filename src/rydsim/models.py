@@ -13,8 +13,7 @@
 
 Site enumeration lives here: fermionic modes are numbered along the snake,
 and :mod:`rydsim.fock` reuses the same numbering so spectra compare sector
-by sector.  Jordan-Wigner site indices are 1-based (mode m occupies qubit
-m-1); qubit indices everywhere else are 0-based.
+by sector.  Jordan-Wigner mode m occupies qubit m.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def build_toric(lx: int, ly: int):
     n = lattice.n_edges
     terms = [(-1.0, lattice.plaquette_string(p)) for p in range(lattice.n_plaquettes)]
     terms += [(-1.0, lattice.star_string(s)) for s in range(lattice.n_stars)]
-    return OperatorSum(terms, n).normalized(), lattice
+    return OperatorSum(terms, n), lattice
 
 
 def toric_ground_state(lattice: ToricLattice) -> StateVector:
@@ -152,7 +151,7 @@ def build_heisenberg(adjacency, jx: float, jy: float, jz: float, h: float,
              if coupling != 0.0]
     if h != 0.0:
         terms += [(h, PauliString.single(n_qubits, i, "Z")) for i in range(n_qubits)]
-    return OperatorSum(terms, n_qubits).normalized()
+    return OperatorSum(terms, n_qubits)
 
 
 def _grid_bonds(lx: int, ly: int) -> list:
@@ -233,21 +232,21 @@ def hubbard_bonds(spec: HubbardSpec):
 
 
 def _sum_pieces(pieces, n: int) -> OperatorSum:
-    """Sum of normalized pieces, normalized once (linear in the term count)."""
-    return OperatorSum([t for piece in pieces for t in piece], n).normalized()
+    """Sum of pieces, built once (linear in the term count)."""
+    return OperatorSum([t for piece in pieces for t in piece], n)
 
 
 def _hubbard_pieces(spec: HubbardSpec, n: int, stride: int, arrows: dict) -> list:
-    """Hopping and on-site pieces with direct mode m on chain mode stride*m
-    (Jordan-Wigner site stride*m + 1), in the order of :func:`hubbard_bonds`;
+    """Hopping and on-site pieces with direct mode m on chain mode stride*m,
+    in the order of :func:`hubbard_bonds`;
     a vertical hop whose lower mode has an arrow operator is multiplied by it."""
     hops, pairs = hubbard_bonds(spec)
     pieces = []
     for a, b, kind in hops:
-        hop = jw_creator(stride * a + 1, n) @ jw_annihilator(stride * b + 1, n)
+        hop = jw_creator(stride * a, n) @ jw_annihilator(stride * b, n)
         image = hop + hop.adjoint()  # c^dag_a c_b + c^dag_b c_a
         pieces.append((-spec.t_hop) * (image @ arrows[a] if kind == "v" and arrows else image))
-    pieces += [spec.u * (jw_number(stride * up + 1, n) @ jw_number(stride * down + 1, n))
+    pieces += [spec.u * (jw_number(stride * up, n) @ jw_number(stride * down, n))
                for up, down in pairs]
     return pieces
 
@@ -291,9 +290,8 @@ def _arrows(spec: HubbardSpec) -> dict:
             for y in range(spec.ly):
                 lower, upper = (hubbard_mode(spec, x, (y + dy) % spec.ly, spin) for dy in (0, 1))
                 tail, head = (lower, upper) if x % 2 == 0 else (upper, lower)
-                # auxiliary mode 2m + 1 is Jordan-Wigner site 2m + 2
-                alpha = jw_annihilator(2 * tail + 2, n) + jw_creator(2 * tail + 2, n)
-                beta = jw_annihilator(2 * head + 2, n) - jw_creator(2 * head + 2, n)
+                alpha = jw_annihilator(2 * tail + 1, n) + jw_creator(2 * tail + 1, n)
+                beta = jw_annihilator(2 * head + 1, n) - jw_creator(2 * head + 1, n)
                 arrows[lower] = alpha @ beta
     return arrows
 
@@ -317,12 +315,14 @@ def build_aux_hamiltonian(spec: HubbardSpec) -> OperatorSum:
     spin operator; the all-+1 stabilizer sector is a ground sector with
     energy -V * aux_pair_count(spec).
     """
-    arrows = _arrows(spec)
-    pieces = [(-spec.v_aux) * (arrows[hubbard_mode(spec, x, y, spin)]
-                               @ arrows[hubbard_mode(spec, x + 1, y, spin)])
-              for spin in spec.spins for x in range(0, spec.lx - 1, 2)
-              for y in range(spec.ly - 1)]
-    return _sum_pieces(pieces, vc_n_qubits(spec))
+    return _sum_pieces(_aux_pieces(spec, _arrows(spec)), vc_n_qubits(spec))
+
+
+def _aux_pieces(spec: HubbardSpec, arrows: dict) -> list:
+    """:func:`build_aux_hamiltonian`'s pair terms, from the bonds' ``arrows``."""
+    return [(-spec.v_aux) * (arrows[hubbard_mode(spec, x, y, spin)]
+                             @ arrows[hubbard_mode(spec, x + 1, y, spin)])
+            for spin in spec.spins for x in range(0, spec.lx - 1, 2) for y in range(spec.ly - 1)]
 
 
 def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
@@ -334,10 +334,8 @@ def build_hubbard_local(spec: HubbardSpec) -> OperatorSum:
     :func:`aux_stabilizers`, the spectrum equals :func:`build_hubbard_jw`
     shifted by the constant -V * aux_pair_count(spec).
     """
-    n = vc_n_qubits(spec)
-    pieces = _hubbard_pieces(spec, n, 2, _arrows(spec))
-    pieces.append(build_aux_hamiltonian(spec))
-    return _sum_pieces(pieces, n)
+    n, arrows = vc_n_qubits(spec), _arrows(spec)
+    return _sum_pieces(_hubbard_pieces(spec, n, 2, arrows) + _aux_pieces(spec, arrows), n)
 
 
 def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliString]]:
@@ -349,7 +347,7 @@ def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliS
     anticommutes with sigma, else to P; sigma then reads +1, and its qubit leaves the masks,
     the others keeping their order.
     """
-    n, terms, gens, sigmas = h.n_qubits, h.normalized().terms, list(stabilizers), []
+    n, terms, gens, sigmas = h.n_qubits, h.terms, list(stabilizers), []
     for i, s in enumerate(gens):  # gens[i + 1:] is reduced in place as it goes
         if not all(commutes(s, p) for p in [*gens, *(p for _, p in terms)]):
             raise ValueError(f"stabilizer {s} anticommutes with another or with a term")
@@ -362,7 +360,7 @@ def taper(h: OperatorSum, stabilizers, qubits) -> tuple[OperatorSum, list[PauliS
         terms = [(c, p if commutes(fits[0], p) else fits[0] * s * p) for c, p in terms]
     kept = sorted(set(range(n)).difference(t.support()[0] for t in sigmas))
     return OperatorSum([(c * p.phase, PauliString.from_label("".join(p.letter(q) for q in kept)))
-                        for c, p in terms], len(kept)).normalized(), sigmas
+                        for c, p in terms], len(kept)), sigmas
 
 
 def constrained_local_spectrum(spec: HubbardSpec) -> np.ndarray:

@@ -39,7 +39,7 @@ _PHASE_LABELS = ("+", "+i", "-", "-i")
 #: dense realizations are capped at this many qubits (4096-dimensional)
 MATRIX_QUBIT_CAP = 12
 
-#: coefficients below this magnitude are dropped during normalization
+#: coefficients below this magnitude are dropped when a sum is built
 COEFF_EPS = 1e-12
 
 #: bytes of tables kept, 24 * 2^n per string or X-mask group (16 * 2^n diagonal)
@@ -141,9 +141,6 @@ class PauliString:
             return NotImplemented
         return pauli_mul(self, other)
 
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_exp)
-
     def commutes(self, other: "PauliString") -> bool:
         return commutes(self, other)
 
@@ -197,17 +194,17 @@ def pauli_action(n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0,
 
 def sum_action(op: OperatorSum) -> list:
     """``op``'s plan, ``op|psi> = sum factor * psi[..., idx]`` over one read-only
-    pair per X mask of its normalized terms, in their order; ``idx`` is None for
-    the diagonal group, and a factor sums coefficient times string factor."""
+    pair per X mask of its terms, in their order; ``idx`` is None for the
+    diagonal group, and a factor sums coefficient times string factor."""
     groups: dict[int, list] = {}
-    for c, s in op.normalized():
+    for c, s in op:
         groups.setdefault(s.x_mask, []).append((s.z_mask, c))
     return [_cached(_group_tables, op.n_qubits, x, tuple(terms)) for x, terms in groups.items()]
 
 
 def _group_tables(n_qubits, x_mask, terms):
     factor = np.zeros(1 << n_qubits, dtype=complex)
-    for z_mask, c in terms:  # in normalized order, as to_matrix sums an entry
+    for z_mask, c in terms:  # in term order, as to_matrix sums an entry
         idx, string = _action_tables(n_qubits, x_mask, z_mask, 0, None)
         factor += c * string
     factor.setflags(write=False)
@@ -269,28 +266,30 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 class OperatorSum:
     """A weighted list of Pauli strings (Hamiltonians, jump operators, ...).
 
-    Terms are stored exactly as given; :meth:`normalized` folds string
-    phases into the coefficients, merges like strings, drops coefficients
-    below ``COEFF_EPS`` and orders terms deterministically.  All arithmetic
-    returns normalized sums.  Instances are treated as immutable.
+    Canonical as constructed: string phases are folded into the
+    coefficients, like strings merged in input order, coefficients below
+    ``COEFF_EPS`` dropped and the phase-free strings ordered by (x mask,
+    z mask).  Instances are treated as immutable.
     """
 
-    __slots__ = ("_n_qubits", "_terms", "_normalized", "_hermitian")
+    __slots__ = ("_n_qubits", "_terms", "_hermitian")
 
     def __init__(self, terms, n_qubits: int | None = None):
-        terms = [(complex(c), s) for c, s in terms]
-        if n_qubits is None:
-            if not terms:
-                raise ValueError("n_qubits required for an empty sum")
-            n_qubits = terms[0][1].n_qubits
-        for _, s in terms:
+        acc: dict[tuple[int, int], complex] = {}
+        for c, s in terms:
+            if n_qubits is None:
+                n_qubits = s.n_qubits
             if s.n_qubits != n_qubits:
                 raise DimensionMismatchError(
                     f"term on {s.n_qubits} qubits in a {n_qubits}-qubit sum"
                 )
+            key = (s.x_mask, s.z_mask)
+            acc[key] = acc.get(key, 0j) + complex(c) * s.phase
+        if n_qubits is None:
+            raise ValueError("n_qubits required for an empty sum")
         self._n_qubits = n_qubits
-        self._terms = tuple(terms)
-        self._normalized = None
+        self._terms = tuple((c, PauliString(n_qubits, x, z))
+                            for (x, z), c in sorted(acc.items()) if abs(c) >= COEFF_EPS)
         self._hermitian = None
 
     # -- constructors -------------------------------------------------
@@ -320,26 +319,13 @@ class OperatorSum:
         return iter(self._terms)
 
     def normalized(self) -> "OperatorSum":
-        if self._normalized is not None:
-            return self._normalized
-        acc: dict[tuple[int, int], complex] = {}
-        for c, s in self._terms:
-            key = (s.x_mask, s.z_mask)
-            acc[key] = acc.get(key, 0j) + c * s.phase
-        terms = [
-            (c, PauliString(self._n_qubits, x, z))
-            for (x, z), c in sorted(acc.items())
-            if abs(c) >= COEFF_EPS
-        ]
-        result = OperatorSum(terms, self._n_qubits)
-        result._normalized = result
-        self._normalized = result
-        return result
+        """The sum itself, canonical since construction."""
+        return self
 
     def is_hermitian(self) -> bool:
-        """Term-by-term check: all normalized coefficients real within 1e-10."""
+        """Term-by-term check: all coefficients real within 1e-10."""
         if self._hermitian is None:
-            self._hermitian = all(abs(c.imag) <= 1e-10 for c, _ in self.normalized())
+            self._hermitian = all(abs(c.imag) <= 1e-10 for c, _ in self._terms)
         return self._hermitian
 
     # -- algebra ------------------------------------------------------
@@ -349,7 +335,7 @@ class OperatorSum:
             return NotImplemented
         if other.n_qubits != self._n_qubits:
             raise DimensionMismatchError("adding sums of different sizes")
-        return OperatorSum(self._terms + other._terms, self._n_qubits).normalized()
+        return OperatorSum(self._terms + other._terms, self._n_qubits)
 
     def __sub__(self, other):
         if not isinstance(other, OperatorSum):
@@ -360,9 +346,7 @@ class OperatorSum:
         if isinstance(scalar, OperatorSum):
             return NotImplemented
         c = complex(scalar)
-        return OperatorSum(
-            [(c * coeff, s) for coeff, s in self._terms], self._n_qubits
-        ).normalized()
+        return OperatorSum([(c * coeff, s) for coeff, s in self._terms], self._n_qubits)
 
     __rmul__ = __mul__
 
@@ -378,12 +362,10 @@ class OperatorSum:
             for ca, sa in self._terms
             for cb, sb in other._terms
         ]
-        return OperatorSum(prods, self._n_qubits).normalized()
+        return OperatorSum(prods, self._n_qubits)
 
     def adjoint(self) -> "OperatorSum":
-        return OperatorSum(
-            [(c.conjugate(), s.adjoint()) for c, s in self._terms], self._n_qubits
-        ).normalized()
+        return OperatorSum([(c.conjugate(), s) for c, s in self._terms], self._n_qubits)
 
     def to_matrix(self) -> np.ndarray:
         return to_matrix(self)
@@ -394,20 +376,18 @@ class OperatorSum:
         Used where an algebraic product is known to close on a single signed
         string (e.g. stabilizer products); raises if that is not the case.
         """
-        norm = self.normalized()
-        if len(norm) != 1:
-            raise ValueError(f"sum has {len(norm)} strings, expected exactly 1")
-        c, s = norm.terms[0]
+        if len(self) != 1:
+            raise ValueError(f"sum has {len(self)} strings, expected exactly 1")
+        c, s = self._terms[0]
         for k, ref in enumerate(_PHASE_VALUES):
             if abs(c - ref) <= 1e-9:
                 return PauliString(s.n_qubits, s.x_mask, s.z_mask, k)
         raise ValueError(f"coefficient {c} is not a unit phase")
 
     def __repr__(self):
-        norm = self.normalized()
-        parts = [f"({c:.6g})*{s.to_label()}" for c, s in norm.terms[:4]]
-        if len(norm) > 4:
-            parts.append(f"... [{len(norm)} terms]")
+        parts = [f"({c:.6g})*{s.to_label()}" for c, s in self._terms[:4]]
+        if len(self) > 4:
+            parts.append(f"... [{len(self)} terms]")
         return f"OperatorSum({' + '.join(parts) or '0'}, n={self._n_qubits})"
 
 
@@ -421,15 +401,16 @@ def to_matrices(op: OperatorSum, blocks):
     the basis states it lists (all 2^n if None), with the per-operator work done once:
     ``ValueError`` if the sum maps a state of a block out of that block.
 
-    float64 when every normalized term has a real coefficient and an even
-    number of Y sites, whose product i**#Y is then real; complex otherwise.
+    float64 exactly when every term's c i**#Y is real, #Y its number of Y
+    sites: then every entry, a sum of such products times +-1, is real;
+    complex otherwise.
     """
     n_qubits = op.n_qubits
     if n_qubits > MATRIX_QUBIT_CAP:
         raise CapExceededError(f"dense matrix for {n_qubits} qubits exceeds the "
                                f"{MATRIX_QUBIT_CAP}-qubit cap")
-    real, plan = all(c.imag == 0.0 and (s.x_mask & s.z_mask).bit_count() % 2 == 0
-                     for c, s in op.normalized()), sum_action(op)
+    real, plan = all((c * _PHASE_VALUES[(s.x_mask & s.z_mask).bit_count() % 4]).imag == 0.0
+                     for c, s in op), sum_action(op)
     place = np.full(1 << n_qubits, -1)  # each basis state's row and column, -1 off the block
     for block in blocks:
         rows = np.arange(1 << n_qubits) if block is None else np.asarray(block)
@@ -448,14 +429,14 @@ def to_matrices(op: OperatorSum, blocks):
 # -- Jordan-Wigner images ---------------------------------------------
 
 def jw_annihilator(i: int, n: int) -> OperatorSum:
-    """Fermionic annihilator for mode i (1-based) on an n-mode chain.
+    """Fermionic annihilator for mode i, on qubit i, of an n-mode chain.
 
-    Returns the two-string image ``(Z_1...Z_{i-1}) (X_i + iY_i)/2``, which
+    Returns the two-string image ``(Z_0...Z_{i-1}) (X_i + iY_i)/2``, which
     maps the occupied state |1> to the empty state |0>.
     """
-    if not 1 <= i <= n:
-        raise IndexError(f"site index {i} outside 1..{n}")
-    x = 1 << (i - 1)
+    if not 0 <= i < n:
+        raise IndexError(f"mode {i} outside 0..{n - 1}")
+    x = 1 << i
     z = x - 1  # Z on every earlier site
     return OperatorSum([(0.5, PauliString(n, x, z)), (0.5j, PauliString(n, x, z | x))], n)
 
@@ -465,20 +446,18 @@ def jw_creator(i: int, n: int) -> OperatorSum:
 
 
 def jw_number(i: int, n: int) -> OperatorSum:
-    """Occupation-number image (1 - Z_i)/2 for mode i (1-based)."""
-    if not 1 <= i <= n:
-        raise IndexError(f"site index {i} outside 1..{n}")
-    return OperatorSum(
-        [(0.5, PauliString.identity(n)), (-0.5, PauliString.single(n, i - 1, "Z"))], n
-    )
+    """Occupation-number image (1 - Z_i)/2 for mode i, on qubit i."""
+    if not 0 <= i < n:
+        raise IndexError(f"mode {i} outside 0..{n - 1}")
+    return OperatorSum([(0.5, PauliString.identity(n)), (-0.5, PauliString.single(n, i, "Z"))], n)
 
 
 # -- textual round-trip format ----------------------------------------
 
 def format_operator(op: OperatorSum) -> str:
-    """One term per line: ``<re> <im> <pauli-word>`` (normalized form),
+    """One term per line: ``<re> <im> <pauli-word>`` in term order,
     each line ending in a newline, joined once."""
-    return "".join([f"{c.real:.17g} {c.imag:.17g} {s.to_label()}\n" for c, s in op.normalized()])
+    return "".join([f"{c.real:.17g} {c.imag:.17g} {s.to_label()}\n" for c, s in op])
 
 
 def parse_operator(text: str, n_qubits: int | None = None) -> OperatorSum:
@@ -500,4 +479,4 @@ def parse_operator(text: str, n_qubits: int | None = None) -> OperatorSum:
         terms.append((complex(float(re_part), float(im_part)), string))
     if n_qubits is None:
         raise ValueError("empty operator text and no n_qubits given")
-    return OperatorSum(terms, n_qubits).normalized()
+    return OperatorSum(terms, n_qubits)

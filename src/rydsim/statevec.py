@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import CapExceededError, DimensionMismatchError
 from .pauli import OperatorSum, PauliString, sum_action
+
+#: state-vector register cap: an energy plan holds 24 * 2^n bytes per X-mask group
+STATE_QUBIT_CAP = 20
 
 
 class StateVector:
@@ -40,7 +43,11 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits) -> "StateVector":
-        """|bits>.  Accepts an integer index or a string read as qubit 0, 1, ...."""
+        """|bits>.  Accepts an integer index or a string read as qubit 0, 1, ....
+        ``CapExceededError`` past :data:`STATE_QUBIT_CAP` qubits, before any allocation."""
+        if n_qubits > STATE_QUBIT_CAP:
+            raise CapExceededError(f"state vector for {n_qubits} qubits exceeds the "
+                                   f"{STATE_QUBIT_CAP}-qubit cap")
         if isinstance(bits, str):
             if len(bits) != n_qubits or set(bits) - {"0", "1"}:
                 raise ValueError(f"need a string of {n_qubits} characters 0 and 1, got {bits!r}")
@@ -173,7 +180,8 @@ def measure_projector(state: StateVector, p: PauliString, rng: np.random.Generat
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite 2^n x 2^n operator."""
+    """Hermitian, unit-trace, positive-semidefinite 2^n x 2^n operator; a real
+    matrix is kept float64, a complex one complex128."""
 
     __slots__ = ("n_qubits", "matrix")
 
@@ -182,8 +190,8 @@ class DensityMatrix:
     POSITIVITY_TOL = -1e-8
 
     def __init__(self, matrix, validate: bool = True, copy: bool = True):
-        mat = (np.array(matrix, dtype=complex) if copy
-               else np.asarray(matrix, dtype=complex))
+        dtype = complex if np.iscomplexobj(matrix) else float
+        mat = np.array(matrix, dtype=dtype) if copy else np.asarray(matrix, dtype=dtype)
         dim = mat.shape[0]
         if mat.ndim != 2 or mat.shape != (dim, dim) or not dim or dim & (dim - 1):
             raise ValueError("density matrix must be square with 2^n rows")
@@ -193,32 +201,34 @@ class DensityMatrix:
             self.validate()
 
     def validate(self):
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > self.HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(self.trace() - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"density matrix trace {self.trace()} != 1")
-        if float(np.linalg.eigvalsh(self.matrix)[0]) < self.POSITIVITY_TOL:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
+        self._check(self.matrix[None])
 
     @classmethod
     def validated(cls, stack: np.ndarray) -> list:
-        """One state per matrix of a ``(states, 2^n, 2^n)`` stack, each check of :meth:`validate`
-        made over the stack at once: a matrix that fails one is validated alone, to raise."""
-        skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        traces = np.trace(stack, axis1=1, axis2=2).real
-        failed = ((skew > cls.HERMITICITY_TOL) | (np.abs(traces - 1.0) > cls.TRACE_TOL)
-                  | (np.linalg.eigvalsh(stack)[:, 0] < cls.POSITIVITY_TOL))
-        return [cls(m, validate=bad, copy=False) for m, bad in zip(stack, failed.tolist())]
+        """One state per matrix of a ``(states, 2^n, 2^n)`` stack, checked at once."""
+        cls._check(stack)
+        return [cls(m, validate=False, copy=False) for m in stack]
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    @classmethod
+    def _check(cls, stack: np.ndarray):
+        """Each check over the stack at once; ``ValueError`` at the first matrix
+        that fails one: Hermitian, then unit trace, then positive semidefinite."""
+        skews = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+        traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+        for skew, trace, low in zip(skews, traces, np.linalg.eigvalsh(stack)[:, 0].tolist()):
+            if skew > cls.HERMITICITY_TOL:
+                raise ValueError("density matrix is not Hermitian")
+            if abs(trace - 1.0) > cls.TRACE_TOL:
+                raise ValueError(f"density matrix trace {trace} != 1")
+            if low < cls.POSITIVITY_TOL:
+                raise ValueError("density matrix has a significantly negative eigenvalue")
 
     def expectation(self, h: OperatorSum) -> float:
         """tr(H rho): :func:`density_energies` of this one state."""
         return float(density_energies([self], h)[0])
 
     def __repr__(self):
-        return f"DensityMatrix(n={self.n_qubits}, trace={self.trace():.6f})"
+        return f"DensityMatrix(n={self.n_qubits}, trace={np.trace(self.matrix).real:.6f})"
 
 
 def density_energies(states, h: OperatorSum) -> np.ndarray:

@@ -36,7 +36,7 @@ class Circuit:
 
 
 def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
-    """Gate realizing exp(-i tau coeff P) for one normalized term."""
+    """Gate realizing exp(-i tau coeff P) for one term."""
     if abs(coeff.imag) > 1e-12 * (1.0 + abs(coeff)):
         raise UnmappedTermError(
             f"term {string.to_label()} has non-real coefficient {coeff}"
@@ -65,7 +65,7 @@ def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
         raise ValueError("only orders 1 and 2 are supported")
     part = tau if order == 1 else tau / 2.0
     # a global phase is not observable; identity terms are dropped
-    step = sorted((_term_to_gate(c, s, part) for c, s in h.normalized() if not s.is_identity()),
+    step = sorted((_term_to_gate(c, s, part) for c, s in h if not s.is_identity()),
                   key=_order)
     return Circuit(h.n_qubits, tuple(step if order == 1 else step + step[::-1]))
 

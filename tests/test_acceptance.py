@@ -121,8 +121,8 @@ def test_criterion_04_jordan_wigner_certification():
     from rydsim.pauli import jw_annihilator, jw_creator, to_matrix
 
     n = 6
-    cs = [to_matrix(jw_annihilator(i, n)) for i in range(1, n + 1)]
-    cds = [to_matrix(jw_creator(i, n)) for i in range(1, n + 1)]
+    cs = [to_matrix(jw_annihilator(i, n)) for i in range(n)]
+    cds = [to_matrix(jw_creator(i, n)) for i in range(n)]
     eye = np.eye(1 << n)
     car_defect = 0.0
     for i in range(n):

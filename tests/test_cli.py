@@ -280,6 +280,13 @@ def test_dump_hamiltonian_round_trip(tmp_path):
     assert all(abs(c) <= 1e-10 for c, _ in (parsed - h).normalized())
 
 
+def test_a_register_past_the_state_cap_exits_1(capsys):
+    # 32 qubits: refused before a state vector is allocated
+    assert main(["toric-evolve", "--lx", "4", "--ly", "4", "--tau", "0.1", "--steps", "1",
+                 "--out", "-"]) == 1
+    assert "state vector for 32 qubits exceeds the 20-qubit cap" in capsys.readouterr().err
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     # a lattice beyond the trajectory cap is a runtime error, not a usage error
     status = main(["toric-cool", "--lx", "3", "--ly", "3", "--theta", "pi",

@@ -33,8 +33,9 @@ from rydsim.pauli import OperatorSum, PauliString, pauli_action, sum_action
 from rydsim.statevec import DensityMatrix, StateVector
 
 from oracles import (ScriptedRng, cooling_draw, eigenstate, lindblad_reference, random_label,
-                     splitmix64, start_syndromes, sweep_loop_reference, syndrome_chain_exact,
-                     syndrome_mc_reference, trajectory_energies_reference, with_ancilla)
+                     splitmix64, start_syndromes, sum_matrix, sweep_loop_reference,
+                     syndrome_chain_exact, syndrome_mc_reference, trajectory_energies_reference,
+                     with_ancilla)
 
 
 LATTICE = ToricLattice.build(2, 2)
@@ -125,7 +126,7 @@ def test_lindblad_closed_form_decay():
         (rho,) = lindblad_integrate([jump], gamma, rho0, t)
         pop = float(np.trace(proj_minus @ rho.matrix).real)
         assert abs(pop - np.exp(-gamma * t)) < 1e-6
-        assert rho.trace() == pytest.approx(1.0, abs=1e-8)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lindblad_gamma_zero_constant():
@@ -148,7 +149,7 @@ def test_lindblad_long_time_support_in_ground_sector():
     rho0 = DensityMatrix(np.eye(16) / 16.0, copy=False)
     (rho,) = lindblad_integrate([jump], 1.0, rho0, 40.0)
     assert float(np.trace(proj_minus @ rho.matrix).real) < 1e-6
-    assert rho.trace() == pytest.approx(1.0, abs=1e-8)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lindblad_cap_and_negative_rate():
@@ -240,11 +241,15 @@ def _series_dtype(monkeypatch):
 
 
 def test_a_real_lindblad_problem_runs_in_float64(monkeypatch):
-    # the toric jump Z0 (1 - XXXX)/2 realizes as complex with no imaginary part
+    # the toric jump Z0 (1 - XXXX)/2 = 0.5 ZIII - 0.5i YXXX realizes as float64,
+    # as c i^#Y is real for both terms, and equals its complex oracle
     seen = _series_dtype(monkeypatch)
     jump, proj_minus = _single_plaquette_setup()
     rho0 = 0.3 * proj_minus / 8.0 + 0.7 * (np.eye(16) - proj_minus) / 8.0
-    assert jump.to_matrix().dtype == complex
+    assert jump.to_matrix().dtype == float
+    assert np.array_equal(jump.to_matrix(), sum_matrix([(0.5, "ZIII"), (-0.5j, "YXXX")], 4))
+    a_p, z0 = PauliString.from_label("XXXX"), PauliString.single(4, 0, "Z")
+    assert np.array_equal(jump_operator(a_p, z0).to_matrix(), jump.to_matrix())
     (got,) = lindblad_integrate([jump], 0.9, DensityMatrix(rho0), 1.7)
     want = lindblad_reference([jump.to_matrix()], 0.9, rho0, 1.7)
     assert seen == [np.float64] and np.abs(got.matrix - want).max() < 1e-9

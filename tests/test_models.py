@@ -177,7 +177,7 @@ def test_hubbard_number_conservation_symbolic():
     h = build_hubbard_jw(spec)
     assert h.is_hermitian()
     n_total = OperatorSum([], spec.n_modes)
-    for m in range(1, spec.n_modes + 1):
+    for m in range(spec.n_modes):
         n_total = n_total + jw_number(m, spec.n_modes)
     commutator = (h @ n_total) - (n_total @ h)
     assert len(commutator.normalized()) == 0

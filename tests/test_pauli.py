@@ -9,6 +9,7 @@ from rydsim import pauli
 from rydsim.errors import CapExceededError, DimensionMismatchError
 from rydsim.models import build_heisenberg, grid_adjacency
 from rydsim.pauli import (
+    COEFF_EPS,
     OperatorSum,
     PauliString,
     commutes,
@@ -206,6 +207,8 @@ def test_to_matrix_linearity_and_products():
     ((0.5, 0.25j), ("XZI", "ZZX"), False),    # complex coefficient
     ((1.0, 1.0), ("YXI", "XYI"), False),      # XY + YX has one Y per term
     ((1.0j, 1.0j), ("YXI", "ZZZ"), False),
+    ((0.5, -0.5j), ("ZII", "YXX"), True),     # c i^#Y real: the toric jump's form
+    ((1.0j, 1.0j), ("YXI", "XYI"), True),     # i (XY + YX)
 ])
 def test_to_matrix_dtype_follows_the_terms(coeffs, labels, real):
     terms = list(zip(coeffs, labels))
@@ -276,6 +279,15 @@ def test_normalization_merges_and_drops():
     assert coeff == pytest.approx(-1.0)
 
 
+def test_terms_are_canonical_as_constructed():
+    # a repeated string merges, a phase folds into its coefficient, a
+    # coefficient below COEFF_EPS drops, and strings sort by (x mask, z mask)
+    z, iy, x = (PauliString(2, 0, 1), PauliString(2, 1, 1, 1), PauliString(2, 2, 0))
+    op = OperatorSum([(1.0, z), (COEFF_EPS / 2, x), (2.0, iy), (0.5, z)])
+    assert op.terms == ((1.5, z), (2j, PauliString.from_label("YI")))
+    assert op.normalized() is op
+
+
 def test_normalization_idempotent_and_matrix_preserving():
     rng = np.random.default_rng(7)
     n = 3
@@ -311,13 +323,13 @@ def test_adjoint_matches_matrix():
 # -- Jordan-Wigner images ------------------------------------------------
 
 def test_jw_first_mode_no_string():
-    c1 = jw_annihilator(1, 2).normalized()
+    c1 = jw_annihilator(0, 2).normalized()
     labels = {s.to_label(): c for c, s in c1}
     assert labels == {"XI": pytest.approx(0.5), "YI": pytest.approx(0.5j)}
 
 
 def test_jw_third_mode_z_string():
-    c3 = jw_annihilator(3, 4).normalized()
+    c3 = jw_annihilator(2, 4).normalized()
     labels = {s.to_label(): c for c, s in c3}
     assert set(labels) == {"ZZXI", "ZZYI"}
     assert labels["ZZXI"] == pytest.approx(0.5)
@@ -325,7 +337,7 @@ def test_jw_third_mode_z_string():
 
 
 def test_jw_number_form_and_idempotence():
-    n2 = jw_number(2, 2)
+    n2 = jw_number(1, 2)
     labels = {s.to_label(): c for c, s in n2.normalized()}
     assert labels == {"II": pytest.approx(0.5), "IZ": pytest.approx(-0.5)}
     mat = to_matrix(n2)
@@ -335,21 +347,21 @@ def test_jw_number_form_and_idempotence():
 
 def test_jw_number_equals_creator_annihilator_product():
     for n in (1, 3):
-        for i in range(1, n + 1):
+        for i in range(n):
             lhs = (jw_creator(i, n) @ jw_annihilator(i, n)).normalized()
             assert all(abs(c) <= 1e-10 for c, _ in (lhs - jw_number(i, n)).normalized())
 
 
 def test_jw_annihilator_maps_occupied_to_empty():
     # |1> (occupied) -> |0>, with the (X + iY)/2 on-site convention
-    c = to_matrix(jw_annihilator(1, 1))
+    c = to_matrix(jw_annihilator(0, 1))
     assert np.allclose(c, [[0, 1], [0, 0]])
 
 
 def test_canonical_anticommutation_relations():
     n = 6
-    cs = [to_matrix(jw_annihilator(i, n)) for i in range(1, n + 1)]
-    cds = [to_matrix(jw_creator(i, n)) for i in range(1, n + 1)]
+    cs = [to_matrix(jw_annihilator(i, n)) for i in range(n)]
+    cds = [to_matrix(jw_creator(i, n)) for i in range(n)]
     eye = np.eye(1 << n)
     for i in range(n):
         for j in range(n):
@@ -361,9 +373,9 @@ def test_canonical_anticommutation_relations():
 
 def test_jw_index_range():
     with pytest.raises(IndexError):
-        jw_annihilator(0, 4)
+        jw_annihilator(-1, 4)
     with pytest.raises(IndexError):
-        jw_number(5, 4)
+        jw_number(4, 4)
 
 
 # -- text round-trip -----------------------------------------------------

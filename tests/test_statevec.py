@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rydsim.errors import DimensionMismatchError
+from rydsim.errors import CapExceededError, DimensionMismatchError
 from rydsim.models import build_toric, toric_ground_state
 from rydsim.pauli import COEFF_EPS, OperatorSum, PauliString, to_matrix
 from rydsim.statevec import (
+    STATE_QUBIT_CAP,
     DensityMatrix,
     StateVector,
     density_energies,
@@ -35,6 +36,12 @@ def test_basis_state_rejects_a_string_not_of_n_bits(bits):
     with pytest.raises(ValueError, match="characters 0 and 1"):
         StateVector.basis_state(3, bits)
     assert StateVector.basis_state(3, "001").amps[4] == 1.0  # qubit 2 set: index 4
+
+
+def test_basis_state_past_the_register_cap_raises():
+    # before its 2^21 amplitudes are allocated
+    with pytest.raises(CapExceededError, match="21 qubits exceeds the 20-qubit cap"):
+        StateVector.basis_state(STATE_QUBIT_CAP + 1, 0)
 
 
 def test_apply_string_involution():
@@ -324,9 +331,16 @@ def test_propagator_unitary_and_inverse():
 
 # -- density matrices ----------------------------------------------------
 
+@pytest.mark.parametrize("dtype", [int, float, complex])
+def test_density_matrix_keeps_a_real_matrix_real(dtype):
+    rho = DensityMatrix(np.diag([1, 0]).astype(dtype))
+    assert rho.matrix.dtype == (np.complex128 if dtype is complex else np.float64)
+    assert DensityMatrix.validated(rho.matrix[None])[0].matrix.dtype == rho.matrix.dtype
+
+
 def test_density_matrix_validation():
     good = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-    assert good.trace() == pytest.approx(1.0)
+    assert np.trace(good.matrix).real == pytest.approx(1.0)
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([0.9, 0.3]))  # trace != 1
     with pytest.raises(ValueError):
