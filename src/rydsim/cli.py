@@ -34,7 +34,6 @@ from .cooling import (
     syndrome_mc_run,
     trajectory_run,
 )
-from .errors import CapExceededError
 from .fock import hubbard_matrix, sectors, spectrum
 from .models import (
     HubbardSpec,
@@ -288,12 +287,10 @@ def _workers() -> int:
 def _checked(build, *args, **kwargs):
     """``build(*args, **kwargs)`` for a runner's lattice, spec, profile or
     start state: the ValueError of bad input there is a usage error, found
-    before any run; a dense-size cap exceeded by a run stays a runtime
-    failure."""
+    before any run; a cap it exceeds, a ``CapExceededError``, is not a
+    ValueError and stays a runtime failure."""
     try:
         return build(*args, **kwargs)
-    except CapExceededError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -42,7 +42,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import CapExceededError
 from .gates import controlled_flip, flip_probability, syndrome_map
 from .models import ToricLattice, build_toric, toric_ground_state
 from .pauli import OperatorSum, PauliString, pauli_action, sum_action
@@ -97,6 +97,8 @@ class CoolingParams:
             raise ValueError("q_init must lie in [0, 1]")
         if self.n_steps < 0 or self.n_trajectories < 1:
             raise ValueError("need n_steps >= 0 and n_trajectories >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass
@@ -209,14 +211,14 @@ def lindblad_integrate(jumps, gamma: float, rho0: DensityMatrix, t: float, steps
     """
     jumps = list(jumps)
     if any(op.n_qubits != rho0.n_qubits for op in jumps):
-        raise DimensionMismatchError("jump operators and state differ in qubit count")
+        raise ValueError("jump operators and state differ in qubit count")
     if rho0.n_qubits > LINDBLAD_QUBIT_CAP:
         raise CapExceededError(f"density-matrix integration capped at {LINDBLAD_QUBIT_CAP} qubits")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError("gamma must be finite and non-negative")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and non-negative")
-    if gamma == 0.0 or t == 0.0 or not jumps:
+    if gamma == 0.0 or t == 0.0 or not jumps or not steps:
         return [DensityMatrix(rho0.matrix, validate=False) for _ in range(steps)]
     cs = [op.to_matrix() for op in jumps]
     cdags = [c.conj().T for c in cs]
@@ -489,11 +491,11 @@ def cooling_cycle_trajectory(state: StateVector, stabilizer_qubits, theta: float
         raise ValueError("ancilla overlaps the stabilizer")
     if kind not in ("plaquette", "star"):
         raise ValueError(f"kind must be 'plaquette' or 'star', got {kind!r}")
-    letter, axis = ("X", "z") if kind == "plaquette" else ("Z", "x")
+    letter, pump = ("X", "Z") if kind == "plaquette" else ("Z", "X")
     pump_qubit = qubits[rng.integers(4)]
     stab = PauliString.from_sites(state.n_qubits, {q: letter for q in qubits})
     syndrome_map(state, ancilla, stab)
-    controlled_flip(state, ancilla, pump_qubit, theta, axis=axis)
+    controlled_flip(state, ancilla, pump_qubit, theta, axis=pump)
     syndrome_map(state, ancilla, stab)
     outcome, _, _ = measure_projector(state, PauliString.single(state.n_qubits, ancilla, "Z"), rng)
     flipped = outcome == -1

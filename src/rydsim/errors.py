@@ -1,21 +1,8 @@
-"""Shared exception types."""
+"""The package's one exception type.  Bad input raises ``ValueError``, which
+the CLI reports as a usage error (exit 2); a run that outgrows a size or
+step cap raises :class:`CapExceededError`, a runtime failure (exit 1)."""
 
 
-class DimensionMismatchError(ValueError):
-    """Operands act on different numbers of qubits."""
-
-
-class CapExceededError(ValueError):
-    """Requested dense realization exceeds the desk-scale size cap."""
-
-
-class UnsupportedGeometryError(ValueError):
-    """Lattice geometry not supported by the requested construction."""
-
-
-class UnmappedTermError(ValueError):
-    """Hamiltonian term has a non-real coefficient: no unitary Trotter factor."""
-
-
-class IntegrationError(RuntimeError):
-    """Time integration failed to reach the requested tolerance."""
+class CapExceededError(RuntimeError):
+    """A run needs more than a desk-scale cap allows: a dense matrix, state
+    vector, Fock basis, register, integration or draw counter."""

@@ -199,17 +199,16 @@ def syndrome_map(state: StateVector, control: int, stabilizer: PauliString) -> S
 
 
 def controlled_flip(
-    state: StateVector, control: int, target: int, theta: float, axis: str = "z"
+    state: StateVector, control: int, target: int, theta: float, axis: str = "Z"
 ) -> StateVector:
-    """exp(i theta sigma^axis_target / 2) on the |1> branch of the control:
-    exp(i theta sigma/4) . exp(-i theta Z_c sigma/4), as |1><1|_c = (1 - Z_c)/2."""
+    """exp(i theta sigma^axis_target / 2), axis "Z" or "X", on the |1> branch of
+    the control: exp(i theta sigma/4) . exp(-i theta Z_c sigma/4), as |1><1|_c = (1 - Z_c)/2."""
     if control == target:
         raise ValueError("control and target must differ")
-    if axis not in ("z", "x"):
-        raise ValueError("axis must be 'z' or 'x'")
-    sigma = axis.upper()
-    pauli_step(state, PauliString.single(state.n_qubits, target, sigma), theta / 4.0)
-    return pauli_step(state, PauliString.from_sites(state.n_qubits, {control: "Z", target: sigma}),
+    if axis not in ("Z", "X"):
+        raise ValueError("axis must be 'Z' or 'X'")
+    pauli_step(state, PauliString.single(state.n_qubits, target, axis), theta / 4.0)
+    return pauli_step(state, PauliString.from_sites(state.n_qubits, {control: "Z", target: axis}),
                       -theta / 4.0)
 
 

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedGeometryError
 from .pauli import (OperatorSum, PauliString, commutes, jw_annihilator, jw_creator, jw_number,
                     to_matrices)
 from .statevec import StateVector
@@ -85,9 +84,7 @@ class ToricLattice:
     @classmethod
     def build(cls, lx: int, ly: int) -> "ToricLattice":
         if lx < 2 or ly < 2:
-            raise UnsupportedGeometryError(
-                "torus needs lx, ly >= 2 (smaller wraps duplicate edges)"
-            )
+            raise ValueError("torus needs lx, ly >= 2 (smaller wraps duplicate edges)")
 
         def h_edge(x, y):
             return (y % ly) * lx + (x % lx)
@@ -264,9 +261,7 @@ def build_hubbard_jw(spec: HubbardSpec) -> OperatorSum:
 
 def _check_vc_geometry(spec: HubbardSpec):
     if spec.lx < 2 or spec.ly < 2 or spec.lx % 2 or spec.ly % 2:
-        raise UnsupportedGeometryError(
-            "auxiliary-layer construction requires even lx, ly >= 2"
-        )
+        raise ValueError("auxiliary-layer construction requires even lx, ly >= 2")
 
 
 def vc_n_qubits(spec: HubbardSpec) -> int:

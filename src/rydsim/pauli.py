@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import CapExceededError
 
 _LETTERS = "IXZY"  # by site code x_bit | z_bit << 1
 _CODE_LETTER = np.frombuffer(_LETTERS.encode(), np.uint8)
@@ -235,9 +235,7 @@ def _action_tables(n_qubits, x_mask, z_mask, phase_exp, control):
 
 def _check_sizes(a: PauliString, b: PauliString):
     if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(
-            f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
+        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
@@ -280,9 +278,7 @@ class OperatorSum:
             if n_qubits is None:
                 n_qubits = s.n_qubits
             if s.n_qubits != n_qubits:
-                raise DimensionMismatchError(
-                    f"term on {s.n_qubits} qubits in a {n_qubits}-qubit sum"
-                )
+                raise ValueError(f"term on {s.n_qubits} qubits in a {n_qubits}-qubit sum")
             key = (s.x_mask, s.z_mask)
             acc[key] = acc.get(key, 0j) + complex(c) * s.phase
         if n_qubits is None:
@@ -334,7 +330,7 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         if other.n_qubits != self._n_qubits:
-            raise DimensionMismatchError("adding sums of different sizes")
+            raise ValueError("adding sums of different sizes")
         return OperatorSum(self._terms + other._terms, self._n_qubits)
 
     def __sub__(self, other):
@@ -356,7 +352,7 @@ class OperatorSum:
         if not isinstance(other, OperatorSum):
             return NotImplemented
         if other.n_qubits != self._n_qubits:
-            raise DimensionMismatchError("multiplying sums of different sizes")
+            raise ValueError("multiplying sums of different sizes")
         prods = [
             (ca * cb, sa * sb)
             for ca, sa in self._terms
@@ -475,7 +471,7 @@ def parse_operator(text: str, n_qubits: int | None = None) -> OperatorSum:
         if n_qubits is None:
             n_qubits = string.n_qubits
         elif string.n_qubits != n_qubits:
-            raise DimensionMismatchError(f"line {lineno}: word length mismatch")
+            raise ValueError(f"line {lineno}: word length mismatch")
         terms.append((complex(float(re_part), float(im_part)), string))
     if n_qubits is None:
         raise ValueError("empty operator text and no n_qubits given")

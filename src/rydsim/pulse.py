@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import CapExceededError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -154,7 +154,8 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
     the |R> level is dropped analytically and |+> picks up the Raman area
     as a phase, otherwise the three-level dynamics runs at the finite
     blockade shift.  ``ValueError`` if the phase bound to integrate,
-    |Omega_c^2/4Delta| (1 + V + x_max^2) T, exceeds :data:`MAX_PULSE_PHASE`.
+    |Omega_c^2/4Delta| (1 + V + x_max^2) T, exceeds :data:`MAX_PULSE_PHASE`;
+    ``CapExceededError`` if :data:`_MAX_DOUBLINGS` doublings do not converge.
     """
     if branch not in ("zero", "rydberg"):
         raise ValueError("branch must be 'zero' or 'rydberg'")
@@ -174,7 +175,7 @@ def evolve_pulse(profile: PulseProfile, branch: str) -> PulseOutcome:
         if np.abs(plus - last).max() < 1e-10:
             break
     else:
-        raise IntegrationError(f"pulse not converged to 1e-10 at {n} Magnus steps")
+        raise CapExceededError(f"pulse not converged to 1e-10 at {n} Magnus steps")
     # |-> is exactly stationary, so the {+,-} block is diagonal
     u_pm = np.array([[plus[0], 0.0], [0.0, 1.0]], dtype=complex)
     leak = float(abs(plus[1]) ** 2)

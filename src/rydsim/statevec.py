@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import CapExceededError
 from .pauli import OperatorSum, PauliString, sum_action
 
 #: state-vector register cap: an energy plan holds 24 * 2^n bytes per X-mask group
@@ -138,7 +138,7 @@ class StateVector:
 
 def _check(n: int, n_qubits: int):
     if n != n_qubits:
-        raise DimensionMismatchError(f"operator on {n} qubits applied to a {n_qubits}-qubit state")
+        raise ValueError(f"operator on {n} qubits applied to a {n_qubits}-qubit state")
 
 
 def _plan(h: OperatorSum, n_qubits: int) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnmappedTermError
 from .gates import pauli_step
 from .pauli import OperatorSum, PauliString
 from .statevec import StateVector
@@ -35,15 +34,6 @@ class Circuit:
     gates: tuple[Gate, ...]
 
 
-def _term_to_gate(coeff: complex, string: PauliString, tau: float) -> Gate:
-    """Gate realizing exp(-i tau coeff P) for one term."""
-    if abs(coeff.imag) > 1e-12 * (1.0 + abs(coeff)):
-        raise UnmappedTermError(
-            f"term {string.to_label()} has non-real coefficient {coeff}"
-        )
-    return Gate(string, -tau * coeff.real)
-
-
 def _order(gate: Gate) -> tuple:
     """Rank of the gate's sorted letters in :data:`_ORDER`, then its qubits:
     ascending, but a ranked word's Z sites (a hopping string site) last."""
@@ -60,13 +50,15 @@ def trotterize(h: OperatorSum, tau: float, order: int = 1) -> Circuit:
     Order 1 emits the product of per-term exponentials; order 2 emits the
     symmetrized palindrome of half-steps.  Exact whenever all terms
     commute.  Deterministic: identical inputs give identical circuits.
+    ``ValueError`` unless ``h`` is Hermitian (:meth:`OperatorSum.is_hermitian`).
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 are supported")
+    if not h.is_hermitian():
+        raise ValueError("trotterize requires a Hermitian operator sum")
     part = tau if order == 1 else tau / 2.0
     # a global phase is not observable; identity terms are dropped
-    step = sorted((_term_to_gate(c, s, part) for c, s in h if not s.is_identity()),
-                  key=_order)
+    step = sorted((Gate(s, -part * c.real) for c, s in h if not s.is_identity()), key=_order)
     return Circuit(h.n_qubits, tuple(step if order == 1 else step + step[::-1]))
 
 

@@ -229,7 +229,7 @@ def test_criterion_07_cooling_fixed_points_and_rate():
     for theta in thetas:
         def premeasure_cycle(state, th=theta):
             syndrome_map(state, 4, PauliString.from_label("XXXXI"))
-            controlled_flip(state, 4, 0, th, "z")
+            controlled_flip(state, 4, 0, th, "Z")
             syndrome_map(state, 4, PauliString.from_label("XXXXI"))
 
         # Kraus blocks of the cycle: ancilla |0> in, ancilla 0/1 out + pump

@@ -6,6 +6,7 @@ import pytest
 
 from rydsim import cooling
 from rydsim.cli import main, parse_angle
+from rydsim.errors import CapExceededError
 from rydsim.pauli import parse_operator
 from rydsim.models import build_toric
 
@@ -148,6 +149,25 @@ def test_toric_cool_lindblad_engine(tmp_path):
     assert np.allclose(energies, want, atol=1e-6)
 
 
+def test_toric_cool_lindblad_engine_at_zero_steps(tmp_path):
+    # only the start state, one row per theta at the closed form 2 q_init - 1
+    out = tmp_path / "lb0.csv"
+    assert main(["toric-cool", "--engine", "lindblad", "--lx", "2", "--ly", "2",
+                 "--theta", "pi,0.4", "--steps", "0", "--trajectories", "1",
+                 "--q-init", "0.3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], float(r[1])) for r in rows] == [("0", math.pi), ("0", 0.4)]
+    assert np.allclose([float(r[3]) for r in rows], -0.4, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed,status", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
+def test_a_seed_must_fit_64_bits(capsys, seed, status):
+    # the draws read the seed mod 2^64, so a wider one would alias a smaller one
+    assert main(["toric-cool", "--engine", "syndrome", "--lx", "2", "--ly", "2", "--theta", "pi",
+                 "--steps", "1", "--trajectories", "2", "--seed", seed, "--out", "-"]) == status
+    assert (f"seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err) == (status == 2)
+
+
 def test_toric_cool_compare_engine(tmp_path):
     out = tmp_path / "cmp.csv"
     status = main(["toric-cool", "--lx", "2", "--ly", "2", "--theta", "pi",
@@ -285,6 +305,12 @@ def test_a_register_past_the_state_cap_exits_1(capsys):
     assert main(["toric-evolve", "--lx", "4", "--ly", "4", "--tau", "0.1", "--steps", "1",
                  "--out", "-"]) == 1
     assert "state vector for 32 qubits exceeds the 20-qubit cap" in capsys.readouterr().err
+
+
+def test_a_cap_is_a_runtime_failure_not_bad_input():
+    # _checked maps a ValueError to exit 2, so a cap must not be one
+    assert issubclass(CapExceededError, RuntimeError)
+    assert not issubclass(CapExceededError, ValueError)
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

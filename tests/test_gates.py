@@ -316,7 +316,7 @@ def test_full_cycle_flip_probability(theta):
     # S U S then ancilla readout flips A_p with probability sin^2(theta/2)
     state = _plaquette_eigenstate(-1)
     syndrome_map(state, 4, PauliString.from_label("XXXXI"))
-    controlled_flip(state, 4, 0, theta, axis="z")
+    controlled_flip(state, 4, 0, theta, axis="Z")
     syndrome_map(state, 4, PauliString.from_label("XXXXI"))
     anc_one = float(np.sum(np.abs(state.amps[16:]) ** 2))
     assert anc_one == pytest.approx(flip_probability(theta), abs=1e-12)
@@ -363,11 +363,11 @@ def test_cnot_n_matches_kron_oracle(control, targets):
     assert np.array_equal(got, _controlled(control, n, x_t))
 
 
-@pytest.mark.parametrize("axis", ["z", "x"])
+@pytest.mark.parametrize("axis", ["Z", "X"])
 @pytest.mark.parametrize("control,target", [(0, 2), (2, 1)])
 def test_controlled_flip_matches_kron_oracle(axis, control, target):
     n = 3
-    sigma = label_matrix("".join(axis.upper() if q == target else "I" for q in range(n)))
+    sigma = label_matrix("".join(axis if q == target else "I" for q in range(n)))
     for theta in (0.3, 1.9, np.pi):
         got = op_matrix(lambda s: controlled_flip(s, control, target, theta, axis), n)
         want = _controlled(control, n, expm_hermitian(sigma, 0.5j * theta))

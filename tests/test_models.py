@@ -3,7 +3,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rydsim.errors import UnsupportedGeometryError
 from rydsim.models import (
     HubbardSpec,
     ToricLattice,
@@ -91,7 +90,7 @@ def test_single_flip_costs_one_gap():
 
 
 def test_degenerate_dims_rejected():
-    with pytest.raises(UnsupportedGeometryError):
+    with pytest.raises(ValueError, match="torus needs lx, ly >= 2"):
         build_toric(1, 4)
 
 
@@ -248,9 +247,9 @@ def test_aux_terms_are_six_body():
 
 
 def test_odd_geometry_rejected():
-    with pytest.raises(UnsupportedGeometryError):
+    with pytest.raises(ValueError, match="requires even lx, ly >= 2"):
         build_aux_hamiltonian(HubbardSpec(3, 2))
-    with pytest.raises(UnsupportedGeometryError):
+    with pytest.raises(ValueError, match="requires even lx, ly >= 2"):
         build_hubbard_local(HubbardSpec(2, 3))
 
 

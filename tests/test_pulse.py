@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rydsim import pulse
-from rydsim.errors import IntegrationError
+from rydsim.errors import CapExceededError
 from rydsim.pulse import (
     PulseProfile,
     SWAP_TARGET,
@@ -274,5 +274,5 @@ def test_unconverged_pulse_raises(monkeypatch):
     # 418.9 at V = 20 needs 32768 steps; one doubling from 1024 stops short
     monkeypatch.setattr(pulse, "_MAX_DOUBLINGS", 1)
     prof = calibrate_area(PulseProfile(1.0, 418.9, blockade=20.0))
-    with pytest.raises(IntegrationError, match="not converged"):
+    with pytest.raises(CapExceededError, match="not converged to 1e-10 at 2048 Magnus steps"):
         evolve_pulse(prof, "rydberg")

@@ -52,6 +52,9 @@ LINES = [
     # theta pi takes two substeps a step, the others one
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4,pi/2,pi --steps 20 --trajectories 1 "
     "--q-init 0.3",
+    # no step: only the start state, at 2 q_init - 1 for every theta
+    "toric-cool --engine lindblad --lx 2 --ly 2 --theta pi,0.4 --steps 0 --trajectories 1 "
+    "--q-init 0.3",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2",
     "heisenberg --lx 3 --ly 2 --jz 0.5 --field 0.3 --tau 0.1 --steps 2 --observables y1",
@@ -101,6 +104,9 @@ DIGESTS = {
     "toric-cool --engine lindblad --lx 2 --ly 2 --theta 0.4,pi/2,pi --steps 20 --trajectories 1 "
     "--q-init 0.3":
         "3f4529e6cacaed14c1d36f556548b3706cb3eeca2f32f5c28f65e2049aaad4a5",
+    "toric-cool --engine lindblad --lx 2 --ly 2 --theta pi,0.4 --steps 0 --trajectories 1 "
+    "--q-init 0.3":
+        "cce12b7611c663c0e391b9d729c495c1a055c9587481a525b08c18d39739ddee",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 2 --init 10000000 --observables z0,x3":
         "1b4b8e6614ed63c2c0cf0b2be2dc6d9709687b9dd1c8990772963ca43225009d",
     "toric-evolve --lx 2 --ly 2 --tau 0.3 --steps 1 --order 2":
@@ -228,8 +234,9 @@ def profile_lines(package: Path, tmp_path: Path) -> dict:
     config.write_text(CONFIG)
     lines = [line.format(config=config) for line in LINES]
     # one BLAS thread: a threaded eigensolver may round differently, and the
-    # digests pin every byte
-    env = dict(os.environ, PYTHONPATH=str(package.parent), **dict.fromkeys(BLAS_THREADS, "1"))
+    # digests pin every byte; a warning fails the run, as in the suite itself
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONWARNINGS="error",
+               **dict.fromkeys(BLAS_THREADS, "1"))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT,
          json.dumps([str(package), lines, WORKER_LINES, str(tmp_path)])],
@@ -296,7 +303,7 @@ def test_local_line_is_independent_of_blas_threads(tmp_path, line):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONWARNINGS="error",
                    **dict.fromkeys(BLAS_THREADS, threads))
         subprocess.run([sys.executable, "-m", "rydsim.cli", *line.split(), "--out", str(out)],
                        env=env, capture_output=True, timeout=60, check=True)

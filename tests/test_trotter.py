@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rydsim.errors import UnmappedTermError
 from rydsim.models import build_heisenberg, build_toric, grid_adjacency
 from rydsim.pauli import OperatorSum, PauliString
 from rydsim.statevec import StateVector
@@ -162,8 +161,21 @@ def test_determinism_byte_for_byte():
 
 def test_non_hermitian_term_rejected():
     h = OperatorSum([(1j, PauliString.from_label("XX"))])
-    with pytest.raises(UnmappedTermError):
+    with pytest.raises(ValueError, match="trotterize requires a Hermitian operator sum"):
         trotterize(h, 0.1)
+
+
+@pytest.mark.parametrize("imag,hermitian", [(1e-9, False), (1e-11, True)])
+def test_trotterize_refuses_what_is_hermitian_refuses(imag, hermitian):
+    # one realness rule: a sum with one non-real coefficient is refused
+    # exactly when OperatorSum.is_hermitian() rejects it
+    h = heisenberg_chain(4) + OperatorSum([(0.5 + 1j * imag, PauliString.from_label("ZIIZ"))])
+    assert h.is_hermitian() == hermitian
+    if hermitian:
+        assert len(trotterize(h, 0.1).gates) == len(h)
+    else:
+        with pytest.raises(ValueError, match="trotterize requires a Hermitian operator sum"):
+            trotterize(h, 0.1)
 
 
 # -- hopping compilation ----------------------------------------------------
