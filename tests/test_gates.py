@@ -363,10 +363,11 @@ def test_cnot_n_matches_kron_oracle(control, targets):
     assert np.array_equal(got, _controlled(control, n, x_t))
 
 
-@pytest.mark.parametrize("axis", ["Z", "X"])
+@pytest.mark.parametrize("axis", ["z", "x"])
 @pytest.mark.parametrize("control,target", [(0, 2), (2, 1)])
 def test_controlled_flip_matches_kron_oracle(axis, control, target):
     n = 3
+    axis = axis.upper()
     sigma = label_matrix("".join(axis if q == target else "I" for q in range(n)))
     for theta in (0.3, 1.9, np.pi):
         got = op_matrix(lambda s: controlled_flip(s, control, target, theta, axis), n)
